@@ -14,6 +14,6 @@ from .conditioning import (AssociationKind, AssociationPolicy, ConditioningConfi
                            band_association, concat_features, condition_features,
                            proposal_node_features, soft_mapping)
 from .rescore import RescoreConfig, labels_to_logits, rescore, rescore_corpus
-from .evaluation import EvalConfig, EvalReport, evaluate, match, precision_recall
+from .evaluation import EvalConfig, EvalReport, evaluate, precision_recall
 from .synth import GeneratorSpec, generate, recovery_score
 from .render import render_layout_svg

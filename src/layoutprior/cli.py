@@ -70,11 +70,10 @@ def cmd_condition(args) -> int:
 
 
 def cmd_rescore(args) -> int:
-    if not (0.0 <= args.blend <= 1.0):
-        raise ParseError("--lambda must lie in [0, 1]")
+    # Validates --lambda before any file is read.
+    config = RescoreConfig(blend=args.blend, association=_association(args))
     corpus = load_native(args.detections)
     graphs = load_graphs(args.graphs)
-    config = RescoreConfig(blend=args.blend, association=_association(args))
     out = rescore_corpus(corpus, graphs, config, confidence=args.confidence)
     save_native(out, args.out)
     print(f"re-scored {len(out.layouts)} layouts (lambda={args.blend})",

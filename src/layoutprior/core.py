@@ -15,6 +15,7 @@ import numpy as np
 
 # Library-wide comparison tolerance.
 TOL = 1e-9
+INF = float("inf")
 
 
 class LayoutPriorError(Exception):
@@ -62,10 +63,12 @@ class BBox:
     y2: float
 
     def __post_init__(self):
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        # Chained comparisons are False for NaN, so this also rejects it.
+        if not (-INF < self.x1 <= self.x2 < INF
+                and -INF < self.y1 <= self.y2 < INF):
             raise ParseError(
                 f"malformed box ({self.x1},{self.y1},{self.x2},{self.y2}): "
-                "x2 < x1 or y2 < y1"
+                "coordinates must be finite with x1 <= x2 and y1 <= y2"
             )
 
     def center(self):
@@ -89,6 +92,10 @@ class Component:
     class_id: int
     score: Optional[float] = None
 
+    def __post_init__(self):
+        if self.score is not None and not -INF < self.score < INF:
+            raise ParseError(f"non-finite score: {self.score}")
+
 
 @dataclass(frozen=True)
 class LayoutDocument:
@@ -99,8 +106,9 @@ class LayoutDocument:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if self.width <= 0 or self.height <= 0:
-            raise ParseError(f"layout {self.id!r}: non-positive canvas size")
+        if not (0 < self.width < INF and 0 < self.height < INF):
+            raise ParseError(
+                f"layout {self.id!r}: canvas size must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -128,19 +136,33 @@ class ProposalBatch:
                     f"{len(self.boxes)} boxes"
                 )
             object.__setattr__(self, "features", feats)
-        if self.layout_height <= 0:
-            raise ParseError("layout_height must be positive")
+        if not 0 < self.layout_height < INF:
+            raise ParseError("layout_height must be positive and finite")
+
+
+def box_areas(boxes: np.ndarray) -> np.ndarray:
+    """Areas of an (N, 4) array of x1, y1, x2, y2 rows, as in BBox.area."""
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU of (N, 4) and (M, 4) float box arrays as an N x M
+    matrix; 0 where the union has zero area."""
+    ix = np.maximum(0.0, np.minimum(a[:, None, 2], b[None, :, 2])
+                    - np.maximum(a[:, None, 0], b[None, :, 0]))
+    iy = np.maximum(0.0, np.minimum(a[:, None, 3], b[None, :, 3])
+                    - np.maximum(a[:, None, 1], b[None, :, 1]))
+    inter = ix * iy
+    union = box_areas(a)[:, None] + box_areas(b)[None, :] - inter
+    positive = union > 0.0
+    return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
 
 
 def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 when the union has zero area."""
-    ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
-    iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
-    inter = ix * iy
-    union = a.area() + b.area() - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+    """Intersection over union of two boxes; see iou_matrix."""
+    a = np.array([[a.x1, a.y1, a.x2, a.y2]], dtype=np.float64)
+    b = np.array([[b.x1, b.y1, b.x2, b.y2]], dtype=np.float64)
+    return float(iou_matrix(a, b)[0, 0])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

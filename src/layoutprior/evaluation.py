@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .core import BBox, LayoutPriorError, iou
+from .core import LayoutPriorError, box_areas, iou_matrix
 from .ingest import Corpus
 
 SENTINEL = -1.0
@@ -69,35 +69,7 @@ class EvalReport:
                 + "  ".join(row))
 
 
-def match(dets: List[Tuple[BBox, float]], gts: List[BBox], iou_t: float,
-          max_dets: int) -> List[bool]:
-    """Greedy score-ordered matching; returns TP/FP flag per kept detection.
-
-    Detections are sorted by descending score (ties keep input order) and
-    truncated to max_dets; each claims the unmatched ground truth of
-    highest IoU provided it reaches the threshold.
-    """
-    order = sorted(range(len(dets)), key=lambda i: -dets[i][1])
-    order = order[:max_dets]
-    taken = [False] * len(gts)
-    flags = []
-    for di in order:
-        best, best_iou = -1, min(iou_t, 1.0 - 1e-10)
-        for gi, g in enumerate(gts):
-            if taken[gi]:
-                continue
-            v = iou(dets[di][0], g)
-            if v >= best_iou and (best == -1 or v > best_iou):
-                best, best_iou = gi, v
-        if best >= 0:
-            taken[best] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
-
-
-def precision_recall(flags: List[bool], n_gt: int,
+def precision_recall(flags, n_gt: int,
                      recall_points: Optional[tuple] = None) -> Tuple[np.ndarray, float]:
     """101-point interpolated precision samples and their mean (AP).
 
@@ -106,24 +78,17 @@ def precision_recall(flags: List[bool], n_gt: int,
     """
     if recall_points is None:
         recall_points = EvalConfig().recall_points
-    R = len(recall_points)
     if n_gt == 0:
-        return np.zeros(R), SENTINEL
-    if not flags:
-        return np.zeros(R), 0.0
-    tp = np.cumsum([1 if f else 0 for f in flags])
-    fp = np.cumsum([0 if f else 1 for f in flags])
+        return np.zeros(len(recall_points)), SENTINEL
+    flags = np.asarray(flags, dtype=bool)
+    tp = np.cumsum(flags)
+    fp = np.cumsum(~flags)
     rc = tp / n_gt
     pr = tp / np.maximum(tp + fp, 1)
     # Monotone-decreasing envelope from the right.
-    for i in range(len(pr) - 1, 0, -1):
-        if pr[i] > pr[i - 1]:
-            pr[i - 1] = pr[i]
-    samples = np.zeros(R)
-    inds = np.searchsorted(rc, recall_points, side="left")
-    for ri, pi in enumerate(inds):
-        if pi < len(pr):
-            samples[ri] = pr[pi]
+    pr = np.maximum.accumulate(pr[::-1])[::-1]
+    # Recall levels beyond the last operating point sample precision 0.
+    samples = np.append(pr, 0.0)[np.searchsorted(rc, recall_points, side="left")]
     return samples, float(samples.mean())
 
 
@@ -136,95 +101,72 @@ def _group(corpus: Corpus):
     return out
 
 
-def _evaluate_unit(dts, gts, iou_thrs, area_lo, area_hi, max_det):
-    """Per-(image, category) matching for one area slice.
+def _boxes(comps) -> np.ndarray:
+    return np.array([(c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
+                     for c in comps], dtype=np.float64).reshape(-1, 4)
 
-    Returns (scores, tps, fps, n_positive) with detection arrays already
-    truncated to max_det and filtered of ignored detections per
-    threshold; ground truths outside the area range are ignored, and
-    detections matched to them (or unmatched and themselves outside the
-    range) count neither as TP nor FP.
+
+def _outside(areas: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    return (areas < lo) | (areas >= hi)
+
+
+def _greedy(ious: list, gt_ig: list, iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of score-ordered detections at each threshold.
+
+    Each detection claims the unmatched ground truth of highest IoU
+    (the later one on ties) that reaches the threshold, preferring
+    non-ignored ground truths. Returns (matched, ignored), both T x D:
+    whether the detection matched, and whether its match is ignored.
     """
-    T = len(iou_thrs)
-    order = sorted(range(len(dts)),
-                   key=lambda i: -(dts[i].score if dts[i].score is not None else 1.0))
-    order = order[:max_det]
-    dts = [dts[i] for i in order]
-    D, G = len(dts), len(gts)
-
-    gt_ig = np.array([g.bbox.area() < area_lo or g.bbox.area() >= area_hi
-                      for g in gts], dtype=bool)
-    # Non-ignored ground truths are preferred match targets.
+    T, D, G = len(iou_thrs), len(ious), len(gt_ig)
     gt_order = sorted(range(G), key=lambda i: gt_ig[i])
-
-    ious = np.zeros((D, G))
-    for di, d in enumerate(dts):
-        for gi, g in enumerate(gts):
-            ious[di, gi] = iou(d.bbox, g.bbox)
-
-    dtm = -np.ones((T, D), dtype=np.int64)
-    dt_ig = np.zeros((T, D), dtype=bool)
+    matched = np.zeros((T, D), dtype=bool)
+    ignored = np.zeros((T, D), dtype=bool)
     for ti, t in enumerate(iou_thrs):
-        gtm = -np.ones(G, dtype=np.int64)
-        for di in range(D):
-            best = -1
-            best_iou = min(t, 1.0 - 1e-10)
+        taken = [False] * G
+        for di, row in enumerate(ious):
+            best, best_iou = -1, min(t, 1.0 - 1e-10)
             for gi in gt_order:
-                if gtm[gi] >= 0:
+                if taken[gi]:
                     continue
                 if best > -1 and not gt_ig[best] and gt_ig[gi]:
                     break
-                if ious[di, gi] < best_iou:
+                if row[gi] < best_iou:
                     continue
-                best_iou = ious[di, gi]
-                best = gi
-            if best == -1:
-                continue
-            dtm[ti, di] = best
-            gtm[best] = di
-            dt_ig[ti, di] = gt_ig[best]
-
-    dt_out = np.array([d.bbox.area() < area_lo or d.bbox.area() >= area_hi
-                       for d in dts], dtype=bool)
-    dt_ig |= (dtm == -1) & dt_out[None, :]
-
-    scores = np.array([d.score if d.score is not None else 1.0 for d in dts])
-    tps = (dtm >= 0) & ~dt_ig
-    fps = (dtm == -1) & ~dt_ig
-    n_pos = int((~gt_ig).sum())
-    return scores, tps, fps, dt_ig, n_pos
+                best, best_iou = gi, row[gi]
+            if best > -1:
+                taken[best] = True
+                matched[ti, di] = True
+                ignored[ti, di] = gt_ig[best]
+    return matched, ignored
 
 
-def _accumulate(per_image, T, R, recall_points):
-    """Reduce one (category, area, max_det) slice to AP/AR curves."""
-    n_pos = sum(u[4] for u in per_image)
-    if n_pos == 0:
-        return None
-    scores = np.concatenate([u[0] for u in per_image]) if per_image else np.zeros(0)
-    order = np.argsort(-scores, kind="mergesort")
-    precision = np.zeros((T, R))
-    recall = np.zeros(T)
-    if len(order):
-        tps = np.concatenate([u[1] for u in per_image], axis=1)[:, order]
-        fps = np.concatenate([u[2] for u in per_image], axis=1)[:, order]
-        ig = np.concatenate([u[3] for u in per_image], axis=1)[:, order]
-        for ti in range(T):
-            keep = ~ig[ti]
-            flags = tps[ti][keep]
-            tp = np.cumsum(flags)
-            fp = np.cumsum(fps[ti][keep])
-            if len(tp):
-                recall[ti] = tp[-1] / n_pos
-            rc = tp / n_pos
-            pr = tp / np.maximum(tp + fp, 1)
-            for i in range(len(pr) - 1, 0, -1):
-                if pr[i] > pr[i - 1]:
-                    pr[i - 1] = pr[i]
-            inds = np.searchsorted(rc, recall_points, side="left")
-            for ri, pi in enumerate(inds):
-                if pi < len(pr):
-                    precision[ti, ri] = pr[pi]
-    return precision, recall
+def _match_image(dts, gts, config: EvalConfig):
+    """One matching pass over one (image, class).
+
+    Detections are sorted by descending score (ties keep input order,
+    a missing score counts as 1.0) and truncated to the largest cap.
+    Matching is greedy in that order, so each detection's outcome
+    depends only on those above it and every smaller cap is a prefix.
+    Returns (scores (D,), matched (A, T, D), ignored (A, T, D),
+    n_positive (A,)) over the A area ranges; a detection is ignored
+    when its match is an ignored ground truth or, unmatched, it lies
+    outside the area range.
+    """
+    scores = np.array([1.0 if d.score is None else d.score for d in dts])
+    order = np.argsort(-scores, kind="stable")[:max(config.max_dets)]
+    dt_boxes = _boxes([dts[i] for i in order])
+    gt_boxes = _boxes(gts)
+    ious = iou_matrix(dt_boxes, gt_boxes).tolist()
+    dt_area, gt_area = box_areas(dt_boxes), box_areas(gt_boxes)
+    matched, ignored, n_pos = [], [], []
+    for _, lo, hi in config.area_ranges:
+        gt_ig = _outside(gt_area, lo, hi)
+        m, ig = _greedy(ious, gt_ig.tolist(), config.iou_thresholds)
+        matched.append(m)
+        ignored.append(ig | (~m & _outside(dt_area, lo, hi)))
+        n_pos.append(int((~gt_ig).sum()))
+    return scores[order], np.array(matched), np.array(ignored), np.array(n_pos)
 
 
 def evaluate(dets: Corpus, gts: Corpus,
@@ -244,11 +186,9 @@ def evaluate(dets: Corpus, gts: Corpus,
     C = gts.vocabulary.size
     iou_thrs = config.iou_thresholds
     T, R = len(iou_thrs), len(config.recall_points)
-    recall_points = np.asarray(config.recall_points)
     image_ids = [l.id for l in dets.layouts]
     det_groups = _group(dets)
     gt_groups = _group(gts)
-    max_det_cap = max(config.max_dets)
 
     # precision[t, r, class, area, maxdet] and recall[t, class, area, maxdet];
     # sentinel where a slice has no ground truth.
@@ -257,63 +197,58 @@ def evaluate(dets: Corpus, gts: Corpus,
     recall = np.full((T, C, A, M), SENTINEL)
 
     for ci in range(C):
-        for ai, (_, lo, hi) in enumerate(config.area_ranges):
-            for mi, md in enumerate(config.max_dets):
-                per_image = []
-                for iid in image_ids:
-                    dts = det_groups.get((iid, ci), [])
-                    gtl = gt_groups.get((iid, ci), [])
-                    if not dts and not gtl:
-                        continue
-                    per_image.append(
-                        _evaluate_unit(dts, gtl, iou_thrs, lo, hi, md))
-                acc = _accumulate(per_image, T, R, recall_points)
-                if acc is None:
-                    continue
-                precision[:, :, ci, ai, mi] = acc[0]
-                recall[:, ci, ai, mi] = acc[1]
+        units = [_match_image(det_groups.get((iid, ci), []),
+                              gt_groups.get((iid, ci), []), config)
+                 for iid in image_ids
+                 if (iid, ci) in det_groups or (iid, ci) in gt_groups]
+        if not units:
+            continue
+        n_pos = sum(u[3] for u in units)
+        for mi, md in enumerate(config.max_dets):
+            # Pool the images' top-md detections in one stable score order.
+            order = np.argsort(-np.concatenate([u[0][:md] for u in units]),
+                               kind="stable")
+            matched = np.concatenate([u[1][..., :md] for u in units], 2)[..., order]
+            ignored = np.concatenate([u[2][..., :md] for u in units], 2)[..., order]
+            for ai in np.nonzero(n_pos)[0]:
+                n = int(n_pos[ai])
+                for ti in range(T):
+                    flags = matched[ai, ti][~ignored[ai, ti]]
+                    precision[ti, :, ci, ai, mi] = precision_recall(
+                        flags, n, config.recall_points)[0]
+                    recall[ti, ci, ai, mi] = flags.sum() / n
 
     area_names = [name for name, _, _ in config.area_ranges]
 
-    def mean_ap(t_sel, area, maxdet, cls=None):
-        if area not in area_names or maxdet not in config.max_dets:
+    def mean(values, area, maxdet, cls=None, thr=None):
+        """Mean of the non-sentinel cells of precision or recall for one
+        area range and cap, optionally one class and one threshold."""
+        if (area not in area_names or maxdet not in config.max_dets
+                or (thr is not None and thr not in iou_thrs)):
             return SENTINEL
-        ai = area_names.index(area)
-        mi = config.max_dets.index(maxdet)
-        p = precision[:, :, :, ai, mi]
-        if t_sel is not None:
-            ti = list(iou_thrs).index(t_sel)
-            p = p[ti:ti + 1]
+        v = values[..., area_names.index(area), config.max_dets.index(maxdet)]
+        if thr is not None:
+            ti = list(iou_thrs).index(thr)
+            v = v[ti:ti + 1]
         if cls is not None:
-            p = p[:, :, cls:cls + 1]
-        valid = p[p > SENTINEL]
-        return float(valid.mean()) if valid.size else SENTINEL
-
-    def mean_ar(area, maxdet, cls=None):
-        if area not in area_names or maxdet not in config.max_dets:
-            return SENTINEL
-        ai = area_names.index(area)
-        mi = config.max_dets.index(maxdet)
-        r = recall[:, :, ai, mi]
-        if cls is not None:
-            r = r[:, cls:cls + 1]
-        valid = r[r > SENTINEL]
+            v = v[..., cls:cls + 1]
+        valid = v[v > SENTINEL]
         return float(valid.mean()) if valid.size else SENTINEL
 
     def block(cls=None):
         return dict(
-            ap=mean_ap(None, "all", 100, cls),
-            ap50=mean_ap(0.5, "all", 100, cls),
-            ap75=mean_ap(0.75, "all", 100, cls),
-            ap_small=mean_ap(None, "small", 100, cls),
-            ap_medium=mean_ap(None, "medium", 100, cls),
-            ap_large=mean_ap(None, "large", 100, cls),
-            ar1=mean_ar("all", 1, cls),
-            ar10=mean_ar("all", 10, cls),
-            ar100=mean_ar("all", 100, cls),
-            ar_small=mean_ar("small", 100, cls),
-            ar_medium=mean_ar("medium", 100, cls),
-            ar_large=mean_ar("large", 100, cls),
+            ap=mean(precision, "all", 100, cls),
+            ap50=mean(precision, "all", 100, cls, thr=0.5),
+            ap75=mean(precision, "all", 100, cls, thr=0.75),
+            ap_small=mean(precision, "small", 100, cls),
+            ap_medium=mean(precision, "medium", 100, cls),
+            ap_large=mean(precision, "large", 100, cls),
+            ar1=mean(recall, "all", 1, cls),
+            ar10=mean(recall, "all", 10, cls),
+            ar100=mean(recall, "all", 100, cls),
+            ar_small=mean(recall, "small", 100, cls),
+            ar_medium=mean(recall, "medium", 100, cls),
+            ar_large=mean(recall, "large", 100, cls),
         )
 
     per_class = {gts.vocabulary.names[ci]: block(ci) for ci in range(C)}

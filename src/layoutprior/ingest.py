@@ -48,42 +48,41 @@ def _open(path, mode="rt"):
     return open(path, mode)
 
 
+def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
+    lid = lay["id"]
+    width, height = float(lay["width"]), float(lay["height"])
+    comps = []
+    for c in lay.get("components", []):
+        class_id = vocab.index(c["class"])
+        bbox = BBox(*(float(v) for v in c["bbox"])).clamped(width, height)
+        score = c.get("score")
+        comps.append(Component(bbox, class_id,
+                               None if score is None else float(score)))
+    return LayoutDocument(str(lid), width, height, tuple(comps))
+
+
 def load_native(path) -> Corpus:
     with _open(path) as f:
         try:
             obj = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from None
+    if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
+            and isinstance(obj.get("layouts"), list)):
+        raise ParseError(f"{path}: needs a 'classes' and a 'layouts' list")
     try:
-        classes = obj["classes"]
-        layouts_obj = obj["layouts"]
-    except (KeyError, TypeError):
-        raise ParseError(f"{path}: missing 'classes' or 'layouts'") from None
+        vocab = ClassVocabulary(tuple(obj["classes"]))
+    except TypeError:
+        raise ParseError(f"{path}: class names must be strings") from None
 
-    vocab = ClassVocabulary(tuple(classes))
     layouts = []
-    for lay in layouts_obj:
-        lid = lay["id"]
-        width, height = float(lay["width"]), float(lay["height"])
-        comps = []
-        for c in lay.get("components", []):
-            name = c["class"]
-            try:
-                class_id = vocab.index(name)
-            except ParseError:
-                raise ParseError(
-                    f"layout {lid!r}: unknown class name {name!r}"
-                ) from None
-            x1, y1, x2, y2 = (float(v) for v in c["bbox"])
-            if x2 < x1 or y2 < y1:
-                raise ParseError(
-                    f"layout {lid!r}: malformed box [{x1},{y1},{x2},{y2}]"
-                )
-            bbox = BBox(x1, y1, x2, y2).clamped(width, height)
-            score = c.get("score")
-            comps.append(Component(bbox, class_id,
-                                   None if score is None else float(score)))
-        layouts.append(LayoutDocument(str(lid), width, height, tuple(comps)))
+    for i, lay in enumerate(obj["layouts"]):
+        try:
+            layouts.append(_layout_from_obj(lay, vocab))
+        except KeyError as e:
+            raise ParseError(f"{path}: layout {i}: missing key {e}") from None
+        except (TypeError, ValueError, ParseError) as e:
+            raise ParseError(f"{path}: layout {i}: {e}") from None
     return Corpus(vocab, tuple(layouts), source=str(path))
 
 

@@ -105,33 +105,15 @@ def band_membership(layout: LayoutDocument, config: BandConfig) -> np.ndarray:
     return member.astype(np.int64)
 
 
-def accumulate(corpus: Corpus, config: BandConfig, workers: int = 1) -> list:
+def accumulate(corpus: Corpus, config: BandConfig) -> list:
     """Raw per-band co-occurrence counts over the corpus.
 
     Bands holding fewer than two boxes in a layout are skipped for that
     layout; within a surviving band, every box increments the edge
     between its own class and the class of each box in the band
-    (including itself). With workers > 1 layouts are accumulated in
-    chunks whose integer counts are summed, which is bit-identical to
-    the sequential result.
+    (including itself).
     """
     C = corpus.vocabulary.size
-    if workers > 1 and len(corpus.layouts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(np.arange(len(corpus.layouts)), workers)
-
-        def run(idx):
-            part = [np.zeros((C, C), dtype=np.int64)
-                    for _ in range(config.n_bands)]
-            for i in idx:
-                _accumulate_layout(corpus.layouts[i], config, part)
-            return part
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(run, chunks))
-        return [sum(p[j] for p in parts) for j in range(config.n_bands)]
-
     counts = [np.zeros((C, C), dtype=np.int64) for _ in range(config.n_bands)]
     for layout in corpus.layouts:
         _accumulate_layout(layout, config, counts)

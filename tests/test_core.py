@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from layoutprior.core import (BBox, ClassVocabulary, ParseError, ShapeError,
-                              iou, matmul, matrix_from_json, matrix_to_json,
-                              row_softmax)
+from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
+                              ParseError, ProposalBatch, ShapeError, iou,
+                              iou_matrix, matmul, matrix_from_json,
+                              matrix_to_json, row_softmax)
+
+NAN, INF = float("nan"), float("inf")
 
 coords = st.floats(min_value=0, max_value=1000, allow_nan=False)
 
@@ -29,6 +32,29 @@ class TestBBox:
     def test_inverted_rejected(self):
         with pytest.raises(ParseError):
             BBox(10, 0, 0, 10)
+
+    @pytest.mark.parametrize("box", [(0, NAN, 5, 5), (NAN, 0, NAN, 5),
+                                     (0, 0, INF, 5), (-INF, 0, 5, 5)])
+    def test_non_finite_rejected(self, box):
+        with pytest.raises(ParseError, match="finite"):
+            BBox(*box)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("score", [NAN, INF, -INF])
+    def test_score(self, score):
+        with pytest.raises(ParseError, match="finite"):
+            Component(BBox(0, 0, 1, 1), 0, score)
+
+    @pytest.mark.parametrize("size", [(NAN, 10), (10, INF), (0, 10)])
+    def test_canvas(self, size):
+        with pytest.raises(ParseError, match="finite"):
+            LayoutDocument("l", *size)
+
+    @pytest.mark.parametrize("height", [NAN, INF, -1.0])
+    def test_layout_height(self, height):
+        with pytest.raises(ParseError, match="finite"):
+            ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), height)
 
 
 class TestVocabulary:
@@ -68,6 +94,25 @@ class TestIou:
     @given(boxes(), boxes())
     def test_unit_interval(self, a, b):
         assert 0.0 <= iou(a, b) <= 1.0
+
+
+    @given(st.lists(boxes(), max_size=5), st.lists(boxes(), max_size=5))
+    def test_matrix_matches_scalar_formula(self, xs, ys):
+        def scalar(a, b):
+            ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
+            iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
+            inter = ix * iy
+            union = a.area() + b.area() - inter
+            return inter / union if union > 0.0 else 0.0
+
+        def arr(bs):
+            return np.array([(b.x1, b.y1, b.x2, b.y2) for b in bs]).reshape(-1, 4)
+
+        m = iou_matrix(arr(xs), arr(ys))
+        assert m.shape == (len(xs), len(ys))
+        for i, a in enumerate(xs):
+            for j, b in enumerate(ys):
+                assert m[i, j] == scalar(a, b)
 
 
 class TestMatmul:

@@ -7,8 +7,11 @@ import pytest
 from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
                          LayoutDocument, load_native)
 from layoutprior.core import LayoutPriorError
-from layoutprior.evaluation import (SENTINEL, EvalConfig, evaluate, match,
+from layoutprior.evaluation import (SENTINEL, EvalConfig, evaluate,
                                     precision_recall)
+from layoutprior.ingest import corpus_to_obj
+
+from reference_eval import reference_evaluate
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -26,26 +29,56 @@ def corpus_of(vocab_names, images):
 
 
 class TestMatch:
+    """Greedy matching, seen through evaluate on one image and class."""
+
+    AT_50 = EvalConfig(iou_thresholds=(0.5,))
+
+    def run(self, gts, dets, config=EvalConfig()):
+        return evaluate(corpus_of(["a"], {"i": [(d, 0, s) for d, s in dets]}),
+                        corpus_of(["a"], {"i": [(g, 0) for g in gts]}),
+                        config)
+
     def test_exact_match(self):
-        flags = match([(BBox(0, 0, 10, 10), 0.9)], [BBox(0, 0, 10, 10)],
-                      iou_t=1.0, max_dets=100)
-        assert flags == [True]
+        rep = self.run([(0, 0, 10, 10)], [((0, 0, 10, 10), 0.9)],
+                       EvalConfig(iou_thresholds=(1.0,)))
+        assert rep.ap == 1.0 and rep.ar100 == 1.0
 
     def test_score_order_beats_iou(self):
-        gt = [BBox(0, 0, 100, 100)]
-        dets = [(BBox(0, 0, 100, 90), 0.5),   # IoU 0.9
-                (BBox(0, 0, 100, 80), 0.9)]   # IoU 0.8
-        flags = match(dets, gt, iou_t=0.5, max_dets=100)
-        # the 0.9-scored detection is matched first and claims the GT
-        assert flags == [True, False]
+        gt = [(0, 0, 100, 100)]
+        dets = [((0, 0, 100, 90), 0.5),   # IoU 0.9
+                ((0, 0, 100, 80), 0.9)]   # IoU 0.8
+        rep = self.run(gt, dets, self.AT_50)
+        # the 0.9-scored detection is matched first and claims the GT,
+        # so the ranking is TP, FP and the top-1 recall is full
+        assert rep.ap == 1.0 and rep.ar1 == 1.0
+        # at 0.85 only the 0.5-scored detection can match: FP, TP
+        rep = self.run(gt, dets, EvalConfig(iou_thresholds=(0.85,)))
+        assert rep.ap == pytest.approx(0.5) and rep.ar1 == 0.0
 
     def test_below_threshold(self):
-        dets = [(BBox(0, 0, 49, 100), 0.9)]  # IoU 0.49
-        assert match(dets, [BBox(0, 0, 100, 100)], 0.5, 100) == [False]
+        rep = self.run([(0, 0, 100, 100)], [((0, 0, 49, 100), 0.9)],  # IoU 0.49
+                       self.AT_50)
+        assert rep.ap == 0.0 and rep.ar100 == 0.0
 
     def test_max_dets_truncation(self):
-        dets = [(BBox(0, 0, 10, 10), s) for s in (0.9, 0.8, 0.7)]
-        assert len(match(dets, [BBox(0, 0, 10, 10)], 0.5, 2)) == 2
+        gts = [(0, 0, 10, 10), (50, 50, 60, 60)]
+        # listed lowest score first: truncation keeps the top scores
+        dets = [((50, 50, 60, 60), 0.8), ((0, 0, 10, 10), 0.9)]
+        rep = self.run(gts, dets, self.AT_50)
+        assert rep.ar1 == 0.5 and rep.ar10 == 1.0
+        # ten higher-scored misses push the only hit past the 10 cap
+        misses = [((500, 500, 510, 510), 0.95)] * 10
+        rep = self.run(gts[:1], misses + dets[1:], self.AT_50)
+        assert rep.ar10 == 0.0 and rep.ar100 == 1.0
+
+    def test_prefers_in_range_ground_truth(self):
+        # For the small range the medium GT is ignored: the detection
+        # must take the in-range GT (IoU 0.826) although the ignored one
+        # overlaps more (IoU 0.942), whichever comes first.
+        gts = [(0, 0, 34, 34), (0, 0, 30, 30)]
+        for order in (gts, gts[::-1]):
+            rep = self.run(order, [((0, 0, 33, 33), 0.9)])
+            assert rep.ar_small == pytest.approx(0.7)  # thresholds 0.5-0.8
 
 
 class TestPrecisionRecall:
@@ -184,3 +217,70 @@ class TestEvaluate:
         assert table.splitlines()[0].split() == [
             "AP", "AP50", "AP75", "APs", "APm", "APl",
             "AR1", "AR10", "AR100", "ARs", "ARm", "ARl"]
+
+
+def random_eval_pair(rng, big):
+    """Random (detections, ground truth) corpora for the oracle test.
+
+    Box sides are log-uniform over 3..300 px, so all three area ranges
+    occur; half the corpora draw scores from three values so ties are
+    common, and about one detection in ten has no score. Some ground
+    truths are rescaled copies of the previous one. With `big`,
+    the first image holds 101-110 detections of class 0, past the
+    100 cap.
+    """
+    n_classes = int(rng.integers(1, 4))
+    tied = rng.random() < 0.5
+
+    def box():
+        w, h = np.exp(rng.uniform(np.log(3), np.log(300), 2))
+        x, y = rng.uniform(0, 600, 2)
+        return (x, y, x + w, y + h)
+
+    def near(b):
+        x1, y1, x2, y2 = np.asarray(b) + rng.normal(0, 0.1 * (b[2] - b[0]), 4)
+        return (min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+
+    def rescaled(b):
+        x1, y1, x2, y2 = b
+        sx, sy = np.exp(rng.uniform(-0.3, 0.3, 2))
+        cx, cy = (x1 + x2) / 2, (y1 + y2) / 2
+        hw, hh = sx * (x2 - x1) / 2, sy * (y2 - y1) / 2
+        return (cx - hw, cy - hh, cx + hw, cy + hh)
+
+    def score():
+        if rng.random() < 0.1:
+            return None
+        return float(rng.choice([0.2, 0.5, 0.9])) if tied else float(rng.random())
+
+    gts, dets = {}, {}
+    for i in range(int(rng.integers(1, 4))):
+        gts[f"i{i}"], dets[f"i{i}"] = [], []
+        for c in range(n_classes):
+            g = []
+            for _ in range(int(rng.integers(0, 6))):
+                # overlapping ground truths of nearby sizes make the
+                # preference for in-range targets matter
+                g.append(rescaled(g[-1]) if g and rng.random() < 0.5 else box())
+            n_det = int(rng.integers(101, 111)) if big and i == c == 0 \
+                else int(rng.integers(0, 9))
+            gts[f"i{i}"] += [(b, c) for b in g]
+            dets[f"i{i}"] += [(near(g[k % len(g)]) if g and rng.random() < 0.7
+                               else box(), c, score()) for k in range(n_det)]
+    names = [f"c{c}" for c in range(n_classes)]
+    return corpus_of(names, dets), corpus_of(names, gts)
+
+
+def test_matches_reference_on_random_corpora():
+    rng = np.random.Generator(np.random.PCG64(2106))
+    seen = set()
+    for k in range(36):
+        dets, gts = random_eval_pair(rng, big=k % 12 == 0)
+        got = evaluate(dets, gts).to_dict(include_per_class=False)
+        want = reference_evaluate(corpus_to_obj(dets), corpus_to_obj(gts))
+        assert got.keys() == want.keys()
+        for key, v in want.items():
+            assert got[key] == pytest.approx(v, abs=1e-9), (k, key)
+        seen |= {key for key in ("ar_small", "ar_medium", "ar_large")
+                 if got[key] != SENTINEL}
+    assert seen == {"ar_small", "ar_medium", "ar_large"}

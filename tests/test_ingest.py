@@ -69,6 +69,36 @@ def test_malformed_box_rejected(tmp_path):
         load_native(write(tmp_path, bad))
 
 
+@pytest.mark.parametrize("obj", [
+    {"classes": "AB", "layouts": []},   # a string is not a class list
+    {"classes": ["A"]},
+    {"classes": ["A"], "layouts": {}},
+    [],
+])
+def test_malformed_top_level_rejected(tmp_path, obj):
+    with pytest.raises(ParseError, match="'classes' and a 'layouts' list"):
+        load_native(write(tmp_path, obj))
+
+
+def test_unhashable_class_name_rejected(tmp_path):
+    with pytest.raises(ParseError, match="class names"):
+        load_native(write(tmp_path, {"classes": [["A"]], "layouts": []}))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("width", "wide"),
+    ("components", 5),
+    ("components", [{"bbox": [0, 0, 5], "class": "Text"}]),
+    ("components", [{"bbox": [0, 0, 5, 5], "class": "Text", "score": "x"}]),
+    ("components", [{"bbox": [0, 0, 5, 5]}]),
+])
+def test_malformed_layout_names_index(tmp_path, key, value):
+    bad = json.loads(json.dumps(NATIVE))
+    bad["layouts"].append(dict(bad["layouts"][0], id="b", **{key: value}))
+    with pytest.raises(ParseError, match="layout 1: "):
+        load_native(write(tmp_path, bad))
+
+
 def test_missing_file():
     with pytest.raises(OSError):
         load_native("/nonexistent/corpus.json")

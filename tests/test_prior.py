@@ -124,14 +124,6 @@ class TestAccumulate:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
 
-    def test_parallel_bit_identical(self, rng):
-        corpus = random_corpus(rng, n_layouts=9)
-        cfg = BandConfig(5)
-        seq = accumulate(corpus, cfg)
-        par = accumulate(corpus, cfg, workers=4)
-        for a, b in zip(seq, par):
-            assert np.array_equal(a, b)
-
 
 class TestNormalize:
     def vocab(self, n):
