@@ -141,13 +141,13 @@ def condition_features(S: np.ndarray, alpha: np.ndarray,
             f"alpha {alpha.shape} does not match {S.shape[0]} proposals x "
             f"{graphs.n_graphs} graphs"
         )
-    WZ = matmul(W, embed)  # C x D'
-    out = np.zeros((S.shape[0], embed.shape[1]))
+    # W Z is shared by every band, so the association-weighted class
+    # mixes are pooled first and multiplied by it once.
+    pooled = np.zeros_like(S)  # N_r x C
     # Fixed ascending band order keeps floating summation reproducible.
     for j, E in enumerate(graphs.edges):
-        B = matmul(matmul(S, E), WZ)
-        out += alpha[:, j:j + 1] * B
-    return out
+        pooled += alpha[:, j:j + 1] * matmul(S, E)
+    return matmul(pooled, matmul(W, embed))
 
 def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)

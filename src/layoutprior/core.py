@@ -39,10 +39,12 @@ class ClassVocabulary:
         object.__setattr__(self, "names", names)
         if len(names) < 1:
             raise ParseError("vocabulary must contain at least one class")
+        if any(not (isinstance(n, str) and n) for n in names):
+            raise ParseError("vocabulary class names must be non-empty strings")
         if len(set(names)) != len(names):
             raise ParseError("vocabulary class names must be unique")
-        if any(not n for n in names):
-            raise ParseError("vocabulary class names must be non-empty")
+        # Not a dataclass field: equality and hashing stay on `names`.
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
 
     @property
     def size(self) -> int:
@@ -50,8 +52,8 @@ class ClassVocabulary:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
             raise ParseError(f"unknown class name: {name!r}") from None
 
 

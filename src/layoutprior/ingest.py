@@ -61,19 +61,23 @@ def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
     return LayoutDocument(str(lid), width, height, tuple(comps))
 
 
-def load_native(path) -> Corpus:
+def _load_json(path):
     with _open(path) as f:
         try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
+            return json.load(f)
+        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
             raise ParseError(f"{path}: invalid JSON: {e}") from None
+
+
+def load_native(path) -> Corpus:
+    obj = _load_json(path)
     if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
             and isinstance(obj.get("layouts"), list)):
         raise ParseError(f"{path}: needs a 'classes' and a 'layouts' list")
     try:
         vocab = ClassVocabulary(tuple(obj["classes"]))
-    except TypeError:
-        raise ParseError(f"{path}: class names must be strings") from None
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
 
     layouts = []
     for i, lay in enumerate(obj["layouts"]):
@@ -81,7 +85,7 @@ def load_native(path) -> Corpus:
             layouts.append(_layout_from_obj(lay, vocab))
         except KeyError as e:
             raise ParseError(f"{path}: layout {i}: missing key {e}") from None
-        except (TypeError, ValueError, ParseError) as e:
+        except (TypeError, ValueError, OverflowError, ParseError) as e:
             raise ParseError(f"{path}: layout {i}: {e}") from None
     return Corpus(vocab, tuple(layouts), source=str(path))
 
@@ -116,16 +120,27 @@ def load_coco(images_path, annotations_path=None) -> Corpus:
     separate image and annotation files (the annotation file then supplies
     'annotations' and optionally 'categories').
     """
-    with _open(images_path) as f:
-        obj = json.load(f)
+    obj = _load_json(images_path)
+    where = str(images_path)
     if annotations_path is not None:
-        with _open(annotations_path) as f:
-            ann_obj = json.load(f)
-        obj = dict(obj)
-        obj["annotations"] = ann_obj.get("annotations", ann_obj)
-        if "categories" in ann_obj:
-            obj["categories"] = ann_obj["categories"]
+        ann_obj = _load_json(annotations_path)
+        where += f" + {annotations_path}"
+        obj = dict(obj) if isinstance(obj, dict) else {}
+        if isinstance(ann_obj, dict):
+            obj["annotations"] = ann_obj.get("annotations", ann_obj)
+            if "categories" in ann_obj:
+                obj["categories"] = ann_obj["categories"]
+        else:
+            obj["annotations"] = ann_obj
+    try:
+        return _coco_from_obj(obj, source=str(images_path))
+    except KeyError as e:
+        raise ParseError(f"{where}: missing key {e}") from None
+    except (TypeError, ValueError, OverflowError, ParseError) as e:
+        raise ParseError(f"{where}: {e}") from None
 
+
+def _coco_from_obj(obj, source: str) -> Corpus:
     try:
         images = obj["images"]
         annotations = obj["annotations"]
@@ -167,4 +182,4 @@ def load_coco(images_path, annotations_path=None) -> Corpus:
     for iid in sorted(img_info):
         name, W, H = img_info[iid]
         layouts.append(LayoutDocument(name, W, H, tuple(comps[iid])))
-    return Corpus(vocab, tuple(layouts), source=str(images_path))
+    return Corpus(vocab, tuple(layouts), source=source)

@@ -211,7 +211,8 @@ def graphs_to_dot(graphs: CoOccurrenceGraphSet, threshold: float = 0.0) -> str:
         lines.append(f'  subgraph cluster_band{j} {{')
         lines.append(f'    label="band {j}";')
         for m, name in enumerate(names):
-            lines.append(f'    b{j}_c{m} [label="{name}"];')
+            label = name.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'    b{j}_c{m} [label="{label}"];')
         C = len(names)
         for m in range(C):
             for n in range(m + 1, C):

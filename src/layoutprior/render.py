@@ -40,6 +40,10 @@ def render_layout_svg(layout: LayoutDocument, corpus: Corpus) -> str:
             f'stroke="{color}" stroke-width="2"/>'
         )
         label = name if comp.score is None else f"{name} {comp.score:.2f}"
+        # Escaped by hand: xml.sax.saxutils imports urllib.request and
+        # ssl, about 3 MB of resident memory in every CLI process.
+        label = (label.replace("&", "&amp;").replace("<", "&lt;")
+                 .replace(">", "&gt;"))
         lines.append(
             f'<text x="{b.x1 + 2:g}" y="{b.y1 + 12:g}" font-size="11" '
             f'font-family="sans-serif" fill="{color}">{label}</text>'

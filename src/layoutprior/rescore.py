@@ -49,21 +49,21 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
     alpha = band_association(detections, graphs.bands(), config.association)
     n_g = graphs.n_graphs
 
-    # Band context including everybody; the self term is subtracted per
-    # detection below (leave-one-out).
+    # Band context including everybody, minus each detection's own term
+    # (leave-one-out): n x n_g x C.
     band_totals = alpha.T @ s  # n_g x C
     uniform = np.full(C, 1.0 / C)
+    ctx = band_totals[None] - alpha[:, :, None] * s[:, None, :]
+    total = ctx.sum(axis=2, keepdims=True)
+    empty = total <= config.epsilon  # a NaN total is divided by, not replaced
+    ctx = np.where(empty, uniform, ctx / np.where(empty, 1.0, total))
 
+    # One stacked matrix-vector product per (detection, band); it rounds
+    # as `edges[j] @ ctx[i, j]` does, which a gemm or einsum does not.
+    prop = np.matmul(np.stack(graphs.edges)[None], ctx[..., None])[..., 0]
     q = np.zeros((n, C))
-    for i in range(n):
-        for j in range(n_g):
-            ctx = band_totals[j] - alpha[i, j] * s[i]
-            total = ctx.sum()
-            if total <= config.epsilon:
-                ctx = uniform
-            else:
-                ctx = ctx / total
-            q[i] += alpha[i, j] * (graphs.edges[j] @ ctx)
+    for j in range(n_g):  # ascending band order keeps the sum reproducible
+        q += alpha[:, j:j + 1] * prop[:, j]
     q_sums = q.sum(axis=1, keepdims=True)
     q = np.where(q_sums > 0, q / np.where(q_sums > 0, q_sums, 1.0),
                  uniform[None, :])
@@ -80,19 +80,17 @@ def labels_to_logits(layout: LayoutDocument, n_classes: int,
                      confidence: float = 0.8) -> ProposalBatch:
     """Soft logits from labeled components: mass `confidence` on the
     label (scaled by the component score when present), remainder uniform."""
-    n = len(layout.components)
-    probs = np.full((max(n, 1), n_classes), 1.0 / n_classes)
-    boxes = []
-    for i, comp in enumerate(layout.components):
-        conf = confidence if comp.score is None else confidence * comp.score
-        conf = min(max(conf, 1.0 / n_classes), 1.0 - 1e-9)
-        row = np.full(n_classes, (1.0 - conf) / max(n_classes - 1, 1))
-        row[comp.class_id] = conf
-        probs[i] = row
-        boxes.append(comp.bbox)
-    if n == 0:
+    comps = layout.components
+    if not comps:
         return ProposalBatch((), np.zeros((0, n_classes)), layout.height)
-    return ProposalBatch(tuple(boxes), np.log(probs), layout.height)
+    scores = np.array([1.0 if c.score is None else c.score for c in comps])
+    conf = np.minimum(np.maximum(confidence * scores, 1.0 / n_classes),
+                      1.0 - 1e-9)
+    probs = np.repeat(((1.0 - conf) / max(n_classes - 1, 1))[:, None],
+                      n_classes, axis=1)
+    probs[np.arange(len(comps)), [c.class_id for c in comps]] = conf
+    return ProposalBatch(tuple(c.bbox for c in comps), np.log(probs),
+                         layout.height)
 
 
 def rescore_layout(layout: LayoutDocument, graphs: CoOccurrenceGraphSet,
@@ -102,11 +100,10 @@ def rescore_layout(layout: LayoutDocument, graphs: CoOccurrenceGraphSet,
     batch = labels_to_logits(layout, graphs.vocabulary.size, confidence)
     out = rescore(batch, graphs, config)
     probs = row_softmax(out.logits)
-    comps = []
-    for i, comp in enumerate(layout.components):
-        cls = int(np.argmax(probs[i]))
-        comps.append(Component(comp.bbox, cls, float(probs[i, cls])))
-    return replace(layout, components=tuple(comps))
+    classes = np.argmax(probs, axis=1)
+    comps = tuple(Component(comp.bbox, int(cls), float(p[cls]))
+                  for comp, cls, p in zip(layout.components, classes, probs))
+    return replace(layout, components=comps)
 
 
 def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,

@@ -45,11 +45,14 @@ class GeneratorSpec:
         for g in graphs:
             if g.shape != (C, C):
                 raise ParseError(f"planted graph shape {g.shape} != ({C},{C})")
-            if np.any(g < 0) or np.any(g > 1):
+            # Written so that NaN fails: `_draw` does not check its weights.
+            if not np.all((g >= 0) & (g <= 1)):
                 raise ParseError("planted edge weights must lie in [0,1]")
         for m in marginals:
-            if m.shape != (C,) or abs(m.sum() - 1.0) > 1e-9:
-                raise ParseError("band marginals must sum to 1")
+            if (m.shape != (C,) or not np.all(m >= 0)
+                    or abs(m.sum() - 1.0) > 1e-9):
+                raise ParseError("band marginals must be non-negative and "
+                                 "sum to 1")
         if not (0.0 <= self.noise < 1.0):
             raise ParseError("noise must lie in [0, 1)")
 
@@ -61,16 +64,20 @@ class GeneratorSpec:
         return BandConfig(self.n_bands)
 
 
+def _draw(rng, p) -> int:
+    """The draw `rng.choice(len(p), p=p)` makes, without its checks."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _sample_class(rng, spec: GeneratorSpec, band: int, placed: list) -> int:
-    if not placed:
-        return int(rng.choice(spec.vocabulary.size,
-                              p=spec.class_marginals[band]))
-    weights = spec.planted_graphs[band][:, placed].sum(axis=1)
-    total = weights.sum()
-    if total <= 0:
-        return int(rng.choice(spec.vocabulary.size,
-                              p=spec.class_marginals[band]))
-    return int(rng.choice(spec.vocabulary.size, p=weights / total))
+    if placed:
+        weights = spec.planted_graphs[band][:, placed].sum(axis=1)
+        total = weights.sum()
+        if total > 0:
+            return _draw(rng, weights / total)
+    return _draw(rng, spec.class_marginals[band])
 
 
 def _sample_box(rng, spec: GeneratorSpec, upper: float, lower: float) -> BBox:

@@ -63,10 +63,22 @@ class TestVocabulary:
         assert v.size == 2
         assert v.index("b") == 1
 
-    @pytest.mark.parametrize("names", [(), ("a", "a"), ("a", "")])
+    @pytest.mark.parametrize("names", [(), ("a", "a"), ("a", ""), ("a", 1),
+                                       ("a", ["b"])])
     def test_invalid(self, names):
         with pytest.raises(ParseError):
             ClassVocabulary(names)
+
+    @pytest.mark.parametrize("name", ["c", "", ["a"]])
+    def test_unknown_name(self, name):
+        with pytest.raises(ParseError, match="unknown class name"):
+            ClassVocabulary(("a", "b")).index(name)
+
+    def test_equality_on_names_only(self):
+        a, b = ClassVocabulary(("a", "b")), ClassVocabulary(["a", "b"])
+        assert a == b and hash(a) == hash(b)
+        assert a != ClassVocabulary(("b", "a"))
+        assert repr(a) == "ClassVocabulary(names=('a', 'b'))"
 
 
 class TestIou:

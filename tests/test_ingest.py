@@ -168,6 +168,64 @@ def test_coco_negative_size(tmp_path):
         load_coco(write(tmp_path, bad, "coco.json"))
 
 
+def _coco_without(path):
+    bad = json.loads(json.dumps(COCO))
+    obj = bad
+    for key in path[:-1]:
+        obj = obj[key]
+    del obj[path[-1]]
+    return bad
+
+
+@pytest.mark.parametrize("bad,match", [
+    (_coco_without(["images", 0, "id"]), "missing key 'id'"),
+    (_coco_without(["images", 1, "width"]), "missing key 'width'"),
+    (_coco_without(["annotations", 0, "bbox"]), "missing key 'bbox'"),
+    (_coco_without(["categories", 0, "name"]), "missing key 'name'"),
+    ({**COCO, "images": [{"id": "x", "width": 1, "height": 1}]},
+     "invalid literal"),
+    ({**COCO, "images": 5}, "not iterable"),
+    ({**COCO, "images": [{"id": 1e400, "width": 1, "height": 1}]},
+     "infinity"),
+    ({**COCO, "annotations": [{"image_id": 1, "category_id": 1,
+                               "bbox": [0, 0, 1]}]}, "not enough values"),
+    ({**COCO, "categories": [{"id": 1, "name": 7}]}, "strings"),
+    ({"images": []}, "must provide"),
+])
+def test_coco_malformed_records_name_file(tmp_path, bad, match):
+    p = write(tmp_path, bad, "coco.json")
+    with pytest.raises(ParseError, match=match) as e:
+        load_coco(p)
+    assert str(p) in str(e.value)
+
+
+@pytest.mark.parametrize("text", ["{not json", "\xff\xfe"])
+def test_coco_invalid_json(tmp_path, text):
+    p = tmp_path / "coco.json"
+    p.write_bytes(text.encode("latin-1"))
+    with pytest.raises(ParseError, match="invalid JSON") as e:
+        load_coco(p)
+    assert str(p) in str(e.value)
+
+
+def test_coco_separate_annotation_file(tmp_path):
+    images = {k: COCO[k] for k in ("images", "categories")}
+    one = load_coco(write(tmp_path, COCO, "coco.json"))
+    two = load_coco(write(tmp_path, images, "im.json"),
+                    write(tmp_path, {"annotations": COCO["annotations"]},
+                          "ann.json"))
+    assert two.layouts == one.layouts
+    bare = load_coco(write(tmp_path, images, "im2.json"),
+                     write(tmp_path, COCO["annotations"], "ann2.json"))
+    assert bare.layouts == one.layouts
+    bad = json.loads(json.dumps(COCO["annotations"]))
+    del bad[0]["image_id"]
+    ann = write(tmp_path, bad, "ann3.json")
+    with pytest.raises(ParseError, match="missing key 'image_id'") as e:
+        load_coco(write(tmp_path, images, "im3.json"), ann)
+    assert str(ann) in str(e.value)
+
+
 def test_coco_native_round_trip(tmp_path):
     corpus = load_coco(write(tmp_path, COCO, "coco.json"))
     out = tmp_path / "native.json"

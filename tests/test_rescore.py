@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from layoutprior import ClassVocabulary, ProposalBatch
-from layoutprior.conditioning import AssociationKind, AssociationPolicy
+from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
+                                      band_association)
 from layoutprior.core import BBox, ParseError, row_softmax
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
-from layoutprior.rescore import (RescoreConfig, labels_to_logits, rescore,
-                                 rescore_corpus)
+from layoutprior.rescore import (_LOG_FLOOR, RescoreConfig, labels_to_logits,
+                                 rescore, rescore_corpus)
 
 from conftest import random_corpus
 
@@ -114,6 +115,86 @@ class TestRescore:
     def test_invalid_blend(self):
         with pytest.raises(ParseError):
             RescoreConfig(blend=1.5)
+
+def loop_rescore(detections, graphs, config):
+    """Per-(detection, band) oracle: the plain-loop form of `rescore`."""
+    C = graphs.vocabulary.size
+    n = len(detections.boxes)
+    s = row_softmax(detections.logits)
+    alpha = band_association(detections, graphs.bands(), config.association)
+    band_totals = alpha.T @ s
+    uniform = np.full(C, 1.0 / C)
+    q = np.zeros((n, C))
+    fallbacks = 0
+    for i in range(n):
+        for j in range(graphs.n_graphs):
+            ctx = band_totals[j] - alpha[i, j] * s[i]
+            total = ctx.sum()
+            if total <= config.epsilon:
+                ctx = uniform
+                fallbacks += 1
+            else:
+                ctx = ctx / total
+            q[i] += alpha[i, j] * (graphs.edges[j] @ ctx)
+    q_sums = q.sum(axis=1, keepdims=True)
+    q = np.where(q_sums > 0, q / np.where(q_sums > 0, q_sums, 1.0),
+                 uniform[None, :])
+    lam = config.blend
+    blended = s ** (1.0 - lam) * q ** lam
+    blended /= blended.sum(axis=1, keepdims=True)
+    return np.log(np.maximum(blended, _LOG_FLOOR)), fallbacks
+
+
+class TestRescoreOracle:
+    """`rescore` must equal the plain loop bit for bit: an allclose check
+    would miss a reordered float sum."""
+
+    def random_case(self, rng, n, n_g, C):
+        edges = []
+        for _ in range(n_g):
+            E = rng.uniform(0, 1, (C, C)) * (rng.uniform(0, 1, (C, C)) < 0.7)
+            E = (E + E.T) / 2
+            np.fill_diagonal(E, 1.0)
+            edges.append(E)
+        ys = rng.uniform(0, 100, n)
+        logits = rng.standard_normal((n, C)) * rng.uniform(0.5, 6)
+        return graphs_from(edges, C), batch(ys, logits)
+
+    @pytest.mark.parametrize("kind", list(AssociationKind))
+    def test_bit_identical_to_loop(self, kind):
+        rng = np.random.Generator(np.random.PCG64(2024))
+        for _ in range(12):
+            n, n_g = int(rng.integers(1, 31)), int(rng.integers(1, 13))
+            graphs, b = self.random_case(rng, n, n_g, int(rng.integers(2, 9)))
+            cfg = RescoreConfig(blend=float(rng.uniform(0, 1)),
+                                association=AssociationPolicy(
+                                    kind, sigma=float(rng.uniform(0.02, 0.5))))
+            want, _ = loop_rescore(b, graphs, cfg)
+            assert np.array_equal(rescore(b, graphs, cfg).logits, want)
+
+    @pytest.mark.parametrize("kind", list(AssociationKind))
+    def test_single_detection_falls_back_to_uniform(self, kind):
+        rng = np.random.Generator(np.random.PCG64(7))
+        graphs, b = self.random_case(rng, 1, 4, 5)
+        cfg = RescoreConfig(association=AssociationPolicy(kind))
+        want, fallbacks = loop_rescore(b, graphs, cfg)
+        assert fallbacks == 4
+        assert np.array_equal(rescore(b, graphs, cfg).logits, want)
+
+    def test_single_association_lone_detection(self):
+        # Bands of height 25: detections 0 and 1 share band 0, detection 2
+        # is alone in band 2 and bands 1 and 3 are empty.
+        rng = np.random.Generator(np.random.PCG64(11))
+        graphs, _ = self.random_case(rng, 3, 4, 4)
+        b = batch([5, 15, 60], rng.standard_normal((3, 4)))
+        cfg = RescoreConfig(
+            association=AssociationPolicy(AssociationKind.SINGLE))
+        want, fallbacks = loop_rescore(b, graphs, cfg)
+        # empty context: bands 1 and 3 for everyone, and band 2 for
+        # detection 2, the only one in it
+        assert fallbacks == 2 + 2 + 3
+        assert np.array_equal(rescore(b, graphs, cfg).logits, want)
+
 
 class TestLabelsToLogits:
     def test_confidence_mass(self):

@@ -85,6 +85,23 @@ class TestGenerate:
             GeneratorSpec(spec.vocabulary, spec.planted_graphs,
                           spec.class_marginals, noise=1.0)
 
+    @pytest.mark.parametrize("band,row,col,value", [
+        (0, 0, 1, np.nan), (1, 4, 3, 1.5), (0, 2, 2, -0.1)])
+    def test_invalid_planted_weight(self, band, row, col, value):
+        spec = block_spec()
+        graphs = [g.copy() for g in spec.planted_graphs]
+        graphs[band][row, col] = value
+        with pytest.raises(ParseError, match="edge weights"):
+            GeneratorSpec(spec.vocabulary, graphs, spec.class_marginals)
+
+    @pytest.mark.parametrize("marginal", [
+        [np.nan, 0.5, 0.5, 0, 0, 0], [-0.5, 0.5, 0.5, 0.5, 0, 0]])
+    def test_invalid_marginal(self, marginal):
+        spec = block_spec()
+        with pytest.raises(ParseError, match="marginals"):
+            GeneratorSpec(spec.vocabulary, spec.planted_graphs,
+                          (np.array(marginal), spec.class_marginals[1]))
+
 
 class TestRecoveryScore:
     def test_identical_graphs(self):
