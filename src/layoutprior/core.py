@@ -143,19 +143,22 @@ class ProposalBatch:
 
 
 def box_areas(boxes: np.ndarray) -> np.ndarray:
-    """Areas of an (N, 4) array of x1, y1, x2, y2 rows, as in BBox.area."""
-    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    """Areas of a (..., 4) array of x1, y1, x2, y2 rows, as in BBox.area."""
+    return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU of (N, 4) and (M, 4) float box arrays as an N x M
-    matrix; 0 where the union has zero area."""
-    ix = np.maximum(0.0, np.minimum(a[:, None, 2], b[None, :, 2])
-                    - np.maximum(a[:, None, 0], b[None, :, 0]))
-    iy = np.maximum(0.0, np.minimum(a[:, None, 3], b[None, :, 3])
-                    - np.maximum(a[:, None, 1], b[None, :, 1]))
+    """Pairwise IoU of (..., N, 4) and (..., M, 4) float box arrays as an
+    (..., N, M) array, broadcasting the leading dimensions; 0 where the
+    union has zero area. Every cell is computed with the same operations
+    whatever the leading shape."""
+    a, b = a[..., :, None, :], b[..., None, :, :]
+    ix = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2])
+                    - np.maximum(a[..., 0], b[..., 0]))
+    iy = np.maximum(0.0, np.minimum(a[..., 3], b[..., 3])
+                    - np.maximum(a[..., 1], b[..., 1]))
     inter = ix * iy
-    union = box_areas(a)[:, None] + box_areas(b)[None, :] - inter
+    union = box_areas(a) + box_areas(b) - inter
     positive = union > 0.0
     return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
 

@@ -9,6 +9,7 @@ are not supported.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -69,6 +70,39 @@ class EvalReport:
                 + "  ".join(row))
 
 
+def _sample(tp_flags: np.ndarray, fp_flags: np.ndarray, n_pos: np.ndarray,
+            recall_points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Interpolated precision samples and recall of rows of score-ordered
+    flags shaped (..., A, T, N), with one positive count per area.
+
+    Entries that are neither a true nor a false positive (ignored ones)
+    repeat the previous precision and recall, which leaves the envelope
+    and its samples unchanged. Returns (samples (..., A, T, R),
+    recall (..., A, T)).
+    """
+    *lead, N = tp_flags.shape
+    tp = np.cumsum(tp_flags, axis=-1)
+    fp = np.cumsum(fp_flags, axis=-1)
+    pr = tp / np.maximum(tp + fp, 1)
+    # Monotone-decreasing envelope from the right.
+    pr = np.maximum.accumulate(pr[..., ::-1], axis=-1)[..., ::-1]
+    # The first entry with tp / n >= p is the first with tp >= k_p, the
+    # least k with k / n >= p (N + 2 when none up to N + 1 has it): one
+    # integer search over all rows at once.
+    k = np.array([np.searchsorted(np.arange(N + 2) / n, recall_points)
+                  for n in n_pos.tolist()]).reshape(-1, 1, len(recall_points))
+    # Row r's keys r * (N + 2) + tp sit at flat positions r * N to
+    # r * N + N - 1, so the search returns r * N + the entry's index, or
+    # r * N + N when no entry qualifies.
+    row = np.arange(np.prod(lead, dtype=int)).reshape(tuple(lead) + (1,))
+    pos = np.searchsorted((row * (N + 2) + tp).ravel(), row * (N + 2) + k)
+    # Recall levels beyond the last operating point sample precision 0:
+    # an extra last entry per row, which shifts row r by r positions.
+    pr = np.concatenate([pr, np.zeros(tuple(lead) + (1,))], axis=-1)
+    recall = tp_flags.sum(axis=-1) / n_pos[:, None]
+    return pr.ravel()[pos + row], recall
+
+
 def precision_recall(flags, n_gt: int,
                      recall_points: Optional[tuple] = None) -> Tuple[np.ndarray, float]:
     """101-point interpolated precision samples and their mean (AP).
@@ -80,93 +114,116 @@ def precision_recall(flags, n_gt: int,
         recall_points = EvalConfig().recall_points
     if n_gt == 0:
         return np.zeros(len(recall_points)), SENTINEL
-    flags = np.asarray(flags, dtype=bool)
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    rc = tp / n_gt
-    pr = tp / np.maximum(tp + fp, 1)
-    # Monotone-decreasing envelope from the right.
-    pr = np.maximum.accumulate(pr[::-1])[::-1]
-    # Recall levels beyond the last operating point sample precision 0.
-    samples = np.append(pr, 0.0)[np.searchsorted(rc, recall_points, side="left")]
+    flags = np.asarray(flags, dtype=bool).reshape(1, 1, -1)
+    samples = _sample(flags, ~flags, np.array([n_gt]),
+                      np.asarray(recall_points, dtype=np.float64))[0][0, 0]
     return samples, float(samples.mean())
 
 
-def _group(corpus: Corpus):
-    """(layout_id, class_id) -> list of components, preserving input order."""
-    out: Dict[Tuple[str, int], list] = {}
-    for lay in corpus.layouts:
-        for comp in lay.components:
-            out.setdefault((lay.id, comp.class_id), []).append(comp)
-    return out
+def _columns(corpus: Corpus, index: Dict[str, int]):
+    """One row per component in input order: image index (the layout's
+    position in `index`), class id, score (1.0 when missing) and box."""
+    n = sum(len(lay.components) for lay in corpus.layouts)
+    rows = ((index[lay.id], c.class_id, 1.0 if c.score is None else c.score,
+             c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
+            for lay in corpus.layouts for c in lay.components)
+    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64,
+                       count=7 * n).reshape(n, 7)
+    return (cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
+            cols[:, 2], cols[:, 3:])
 
 
-def _boxes(comps) -> np.ndarray:
-    return np.array([(c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
-                     for c in comps], dtype=np.float64).reshape(-1, 4)
+def _rank(keys: np.ndarray) -> np.ndarray:
+    """Position of each entry within its run of equal sorted keys."""
+    return np.arange(len(keys)) - np.searchsorted(keys, keys)
 
 
-def _outside(areas: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _outside(areas: np.ndarray, config: EvalConfig) -> np.ndarray:
+    """A x ... flags: whether each area lies outside each area range."""
+    lo, hi = (np.array([r[i] for r in config.area_ranges], dtype=np.float64)
+              .reshape((-1,) + (1,) * areas.ndim) for i in (1, 2))
     return (areas < lo) | (areas >= hi)
 
 
-def _greedy(ious: list, gt_ig: list, iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy matching of score-ordered detections at each threshold.
+def _greedy(ious: np.ndarray, n_dt: np.ndarray, gt_ig: np.ndarray,
+            gt_pad: np.ndarray, iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of U units' score-ordered detections at every
+    area range and threshold at once.
 
-    Each detection claims the unmatched ground truth of highest IoU
-    (the later one on ties) that reaches the threshold, preferring
-    non-ignored ground truths. Returns (matched, ignored), both T x D:
-    whether the detection matched, and whether its match is ignored.
+    ious is U x D x G; units are ordered by detection count n_dt, most
+    first, so step d touches only the units that have a detection d.
+    Each unit's ground truths lie in reverse input order along G.
+    gt_ig (A x U x G) flags ground truths outside each area range and
+    gt_pad (U x G) the padding. Each detection claims the unmatched
+    ground truth of highest IoU (the later one in input order on ties,
+    argmax's first) that reaches the threshold, preferring non-ignored
+    ground truths. Returns (matched, matched_ignored), both A x T x U x D:
+    whether the detection matched, and whether its match is an ignored
+    ground truth.
     """
-    T, D, G = len(iou_thrs), len(ious), len(gt_ig)
-    gt_order = sorted(range(G), key=lambda i: gt_ig[i])
-    matched = np.zeros((T, D), dtype=bool)
-    ignored = np.zeros((T, D), dtype=bool)
-    for ti, t in enumerate(iou_thrs):
-        taken = [False] * G
-        for di, row in enumerate(ious):
-            best, best_iou = -1, min(t, 1.0 - 1e-10)
-            for gi in gt_order:
-                if taken[gi]:
-                    continue
-                if best > -1 and not gt_ig[best] and gt_ig[gi]:
-                    break
-                if row[gi] < best_iou:
-                    continue
-                best, best_iou = gi, row[gi]
-            if best > -1:
-                taken[best] = True
-                matched[ti, di] = True
-                ignored[ti, di] = gt_ig[best]
-    return matched, ignored
+    U, D, G = ious.shape
+    A = gt_ig.shape[0]
+    thr = np.minimum(np.asarray(iou_thrs, dtype=np.float64),
+                     1.0 - 1e-10).reshape(-1, 1, 1)
+    taken = np.repeat(np.broadcast_to(gt_pad, (A, 1, U, G)), len(thr), axis=1)
+    matched = np.zeros(taken.shape[:3] + (D,), dtype=bool)
+    matched_ig = np.zeros_like(matched)
+    slots = np.arange(G)
+    for d in range(D):
+        u = int(np.count_nonzero(n_dt > d))
+        row = ious[:u, d]
+        cand = ~taken[:, :, :u] & (row >= thr)
+        real = cand & ~gt_ig[:, None, :u]
+        has_real = real.any(axis=-1)
+        cand = np.where(has_real[..., None], real, cand)
+        hit = cand.any(axis=-1)
+        best = np.argmax(np.where(cand, row, -np.inf), axis=-1)
+        taken[:, :, :u] |= hit[..., None] & (slots == best[..., None])
+        matched[:, :, :u, d] = hit
+        matched_ig[:, :, :u, d] = hit & ~has_real
+    return matched, matched_ig
 
 
-def _match_image(dts, gts, config: EvalConfig):
-    """One matching pass over one (image, class).
+def _match_class(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
+                 iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
+    """Match one class's detections, sorted by unit key and then rank,
+    to its ground truths, sorted by unit key and then input order.
 
-    Detections are sorted by descending score (ties keep input order,
-    a missing score counts as 1.0) and truncated to the largest cap.
-    Matching is greedy in that order, so each detection's outcome
-    depends only on those above it and every smaller cap is a prefix.
-    Returns (scores (D,), matched (A, T, D), ignored (A, T, D),
-    n_positive (A,)) over the A area ranges; a detection is ignored
-    when its match is an ignored ground truth or, unmatched, it lies
-    outside the area range.
+    dt_out (A x K) and g_out (A x G_total) flag boxes outside each area
+    range. Returns (tp, fp), both A x T x K: whether each detection is a
+    true or a false positive. An ignored detection is neither: its match
+    is an ignored ground truth or, unmatched, it lies outside the range.
     """
-    scores = np.array([1.0 if d.score is None else d.score for d in dts])
-    order = np.argsort(-scores, kind="stable")[:max(config.max_dets)]
-    dt_boxes = _boxes([dts[i] for i in order])
-    gt_boxes = _boxes(gts)
-    ious = iou_matrix(dt_boxes, gt_boxes).tolist()
-    dt_area, gt_area = box_areas(dt_boxes), box_areas(gt_boxes)
-    matched, ignored, n_pos = [], [], []
-    for _, lo, hi in config.area_ranges:
-        gt_ig = _outside(gt_area, lo, hi)
-        m, ig = _greedy(ious, gt_ig.tolist(), config.iou_thresholds)
-        matched.append(m)
-        ignored.append(ig | (~m & _outside(dt_area, lo, hi)))
-        n_pos.append(int((~gt_ig).sum()))
-    return scores[order], np.array(matched), np.array(ignored), np.array(n_pos)
+    A, T = len(g_out), len(iou_thrs)
+    if not len(key):
+        return np.zeros((2, A, T, 0), dtype=bool)
+    starts = np.flatnonzero(rank == 0)
+    unit_keys = key[starts]
+    n_dt = np.diff(starts, append=len(key))
+    # Scatter the units into padded rows, most detections first.
+    by_count = np.argsort(-n_dt, kind="stable")
+    row_of = np.empty_like(by_count)
+    row_of[by_count] = np.arange(len(by_count))
+    u = row_of[np.cumsum(rank == 0) - 1]
+    U, D = len(starts), int(n_dt.max())
+    dt_box = np.zeros((U, D, 4))
+    dt_box[u, rank] = boxes
+    # Ground truths of units without detections match nothing.
+    gu = np.searchsorted(unit_keys, g_key)
+    found = unit_keys[np.minimum(gu, U - 1)] == g_key
+    gu, gr = row_of[gu[found]], g_rank[found]
+    G = int(gr.max(initial=0)) + 1
+    gr = G - 1 - gr
+    gt_box = np.zeros((U, G, 4))
+    gt_box[gu, gr] = g_boxes[found]
+    gt_pad = np.ones((U, G), dtype=bool)
+    gt_pad[gu, gr] = False
+    gt_ig = np.zeros((A, U, G), dtype=bool)
+    gt_ig[:, gu, gr] = g_out[:, found]
+    matched, matched_ig = _greedy(iou_matrix(dt_box, gt_box), n_dt[by_count],
+                                  gt_ig, gt_pad, iou_thrs)
+    m, mig = matched[:, :, u, rank], matched_ig[:, :, u, rank]
+    return m & ~mig, ~m & ~dt_out[:, None]
 
 
 def evaluate(dets: Corpus, gts: Corpus,
@@ -183,40 +240,61 @@ def evaluate(dets: Corpus, gts: Corpus,
             f"unknown in detections: {extra}"
         )
 
-    C = gts.vocabulary.size
+    C, I = gts.vocabulary.size, len(dets.layouts)
     iou_thrs = config.iou_thresholds
     T, R = len(iou_thrs), len(config.recall_points)
-    image_ids = [l.id for l in dets.layouts]
-    det_groups = _group(dets)
-    gt_groups = _group(gts)
-
+    A, M = len(config.area_ranges), len(config.max_dets)
     # precision[t, r, class, area, maxdet] and recall[t, class, area, maxdet];
     # sentinel where a slice has no ground truth.
-    A, M = len(config.area_ranges), len(config.max_dets)
     precision = np.full((T, R, C, A, M), SENTINEL)
     recall = np.full((T, C, A, M), SENTINEL)
 
+    # A unit is one (class, image), keyed class * I + image. Each unit's
+    # detections are sorted by descending score (ties keep input order)
+    # and truncated to the largest cap: matching is greedy in that order,
+    # so every smaller cap is a prefix.
+    index = {lay.id: i for i, lay in enumerate(dets.layouts)}
+    img, cls, score, boxes = _columns(dets, index)
+    key = cls * I + img
+    order = np.lexsort((-score, key))
+    rank = _rank(key[order])
+    keep = rank < max(config.max_dets)
+    order, rank = order[keep], rank[keep]
+    key, score, boxes = key[order], score[order], boxes[order]
+    dt_out = _outside(box_areas(boxes), config)
+
+    g_img, g_cls, _, g_boxes = _columns(gts, index)
+    g_key = g_cls * I + g_img
+    order = np.argsort(g_key, kind="stable")
+    g_key, g_boxes = g_key[order], g_boxes[order]
+    g_rank = _rank(g_key)
+    g_out = _outside(box_areas(g_boxes), config)
+
+    recall_points = np.asarray(config.recall_points, dtype=np.float64)
+    caps = np.array(config.max_dets).reshape(-1, 1)
+    # Each class's units are one run of keys.
+    d_bounds = np.searchsorted(key, np.arange(C + 1) * I)
+    g_bounds = np.searchsorted(g_key, np.arange(C + 1) * I)
     for ci in range(C):
-        units = [_match_image(det_groups.get((iid, ci), []),
-                              gt_groups.get((iid, ci), []), config)
-                 for iid in image_ids
-                 if (iid, ci) in det_groups or (iid, ci) in gt_groups]
-        if not units:
+        d = slice(*d_bounds[ci:ci + 2])
+        g = slice(*g_bounds[ci:ci + 2])
+        n_pos = (~g_out[:, g]).sum(axis=1)
+        live = np.flatnonzero(n_pos)
+        if not live.size:
             continue
-        n_pos = sum(u[3] for u in units)
-        for mi, md in enumerate(config.max_dets):
-            # Pool the images' top-md detections in one stable score order.
-            order = np.argsort(-np.concatenate([u[0][:md] for u in units]),
-                               kind="stable")
-            matched = np.concatenate([u[1][..., :md] for u in units], 2)[..., order]
-            ignored = np.concatenate([u[2][..., :md] for u in units], 2)[..., order]
-            for ai in np.nonzero(n_pos)[0]:
-                n = int(n_pos[ai])
-                for ti in range(T):
-                    flags = matched[ai, ti][~ignored[ai, ti]]
-                    precision[ti, :, ci, ai, mi] = precision_recall(
-                        flags, n, config.recall_points)[0]
-                    recall[ti, ci, ai, mi] = flags.sum() / n
+        tp, fp = _match_class(key[d], rank[d], boxes[d], dt_out[:, d],
+                              g_key[g], g_rank[g], g_boxes[g], g_out[:, g],
+                              iou_thrs)
+        # Pool the images' detections in one stable score order (ties in
+        # image order, then input order), every cap at once: entries past
+        # a cap count as neither a true nor a false positive.
+        pooled = np.argsort(-score[d], kind="stable")
+        in_cap = (rank[d][pooled] < caps)[:, None, None]
+        samples, rec = _sample(tp[live][..., pooled] & in_cap,
+                               fp[live][..., pooled] & in_cap,
+                               n_pos[live], recall_points)
+        precision[:, :, ci, live] = samples.transpose(2, 3, 1, 0)
+        recall[:, ci, live] = rec.transpose(2, 1, 0)
 
     area_names = [name for name, _, _ in config.area_ranges]
 

@@ -72,10 +72,15 @@ class CoOccurrenceGraphSet:
         if self.raw_counts is not None:
             object.__setattr__(self, "raw_counts",
                                tuple(np.asarray(r) for r in self.raw_counts))
-        C = self.vocabulary.size
-        for e in self.edges:
+        C, n = self.vocabulary.size, self.band_config.n_bands
+        if len(self.edges) != n:
+            raise ParseError(f"{len(self.edges)} edge matrices for {n} bands")
+        if self.raw_counts is not None and len(self.raw_counts) != n:
+            raise ParseError(f"{len(self.raw_counts)} raw count matrices "
+                             f"for {n} bands")
+        for e in self.edges + (self.raw_counts or ()):
             if e.shape != (C, C):
-                raise ParseError(f"edge matrix shape {e.shape} != ({C},{C})")
+                raise ParseError(f"graph matrix shape {e.shape} != ({C},{C})")
 
     @property
     def n_graphs(self) -> int:
@@ -200,7 +205,12 @@ def load_graphs(path) -> CoOccurrenceGraphSet:
             obj = json.load(f)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from None
-    return graphs_from_obj(obj)
+    try:
+        return graphs_from_obj(obj)
+    except KeyError as e:
+        raise ParseError(f"{path}: missing key {e}") from None
+    except (TypeError, ValueError, OverflowError, ParseError) as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def graphs_to_dot(graphs: CoOccurrenceGraphSet, threshold: float = 0.0) -> str:

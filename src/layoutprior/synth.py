@@ -12,6 +12,8 @@ platforms for a fixed seed.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,17 @@ import numpy as np
 from .core import BBox, ClassVocabulary, Component, LayoutDocument, ParseError
 from .ingest import Corpus
 from .prior import BandConfig, CoOccurrenceGraphSet, make_bands
+
+
+def _pair(values, kind, name: str) -> tuple:
+    """The two entries of a (lo, hi) or (width, height) field, each an
+    instance of `kind` (booleans excluded)."""
+    if not (isinstance(values, (tuple, list)) and len(values) == 2
+            and all(isinstance(v, kind) and not isinstance(v, bool)
+                    for v in values)):
+        raise ParseError(f"{name} must be two {kind.__name__} numbers, "
+                         f"got {values!r}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -55,6 +68,20 @@ class GeneratorSpec:
                                  "sum to 1")
         if not (0.0 <= self.noise < 1.0):
             raise ParseError("noise must lie in [0, 1)")
+        lo, hi = _pair(self.boxes_per_band, numbers.Integral, "boxes_per_band")
+        # rng.integers draws below hi + 1, which must fit in an int64.
+        if not 0 <= lo <= hi < 2 ** 63:
+            raise ParseError("boxes_per_band must satisfy 0 <= lo <= hi")
+        lo, hi = _pair(self.box_size_frac, numbers.Real, "box_size_frac")
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ParseError("box_size_frac must satisfy 0 <= lo <= hi <= 1")
+        # An integer beyond the float range compares below inf.
+        if not all(0.0 < v <= sys.float_info.max
+                   for v in _pair(self.canvas, numbers.Real, "canvas")):
+            raise ParseError("canvas sides must be positive and finite")
+        if not (isinstance(self.seed, numbers.Integral)
+                and not isinstance(self.seed, bool) and self.seed >= 0):
+            raise ParseError("seed must be a non-negative integer")
 
     @property
     def n_bands(self) -> int:
@@ -186,7 +213,7 @@ def spec_from_obj(obj: dict) -> GeneratorSpec:
             noise=float(obj.get("noise", 0.0)),
             seed=int(obj.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad generator spec: {e}") from None
 
 

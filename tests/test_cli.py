@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -169,6 +170,19 @@ class TestRescoreCmd:
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "none.json" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", [
+        lambda g: g.pop("edges"), lambda g: g.update(n_bands=3),
+        lambda g: g.update(edges=[]), lambda g: g.update(n_bands="a"),
+    ])
+    def test_malformed_graph_file_exit_2(self, tmp_path, corpus_path,
+                                         graphs_path, capsys, change):
+        obj = json.loads(graphs_path.read_text())
+        change(obj)
+        graphs_path.write_text(json.dumps(obj))
+        assert main(["rescore", str(corpus_path), str(graphs_path),
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert str(graphs_path) in capsys.readouterr().err
+
 
 class TestEvalCmd:
     def test_identical_scores_one(self, tmp_path, corpus_path, capsys):
@@ -256,6 +270,33 @@ class TestSynthCmd:
                      "--out-noisy", str(tmp_path / "y.json")]) == 0
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("field, value", [
+        ("boxes_per_band", [5, 2]), ("boxes_per_band", [1]),
+        ("boxes_per_band", [-1, 2]), ("boxes_per_band", [1.5, 2]),
+        ("boxes_per_band", [0, 2 ** 63]), ("box_size_frac", [0.5, -1]),
+        ("box_size_frac", [1.5, 2]), ("canvas", [float("nan"), 640]),
+        ("canvas", [360, 0]), ("canvas", [360, 10 ** 400]), ("seed", -1),
+        pytest.param("seed", float("inf"), id="seed-inf-overflow"),
+    ])
+    def test_invalid_spec_exit_2(self, tmp_path, capsys, field, value):
+        obj = spec_to_obj(block_spec())
+        obj[field] = value
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(obj))
+        assert main(["synth", str(sp), "--n", "2",
+                     "--out-clean", str(tmp_path / "c.json"),
+                     "--out-noisy", str(tmp_path / "n.json")]) == 2
+        err = capsys.readouterr().err
+        assert field in err or "generator spec" in err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_negative_seed_override_exit_2(self, tmp_path):
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec_to_obj(block_spec())))
+        assert main(["synth", str(sp), "--n", "2", "--seed", "-1",
+                     "--out-clean", str(tmp_path / "c.json"),
+                     "--out-noisy", str(tmp_path / "n.json")]) == 2
+
 
 class TestRenderCmd:
     def test_renders_components(self, tmp_path, corpus_path):
@@ -293,3 +334,84 @@ def test_version(capsys):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert "layoutprior" in out and "schema v1" in out
+
+
+# Replacement values for the mutation fuzz. None is big enough to make a
+# valid input ask for more than about 10^3 boxes: counts come from small
+# integers, and huge numbers are either rejected or only stretch boxes.
+FUZZ_VALUES = (None, "x", "", [], {}, [1, 2], {"a": 1}, True, -1, 0, 1, 0.5,
+               float("nan"), float("inf"), -float("inf"), 1e308, 10 ** 400)
+
+
+def mutate(obj, rng):
+    """A copy of a JSON tree with one node, reached by a random walk from
+    the root that stops early half the time, dropped, duplicated at the
+    end of its list or replaced by one of FUZZ_VALUES."""
+    obj = copy.deepcopy(obj)
+    parent, key, node = None, None, obj
+    while isinstance(node, (dict, list)) and node and \
+            (parent is None or rng.random() < 0.5):
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, keys[rng.integers(len(keys))]
+        node = parent[key]
+    if parent is None:
+        return FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+    op = rng.integers(3)
+    if op == 0:
+        del parent[key]
+    elif op == 1 and isinstance(parent, list):
+        parent.append(copy.deepcopy(node))
+    else:
+        parent[key] = FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+    return obj
+
+
+def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
+    """Mutated corpora, graph files and generator specs: every run of
+    every subcommand that reads them exits 0, 2 or 3 and none raises."""
+    scored = copy.deepcopy(CORPUS)
+    scored["layouts"].append({"id": "l2", "width": 50, "height": 80,
+                              "components": [{"bbox": [1, 2, 30, 40],
+                                              "class": "B"}]})
+    for k, comp in enumerate(c for lay in scored["layouts"]
+                             for c in lay["components"]):
+        comp["score"] = 0.9 - 0.1 * k
+    graphs = tmp_path / "graphs.json"
+    cp = tmp_path / "corpus.json"
+    cp.write_text(json.dumps(scored))
+    assert main(["build-prior", str(cp), "--bands", "2", "--keep-raw",
+                 "--out", str(graphs)]) == 0
+    base = {"corpus": scored, "graphs": json.loads(graphs.read_text()),
+            "spec": spec_to_obj(block_spec(boxes=(1, 3)))}
+
+    def write(name, obj):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(obj))
+        return str(p)
+
+    out = str(tmp_path / "out")
+    commands = {
+        "eval": lambda f: ["eval", f("corpus"), f("truth"), "--format", "json"],
+        "build-prior": lambda f: ["build-prior", f("corpus"), "--bands", "2",
+                                  "--keep-raw", "--out", out],
+        "render": lambda f: ["render", f("corpus"), "l1", "--out", out],
+        "rescore": lambda f: ["rescore", f("corpus"), f("graphs"), "--out", out],
+        "synth": lambda f: ["synth", f("spec"), "--n", "2",
+                            "--out-clean", out, "--out-noisy", out + "2"],
+    }
+    rng = np.random.Generator(np.random.PCG64(4711))
+    for case in range(300):
+        name = list(commands)[case % len(commands)]
+        inputs = {"truth": base["corpus"], **base}
+        target = {"eval": ["corpus", "truth"], "rescore": ["corpus", "graphs"],
+                  "synth": ["spec"]}.get(name, ["corpus"])
+        target = target[rng.integers(len(target))]
+        inputs[target] = mutate(inputs[target], rng)
+        argv = commands[name](lambda n: write(n, inputs[n]))
+        try:
+            code = main(argv)
+        except Exception as e:  # reported with the input that caused it
+            pytest.fail(f"case {case}: {name} with mutated {target} "
+                        f"{json.dumps(inputs[target])[:300]} raised {e!r}")
+        assert code in (0, 2, 3), (case, name, code)
+    capsys.readouterr()

@@ -100,6 +100,20 @@ class TestPrecisionRecall:
         assert ap == pytest.approx(expected, abs=1e-12)
         assert ap == pytest.approx(0.8350, abs=1e-4)
 
+    def test_matches_plain_envelope(self):
+        # n below the true-positive count puts recall past 1, where the
+        # 1.5 recall point samples the first entry that reaches it
+        rng = np.random.Generator(np.random.PCG64(3))
+        points = (0.0, 0.25, 1 / 3, 0.5, 1.0, 1.5)
+        for _ in range(50):
+            flags = rng.random(int(rng.integers(0, 30))) < 0.5
+            n = int(rng.integers(1, 20))
+            tp, fp = np.cumsum(flags), np.cumsum(~flags)
+            pr = np.maximum.accumulate((tp / np.maximum(tp + fp, 1))[::-1])[::-1]
+            want = np.append(pr, 0.0)[np.searchsorted(tp / n, points)]
+            got, ap = precision_recall(flags, n, points)
+            assert np.array_equal(got, want) and ap == float(want.mean())
+
 
 class TestEvaluate:
     def perfect(self):
@@ -284,3 +298,201 @@ def test_matches_reference_on_random_corpora():
         seen |= {key for key in ("ar_small", "ar_medium", "ar_large")
                  if got[key] != SENTINEL}
     assert seen == {"ar_small", "ar_medium", "ar_large"}
+
+
+def loop_evaluate(dets, gts, config=EvalConfig()):
+    """The per-image loop `evaluate` replaced, kept as its oracle: one
+    Python greedy loop per (image, class, area range, threshold), the
+    images' top-md detections pooled in one stable score order, and the
+    envelope on the non-ignored flags. Returns `to_dict()`'s layout."""
+    def group(corpus):
+        out = {}
+        for lay in corpus.layouts:
+            for comp in lay.components:
+                out.setdefault((lay.id, comp.class_id), []).append(comp)
+        return out
+
+    def boxes(comps):
+        return np.array([(c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
+                         for c in comps], dtype=np.float64).reshape(-1, 4)
+
+    def areas(b):
+        return (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+
+    def ious(a, b):
+        out = np.zeros((len(a), len(b)))
+        for i, p in enumerate(a):
+            for j, q in enumerate(b):
+                ix = max(0.0, min(p[2], q[2]) - max(p[0], q[0]))
+                iy = max(0.0, min(p[3], q[3]) - max(p[1], q[1]))
+                inter = ix * iy
+                union = (p[2] - p[0]) * (p[3] - p[1]) \
+                    + (q[2] - q[0]) * (q[3] - q[1]) - inter
+                out[i, j] = inter / union if union > 0.0 else 0.0
+        return out.tolist()
+
+    def greedy(rows, gt_ig):
+        T, D, G = len(config.iou_thresholds), len(rows), len(gt_ig)
+        gt_order = sorted(range(G), key=lambda i: gt_ig[i])
+        matched = np.zeros((T, D), dtype=bool)
+        ignored = np.zeros((T, D), dtype=bool)
+        for ti, t in enumerate(config.iou_thresholds):
+            taken = [False] * G
+            for di, row in enumerate(rows):
+                best, best_iou = -1, min(t, 1.0 - 1e-10)
+                for gi in gt_order:
+                    if taken[gi]:
+                        continue
+                    if best > -1 and not gt_ig[best] and gt_ig[gi]:
+                        break
+                    if row[gi] < best_iou:
+                        continue
+                    best, best_iou = gi, row[gi]
+                if best > -1:
+                    taken[best] = True
+                    matched[ti, di] = True
+                    ignored[ti, di] = gt_ig[best]
+        return matched, ignored
+
+    def match_image(dts, gt):
+        scores = np.array([1.0 if d.score is None else d.score for d in dts])
+        order = np.argsort(-scores, kind="stable")[:max(config.max_dets)]
+        dt_boxes, gt_boxes = boxes([dts[i] for i in order]), boxes(gt)
+        rows = ious(dt_boxes, gt_boxes)
+        matched, ignored, n_pos = [], [], []
+        for _, lo, hi in config.area_ranges:
+            gt_ig = (areas(gt_boxes) < lo) | (areas(gt_boxes) >= hi)
+            m, ig = greedy(rows, gt_ig.tolist())
+            dt_out = (areas(dt_boxes) < lo) | (areas(dt_boxes) >= hi)
+            matched.append(m)
+            ignored.append(ig | (~m & dt_out))
+            n_pos.append(int((~gt_ig).sum()))
+        return (scores[order], np.array(matched), np.array(ignored),
+                np.array(n_pos))
+
+    def envelope(flags, n):
+        tp, fp = np.cumsum(flags), np.cumsum(~flags)
+        rc, pr = tp / n, tp / np.maximum(tp + fp, 1)
+        pr = np.maximum.accumulate(pr[::-1])[::-1]
+        return np.append(pr, 0.0)[np.searchsorted(rc, config.recall_points)]
+
+    C, T = gts.vocabulary.size, len(config.iou_thresholds)
+    A, M = len(config.area_ranges), len(config.max_dets)
+    precision = np.full((T, len(config.recall_points), C, A, M), SENTINEL)
+    recall = np.full((T, C, A, M), SENTINEL)
+    det_groups, gt_groups = group(dets), group(gts)
+    for ci in range(C):
+        units = [match_image(det_groups.get((l.id, ci), []),
+                             gt_groups.get((l.id, ci), []))
+                 for l in dets.layouts
+                 if (l.id, ci) in det_groups or (l.id, ci) in gt_groups]
+        if not units:
+            continue
+        n_pos = sum(u[3] for u in units)
+        for mi, md in enumerate(config.max_dets):
+            order = np.argsort(-np.concatenate([u[0][:md] for u in units]),
+                               kind="stable")
+            matched = np.concatenate([u[1][..., :md] for u in units], 2)[..., order]
+            ignored = np.concatenate([u[2][..., :md] for u in units], 2)[..., order]
+            for ai in np.nonzero(n_pos)[0]:
+                for ti in range(T):
+                    flags = matched[ai, ti][~ignored[ai, ti]]
+                    precision[ti, :, ci, ai, mi] = envelope(flags, n_pos[ai])
+                    recall[ti, ci, ai, mi] = flags.sum() / int(n_pos[ai])
+
+    names = [a[0] for a in config.area_ranges]
+    thrs = list(config.iou_thresholds)
+
+    def mean(values, area, md, cls, thr=None):
+        if area not in names or md not in config.max_dets \
+                or (thr is not None and thr not in thrs):
+            return SENTINEL
+        v = values[..., names.index(area), config.max_dets.index(md)]
+        if thr is not None:
+            v = v[thrs.index(thr):thrs.index(thr) + 1]
+        if cls is not None:
+            v = v[..., cls:cls + 1]
+        valid = v[v > SENTINEL]
+        return float(valid.mean()) if valid.size else SENTINEL
+
+    def block(cls=None):
+        out = {k: mean(precision, area, 100, cls, thr) for k, area, thr in (
+            ("ap", "all", None), ("ap50", "all", 0.5), ("ap75", "all", 0.75),
+            ("ap_small", "small", None), ("ap_medium", "medium", None),
+            ("ap_large", "large", None))}
+        out.update({k: mean(recall, area, md, cls) for k, area, md in (
+            ("ar1", "all", 1), ("ar10", "all", 10), ("ar100", "all", 100),
+            ("ar_small", "small", 100), ("ar_medium", "medium", 100),
+            ("ar_large", "large", 100))})
+        return out
+
+    return dict(block(), per_class={gts.vocabulary.names[ci]: block(ci)
+                                    for ci in range(C)})
+
+
+class TestEvaluateOracle:
+    """`evaluate` must equal the per-image loop exactly, per-class
+    blocks included: the reference test above allows 1e-9 and never
+    looks at them."""
+
+    CONFIGS = (EvalConfig(),
+               EvalConfig(iou_thresholds=(0.0, 0.3, 0.5, 1.0)),
+               EvalConfig(max_dets=(1, 3, 100)))
+
+    @staticmethod
+    def degenerate(corpus, rng):
+        """Some scores set to 0.0 or -0.0 and some boxes to zero area."""
+        layouts = []
+        for lay in corpus.layouts:
+            comps = []
+            for c in lay.components:
+                b, s = c.bbox, c.score
+                if s is not None and rng.random() < 0.1:
+                    s = float(rng.choice([0.0, -0.0]))
+                if rng.random() < 0.05:
+                    b = BBox(b.x1, b.y1, b.x1, b.y2)
+                comps.append(Component(b, c.class_id, s))
+            layouts.append(LayoutDocument(lay.id, lay.width, lay.height,
+                                          tuple(comps)))
+        return Corpus(corpus.vocabulary, tuple(layouts))
+
+    def check(self, dets, gts, config=EvalConfig()):
+        assert evaluate(dets, gts, config).to_dict() == \
+            loop_evaluate(dets, gts, config)
+
+    def test_random_corpora(self):
+        rng = np.random.Generator(np.random.PCG64(5))
+        for k in range(36):
+            dets, gts = random_eval_pair(rng, big=k % 9 == 0)
+            if k % 2:
+                dets = self.degenerate(dets, rng)
+                gts = self.degenerate(gts, rng)
+            self.check(dets, gts, self.CONFIGS[k % 3])
+
+    def test_edge_cases(self):
+        dets, gts = random_eval_pair(np.random.Generator(np.random.PCG64(8)),
+                                     big=False)
+        names = dets.vocabulary.names
+        empty = [LayoutDocument(l.id, l.width, l.height) for l in gts.layouts]
+        for d, g in ((Corpus(dets.vocabulary, ()), Corpus(gts.vocabulary, ())),
+                     (Corpus(dets.vocabulary, empty), gts),
+                     (dets, Corpus(gts.vocabulary, empty)),
+                     (dets, Corpus(gts.vocabulary, gts.layouts[::-1]))):
+            for config in self.CONFIGS:
+                self.check(d, g, config)
+        # Zero-area boxes; an IoU of 1 - 1e-12, which matches at the 1.0
+        # threshold; and a detection at IoU 1/3 to two ground truths,
+        # which must take the later one and leave the earlier one to the
+        # next detection at the 0.3 threshold.
+        tied = [(0, 0, 10, 10), (10, 0, 20, 10)]
+        cases = [([((5, 5, 5, 9), 0, 0.5), ((1, 1, 4, 4), 0, 0.4)],
+                  [(5, 5, 5, 9), (1, 1, 4, 4)]),
+                 ([((0, 0, 100, 100 - 1e-10), 0, 0.5)], [(0, 0, 100, 100)]),
+                 ([((5, 0, 15, 10), 0, 0.9), ((0, 0, 10, 10), 0, 0.8)], tied),
+                 ([((5, 0, 15, 10), 0, 0.9), ((10, 0, 20, 10), 0, 0.8)],
+                  tied[::-1])]
+        for d, g in cases:
+            for config in self.CONFIGS:
+                self.check(corpus_of(names, {"i": d}),
+                           corpus_of(names, {"i": [(b, 0) for b in g]}),
+                           config)

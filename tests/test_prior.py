@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -224,6 +226,29 @@ class TestPersistence:
         obj["classes"] = []
         with pytest.raises(ParseError):
             graphs_from_obj(obj)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda o: o.pop("edges"), "missing key 'edges'"),
+        (lambda o: o.update(n_bands=3), "2 edge matrices for 3 bands"),
+        (lambda o: o.update(edges=[]), "0 edge matrices for 2 bands"),
+        (lambda o: o.update(n_bands="a"), "invalid literal"),
+        (lambda o: o.update(n_bands=10 ** 9), "2 edge matrices"),
+        (lambda o: o.update(n_bands=float("inf")), "infinity"),
+        (lambda o: o["raw_counts"].pop(), "1 raw count matrices for 2 bands"),
+        (lambda o: o["raw_counts"].__setitem__(
+            0, {"rows": 1, "cols": 1, "data": [1.0]}), r"shape \(1, 1\)"),
+        (lambda o: o["edges"][0].update(data=None), "NoneType"),
+    ])
+    def test_malformed_file_names_it(self, tmp_path, three_box_corpus,
+                                     change, message):
+        obj = graphs_to_obj(build_prior(three_box_corpus, BandConfig(2),
+                                        keep_raw=True))
+        change(obj)
+        p = tmp_path / "graphs.json"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=message) as err:
+            load_graphs(p)
+        assert str(p) in str(err.value)
 
     def test_dot_export(self, three_box_corpus):
         g = build_prior(three_box_corpus, BandConfig(2))
