@@ -9,11 +9,13 @@ from .ingest import Corpus, load_coco, load_native, save_native
 from .prior import (BandConfig, BandSet, CoOccurrenceGraphSet, accumulate,
                     band_membership, build_prior, load_graphs, make_bands,
                     normalize, save_graphs)
-from .conditioning import (AssociationKind, AssociationPolicy, ConditioningConfig,
-                           MappingPolicy, NodeFeatures, NodeKind,
-                           band_association, concat_features, condition_features,
-                           proposal_node_features, soft_mapping)
-from .rescore import RescoreConfig, labels_to_logits, rescore, rescore_corpus
+from .conditioning import (AssociationKind, AssociationPolicy, MappingPolicy,
+                           NodeFeatures, band_association, concat_features,
+                           condition_features, proposal_node_features,
+                           soft_mapping)
+# `rescore` the function is not imported here: it would shadow the
+# `layoutprior.rescore` submodule.
+from .rescore import RescoreConfig, labels_to_logits, rescore_corpus
 from .evaluation import EvalConfig, EvalReport, evaluate, precision_recall
 from .synth import GeneratorSpec, generate, recovery_score
 from .render import render_layout_svg

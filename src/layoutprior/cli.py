@@ -7,7 +7,6 @@ Summaries go to stderr; data goes to files or stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -204,9 +203,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ShapeError as e:
         return _err(str(e), 3)
-    except (ParseError, LayoutPriorError) as e:
-        return _err(str(e), 2)
-    except OSError as e:
+    except (LayoutPriorError, OSError) as e:
         return _err(str(e), 2)
 
 

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .core import (BBox, ParseError, ProposalBatch, ShapeError, matmul,
-                   matrix_from_json, matrix_to_json, row_softmax)
+                   matrix_from_json, matrix_to_json, read_json, row_softmax)
 from .prior import BandSet, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -41,32 +41,13 @@ class MappingPolicy(Enum):
     SOFT = "soft"
     HARD = "hard"
 
-class NodeKind(Enum):
-    CLASSIFIER_WEIGHTS = "classifier_weights"
-    PROPOSAL_DERIVED = "proposal_derived"
-
 @dataclass(frozen=True)
 class NodeFeatures:
     matrix: np.ndarray  # C x K
-    kind: NodeKind = NodeKind.CLASSIFIER_WEIGHTS
 
     def __post_init__(self):
         object.__setattr__(self, "matrix",
                            np.asarray(self.matrix, dtype=np.float64))
-
-@dataclass(frozen=True)
-class ConditioningConfig:
-    association: AssociationPolicy
-    mapping: MappingPolicy
-    embed: np.ndarray  # K x D'
-
-    def __post_init__(self):
-        object.__setattr__(self, "embed",
-                           np.asarray(self.embed, dtype=np.float64))
-
-    @property
-    def d_prime(self) -> int:
-        return self.embed.shape[1]
 
 def band_association(proposals: ProposalBatch, bands: BandSet,
                      policy: AssociationPolicy) -> np.ndarray:
@@ -117,7 +98,7 @@ def proposal_node_features(features: np.ndarray, S: np.ndarray) -> NodeFeatures:
     nz = weight > 0
     P[nz] /= weight[nz, None]
     P[~nz] = 0.0
-    return NodeFeatures(P, NodeKind.PROPOSAL_DERIVED)
+    return NodeFeatures(P)
 
 def condition_features(S: np.ndarray, alpha: np.ndarray,
                        graphs: CoOccurrenceGraphSet, nodes: NodeFeatures,
@@ -158,14 +139,6 @@ def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
         )
     return np.hstack([f, f_prime])
 
-def random_node_features(C: int, K: int, seed: int) -> NodeFeatures:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return NodeFeatures(rng.standard_normal((C, K)))
-
-def random_embed(K: int, d_prime: int, seed: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return rng.standard_normal((K, d_prime))
-
 def proposals_to_obj(batch: ProposalBatch, layout_id: str = "") -> dict:
     obj = {
         "layout_id": layout_id,
@@ -194,5 +167,4 @@ def save_proposals(batch: ProposalBatch, path, layout_id: str = "") -> None:
         json.dump(proposals_to_obj(batch, layout_id), f)
 
 def load_proposals(path) -> ProposalBatch:
-    with open(path) as f:
-        return proposals_from_obj(json.load(f))
+    return read_json(path, proposals_from_obj)

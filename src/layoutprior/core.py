@@ -7,14 +7,14 @@ MTX-JSON: ``{"rows": R, "cols": C, "data": [...]}`` in row-major order.
 
 from __future__ import annotations
 
+import gzip
 import json
+import zlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-# Library-wide comparison tolerance.
-TOL = 1e-9
 INF = float("inf")
 
 
@@ -28,6 +28,43 @@ class ParseError(LayoutPriorError):
 
 class ShapeError(LayoutPriorError):
     """Matrix dimension mismatch."""
+
+
+# What parsing a malformed decoded JSON object raises.
+PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError, ParseError)
+
+
+def parse_error(where, e: Exception) -> ParseError:
+    """A ParseError for `e`, one of PARSE_ERRORS, that says where it arose."""
+    reason = f"missing key {e}" if isinstance(e, KeyError) else e
+    return ParseError(f"{where}: {reason}")
+
+
+def open_text(path, mode: str = "rt"):
+    """Open a text file, gzip-compressed when the path ends in .gz."""
+    if str(path).endswith(".gz"):
+        return gzip.open(path, mode)
+    return open(path, mode)
+
+
+def read_json(path, parse):
+    """parse(obj) of the JSON document in the file at `path`.
+
+    Content that does not decode, or that `parse` rejects with one of
+    PARSE_ERRORS, raises a ParseError naming the file. OSError passes
+    through.
+    """
+    with open_text(path) as f:
+        try:
+            obj = json.load(f)
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; a
+        # truncated or corrupt .gz raises EOFError or zlib.error.
+        except (ValueError, EOFError, zlib.error) as e:
+            raise ParseError(f"{path}: invalid JSON: {e}") from None
+    try:
+        return parse(obj)
+    except PARSE_ERRORS as e:
+        raise parse_error(path, e) from None
 
 
 @dataclass(frozen=True)
@@ -217,5 +254,4 @@ def save_matrix(m: np.ndarray, path) -> None:
 
 
 def load_matrix(path) -> np.ndarray:
-    with open(path) as f:
-        return matrix_from_json(json.load(f))
+    return read_json(path, matrix_from_json)

@@ -9,10 +9,9 @@ are not supported.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -20,6 +19,24 @@ from .core import LayoutPriorError, box_areas, iou_matrix
 from .ingest import Corpus
 
 SENTINEL = -1.0
+
+# The summary fields: each is the mean of the non-sentinel cells of one
+# (area range, cap) slice of precision or recall, over every IoU
+# threshold or just one.
+_SUMMARY = (  # field, precision (or recall), area range, cap, threshold
+    ("ap", True, "all", 100, None),
+    ("ap50", True, "all", 100, 0.5),
+    ("ap75", True, "all", 100, 0.75),
+    ("ap_small", True, "small", 100, None),
+    ("ap_medium", True, "medium", 100, None),
+    ("ap_large", True, "large", 100, None),
+    ("ar1", False, "all", 1, None),
+    ("ar10", False, "all", 10, None),
+    ("ar100", False, "all", 100, None),
+    ("ar_small", False, "small", 100, None),
+    ("ar_medium", False, "medium", 100, None),
+    ("ar_large", False, "large", 100, None),
+)
 
 
 @dataclass(frozen=True)
@@ -118,19 +135,6 @@ def precision_recall(flags, n_gt: int,
     samples = _sample(flags, ~flags, np.array([n_gt]),
                       np.asarray(recall_points, dtype=np.float64))[0][0, 0]
     return samples, float(samples.mean())
-
-
-def _columns(corpus: Corpus, index: Dict[str, int]):
-    """One row per component in input order: image index (the layout's
-    position in `index`), class id, score (1.0 when missing) and box."""
-    n = sum(len(lay.components) for lay in corpus.layouts)
-    rows = ((index[lay.id], c.class_id, 1.0 if c.score is None else c.score,
-             c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
-            for lay in corpus.layouts for c in lay.components)
-    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.float64,
-                       count=7 * n).reshape(n, 7)
-    return (cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
-            cols[:, 2], cols[:, 3:])
 
 
 def _rank(keys: np.ndarray) -> np.ndarray:
@@ -253,8 +257,7 @@ def evaluate(dets: Corpus, gts: Corpus,
     # detections are sorted by descending score (ties keep input order)
     # and truncated to the largest cap: matching is greedy in that order,
     # so every smaller cap is a prefix.
-    index = {lay.id: i for i, lay in enumerate(dets.layouts)}
-    img, cls, score, boxes = _columns(dets, index)
+    img, cls, score, boxes = dets.columns
     key = cls * I + img
     order = np.lexsort((-score, key))
     rank = _rank(key[order])
@@ -263,7 +266,12 @@ def evaluate(dets: Corpus, gts: Corpus,
     key, score, boxes = key[order], score[order], boxes[order]
     dt_out = _outside(box_areas(boxes), config)
 
-    g_img, g_cls, _, g_boxes = _columns(gts, index)
+    # A ground truth's image is the position of its layout's id among
+    # the detection layouts.
+    index = {lay.id: i for i, lay in enumerate(dets.layouts)}
+    g_layout, g_cls, _, g_boxes = gts.columns
+    g_img = np.array([index[lay.id] for lay in gts.layouts],
+                     dtype=np.int64)[g_layout]
     g_key = g_cls * I + g_img
     order = np.argsort(g_key, kind="stable")
     g_key, g_boxes = g_key[order], g_boxes[order]
@@ -296,41 +304,32 @@ def evaluate(dets: Corpus, gts: Corpus,
         precision[:, :, ci, live] = samples.transpose(2, 3, 1, 0)
         recall[:, ci, live] = rec.transpose(2, 1, 0)
 
+    # Each summary field's slice, classes on the last axis; a field whose
+    # area range, cap or threshold the config lacks stays at the sentinel.
     area_names = [name for name, _, _ in config.area_ranges]
+    thrs = list(iou_thrs)
+    slices = []
+    for name, is_ap, area, cap, thr in _SUMMARY:
+        if (area in area_names and cap in config.max_dets
+                and (thr is None or thr in thrs)):
+            v = (precision if is_ap else recall)[
+                ..., area_names.index(area), config.max_dets.index(cap)]
+            if thr is not None:
+                v = v[thrs.index(thr):thrs.index(thr) + 1]
+            slices.append((name, v))
 
-    def mean(values, area, maxdet, cls=None, thr=None):
-        """Mean of the non-sentinel cells of precision or recall for one
-        area range and cap, optionally one class and one threshold."""
-        if (area not in area_names or maxdet not in config.max_dets
-                or (thr is not None and thr not in iou_thrs)):
-            return SENTINEL
-        v = values[..., area_names.index(area), config.max_dets.index(maxdet)]
-        if thr is not None:
-            ti = list(iou_thrs).index(thr)
-            v = v[ti:ti + 1]
-        if cls is not None:
-            v = v[..., cls:cls + 1]
-        valid = v[v > SENTINEL]
-        return float(valid.mean()) if valid.size else SENTINEL
+    def block(classes):
+        out = dict.fromkeys(EvalReport.FIELDS, SENTINEL)
+        for name, v in slices:
+            v = v[..., classes]
+            valid = v[v > SENTINEL]
+            if valid.size:
+                out[name] = float(valid.mean())
+        return out
 
-    def block(cls=None):
-        return dict(
-            ap=mean(precision, "all", 100, cls),
-            ap50=mean(precision, "all", 100, cls, thr=0.5),
-            ap75=mean(precision, "all", 100, cls, thr=0.75),
-            ap_small=mean(precision, "small", 100, cls),
-            ap_medium=mean(precision, "medium", 100, cls),
-            ap_large=mean(precision, "large", 100, cls),
-            ar1=mean(recall, "all", 1, cls),
-            ar10=mean(recall, "all", 10, cls),
-            ar100=mean(recall, "all", 100, cls),
-            ar_small=mean(recall, "small", 100, cls),
-            ar_medium=mean(recall, "medium", 100, cls),
-            ar_large=mean(recall, "large", 100, cls),
-        )
-
-    per_class = {gts.vocabulary.names[ci]: block(ci) for ci in range(C)}
-    return EvalReport(per_class=per_class, **block())
+    per_class = {gts.vocabulary.names[ci]: block(slice(ci, ci + 1))
+                 for ci in range(C)}
+    return EvalReport(per_class=per_class, **block(slice(None)))
 
 
 def report_to_json(report: EvalReport) -> str:

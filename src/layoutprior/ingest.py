@@ -9,15 +9,25 @@ Native corpus format::
                                   "score": optional}]}]}
 
 ``.json.gz`` paths are handled transparently on both read and write.
+
+``Corpus.columns`` is the corpus as flat arrays, one row per component
+in layout order: layout index, class id, score (1.0 when missing) and an
+(N, 4) box array. It is built on first use, cached and read-only, and it
+is not a dataclass field: equality, hashing and ``replace`` ignore it.
 """
 
 from __future__ import annotations
 
-import gzip
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
-from .core import BBox, ClassVocabulary, Component, LayoutDocument, ParseError
+import numpy as np
+
+from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
+                   LayoutDocument, ParseError, open_text, parse_error,
+                   read_json)
 
 
 @dataclass(frozen=True)
@@ -25,6 +35,22 @@ class Corpus:
     vocabulary: ClassVocabulary
     layouts: tuple
     source: str = ""
+
+    @cached_property
+    def columns(self):
+        """(layout, class_id, score, boxes) arrays; see the module
+        docstring. A box row is x1, y1, x2, y2."""
+        n = sum(len(lay.components) for lay in self.layouts)
+        rows = ((i, c.class_id, 1.0 if c.score is None else c.score,
+                 c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
+                for i, lay in enumerate(self.layouts) for c in lay.components)
+        cols = np.fromiter(itertools.chain.from_iterable(rows),
+                           dtype=np.float64, count=7 * n).reshape(n, 7)
+        out = (cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
+               cols[:, 2], cols[:, 3:])
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def __post_init__(self):
         object.__setattr__(self, "layouts", tuple(self.layouts))
@@ -42,12 +68,6 @@ class Corpus:
                     )
 
 
-def _open(path, mode="rt"):
-    if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
-
-
 def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
     lid = lay["id"]
     width, height = float(lay["width"]), float(lay["height"])
@@ -61,33 +81,22 @@ def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
     return LayoutDocument(str(lid), width, height, tuple(comps))
 
 
-def _load_json(path):
-    with _open(path) as f:
-        try:
-            return json.load(f)
-        except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
-            raise ParseError(f"{path}: invalid JSON: {e}") from None
-
-
-def load_native(path) -> Corpus:
-    obj = _load_json(path)
+def _corpus_from_obj(obj, source: str) -> Corpus:
     if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
             and isinstance(obj.get("layouts"), list)):
-        raise ParseError(f"{path}: needs a 'classes' and a 'layouts' list")
-    try:
-        vocab = ClassVocabulary(tuple(obj["classes"]))
-    except ParseError as e:
-        raise ParseError(f"{path}: {e}") from None
-
+        raise ParseError("needs a 'classes' and a 'layouts' list")
+    vocab = ClassVocabulary(tuple(obj["classes"]))
     layouts = []
     for i, lay in enumerate(obj["layouts"]):
         try:
             layouts.append(_layout_from_obj(lay, vocab))
-        except KeyError as e:
-            raise ParseError(f"{path}: layout {i}: missing key {e}") from None
-        except (TypeError, ValueError, OverflowError, ParseError) as e:
-            raise ParseError(f"{path}: layout {i}: {e}") from None
-    return Corpus(vocab, tuple(layouts), source=str(path))
+        except PARSE_ERRORS as e:
+            raise parse_error(f"layout {i}", e) from None
+    return Corpus(vocab, tuple(layouts), source=source)
+
+
+def load_native(path) -> Corpus:
+    return read_json(path, lambda obj: _corpus_from_obj(obj, str(path)))
 
 
 def corpus_to_obj(corpus: Corpus) -> dict:
@@ -108,7 +117,7 @@ def corpus_to_obj(corpus: Corpus) -> dict:
 
 
 def save_native(corpus: Corpus, path) -> None:
-    with _open(path, "wt") as f:
+    with open_text(path, "wt") as f:
         json.dump(corpus_to_obj(corpus), f, indent=1, sort_keys=True)
         f.write("\n")
 
@@ -120,11 +129,11 @@ def load_coco(images_path, annotations_path=None) -> Corpus:
     separate image and annotation files (the annotation file then supplies
     'annotations' and optionally 'categories').
     """
-    obj = _load_json(images_path)
-    where = str(images_path)
-    if annotations_path is not None:
-        ann_obj = _load_json(annotations_path)
-        where += f" + {annotations_path}"
+    source = str(images_path)
+    if annotations_path is None:
+        return read_json(images_path, lambda obj: _coco_from_obj(obj, source))
+
+    def merged(obj, ann_obj):
         obj = dict(obj) if isinstance(obj, dict) else {}
         if isinstance(ann_obj, dict):
             obj["annotations"] = ann_obj.get("annotations", ann_obj)
@@ -132,12 +141,11 @@ def load_coco(images_path, annotations_path=None) -> Corpus:
                 obj["categories"] = ann_obj["categories"]
         else:
             obj["annotations"] = ann_obj
-    try:
-        return _coco_from_obj(obj, source=str(images_path))
-    except KeyError as e:
-        raise ParseError(f"{where}: missing key {e}") from None
-    except (TypeError, ValueError, OverflowError, ParseError) as e:
-        raise ParseError(f"{where}: {e}") from None
+        return _coco_from_obj(obj, source)
+
+    # Read inside the annotation file's read, so that an error names both.
+    return read_json(annotations_path, lambda ann_obj: read_json(
+        images_path, lambda obj: merged(obj, ann_obj)))
 
 
 def _coco_from_obj(obj, source: str) -> Corpus:

@@ -14,7 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import ClassVocabulary, LayoutDocument, ParseError, matrix_from_json, matrix_to_json
+from .core import (ClassVocabulary, LayoutDocument, ParseError,
+                   matrix_from_json, matrix_to_json, read_json)
 from .ingest import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -90,6 +91,14 @@ class CoOccurrenceGraphSet:
         return make_bands(self.band_config)
 
 
+def _member(t: np.ndarray, config: BandConfig) -> np.ndarray:
+    """Boxes x bands flags of the rule in band_membership, for an array
+    of box centres t as fractions of the canvas height."""
+    upper, lower = np.array(make_bands(config).bounds).T
+    t = t[:, None]
+    return (t >= upper) & ((t < lower) | ((t == 1.0) & (lower == 1.0)))
+
+
 def band_membership(layout: LayoutDocument, config: BandConfig) -> np.ndarray:
     """0/1 membership matrix, boxes x bands.
 
@@ -97,17 +106,8 @@ def band_membership(layout: LayoutDocument, config: BandConfig) -> np.ndarray:
     (half-open); a center exactly at the bottom edge belongs to every
     band whose lower bound is 1.
     """
-    bands = make_bands(config)
-    n_boxes = len(layout.components)
-    if n_boxes == 0:
-        return np.zeros((0, bands.n_bands), dtype=np.int64)
-    H = layout.height
-    t = np.array([(c.bbox.y1 + c.bbox.y2) / 2.0 for c in layout.components]) / H
-    upper = np.array([u for u, _ in bands.bounds])
-    lower = np.array([l for _, l in bands.bounds])
-    t = t[:, None]
-    member = (t >= upper) & ((t < lower) | ((t == 1.0) & (lower == 1.0)))
-    return member.astype(np.int64)
+    t = np.array([(c.bbox.y1 + c.bbox.y2) / 2.0 for c in layout.components])
+    return _member(t / layout.height, config).astype(np.int64)
 
 
 def accumulate(corpus: Corpus, config: BandConfig) -> list:
@@ -116,26 +116,22 @@ def accumulate(corpus: Corpus, config: BandConfig) -> list:
     Bands holding fewer than two boxes in a layout are skipped for that
     layout; within a surviving band, every box increments the edge
     between its own class and the class of each box in the band
-    (including itself).
+    (including itself): H^T H over the surviving layouts' class
+    histograms H (layouts x classes).
     """
-    C = corpus.vocabulary.size
-    counts = [np.zeros((C, C), dtype=np.int64) for _ in range(config.n_bands)]
-    for layout in corpus.layouts:
-        _accumulate_layout(layout, config, counts)
+    C, L = corpus.vocabulary.size, len(corpus.layouts)
+    layout, cls, _, boxes = corpus.columns
+    heights = np.array([lay.height for lay in corpus.layouts])
+    member = _member((boxes[:, 1] + boxes[:, 3]) / 2.0 / heights[layout],
+                     config)
+    counts = []
+    for j in range(config.n_bands):
+        m = member[:, j]
+        hist = np.bincount(layout[m] * C + cls[m],
+                           minlength=L * C).reshape(L, C)
+        hist[hist.sum(axis=1) < 2] = 0
+        counts.append((hist.T @ hist).astype(np.int64))
     return counts
-
-
-def _accumulate_layout(layout: LayoutDocument, config: BandConfig, counts) -> None:
-    M = band_membership(layout, config)
-    if M.shape[0] == 0:
-        return
-    labels = np.array([c.class_id for c in layout.components])
-    surviving = M.sum(axis=0) > 1
-    for j in np.nonzero(surviving)[0]:
-        members = np.nonzero(M[:, j])[0]
-        member_labels = labels[members]
-        for i in members:
-            np.add.at(counts[j], (labels[i], member_labels), 1)
 
 
 def normalize(raw, vocabulary: ClassVocabulary, config: BandConfig,
@@ -200,17 +196,7 @@ def save_graphs(graphs: CoOccurrenceGraphSet, path) -> None:
 
 
 def load_graphs(path) -> CoOccurrenceGraphSet:
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid JSON: {e}") from None
-    try:
-        return graphs_from_obj(obj)
-    except KeyError as e:
-        raise ParseError(f"{path}: missing key {e}") from None
-    except (TypeError, ValueError, OverflowError, ParseError) as e:
-        raise ParseError(f"{path}: {e}") from None
+    return read_json(path, graphs_from_obj)
 
 
 def graphs_to_dot(graphs: CoOccurrenceGraphSet, threshold: float = 0.0) -> str:

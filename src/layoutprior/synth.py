@@ -11,14 +11,14 @@ platforms for a fixed seed.
 
 from __future__ import annotations
 
-import json
 import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BBox, ClassVocabulary, Component, LayoutDocument, ParseError
+from .core import (BBox, ClassVocabulary, Component, LayoutDocument, ParseError,
+                   read_json)
 from .ingest import Corpus
 from .prior import BandConfig, CoOccurrenceGraphSet, make_bands
 
@@ -218,5 +218,4 @@ def spec_from_obj(obj: dict) -> GeneratorSpec:
 
 
 def load_spec(path) -> GeneratorSpec:
-    with open(path) as f:
-        return spec_from_obj(json.load(f))
+    return read_json(path, spec_from_obj)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
-                         LayoutDocument)
+                         LayoutDocument, NodeFeatures)
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -30,6 +30,16 @@ def random_corpus(rng, n_layouts=5, max_boxes=20, n_classes=4, height=100.0):
             comps.append(Component(box, int(rng.integers(n_classes))))
         layouts.append(LayoutDocument(f"l{li}", 100.0, height, tuple(comps)))
     return Corpus(vocab, tuple(layouts))
+
+
+def random_node_features(C: int, K: int, seed: int) -> NodeFeatures:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return NodeFeatures(rng.standard_normal((C, K)))
+
+
+def random_embed(K: int, d_prime: int, seed: int) -> np.ndarray:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return rng.standard_normal((K, d_prime))
 
 
 @pytest.fixture

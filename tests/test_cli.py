@@ -367,8 +367,9 @@ def mutate(obj, rng):
 
 
 def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
-    """Mutated corpora, graph files and generator specs: every run of
-    every subcommand that reads them exits 0, 2 or 3 and none raises."""
+    """Mutated corpora, graph files, generator specs, proposal batches and
+    matrices, and files that are not JSON: every run of every subcommand
+    that reads them exits 0, 2 or 3 and none raises."""
     scored = copy.deepcopy(CORPUS)
     scored["layouts"].append({"id": "l2", "width": 50, "height": 80,
                               "components": [{"bbox": [1, 2, 30, 40],
@@ -381,12 +382,25 @@ def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
     cp.write_text(json.dumps(scored))
     assert main(["build-prior", str(cp), "--bands", "2", "--keep-raw",
                  "--out", str(graphs)]) == 0
+    proposals = {"layout_id": "l1", "height": 100.0,
+                 "boxes": [[0, 5, 10, 15], [0, 45, 10, 55]],
+                 "logits": {"rows": 2, "cols": 3,
+                            "data": [0.5, -1.0, 2.0, 0.0, 1.0, -0.5]},
+                 "features": {"rows": 2, "cols": 2,
+                              "data": [1.0, 2.0, 3.0, 4.0]}}
     base = {"corpus": scored, "graphs": json.loads(graphs.read_text()),
-            "spec": spec_to_obj(block_spec(boxes=(1, 3)))}
+            "spec": spec_to_obj(block_spec(boxes=(1, 3))),
+            "proposals": proposals,
+            "nodes": {"rows": 3, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0,
+                                                     0.5, 0.5]},
+            "embed": {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0]}}
 
     def write(name, obj):
         p = tmp_path / f"{name}.json"
-        p.write_text(json.dumps(obj))
+        if isinstance(obj, bytes):
+            p.write_bytes(obj)
+        else:
+            p.write_text(json.dumps(obj))
         return str(p)
 
     out = str(tmp_path / "out")
@@ -398,20 +412,36 @@ def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
         "rescore": lambda f: ["rescore", f("corpus"), f("graphs"), "--out", out],
         "synth": lambda f: ["synth", f("spec"), "--n", "2",
                             "--out-clean", out, "--out-noisy", out + "2"],
+        "condition": lambda f: ["condition", f("proposals"), f("graphs"),
+                                "--nodes", f("nodes"), "--embed", f("embed"),
+                                "--concat", "--out", out],
     }
-    rng = np.random.Generator(np.random.PCG64(4711))
-    for case in range(300):
-        name = list(commands)[case % len(commands)]
-        inputs = {"truth": base["corpus"], **base}
-        target = {"eval": ["corpus", "truth"], "rescore": ["corpus", "graphs"],
-                  "synth": ["spec"]}.get(name, ["corpus"])
-        target = target[rng.integers(len(target))]
-        inputs[target] = mutate(inputs[target], rng)
+    targets = {"eval": ["corpus", "truth"], "rescore": ["corpus", "graphs"],
+               "synth": ["spec"],
+               "condition": ["proposals", "graphs", "nodes", "embed"]}
+
+    def run(case, name, target, inputs):
         argv = commands[name](lambda n: write(n, inputs[n]))
         try:
             code = main(argv)
         except Exception as e:  # reported with the input that caused it
             pytest.fail(f"case {case}: {name} with mutated {target} "
-                        f"{json.dumps(inputs[target])[:300]} raised {e!r}")
+                        f"{str(inputs[target])[:300]} raised {e!r}")
         assert code in (0, 2, 3), (case, name, code)
+        return code
+
+    rng = np.random.Generator(np.random.PCG64(4711))
+    for case in range(360):
+        name = list(commands)[case % len(commands)]
+        inputs = {"truth": base["corpus"], **base}
+        target = targets.get(name, ["corpus"])
+        target = target[rng.integers(len(target))]
+        inputs[target] = mutate(inputs[target], rng)
+        run(case, name, target, inputs)
+    # Bytes that are not JSON, and not UTF-8, in every file read.
+    for name in commands:
+        for target in targets.get(name, ["corpus"]):
+            inputs = {"truth": base["corpus"], **base,
+                      target: b"\xff\xfe{not json"}
+            assert run("bytes", name, target, inputs) == 2, (name, target)
     capsys.readouterr()

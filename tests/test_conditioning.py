@@ -10,10 +10,11 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       condition_features, load_proposals,
                                       proposal_node_features,
                                       proposals_from_obj, proposals_to_obj,
-                                      random_embed, random_node_features,
                                       save_proposals, soft_mapping)
 from layoutprior.core import BBox, ShapeError
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet, make_bands
+
+from conftest import random_embed, random_node_features
 
 
 def batch_at(y_centers, n_classes=3, height=100.0, logits=None):

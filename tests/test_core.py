@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError, iou,
-                              iou_matrix, matmul, matrix_from_json,
-                              matrix_to_json, row_softmax)
+                              iou_matrix, load_matrix, matmul,
+                              matrix_from_json, matrix_to_json, read_json,
+                              row_softmax)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -199,3 +201,41 @@ class TestMtxJson:
     def test_non_finite_rejected(self):
         with pytest.raises(ParseError):
             matrix_from_json({"rows": 1, "cols": 1, "data": [float("nan")]})
+
+
+class TestReadJson:
+    def test_gzip_matrix(self, tmp_path):
+        p = tmp_path / "m.json.gz"
+        with gzip.open(p, "wt") as f:
+            json.dump(matrix_to_json(np.eye(2)), f)
+        assert np.array_equal(load_matrix(p), np.eye(2))
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"cols": 1, "data": [1.0]}, "'rows'"),
+        ({"rows": 1, "cols": 1, "data": 5}, "has no len"),
+        ({"rows": INF, "cols": 1, "data": [1.0]}, "infinity"),
+        ({"rows": 1, "cols": 1, "data": [NAN]}, "finite"),
+    ])
+    def test_rejection_names_file(self, tmp_path, obj, message):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=message) as e:
+            load_matrix(p)
+        assert str(e.value).startswith(f"{p}: ")
+
+    @pytest.mark.parametrize("name, content", [
+        ("m.json", b"{not json"),
+        ("m.json", b"\xff\xfe"),
+        ("m.json.gz", gzip.compress(b"[1, 2, 3]" * 50)[:30]),  # truncated
+        ("m.json.gz", gzip.compress(b"[1]")[:10] + b"\xff" * 12),  # corrupt
+    ])
+    def test_undecodable_names_file(self, tmp_path, name, content):
+        p = tmp_path / name
+        p.write_bytes(content)
+        with pytest.raises(ParseError, match="invalid JSON") as e:
+            read_json(p, lambda obj: obj)
+        assert str(p) in str(e.value)
+
+    def test_os_error_passes_through(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(tmp_path / "missing.json", lambda obj: obj)

@@ -496,3 +496,20 @@ class TestEvaluateOracle:
                 self.check(corpus_of(names, {"i": d}),
                            corpus_of(names, {"i": [(b, 0) for b in g]}),
                            config)
+
+
+def test_ground_truth_layouts_in_another_order():
+    """Ground truths reach their image through the layout id, whatever
+    the order of the ground-truth layouts."""
+    rng = np.random.Generator(np.random.PCG64(21))
+    checked = 0
+    while checked < 6:
+        dets, gts = random_eval_pair(rng, big=False)
+        if len(gts.layouts) < 2:
+            continue
+        want = evaluate(dets, gts).to_dict()
+        for layouts in (gts.layouts[::-1], gts.layouts[1:] + gts.layouts[:1]):
+            moved = Corpus(gts.vocabulary, layouts)
+            assert evaluate(dets, moved).to_dict() == want == \
+                loop_evaluate(dets, moved)
+        checked += 1

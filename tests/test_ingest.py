@@ -1,5 +1,6 @@
 import gzip
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -121,6 +122,21 @@ def test_gzip_transparent(tmp_path):
     out = tmp_path / "out.json.gz"
     save_native(corpus, out)
     assert load_native(out).layouts == corpus.layouts
+
+
+def test_columns(tmp_path):
+    corpus = load_native(write(tmp_path, NATIVE))
+    twin = load_native(write(tmp_path, NATIVE))
+    layout, cls, score, boxes = corpus.columns
+    assert layout.tolist() == [0, 0] and cls.tolist() == [0, 1]
+    assert score.tolist() == [1.0, 0.875]
+    assert boxes.tolist() == [[0, 0, 50, 20], [10, 30, 90, 60]]
+    assert corpus.columns is corpus.columns
+    assert not any(a.flags.writeable for a in corpus.columns)
+    # Not a field: equality, hashing and replace do not see it.
+    assert corpus == twin and hash(corpus) == hash(twin)
+    empty = replace(corpus, layouts=())
+    assert [a.shape for a in empty.columns] == [(0,), (0,), (0,), (0, 4)]
 
 
 COCO = {

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -105,18 +106,33 @@ class TestAccumulate:
                          BandConfig(2))
         assert all(r.sum() == 0 for r in raw)
 
-    @pytest.mark.parametrize("n_bands", [1, 2, 5, 10])
-    def test_matches_brute_force(self, rng, n_bands):
+    @pytest.mark.parametrize("n_bands, width", [
+        (1, None), (2, None), (5, None), (10, None),
+        (2, 0.75), (3, 0.5), (4, 1.0),  # overlapping bands
+    ], ids=["1", "2", "5", "10", "2-0.75", "3-0.5", "4-1.0"])
+    def test_matches_brute_force(self, rng, n_bands, width):
+        cfg = BandConfig(n_bands, width)
+        # Two centres on every band bound, the bottom edge included.
+        ys = sorted({y for band in make_bands(cfg).bounds for y in band}) * 2
         for _ in range(10):
-            corpus = random_corpus(rng,
-                                   n_layouts=int(rng.integers(1, 11)),
-                                   max_boxes=20,
-                                   n_classes=int(rng.integers(1, 7)))
-            cfg = BandConfig(n_bands)
+            C = int(rng.integers(1, 7))
+            layouts = [
+                make_layout("bounds", [(0, y, 1, y) for y in ys],
+                            [k % C for k in range(len(ys))], 1.0, 1.0),
+                LayoutDocument("empty", 50.0, 80.0),
+            ]
+            for height in (100.0, 37.0, 640.0):
+                part = random_corpus(rng, n_layouts=int(rng.integers(0, 5)),
+                                     max_boxes=20, n_classes=C, height=height)
+                layouts += [replace(lay, id=f"{height}-{lay.id}")
+                            for lay in part.layouts]
+            corpus = Corpus(ClassVocabulary(tuple(f"c{i}" for i in range(C))),
+                            tuple(layouts))
             got = accumulate(corpus, cfg)
             want = brute_force_counts(corpus, cfg)
+            assert len(got) == len(want)
             for g, w in zip(got, want):
-                assert np.array_equal(g, w)
+                assert g.dtype == np.int64 and np.array_equal(g, w)
 
     def test_overlapping_matches_brute_force(self, rng):
         corpus = random_corpus(rng, n_layouts=5)

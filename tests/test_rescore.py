@@ -250,3 +250,11 @@ class TestRescoreCorpus:
         corpus = random_corpus(rng, n_classes=4)
         with pytest.raises(ParseError):
             rescore_corpus(corpus, graphs, RescoreConfig())
+
+
+def test_submodule_not_shadowed():
+    import types
+
+    import layoutprior.rescore as m
+    assert isinstance(m, types.ModuleType)
+    assert m.rescore is rescore
