@@ -5,7 +5,7 @@ block-diagonal per-band compatibility graphs, builds the band-partitioned
 co-occurrence prior from the generated layouts alone, and measures how
 well the recovered edge weights match the planted ones.
 
-Run:  python3 demos/recover_planted_structure.py
+Run:  PYTHONPATH=src python3 demos/recover_planted_structure.py
 """
 
 import numpy as np

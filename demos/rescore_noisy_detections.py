@@ -6,7 +6,7 @@ detector output and re-scores it against the prior. AP50 is reported
 before and after; the context-aware blend recovers a chunk of the
 accuracy the label noise destroyed.
 
-Run:  python3 demos/rescore_noisy_detections.py
+Run:  PYTHONPATH=src python3 demos/rescore_noisy_detections.py
 """
 
 import numpy as np

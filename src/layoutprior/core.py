@@ -249,8 +249,14 @@ def matrix_from_json(obj: dict) -> np.ndarray:
 
 
 def save_matrix(m: np.ndarray, path) -> None:
+    """Write `m` as MTX-JSON. Non-finite entries, which `load_matrix`
+    rejects, raise a ParseError before the file is opened."""
+    obj = matrix_to_json(m)
+    if not np.all(np.isfinite(obj["data"])):
+        raise ParseError(f"{path}: not written: MTX-JSON entries must be "
+                         "finite")
     with open(path, "w") as f:
-        json.dump(matrix_to_json(m), f)
+        json.dump(obj, f)
 
 
 def load_matrix(path) -> np.ndarray:

@@ -99,27 +99,75 @@ def load_native(path) -> Corpus:
     return read_json(path, lambda obj: _corpus_from_obj(obj, str(path)))
 
 
+def _layout_to_obj(lay: LayoutDocument, names: tuple) -> dict:
+    comps = []
+    for c in lay.components:
+        entry = {
+            "bbox": [c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2],
+            "class": names[c.class_id],
+        }
+        if c.score is not None:
+            entry["score"] = c.score
+        comps.append(entry)
+    return {"id": lay.id, "width": lay.width, "height": lay.height,
+            "components": comps}
+
+
 def corpus_to_obj(corpus: Corpus) -> dict:
-    layouts = []
-    for lay in corpus.layouts:
-        comps = []
-        for c in lay.components:
-            entry = {
-                "bbox": [c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2],
-                "class": corpus.vocabulary.names[c.class_id],
-            }
-            if c.score is not None:
-                entry["score"] = c.score
-            comps.append(entry)
-        layouts.append({"id": lay.id, "width": lay.width, "height": lay.height,
-                        "components": comps})
-    return {"classes": list(corpus.vocabulary.names), "layouts": layouts}
+    names = corpus.vocabulary.names
+    return {"classes": list(names),
+            "layouts": [_layout_to_obj(lay, names) for lay in corpus.layouts]}
+
+
+# `save_native` writes what json.dump(corpus_to_obj(c), f, indent=1,
+# sort_keys=True) writes, from these templates for the depth each part
+# sits at in the document.
+_str = json.encoder.encode_basestring_ascii
+_float = float.__repr__  # json's float format; TypeError for a non-float
+_COMPONENT = ("    {\n     \"bbox\": [\n      %s,\n      %s,\n      %s,\n"
+              "      %s\n     ],\n     \"class\": %s%s\n    }")
+_SCORE = ",\n     \"score\": "
+_LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %s,\n"
+           "   \"id\": %s,\n   \"width\": %s\n  }")
+
+
+def _layout_json(lay: LayoutDocument, names: tuple, encoded: tuple) -> str:
+    """The layout's entry as json.dump writes it inside the document;
+    `encoded` holds the JSON strings of the class `names`.
+
+    Float numbers and a string id take the templates; any other value,
+    such as an int canvas side, sends the layout through json.dumps,
+    indented to its depth (its output holds no raw newline but the ones
+    indent writes).
+    """
+    try:
+        comps = ",\n".join([
+            _COMPONENT % (_float(c.bbox.x1), _float(c.bbox.y1),
+                          _float(c.bbox.x2), _float(c.bbox.y2),
+                          encoded[c.class_id],
+                          "" if c.score is None else _SCORE + _float(c.score))
+            for c in lay.components])
+        return _LAYOUT % (f"[\n{comps}\n   ]" if comps else "[]",
+                          _float(lay.height), _str(lay.id), _float(lay.width))
+    except TypeError:
+        text = json.dumps(_layout_to_obj(lay, names), indent=1, sort_keys=True)
+        return "  " + text.replace("\n", "\n  ")
 
 
 def save_native(corpus: Corpus, path) -> None:
+    """Write `corpus` as native JSON, one layout at a time; the bytes are
+    json.dump(corpus_to_obj(corpus), f, indent=1, sort_keys=True) and a
+    newline."""
+    names = corpus.vocabulary.names
+    encoded = tuple(_str(n) for n in names)
+    classes = ",\n".join("  " + n for n in encoded)
     with open_text(path, "wt") as f:
-        json.dump(corpus_to_obj(corpus), f, indent=1, sort_keys=True)
-        f.write("\n")
+        f.write(f"{{\n \"classes\": [\n{classes}\n ],\n \"layouts\": [")
+        sep = "\n"
+        for lay in corpus.layouts:
+            f.write(sep + _layout_json(lay, names, encoded))
+            sep = ",\n"
+        f.write("\n ]\n}\n" if corpus.layouts else "]\n}\n")
 
 
 def load_coco(images_path, annotations_path=None) -> Corpus:

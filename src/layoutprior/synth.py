@@ -58,7 +58,7 @@ class GeneratorSpec:
         for g in graphs:
             if g.shape != (C, C):
                 raise ParseError(f"planted graph shape {g.shape} != ({C},{C})")
-            # Written so that NaN fails: `_draw` does not check its weights.
+            # Written so that NaN fails: the class draws do not check weights.
             if not np.all((g >= 0) & (g <= 1)):
                 raise ParseError("planted edge weights must lie in [0,1]")
         for m in marginals:
@@ -91,61 +91,189 @@ class GeneratorSpec:
         return BandConfig(self.n_bands)
 
 
-def _draw(rng, p) -> int:
-    """The draw `rng.choice(len(p), p=p)` makes, without its checks."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+# numpy's Generator reads a double in [0, 1) as a raw 64-bit word's top
+# 53 bits times 2**-53.
+_DOUBLE = 1.0 / 9007199254740992.0
+_U32, _U64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+# Doubles a box reads: the class draw's, then cy, cx and the width and
+# height fractions. With noise > 0 it reads a sixth, for the flip test.
+_BOX_WORDS = 5
+_BLOCK = 256  # words per random_raw read
 
 
-def _sample_class(rng, spec: GeneratorSpec, band: int, placed: list) -> int:
-    if placed:
-        weights = spec.planted_graphs[band][:, placed].sum(axis=1)
-        total = weights.sum()
-        if total > 0:
-            return _draw(rng, weights / total)
-    return _draw(rng, spec.class_marginals[band])
+class _Stream:
+    """One PCG64 stream read the way numpy's Generator reads it.
+
+    `take` hands out raw 64-bit words in order. `bounded(r)` is what
+    `integers(lo, lo + r + 1) - lo` returns: nothing is read when r == 0;
+    below 2**32 it is Lemire's method on 32-bit draws, a 32-bit draw
+    being the low half of a fresh word, with the high half kept for the
+    next 32-bit draw; above that it is Lemire's method on whole words,
+    which leaves the kept half alone. (numpy special-cases r == 2**32 - 1
+    as one 32-bit draw, which is what Lemire's method gives on Python's
+    unbounded integers.)
+    """
+
+    def __init__(self, bit_generator):
+        self._bg = bit_generator
+        self.words, self._blocks = [], []
+        self._pos = 0
+        self._half = None
+
+    def take(self, n: int) -> int:
+        """Consume the next n words; return the index of the first."""
+        start = self._pos
+        self._pos += n
+        short = self._pos - len(self.words)
+        if short > 0:
+            block = self._bg.random_raw(max(short, _BLOCK))
+            self._blocks.append(block)
+            self.words.extend(block.tolist())
+        return start
+
+    def raw(self) -> np.ndarray:
+        """Every word read so far, as a uint64 array."""
+        return np.concatenate(self._blocks)
+
+    def _word(self) -> int:
+        return self.words[self.take(1)]
+
+    def _uint32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._word()
+        self._half = word >> 32
+        return word & _U32
+
+    def bounded(self, r: int) -> int:
+        if r == 0:
+            return 0
+        draw, bits, mask = ((self._uint32, 32, _U32) if r <= _U32
+                            else (self._word, 64, _U64))
+        excl = r + 1
+        threshold = (mask - r) % excl  # 2**bits mod excl
+        m = draw() * excl
+        while m & mask < threshold:
+            m = draw() * excl
+        return m >> bits
 
 
-def _sample_box(rng, spec: GeneratorSpec, upper: float, lower: float) -> BBox:
-    width, height = spec.canvas
-    lo, hi = spec.box_size_frac
-    cy = rng.uniform(upper * height, lower * height)
-    cx = rng.uniform(0.0, width)
-    # Half-extents are shrunk so the box stays on canvas with its center
-    # fixed, keeping band membership exact.
-    hw = min(rng.uniform(lo, hi) * width / 2.0, cx, width - cx)
-    hh = min(rng.uniform(lo, hi) * height / 2.0, cy, height - cy)
-    return BBox(cx - hw, cy - hh, cx + hw, cy + hh)
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """Row-wise normalized cumulative sums; a draw `u` from a row picks
+    `(cdf <= u).sum()`, which is `cdf.searchsorted(u, side="right")`."""
+    cdf = np.cumsum(p, axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
+
+
+def _uniform(low, high, d):
+    """numpy's `uniform(low, high)` for the double `d`."""
+    return low + (high - low) * d
 
 
 def generate(spec: GeneratorSpec, n_layouts: int):
     """Return (clean, noisy) corpora; noisy resamples each label
-    uniformly with probability `spec.noise`."""
+    uniformly with probability `spec.noise`.
+
+    Layout `li` reads its own stream, `PCG64([spec.seed, li])`, in this
+    order, band by band: the box count `integers(lo, hi + 1)`, then per
+    box one double for the class, four for the box (cy, cx, width and
+    height fractions) and, when noise > 0, one for the flip test and,
+    when it flips, `integers(C)` for the new label. A class is drawn by
+    inverting the normalized cumulative sum of the band marginal, for a
+    band's first box, or of the planted edge weights summed over the
+    classes already placed in the band. This order is part of the output
+    contract: the words are decoded as numpy decodes them, so the result
+    equals that of one Generator call per draw.
+    """
     bands = make_bands(spec.band_config())
-    C = spec.vocabulary.size
-    clean_layouts, noisy_layouts = [], []
+    C, B = spec.vocabulary.size, bands.n_bands
+    lo, hi = (int(v) for v in spec.boxes_per_band)
+    noise = spec.noise
+    box_words = _BOX_WORDS + (noise > 0)
+    # Walk each stream for the box counts, the offsets of the box doubles
+    # and the noise flips; everything else reads the doubles as arrays.
+    k = np.zeros((n_layouts, B), dtype=np.int64)
+    doubles, flips, n_boxes = [], [], 0
     for li in range(n_layouts):
         # Per-layout derived seed keeps generation order-independent.
-        rng = np.random.Generator(np.random.PCG64([spec.seed, li]))
-        clean_comps, noisy_comps = [], []
-        for j, (upper, lower) in enumerate(bands.bounds):
-            k = int(rng.integers(spec.boxes_per_band[0],
-                                 spec.boxes_per_band[1] + 1))
-            placed = []
-            for _ in range(k):
-                cls = _sample_class(rng, spec, j, placed)
-                box = _sample_box(rng, spec, upper, lower)
-                placed.append(cls)
-                clean_comps.append(Component(box, cls))
-                noisy_cls = cls
-                if spec.noise > 0 and rng.uniform() < spec.noise:
-                    noisy_cls = int(rng.integers(C))
-                noisy_comps.append(Component(box, noisy_cls))
+        stream = _Stream(np.random.PCG64([spec.seed, li]))
+        starts = []
+        for j in range(B):
+            k[li, j] = kj = lo + stream.bounded(hi - lo)
+            for _ in range(kj):
+                first = stream.take(box_words)
+                starts.append(first)
+                if noise and (stream.words[first + _BOX_WORDS] >> 11) \
+                        * _DOUBLE < noise:
+                    flips.append((n_boxes + len(starts) - 1,
+                                  stream.bounded(C - 1)))
+        if starts:
+            idx = np.add.outer(starts, np.arange(_BOX_WORDS))
+            doubles.append((stream.raw()[idx] >> 11) * _DOUBLE)
+        n_boxes += len(starts)
+    d = (np.concatenate(doubles) if doubles
+         else np.empty((0, _BOX_WORDS)))
+
+    # Index of each layout's first box in band j is first[:, j].
+    counts = k.ravel()
+    first = (np.cumsum(counts) - counts).reshape(k.shape)
+    cls = np.empty(n_boxes, dtype=np.int64)
+    for j in range(B):
+        G = spec.planted_graphs[j]
+        marginal = _cdf(spec.class_marginals[j])
+        # One running weight row per layout. The loop form's
+        # G[:, placed].sum(axis=1) also adds in placement order, since numpy
+        # lays the gathered columns out transposed; with C == 1 it sums
+        # pairwise, but then the one class is drawn whatever the sum.
+        weights = np.zeros((n_layouts, C))
+        for t in range(int(k[:, j].max(initial=0))):
+            rows = np.flatnonzero(k[:, j] > t)
+            at = first[rows, j] + t
+            u = d[at, 0]
+            draw = marginal.searchsorted(u, side="right")
+            if t > 0:
+                w = weights[rows] = weights[rows] + G.T[cls[at - 1]]
+                total = w.sum(axis=1)
+                pos = total > 0
+                cdf = _cdf(w[pos] / total[pos, None])
+                draw[pos] = (cdf <= u[pos, None]).sum(axis=1)
+            cls[at] = draw
+    noisy_cls = cls.copy()
+    if flips:
+        at, flipped = np.array(flips).T
+        noisy_cls[at] = flipped
+
+    band = np.repeat(np.tile(np.arange(B), n_layouts), counts)
+    upper, lower = np.array(bands.bounds).reshape(-1, 2)[band].T
+    width, height = (float(v) for v in spec.canvas)
+    flo, fhi = (float(v) for v in spec.box_size_frac)
+    cy = _uniform(upper * height, lower * height, d[:, 1])
+    cx = _uniform(0.0, width, d[:, 2])
+    # Half-extents are shrunk so the box stays on canvas with its center
+    # fixed, keeping band membership exact.
+    hw = np.minimum(np.minimum(_uniform(flo, fhi, d[:, 3]) * width / 2.0,
+                               cx), width - cx)
+    hh = np.minimum(np.minimum(_uniform(flo, fhi, d[:, 4]) * height / 2.0,
+                               cy), height - cy)
+    boxes = list(map(BBox, *(a.tolist() for a in
+                             (cx - hw, cy - hh, cx + hw, cy + hh))))
+    clean_comps = list(map(Component, boxes, cls.tolist()))
+    # Clean and noisy share each component whose label did not change.
+    noisy_comps = list(clean_comps)
+    for i in np.flatnonzero(noisy_cls != cls).tolist():
+        noisy_comps[i] = Component(boxes[i], int(noisy_cls[i]))
+
+    w, h = spec.canvas
+    ends = np.cumsum(k.sum(axis=1)).tolist()
+    clean_layouts, noisy_layouts = [], []
+    for li, (a, b) in enumerate(zip([0] + ends, ends)):
         lid = f"synth-{li:05d}"
-        w, h = spec.canvas
-        clean_layouts.append(LayoutDocument(lid, w, h, tuple(clean_comps)))
-        noisy_layouts.append(LayoutDocument(lid, w, h, tuple(noisy_comps)))
+        clean_layouts.append(LayoutDocument(lid, w, h,
+                                            tuple(clean_comps[a:b])))
+        noisy_layouts.append(LayoutDocument(lid, w, h,
+                                            tuple(noisy_comps[a:b])))
     clean = Corpus(spec.vocabulary, tuple(clean_layouts), source="synth:clean")
     noisy = Corpus(spec.vocabulary, tuple(noisy_layouts), source="synth:noisy")
     return clean, noisy

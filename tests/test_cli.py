@@ -142,6 +142,23 @@ class TestCondition:
                      "--nodes", str(wp), "--embed", str(bad),
                      "--out", str(tmp_path / "o.json")]) == 3
 
+    def test_overflow_exit_2_writes_nothing(self, tmp_path, graphs_path, rng,
+                                            capsys):
+        # Finite inputs whose product overflows: the result is not a file
+        # that --nodes or --embed would accept, so none is written.
+        pp, wp, zp, _, _, _ = self.write_inputs(tmp_path, graphs_path, rng)
+        save_matrix(np.full((3, 4), 1e308), wp)
+        save_matrix(np.full((4, 5), 1e308), zp)
+        out = tmp_path / "fprime.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["condition", str(pp), str(graphs_path),
+                         "--nodes", str(wp), "--embed", str(zp),
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["condition", "--help"])

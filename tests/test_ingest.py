@@ -2,11 +2,17 @@ import gzip
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from layoutprior import Corpus, load_coco, load_native, save_native
+from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
+                         LayoutDocument, load_coco, load_native, save_native)
 from layoutprior.core import ParseError
 from layoutprior.ingest import corpus_to_obj
+from layoutprior.synth import generate
+
+from conftest import FIXTURES
+from test_synth import block_spec
 
 NATIVE = {
     "classes": ["Toolbar", "Text", "Icon"],
@@ -137,6 +143,86 @@ def test_columns(tmp_path):
     assert corpus == twin and hash(corpus) == hash(twin)
     empty = replace(corpus, layouts=())
     assert [a.shape for a in empty.columns] == [(0,), (0,), (0,), (0, 4)]
+
+
+def dumped(corpus) -> str:
+    """What save_native wrote before it wrote from templates."""
+    return json.dumps(corpus_to_obj(corpus), indent=1, sort_keys=True) + "\n"
+
+
+def _odd_corpus():
+    """Class names and ids that need escaping, with and without scores,
+    an empty layout, and library-built numbers that are not plain floats."""
+    names = ("plain", 'quo"te', "back\\slash", "ctl\x00\x1f\n\t\x7f",
+             "na\u00efve \u2713", "\U0001f600")
+    vocab = ClassVocabulary(names)
+    comps = tuple(Component(BBox(1.5, 2.25, 3.0, 4.125), i,
+                            None if i % 2 else 0.1 * i)
+                  for i in range(len(names)))
+    return Corpus(vocab, (
+        LayoutDocument('id "q" \\ \u00e9\n', 360.0, 640.0, comps),
+        LayoutDocument("empty", 10.0, 20.0, ()),
+        # int coordinates, int canvas, an int score and a float subclass
+        LayoutDocument("ints", 100, 200, (
+            Component(BBox(0, 1, 50, 60), 1, 1),
+            Component(BBox(np.float64(0.5), 1.0, 2, 3), 3),
+            Component(BBox(0.0, 0.0, 1.0, 1.0), 5, np.float64(0.25)))),
+        LayoutDocument("\u00e9 plain", 1e-300, 1.7976931348623157e308, (
+            Component(BBox(-0.0, 5e-324, 1e-300, 1e16), 2, -0.0),)),
+    ))
+
+
+def byte_cases():
+    vocab = ClassVocabulary(("A", "B"))
+    yield "eval-dets", load_native(f"{FIXTURES}/eval_dets.json")
+    yield "eval-gts", load_native(f"{FIXTURES}/eval_gts.json")
+    clean, noisy = generate(block_spec(noise=0.3, seed=5), 15)
+    yield "synth-clean", clean
+    yield "synth-noisy", noisy
+    yield "empty-corpus", Corpus(vocab, ())
+    yield "no-components", Corpus(vocab, (LayoutDocument("x", 1.0, 2.0),))
+    yield "odd", _odd_corpus()
+    yield "native", Corpus(ClassVocabulary(("Toolbar", "Text", "Icon")), (
+        LayoutDocument("a", 100, 200, (
+            Component(BBox(0, 0, 50, 20), 0),
+            Component(BBox(10, 30, 90, 60), 1, 0.875))),))
+
+
+@pytest.mark.parametrize("name,corpus", list(byte_cases()))
+@pytest.mark.parametrize("suffix", [".json", ".json.gz"])
+def test_save_native_bytes(tmp_path, name, corpus, suffix):
+    p = tmp_path / f"{name}{suffix}"
+    save_native(corpus, p)
+    if suffix.endswith(".gz"):
+        with gzip.open(p, "rt") as f:
+            text = f.read()
+    else:
+        text = p.read_text()
+    assert text == dumped(corpus)
+    again = load_native(p)
+    assert again.vocabulary == corpus.vocabulary
+    assert again.layouts == corpus.layouts
+
+
+def test_save_native_int_id(tmp_path):
+    corpus = Corpus(ClassVocabulary(("A",)), (
+        LayoutDocument(7, 10.0, 10.0, (Component(BBox(0.0, 0, 1, 1), 0),)),))
+    p = tmp_path / "c.json"
+    save_native(corpus, p)
+    assert p.read_text() == dumped(corpus)
+    assert load_native(p).layouts[0].id == "7"
+
+
+def test_save_native_unencodable_number(tmp_path):
+    # json has no encoding for a numpy integer; neither path invents one.
+    corpus = Corpus(ClassVocabulary(("A",)), (
+        LayoutDocument("x", 10.0, 10.0,
+                       (Component(BBox(0.0, 0.0, 1.0, 1.0), 0,
+                                  np.float32(0.5)),)),))
+    with pytest.raises(TypeError):
+        dumped(corpus)
+    with pytest.raises(TypeError):
+        save_native(corpus, tmp_path / "c.json")
 
 
 COCO = {

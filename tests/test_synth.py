@@ -1,12 +1,17 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from layoutprior import ClassVocabulary
-from layoutprior.core import ParseError
-from layoutprior.ingest import corpus_to_obj
-from layoutprior.prior import BandConfig, band_membership, build_prior
-from layoutprior.synth import (GeneratorSpec, generate, load_spec,
-                               recovery_score, spec_from_obj, spec_to_obj)
+from layoutprior.core import BBox, Component, LayoutDocument, ParseError
+from layoutprior.ingest import Corpus, corpus_to_obj
+from layoutprior.prior import (BandConfig, band_membership, build_prior,
+                               make_bands)
+from layoutprior.synth import (_DOUBLE, GeneratorSpec, _Stream, generate,
+                               load_spec, recovery_score, spec_from_obj,
+                               spec_to_obj)
 
 
 def block_spec(noise=0.0, seed=42, boxes=(2, 5)):
@@ -19,6 +24,193 @@ def block_spec(noise=0.0, seed=42, boxes=(2, 5)):
     m1 = np.array([0.0] * 3 + [1 / 3] * 3)
     return GeneratorSpec(vocab, (g0, g1), (m0, m1), boxes_per_band=boxes,
                          noise=noise, seed=seed)
+
+
+# The generator as one Generator call per draw: the oracle `generate`
+# must reproduce exactly.
+
+def _draw(rng, p) -> int:
+    """The draw `rng.choice(len(p), p=p)` makes, without its checks."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _sample_class(rng, spec, band, placed) -> int:
+    if placed:
+        weights = spec.planted_graphs[band][:, placed].sum(axis=1)
+        total = weights.sum()
+        if total > 0:
+            return _draw(rng, weights / total)
+    return _draw(rng, spec.class_marginals[band])
+
+
+def _sample_box(rng, spec, upper, lower) -> BBox:
+    width, height = spec.canvas
+    lo, hi = spec.box_size_frac
+    cy = rng.uniform(upper * height, lower * height)
+    cx = rng.uniform(0.0, width)
+    hw = min(rng.uniform(lo, hi) * width / 2.0, cx, width - cx)
+    hh = min(rng.uniform(lo, hi) * height / 2.0, cy, height - cy)
+    return BBox(cx - hw, cy - hh, cx + hw, cy + hh)
+
+
+def loop_generate(spec, n_layouts):
+    bands = make_bands(spec.band_config())
+    C = spec.vocabulary.size
+    clean_layouts, noisy_layouts = [], []
+    for li in range(n_layouts):
+        rng = np.random.Generator(np.random.PCG64([spec.seed, li]))
+        clean_comps, noisy_comps = [], []
+        for j, (upper, lower) in enumerate(bands.bounds):
+            k = int(rng.integers(spec.boxes_per_band[0],
+                                 spec.boxes_per_band[1] + 1))
+            placed = []
+            for _ in range(k):
+                cls = _sample_class(rng, spec, j, placed)
+                box = _sample_box(rng, spec, upper, lower)
+                placed.append(cls)
+                clean_comps.append(Component(box, cls))
+                noisy_cls = cls
+                if spec.noise > 0 and rng.uniform() < spec.noise:
+                    noisy_cls = int(rng.integers(C))
+                noisy_comps.append(Component(box, noisy_cls))
+        lid = f"synth-{li:05d}"
+        w, h = spec.canvas
+        clean_layouts.append(LayoutDocument(lid, w, h, tuple(clean_comps)))
+        noisy_layouts.append(LayoutDocument(lid, w, h, tuple(noisy_comps)))
+    return (Corpus(spec.vocabulary, tuple(clean_layouts), source="synth:clean"),
+            Corpus(spec.vocabulary, tuple(noisy_layouts), source="synth:noisy"))
+
+
+def perfbench_spec(seed):
+    """The benchmark's generator spec: 25 classes in five groups, ten
+    bands, 1-3 boxes per band, noise 0.3."""
+    C = 25
+    group = np.arange(C) // 5
+    same = group[:, None] == group[None, :]
+    near = np.abs(group[:, None] - group[None, :]) == 1
+    graphs, marginals = [], []
+    for j in range(10):
+        fav = j // 2
+        P = np.where(same, np.where(group[:, None] == fav, 0.9, 0.5),
+                     np.where(near, 0.1, 0.0))
+        np.fill_diagonal(P, 1.0)
+        graphs.append(P)
+        m = np.where(group == fav, 0.6 / 5, 0.4 / (C - 5))
+        marginals.append(m / m.sum())
+    vocab = ClassVocabulary(tuple(f"class{i}" for i in range(C)))
+    return GeneratorSpec(vocab, tuple(graphs), tuple(marginals),
+                         boxes_per_band=(1, 3), noise=0.3, seed=seed)
+
+
+def dense_spec(seed=9, boxes=(10, 16), C=9, n_bands=3, density=1.0, **kw):
+    """Random, asymmetric planted graphs; dense ones make a band sum many
+    weights, sparse ones leave classes whose weights are all zero."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    g = rng.random((n_bands, C, C)) * (rng.random((n_bands, C, C)) < density)
+    m = rng.random((n_bands, C))
+    vocab = ClassVocabulary(tuple(f"k{i}" for i in range(C)))
+    return GeneratorSpec(vocab, tuple(g),
+                         tuple(m / m.sum(axis=1, keepdims=True)),
+                         boxes_per_band=boxes, noise=0.4, seed=seed, **kw)
+
+
+def _replace(spec, **kw):
+    fields = dict(boxes_per_band=spec.boxes_per_band, canvas=spec.canvas,
+                  box_size_frac=spec.box_size_frac, noise=spec.noise,
+                  seed=spec.seed)
+    fields.update(kw)
+    return GeneratorSpec(spec.vocabulary, spec.planted_graphs,
+                         spec.class_marginals, **fields)
+
+
+ORACLE_CASES = {
+    **{f"perfbench-{s}": (perfbench_spec(s), 120) for s in (1001, 1002)},
+    **{f"block-{s}-noise{nz}": (block_spec(noise=nz, seed=s), 40)
+       for s in range(6) for nz in (0.0, 0.3)},
+    **{f"boxes-{lo}-{hi}": (block_spec(noise=0.3, seed=3, boxes=(lo, hi)), 40)
+       for lo, hi in ((0, 3), (3, 3), (7, 8))},
+    "dense-hi16": (dense_spec(), 40),
+    "sparse": (dense_spec(seed=4, boxes=(1, 6), density=0.15), 60),
+    "one-class-hi14": (GeneratorSpec(
+        ClassVocabulary(("a",)), (np.full((1, 1), 0.3),), (np.ones(1),),
+        boxes_per_band=(9, 14), noise=0.5, seed=2), 20),
+    "int-canvas": (_replace(dense_spec(boxes=(0, 4)), canvas=(360, 641)), 30),
+    "frac-0-0": (_replace(dense_spec(boxes=(0, 4)), box_size_frac=(0, 0)), 30),
+    "frac-1-1": (_replace(dense_spec(boxes=(0, 4)), box_size_frac=(1, 1)), 30),
+    "empty": (block_spec(noise=0.3), 0),
+}
+
+
+class TestGenerateOracle:
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_matches_loop(self, name):
+        spec, n = ORACLE_CASES[name]
+        for got, want in zip(generate(spec, n), loop_generate(spec, n)):
+            assert corpus_to_obj(got) == corpus_to_obj(want)
+            assert got.source == want.source
+
+    # sha256 of the sorted-key JSON of both corpora, taken from the loop
+    # generator. A change to any layout's stream order changes them.
+    PINNED = {
+        "block": "3c584ad5dca7483c68d2149463debcf03b20099e7e1fce355301ec65670c2df5",
+        "three-class": "85313b6d898c1e6e5f43854f260f50713578bccd85ca5710aecb75223b56f618",
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_pinned_digest(self, name):
+        if name == "block":
+            spec, n = block_spec(noise=0.3, seed=7, boxes=(1, 4)), 12
+        else:
+            g = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.3], [0.0, 0.3, 1.0]])
+            spec = GeneratorSpec(ClassVocabulary(("x", "y", "z")),
+                                 (g, g.T, np.eye(3)),
+                                 (np.array([0.5, 0.25, 0.25]),) * 3,
+                                 boxes_per_band=(0, 9), canvas=(300, 500),
+                                 noise=0.5, seed=11)
+            n = 6
+        text = json.dumps([corpus_to_obj(c) for c in generate(spec, n)],
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.PINNED[name]
+
+    def test_huge_box_range_reads_nothing_for_no_layouts(self):
+        spec = block_spec(boxes=(0, 2 ** 63 - 1))
+        clean, noisy = generate(spec, 0)
+        assert clean.layouts == () and noisy.layouts == ()
+
+
+class TestStream:
+    # Lemire's method rejects often when 2**32 (or 2**64) modulo the
+    # range is large, as just above 2**31; 2**32 - 1 is a plain 32-bit
+    # draw and larger ranges take whole words.
+    RANGES = [0, 1, 5, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 31 + 7,
+              3 * 2 ** 30, 2 ** 32 - 3, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32,
+              2 ** 32 + 1, 2 ** 63, 2 ** 63 + 12345]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_decodes_like_generator(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        stream = _Stream(np.random.PCG64(seed))
+        pick = np.random.Generator(np.random.PCG64(100 + seed))
+        for _ in range(3000):
+            if pick.random() < 0.3:
+                word = stream.words[stream.take(1)]
+                assert (word >> 11) * _DOUBLE == rng.random()
+            else:
+                r = self.RANGES[int(pick.integers(len(self.RANGES)))]
+                lo = int(pick.integers(0, 1000))
+                want = rng.integers(lo, lo + r + 1, dtype=np.uint64)
+                assert lo + stream.bounded(r) == int(want)
+        word = stream.words[stream.take(1)]
+        assert (word >> 11) * _DOUBLE == rng.random()
+
+    def test_raw_is_every_word_taken(self):
+        stream = _Stream(np.random.PCG64(7))
+        stream.take(3)
+        stream.take(600)
+        want = np.random.PCG64(7).random_raw(603)
+        assert np.array_equal(stream.raw()[:603], want)
 
 
 class TestGenerate:
