@@ -6,9 +6,9 @@ from .core import (BBox, ClassVocabulary, Component, LayoutDocument,
                    LayoutPriorError, ParseError, ProposalBatch, ShapeError,
                    iou, load_matrix, matmul, row_softmax, save_matrix)
 from .ingest import Corpus, load_coco, load_native, save_native
-from .prior import (BandConfig, BandSet, CoOccurrenceGraphSet, accumulate,
-                    band_membership, build_prior, load_graphs, make_bands,
-                    normalize, save_graphs)
+from .prior import (BandConfig, CoOccurrenceGraphSet, accumulate,
+                    band_membership, build_prior, load_graphs, normalize,
+                    save_graphs)
 from .conditioning import (AssociationKind, AssociationPolicy, MappingPolicy,
                            NodeFeatures, band_association, concat_features,
                            condition_features, proposal_node_features,

@@ -55,7 +55,7 @@ def cmd_condition(args) -> int:
     graphs = load_graphs(args.graphs)
     nodes = NodeFeatures(load_matrix(args.nodes))
     embed = load_matrix(args.embed)
-    alpha = band_association(batch, graphs.bands(), _association(args))
+    alpha = band_association(batch, graphs.band_config, _association(args))
     S = soft_mapping(batch.logits, MappingPolicy(args.map))
     f_prime = condition_features(S, alpha, graphs, nodes, embed)
     if args.concat:

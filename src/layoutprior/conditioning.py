@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (BBox, ParseError, ProposalBatch, ShapeError, matmul,
+from .core import (INF, BBox, ParseError, ProposalBatch, ShapeError, matmul,
                    matrix_from_json, matrix_to_json, read_json, row_softmax)
-from .prior import BandSet, CoOccurrenceGraphSet
+from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
     GAUSSIAN = "gauss"
@@ -34,8 +34,10 @@ class AssociationPolicy:
     sigma: float = 0.3
 
     def __post_init__(self):
-        if self.kind is AssociationKind.GAUSSIAN and self.sigma <= 0:
-            raise ParseError("Gaussian association requires sigma > 0")
+        # Written so that NaN fails: NaN weights switch the prior off.
+        if not (-INF < self.mu < INF and 0.0 < self.sigma < INF):
+            raise ParseError("association needs a finite mu and a finite "
+                             f"sigma > 0, got {self.mu} and {self.sigma}")
 
 class MappingPolicy(Enum):
     SOFT = "soft"
@@ -49,11 +51,9 @@ class NodeFeatures:
         object.__setattr__(self, "matrix",
                            np.asarray(self.matrix, dtype=np.float64))
 
-def band_association(proposals: ProposalBatch, bands: BandSet,
+def band_association(proposals: ProposalBatch, bands: BandConfig,
                      policy: AssociationPolicy) -> np.ndarray:
     """N_r x N_g association weights; rows are non-negative and sum to 1."""
-    if bands.n_bands < 1:
-        raise ParseError("at least one band required")
     n_r = len(proposals.boxes)
     n_g = bands.n_bands
     if policy.kind is AssociationKind.EQUAL:
@@ -122,12 +122,10 @@ def condition_features(S: np.ndarray, alpha: np.ndarray,
             f"alpha {alpha.shape} does not match {S.shape[0]} proposals x "
             f"{graphs.n_graphs} graphs"
         )
-    # W Z is shared by every band, so the association-weighted class
-    # mixes are pooled first and multiplied by it once.
-    pooled = np.zeros_like(S)  # N_r x C
-    # Fixed ascending band order keeps floating summation reproducible.
-    for j, E in enumerate(graphs.edges):
-        pooled += alpha[:, j:j + 1] * matmul(S, E)
+    # W Z is shared by every band, so the class mixes S E_j are pooled
+    # first. The running sum adds the bands in ascending order, as a loop
+    # would; .sum(axis=0) adds pairwise for one proposal and one class.
+    pooled = np.add.accumulate(alpha.T[:, :, None] * (S @ graphs.edges))[-1]
     return matmul(pooled, matmul(W, embed))
 
 def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:

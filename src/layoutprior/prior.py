@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -34,67 +35,65 @@ class BandConfig:
         if not (0.0 < self.band_width_frac <= 1.0):
             raise ParseError("band_width_frac must be in (0, 1]")
 
+    @cached_property
+    def bounds(self) -> np.ndarray:
+        """Read-only N_b x 2 (upper, lower) bounds as fractions of the
+        height; built on first use, so a graph file may name any count."""
+        upper = np.arange(self.n_bands) / self.n_bands
+        lower = np.minimum(upper + self.band_width_frac, 1.0)
+        return _read_only(np.stack([upper, lower], axis=1))
 
-@dataclass(frozen=True)
-class BandSet:
-    """Band bounds in normalized height units [0, 1]."""
-
-    bounds: tuple  # ((upper_j, lower_j), ...)
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.bounds)
-
-    @property
+    @cached_property
     def centroids(self) -> np.ndarray:
-        return np.array([(u + l) / 2.0 for u, l in self.bounds])
+        """Read-only band centres, (upper + lower) / 2."""
+        return _read_only((self.bounds[:, 0] + self.bounds[:, 1]) / 2.0)
 
 
-def make_bands(config: BandConfig) -> BandSet:
-    n, w = config.n_bands, config.band_width_frac
-    bounds = []
-    for j in range(n):
-        upper = j / n
-        lower = min(upper + w, 1.0)
-        bounds.append((upper, lower))
-    return BandSet(tuple(bounds))
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _stack(mats, dtype, n: int, C: int, what: str) -> np.ndarray:
+    """One read-only n x C x C array of the matrices in `mats`."""
+    mats = [np.asarray(m, dtype=dtype) for m in mats]
+    if len(mats) != n:
+        raise ParseError(f"{len(mats)} {what} for {n} bands")
+    bad = [m.shape for m in mats if m.shape != (C, C)]
+    if bad:
+        raise ParseError(f"graph matrix shape {bad[0]} != ({C},{C})")
+    return _read_only(np.stack(mats))
 
 
 @dataclass(frozen=True)
 class CoOccurrenceGraphSet:
     vocabulary: ClassVocabulary
     band_config: BandConfig
-    edges: tuple  # N_g matrices, each C x C
-    raw_counts: Optional[tuple] = None
+    edges: np.ndarray  # N_g x C x C float64, read-only
+    raw_counts: Optional[np.ndarray] = None  # N_g x C x C int64, read-only
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(np.asarray(e, dtype=np.float64)
-                                                for e in self.edges))
+        C, n = self.vocabulary.size, self.band_config.n_bands
+        object.__setattr__(self, "edges", _stack(self.edges, np.float64, n, C,
+                                                 "edge matrices"))
         if self.raw_counts is not None:
             object.__setattr__(self, "raw_counts",
-                               tuple(np.asarray(r) for r in self.raw_counts))
-        C, n = self.vocabulary.size, self.band_config.n_bands
-        if len(self.edges) != n:
-            raise ParseError(f"{len(self.edges)} edge matrices for {n} bands")
-        if self.raw_counts is not None and len(self.raw_counts) != n:
-            raise ParseError(f"{len(self.raw_counts)} raw count matrices "
-                             f"for {n} bands")
-        for e in self.edges + (self.raw_counts or ()):
-            if e.shape != (C, C):
-                raise ParseError(f"graph matrix shape {e.shape} != ({C},{C})")
+                               _stack(self.raw_counts, np.int64, n, C,
+                                      "raw count matrices"))
 
     @property
     def n_graphs(self) -> int:
         return len(self.edges)
 
-    def bands(self) -> BandSet:
-        return make_bands(self.band_config)
+    def bands(self) -> BandConfig:
+        """`band_config`, for callers outside the library."""
+        return self.band_config
 
 
 def _member(t: np.ndarray, config: BandConfig) -> np.ndarray:
     """Boxes x bands flags of the rule in band_membership, for an array
     of box centres t as fractions of the canvas height."""
-    upper, lower = np.array(make_bands(config).bounds).T
+    upper, lower = config.bounds.T
     t = t[:, None]
     return (t >= upper) & ((t < lower) | ((t == 1.0) & (lower == 1.0)))
 
@@ -110,8 +109,8 @@ def band_membership(layout: LayoutDocument, config: BandConfig) -> np.ndarray:
     return _member(t / layout.height, config).astype(np.int64)
 
 
-def accumulate(corpus: Corpus, config: BandConfig) -> list:
-    """Raw per-band co-occurrence counts over the corpus.
+def accumulate(corpus: Corpus, config: BandConfig) -> np.ndarray:
+    """Raw per-band co-occurrence counts over the corpus, N_b x C x C.
 
     Bands holding fewer than two boxes in a layout are skipped for that
     layout; within a surviving band, every box increments the edge
@@ -124,31 +123,30 @@ def accumulate(corpus: Corpus, config: BandConfig) -> list:
     heights = np.array([lay.height for lay in corpus.layouts])
     member = _member((boxes[:, 1] + boxes[:, 3]) / 2.0 / heights[layout],
                      config)
-    counts = []
+    # Band by band: an N_b x L x C histogram would raise the peak memory.
+    counts = np.empty((config.n_bands, C, C), dtype=np.int64)
     for j in range(config.n_bands):
         m = member[:, j]
         hist = np.bincount(layout[m] * C + cls[m],
                            minlength=L * C).reshape(L, C)
         hist[hist.sum(axis=1) < 2] = 0
-        counts.append((hist.T @ hist).astype(np.int64))
+        counts[j] = hist.T @ hist
     return counts
 
 
 def normalize(raw, vocabulary: ClassVocabulary, config: BandConfig,
               keep_raw: bool = False) -> CoOccurrenceGraphSet:
-    """Row-column normalize counts and force unit diagonals."""
-    edges = []
-    for E in raw:
-        E = np.asarray(E, dtype=np.float64)
-        row = E.sum(axis=1)
-        col = E.sum(axis=0)
-        denom = np.sqrt(np.outer(row, col))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            norm = np.where(denom > 0, E / np.where(denom > 0, denom, 1.0), 0.0)
-        np.fill_diagonal(norm, 1.0)
-        edges.append(norm)
-    return CoOccurrenceGraphSet(vocabulary, config, tuple(edges),
-                                raw_counts=tuple(raw) if keep_raw else None)
+    """Row-column normalize each band's counts, an N_b x C x C stack or a
+    sequence of C x C matrices, and force unit diagonals."""
+    E = np.asarray(raw, dtype=np.float64)
+    # Each band's sums add as its matrix's .sum(axis=1) and .sum(axis=0).
+    row, col = E.sum(axis=2), E.sum(axis=1)
+    denom = np.sqrt(row[:, :, None] * col[:, None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        norm = np.where(denom > 0, E / np.where(denom > 0, denom, 1.0), 0.0)
+    norm[:, np.eye(norm.shape[-1], dtype=bool)] = 1.0
+    return CoOccurrenceGraphSet(vocabulary, config, norm,
+                                raw_counts=raw if keep_raw else None)
 
 
 def build_prior(corpus: Corpus, config: BandConfig,
@@ -166,8 +164,7 @@ def graphs_to_obj(graphs: CoOccurrenceGraphSet) -> dict:
         "edges": [matrix_to_json(e) for e in graphs.edges],
     }
     if graphs.raw_counts is not None:
-        obj["raw_counts"] = [matrix_to_json(r.astype(np.float64))
-                             for r in graphs.raw_counts]
+        obj["raw_counts"] = [matrix_to_json(r) for r in graphs.raw_counts]
     return obj
 
 
@@ -182,10 +179,10 @@ def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
         )
     vocab = ClassVocabulary(tuple(obj["classes"]))
     config = BandConfig(int(obj["n_bands"]), float(obj["band_width_frac"]))
-    edges = tuple(matrix_from_json(e) for e in obj["edges"])
+    edges = [matrix_from_json(e) for e in obj["edges"]]
     raw = obj.get("raw_counts")
     if raw is not None:
-        raw = tuple(matrix_from_json(r).astype(np.int64) for r in raw)
+        raw = [matrix_from_json(r) for r in raw]
     return CoOccurrenceGraphSet(vocab, config, edges, raw_counts=raw)
 
 
@@ -209,13 +206,11 @@ def graphs_to_dot(graphs: CoOccurrenceGraphSet, threshold: float = 0.0) -> str:
         for m, name in enumerate(names):
             label = name.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'    b{j}_c{m} [label="{label}"];')
-        C = len(names)
-        for m in range(C):
-            for n in range(m + 1, C):
-                w = E[m, n]
-                if w > threshold:
-                    lines.append(f'    b{j}_c{m} -- b{j}_c{n} [weight={w:.4f}, '
-                                 f'label="{w:.2f}"];')
+        # Pairs above the diagonal, row by row.
+        for m, n in zip(*np.nonzero(np.triu(E > threshold, 1))):
+            w = E[m, n]
+            lines.append(f'    b{j}_c{m} -- b{j}_c{n} [weight={w:.4f}, '
+                         f'label="{w:.2f}"];')
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

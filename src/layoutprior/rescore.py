@@ -41,13 +41,12 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
             f"logits have {detections.logits.shape[1]} classes, "
             f"graphs have {C}"
         )
-    n = len(detections.boxes)
-    if n == 0:
+    if not detections.boxes:
         return detections
 
     s = row_softmax(detections.logits)  # n x C
-    alpha = band_association(detections, graphs.bands(), config.association)
-    n_g = graphs.n_graphs
+    alpha = band_association(detections, graphs.band_config,
+                             config.association)
 
     # Band context including everybody, minus each detection's own term
     # (leave-one-out): n x n_g x C.
@@ -60,10 +59,10 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
 
     # One stacked matrix-vector product per (detection, band); it rounds
     # as `edges[j] @ ctx[i, j]` does, which a gemm or einsum does not.
-    prop = np.matmul(np.stack(graphs.edges)[None], ctx[..., None])[..., 0]
-    q = np.zeros((n, C))
-    for j in range(n_g):  # ascending band order keeps the sum reproducible
-        q += alpha[:, j:j + 1] * prop[:, j]
+    prop = np.matmul(graphs.edges[None], ctx[..., None])[..., 0]
+    # Summed over the bands in ascending order, as a loop would add them;
+    # with one class numpy adds pairwise, but q then normalizes to 1.
+    q = (alpha[:, :, None] * prop).sum(axis=1)
     q_sums = q.sum(axis=1, keepdims=True)
     q = np.where(q_sums > 0, q / np.where(q_sums > 0, q_sums, 1.0),
                  uniform[None, :])
@@ -80,6 +79,8 @@ def labels_to_logits(layout: LayoutDocument, n_classes: int,
                      confidence: float = 0.8) -> ProposalBatch:
     """Soft logits from labeled components: mass `confidence` on the
     label (scaled by the component score when present), remainder uniform."""
+    if not np.isfinite(confidence):
+        raise ParseError(f"label confidence must be finite, got {confidence}")
     comps = layout.components
     if not comps:
         return ProposalBatch((), np.zeros((0, n_classes)), layout.height)

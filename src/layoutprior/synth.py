@@ -20,7 +20,7 @@ import numpy as np
 from .core import (BBox, ClassVocabulary, Component, LayoutDocument, ParseError,
                    read_json)
 from .ingest import Corpus
-from .prior import BandConfig, CoOccurrenceGraphSet, make_bands
+from .prior import BandConfig, CoOccurrenceGraphSet
 
 
 def _pair(values, kind, name: str) -> tuple:
@@ -75,9 +75,12 @@ class GeneratorSpec:
         lo, hi = _pair(self.box_size_frac, numbers.Real, "box_size_frac")
         if not 0.0 <= lo <= hi <= 1.0:
             raise ParseError("box_size_frac must satisfy 0 <= lo <= hi <= 1")
-        # An integer beyond the float range compares below inf.
-        if not all(0.0 < v <= sys.float_info.max
-                   for v in _pair(self.canvas, numbers.Real, "canvas")):
+        # numpy scalars become floats, to compare in double precision and
+        # to serialize; an integer beyond the float range compares below inf.
+        canvas = tuple(v if isinstance(v, int) else float(v)
+                       for v in _pair(self.canvas, numbers.Real, "canvas"))
+        object.__setattr__(self, "canvas", canvas)
+        if not all(0.0 < v <= sys.float_info.max for v in canvas):
             raise ParseError("canvas sides must be positive and finite")
         if not (isinstance(self.seed, numbers.Integral)
                 and not isinstance(self.seed, bool) and self.seed >= 0):
@@ -187,8 +190,9 @@ def generate(spec: GeneratorSpec, n_layouts: int):
     contract: the words are decoded as numpy decodes them, so the result
     equals that of one Generator call per draw.
     """
-    bands = make_bands(spec.band_config())
-    C, B = spec.vocabulary.size, bands.n_bands
+    if n_layouts < 0:
+        raise ParseError(f"layout count must be >= 0, got {n_layouts}")
+    C, B = spec.vocabulary.size, spec.n_bands
     lo, hi = (int(v) for v in spec.boxes_per_band)
     noise = spec.noise
     box_words = _BOX_WORDS + (noise > 0)
@@ -246,7 +250,7 @@ def generate(spec: GeneratorSpec, n_layouts: int):
         noisy_cls[at] = flipped
 
     band = np.repeat(np.tile(np.arange(B), n_layouts), counts)
-    upper, lower = np.array(bands.bounds).reshape(-1, 2)[band].T
+    upper, lower = spec.band_config().bounds[band].T
     width, height = (float(v) for v in spec.canvas)
     flo, fhi = (float(v) for v in spec.box_size_frac)
     cy = _uniform(upper * height, lower * height, d[:, 1])

@@ -21,7 +21,7 @@ from layoutprior.core import ProposalBatch, matrix_from_json, matrix_to_json
 from layoutprior.evaluation import evaluate, precision_recall
 from layoutprior.ingest import corpus_to_obj, save_native
 from layoutprior.prior import (BandConfig, accumulate, build_prior,
-                               graphs_to_obj, load_graphs, make_bands,
+                               graphs_to_obj, load_graphs,
                                save_graphs)
 from layoutprior.rescore import RescoreConfig, rescore_corpus
 from layoutprior.synth import GeneratorSpec, generate, recovery_score
@@ -97,7 +97,7 @@ def test_criterion_03_hand_trace_fixture():
 
 def test_criterion_04_association_contracts():
     rng = np.random.Generator(np.random.PCG64(11))
-    bands5 = make_bands(BandConfig(5))
+    bands5 = BandConfig(5)
     for _ in range(20):
         n = int(rng.integers(1, 30))
         boxes = tuple(BBox(0, y - 1, 10, y + 1)
@@ -116,7 +116,7 @@ def test_criterion_04_association_contracts():
             d = np.abs(box.center()[1] / 100.0 - centroids)
             if np.sum(d == d.min()) == 1:  # unique nearest band
                 assert np.argmax(tiny[i]) == np.argmax(single[i])
-    two = make_bands(BandConfig(2))
+    two = BandConfig(2)
     mid = ProposalBatch((BBox(0, 45, 10, 55),), np.zeros((1, 2)), 100.0)
     alpha = band_association(mid, two, AssociationPolicy())
     assert np.allclose(alpha, [[0.5, 0.5]], atol=1e-12)

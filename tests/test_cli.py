@@ -1,5 +1,6 @@
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,11 @@ CORPUS = {
         ]},
     ],
 }
+
+
+# Association parameters that would make every band weight NaN or zero.
+BAD_ASSOCIATION = [("--sigma", "nan"), ("--sigma", "inf"), ("--sigma", "0"),
+                   ("--mu", "nan"), ("--mu", "inf")]
 
 
 @pytest.fixture
@@ -159,6 +165,20 @@ class TestCondition:
         err = capsys.readouterr().err
         assert "must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, value", BAD_ASSOCIATION)
+    def test_bad_association_exit_2(self, tmp_path, graphs_path, rng, capsys,
+                                    flag, value):
+        pp, wp, zp, _, _, _ = self.write_inputs(tmp_path, graphs_path, rng)
+        out = tmp_path / "fprime.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["condition", str(pp), str(graphs_path),
+                         "--nodes", str(wp), "--embed", str(zp),
+                         flag, value, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "association needs" in capsys.readouterr().err
+
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["condition", "--help"])
@@ -186,6 +206,19 @@ class TestRescoreCmd:
                      str(tmp_path / "none.json"), "--lambda", "1.5",
                      "--out", str(tmp_path / "o.json")]) == 2
         assert "none.json" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", BAD_ASSOCIATION + [
+        ("--confidence", "nan"), ("--confidence", "inf")])
+    def test_bad_parameter_exit_2(self, tmp_path, corpus_path, graphs_path,
+                                  capsys, flag, value):
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rescore", str(corpus_path), str(graphs_path),
+                         flag, value, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert flag[2:] in capsys.readouterr().err
 
     @pytest.mark.parametrize("change", [
         lambda g: g.pop("edges"), lambda g: g.update(n_bands=3),
@@ -313,6 +346,15 @@ class TestSynthCmd:
         assert main(["synth", str(sp), "--n", "2", "--seed", "-1",
                      "--out-clean", str(tmp_path / "c.json"),
                      "--out-noisy", str(tmp_path / "n.json")]) == 2
+
+    def test_negative_count_exit_2(self, tmp_path, capsys):
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec_to_obj(block_spec())))
+        assert main(["synth", str(sp), "--n", "-1",
+                     "--out-clean", str(tmp_path / "c.json"),
+                     "--out-noisy", str(tmp_path / "n.json")]) == 2
+        assert "layout count" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
 
 class TestRenderCmd:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       proposals_from_obj, proposals_to_obj,
                                       save_proposals, soft_mapping)
 from layoutprior.core import BBox, ShapeError
-from layoutprior.prior import BandConfig, CoOccurrenceGraphSet, make_bands
+from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 
 from conftest import random_embed, random_node_features
 
@@ -29,7 +30,7 @@ def gauss(x, sigma=0.3):
 
 
 class TestBandAssociation:
-    two_bands = make_bands(BandConfig(2))  # centroids 0.25, 0.75
+    two_bands = BandConfig(2)  # centroids 0.25, 0.75
 
     def test_symmetric_midpoint(self):
         alpha = band_association(batch_at([50.0]), self.two_bands,
@@ -57,7 +58,7 @@ class TestBandAssociation:
 
     @pytest.mark.parametrize("kind", list(AssociationKind))
     def test_rows_stochastic(self, rng, kind):
-        bands = make_bands(BandConfig(7))
+        bands = BandConfig(7)
         batch = batch_at(rng.uniform(0, 100, size=20))
         alpha = band_association(batch, bands,
                                  AssociationPolicy(kind, sigma=0.3))
@@ -65,7 +66,7 @@ class TestBandAssociation:
         assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
 
     def test_tiny_sigma_matches_single(self, rng):
-        bands = make_bands(BandConfig(5))
+        bands = BandConfig(5)
         centers = rng.uniform(0, 100, size=30)
         # keep centers away from centroid midpoints so the nearest band
         # is unique
@@ -154,7 +155,33 @@ def loop_oracle(S, alpha, edges, W, Z):
     return out
 
 
+def pooled_loop_oracle(S, alpha, edges, W, Z):
+    """condition_features as a loop over the bands, adding each band's
+    pooled class mix in ascending order."""
+    pooled = np.zeros_like(S)
+    for j, E in enumerate(edges):
+        pooled += alpha[:, j:j + 1] * (S @ E)
+    return pooled @ (W @ Z)
+
+
 class TestConditionFeatures:
+    @pytest.mark.parametrize("C", [1, 2, 5])
+    @pytest.mark.parametrize("Nr", [1, 2, 7])
+    def test_equals_band_loop(self, rng, C, Nr):
+        K, Dp = 3, 4
+        for Ng, policy in itertools.product(range(1, 13), MappingPolicy):
+            S = soft_mapping(rng.standard_normal((Nr, C)), policy)
+            alpha = rng.uniform(0, 1, size=(Nr, Ng))
+            alpha /= alpha.sum(axis=1, keepdims=True)
+            edges = rng.uniform(0, 1, size=(Ng, C, C))
+            edges[rng.uniform(size=(Ng, C)) < 0.3] = 0.0
+            graphs = make_graphs(edges, C)
+            nodes = NodeFeatures(rng.standard_normal((C, K)))
+            Z = rng.standard_normal((K, Dp))
+            out = condition_features(S, alpha, graphs, nodes, Z)
+            assert np.array_equal(
+                out, pooled_loop_oracle(S, alpha, edges, nodes.matrix, Z)), Ng
+
     def test_identity_graphs_degenerate(self, rng):
         C, K, Dp, Ng = 4, 5, 6, 3
         S = soft_mapping(rng.standard_normal((7, C)), MappingPolicy.SOFT)

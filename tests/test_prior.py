@@ -8,7 +8,7 @@ from layoutprior import ClassVocabulary, Corpus, LayoutDocument
 from layoutprior.core import Component, ParseError
 from layoutprior.prior import (BandConfig, accumulate, band_membership,
                                build_prior, graphs_from_obj, graphs_to_dot,
-                               graphs_to_obj, load_graphs, make_bands,
+                               graphs_to_obj, load_graphs,
                                normalize, save_graphs)
 
 from conftest import make_layout, random_corpus
@@ -46,13 +46,29 @@ class TestBands:
         assert cfg.band_width_frac == pytest.approx(0.1)
 
     def test_bounds(self):
-        bands = make_bands(BandConfig(4))
-        assert bands.bounds == ((0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))
+        bands = BandConfig(4)
+        assert bands.bounds.tolist() == [[0, 0.25], [0.25, 0.5], [0.5, 0.75],
+                                         [0.75, 1.0]]
         assert np.allclose(bands.centroids, [0.125, 0.375, 0.625, 0.875])
 
     def test_overlapping_clamped(self):
-        bands = make_bands(BandConfig(2, 0.75))
-        assert bands.bounds == ((0, 0.75), (0.5, 1.0))
+        bands = BandConfig(2, 0.75)
+        assert bands.bounds.tolist() == [[0, 0.75], [0.5, 1.0]]
+
+    @pytest.mark.parametrize("w", [None, 0.3, 0.75, 1.0])
+    def test_table_matches_formula(self, w):
+        for n in range(1, 65):
+            cfg = BandConfig(n, w)
+            width = 1.0 / n if w is None else w
+            want = [(j / n, min(j / n + width, 1.0)) for j in range(n)]
+            assert cfg.bounds.tolist() == [list(b) for b in want]
+            assert cfg.centroids.tolist() == [(u + l) / 2.0 for u, l in want]
+
+    def test_table_read_only(self):
+        cfg = BandConfig(3)
+        for table in (cfg.bounds, cfg.centroids):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.5
 
     @pytest.mark.parametrize("n,w", [(0, 0.5), (2, 0.0), (2, 1.5)])
     def test_invalid(self, n, w):
@@ -113,7 +129,7 @@ class TestAccumulate:
     def test_matches_brute_force(self, rng, n_bands, width):
         cfg = BandConfig(n_bands, width)
         # Two centres on every band bound, the bottom edge included.
-        ys = sorted({y for band in make_bands(cfg).bounds for y in band}) * 2
+        ys = sorted({y for band in cfg.bounds.tolist() for y in band}) * 2
         for _ in range(10):
             C = int(rng.integers(1, 7))
             layouts = [
@@ -143,9 +159,42 @@ class TestAccumulate:
             assert np.array_equal(g, w)
 
 
+def loop_normalize(raw):
+    """normalize's edges as a loop over the bands, one matrix at a time."""
+    edges = []
+    for E in raw:
+        E = np.asarray(E, dtype=np.float64)
+        row = E.sum(axis=1)
+        col = E.sum(axis=0)
+        denom = np.sqrt(np.outer(row, col))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            norm = np.where(denom > 0, E / np.where(denom > 0, denom, 1.0), 0.0)
+        np.fill_diagonal(norm, 1.0)
+        edges.append(norm)
+    return np.stack(edges)
+
+
 class TestNormalize:
     def vocab(self, n):
         return ClassVocabulary(tuple(f"c{i}" for i in range(n)))
+
+    @pytest.mark.parametrize("C", [1, 2, 3, 9, 17])
+    def test_equals_band_loop(self, rng, C):
+        for n_bands in range(1, 13):
+            # Fractional entries, so that the order of each sum shows.
+            raw = rng.uniform(0, 50, size=(n_bands, C, C))
+            raw[rng.uniform(size=(n_bands, C)) < 0.3] = 0.0  # zero rows
+            raw.transpose(0, 2, 1)[rng.uniform(size=(n_bands, C)) < 0.2] = 0.0
+            g = normalize(raw, self.vocab(C), BandConfig(n_bands))
+            assert np.array_equal(g.edges, loop_normalize(raw))
+
+    def test_stacks_read_only(self, three_box_corpus):
+        g = build_prior(three_box_corpus, BandConfig(2), keep_raw=True)
+        assert g.edges.dtype == np.float64 and g.raw_counts.dtype == np.int64
+        for stack in (g.edges, g.raw_counts):
+            assert stack.shape == (2, 3, 3)
+            with pytest.raises(ValueError, match="read-only"):
+                stack[0, 0, 1] = 7
 
     def test_uniform_counts(self):
         g = normalize([np.array([[1, 1], [1, 1]])], self.vocab(2), BandConfig(1))

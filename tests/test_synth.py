@@ -1,14 +1,14 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from layoutprior import ClassVocabulary
 from layoutprior.core import BBox, Component, LayoutDocument, ParseError
-from layoutprior.ingest import Corpus, corpus_to_obj
-from layoutprior.prior import (BandConfig, band_membership, build_prior,
-                               make_bands)
+from layoutprior.ingest import Corpus, corpus_to_obj, load_native, save_native
+from layoutprior.prior import BandConfig, band_membership, build_prior
 from layoutprior.synth import (_DOUBLE, GeneratorSpec, _Stream, generate,
                                load_spec, recovery_score, spec_from_obj,
                                spec_to_obj)
@@ -56,13 +56,16 @@ def _sample_box(rng, spec, upper, lower) -> BBox:
 
 
 def loop_generate(spec, n_layouts):
-    bands = make_bands(spec.band_config())
+    n = spec.n_bands
     C = spec.vocabulary.size
     clean_layouts, noisy_layouts = [], []
     for li in range(n_layouts):
         rng = np.random.Generator(np.random.PCG64([spec.seed, li]))
         clean_comps, noisy_comps = [], []
-        for j, (upper, lower) in enumerate(bands.bounds):
+        for j in range(n):
+            # Disjoint bands of height 1/n, computed from scratch.
+            upper = j / n
+            lower = min(upper + 1.0 / n, 1.0)
             k = int(rng.integers(spec.boxes_per_band[0],
                                  spec.boxes_per_band[1] + 1))
             placed = []
@@ -240,6 +243,17 @@ class TestGenerate:
                 b = c.bbox
                 assert 0 <= b.x1 <= b.x2 <= w
                 assert 0 <= b.y1 <= b.y2 <= h
+
+    @pytest.mark.parametrize("side", [np.float32, np.int64])
+    def test_numpy_scalar_canvas(self, tmp_path, side):
+        spec = _replace(block_spec(seed=5), canvas=(side(360), side(640)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            clean, _ = generate(spec, 3)
+            save_native(clean, tmp_path / "c.json")
+        want, _ = generate(block_spec(seed=5), 3)  # a (360.0, 640.0) canvas
+        assert (corpus_to_obj(load_native(tmp_path / "c.json"))
+                == corpus_to_obj(want))
 
     def test_membership_closes_loop(self):
         # each generated box must fall in its generating band under the
