@@ -15,7 +15,8 @@ from . import __version__
 from .conditioning import (AssociationKind, AssociationPolicy, MappingPolicy,
                            NodeFeatures, band_association, concat_features,
                            condition_features, load_proposals, soft_mapping)
-from .core import LayoutPriorError, ParseError, ShapeError, load_matrix, save_matrix
+from .core import (LayoutPriorError, ParseError, ShapeError, load_matrix,
+                   save_matrix, write_text)
 from .evaluation import EvalConfig, evaluate, report_to_json
 from .ingest import load_native, save_native
 from .prior import (GRAPH_SCHEMA_VERSION, BandConfig, build_prior,
@@ -45,8 +46,7 @@ def cmd_build_prior(args) -> int:
         print(f"band {j}: {int((off > 0).sum())} nonzero off-diagonal edges",
               file=sys.stderr)
     if args.dot:
-        with open(args.dot, "w") as f:
-            f.write(graphs_to_dot(graphs, threshold=args.dot_threshold))
+        write_text(args.dot, [graphs_to_dot(graphs, args.dot_threshold)])
     return 0
 
 
@@ -109,9 +109,7 @@ def cmd_render(args) -> int:
     by_id = {l.id: l for l in corpus.layouts}
     if args.layout_id not in by_id:
         raise ParseError(f"unknown layout id: {args.layout_id}")
-    svg = render_layout_svg(by_id[args.layout_id], corpus)
-    with open(args.out, "w") as f:
-        f.write(svg)
+    write_text(args.out, [render_layout_svg(by_id[args.layout_id], corpus)])
     return 0
 
 

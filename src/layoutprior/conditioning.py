@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .core import (INF, BBox, ParseError, ProposalBatch, ShapeError, matmul,
-                   matrix_from_json, matrix_to_json, read_json, row_softmax)
+                   matrix_from_json, matrix_to_json, read_json, row_softmax,
+                   write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -161,8 +162,7 @@ def proposals_from_obj(obj: dict) -> ProposalBatch:
     return ProposalBatch(boxes, logits, height, features)
 
 def save_proposals(batch: ProposalBatch, path, layout_id: str = "") -> None:
-    with open(path, "w") as f:
-        json.dump(proposals_to_obj(batch, layout_id), f)
+    write_text(path, [json.dumps(proposals_to_obj(batch, layout_id))])
 
 def load_proposals(path) -> ProposalBatch:
     return read_json(path, proposals_from_obj)

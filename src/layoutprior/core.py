@@ -8,6 +8,7 @@ MTX-JSON: ``{"rows": R, "cols": C, "data": [...]}`` in row-major order.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import zlib
 from dataclasses import dataclass, field
@@ -41,25 +42,32 @@ def parse_error(where, e: Exception) -> ParseError:
 
 
 def open_text(path, mode: str = "rt"):
-    """Open a text file, gzip-compressed when the path ends in .gz."""
+    """Open a text file, gzip-compressed with a zero timestamp when the
+    path ends in .gz. No other code in the library opens a file."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
+        return io.TextIOWrapper(gzip.GzipFile(path, mode[0] + "b", mtime=0))
     return open(path, mode)
+
+
+def write_text(path, parts) -> None:
+    """Write the strings of the iterable `parts` to `path`, in order."""
+    with open_text(path, "wt") as f:
+        f.writelines(parts)
 
 
 def read_json(path, parse):
     """parse(obj) of the JSON document in the file at `path`.
 
     Content that does not decode, or that `parse` rejects with one of
-    PARSE_ERRORS, raises a ParseError naming the file. OSError passes
-    through.
+    PARSE_ERRORS, raises a ParseError naming the file. Any other OSError
+    passes through.
     """
     with open_text(path) as f:
         try:
             obj = json.load(f)
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors; a
-        # truncated or corrupt .gz raises EOFError or zlib.error.
-        except (ValueError, EOFError, zlib.error) as e:
+        # JSONDecodeError and UnicodeDecodeError are ValueErrors; a bad
+        # .gz raises EOFError, zlib.error or BadGzipFile.
+        except (ValueError, EOFError, zlib.error, gzip.BadGzipFile) as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from None
     try:
         return parse(obj)
@@ -255,8 +263,7 @@ def save_matrix(m: np.ndarray, path) -> None:
     if not np.all(np.isfinite(obj["data"])):
         raise ParseError(f"{path}: not written: MTX-JSON entries must be "
                          "finite")
-    with open(path, "w") as f:
-        json.dump(obj, f)
+    write_text(path, [json.dumps(obj)])
 
 
 def load_matrix(path) -> np.ndarray:

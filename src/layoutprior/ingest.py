@@ -10,6 +10,9 @@ Native corpus format::
 
 ``.json.gz`` paths are handled transparently on both read and write.
 
+A COCO document is translated into native records, its ``[x, y, w, h]``
+boxes becoming ``[x1, y1, x2, y2]``, and parsed as a native file is.
+
 ``Corpus.columns`` is the corpus as flat arrays, one row per component
 in layout order: layout index, class id, score (1.0 when missing) and an
 (N, 4) box array. It is built on first use, cached and read-only, and it
@@ -20,14 +23,15 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
-                   LayoutDocument, ParseError, open_text, parse_error,
-                   read_json)
+                   LayoutDocument, ParseError, parse_error, read_json,
+                   write_text)
 
 
 @dataclass(frozen=True)
@@ -54,9 +58,9 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "layouts", tuple(self.layouts))
-        ids = [l.id for l in self.layouts]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        ids = Counter(l.id for l in self.layouts)
+        if len(ids) != len(self.layouts):
+            dupes = sorted(i for i, n in ids.items() if n > 1)
             raise ParseError(f"duplicate layout ids in corpus: {dupes}")
         C = self.vocabulary.size
         for layout in self.layouts:
@@ -161,13 +165,11 @@ def save_native(corpus: Corpus, path) -> None:
     names = corpus.vocabulary.names
     encoded = tuple(_str(n) for n in names)
     classes = ",\n".join("  " + n for n in encoded)
-    with open_text(path, "wt") as f:
-        f.write(f"{{\n \"classes\": [\n{classes}\n ],\n \"layouts\": [")
-        sep = "\n"
-        for lay in corpus.layouts:
-            f.write(sep + _layout_json(lay, names, encoded))
-            sep = ",\n"
-        f.write("\n ]\n}\n" if corpus.layouts else "]\n}\n")
+    layouts = ((",\n" if i else "\n") + _layout_json(lay, names, encoded)
+               for i, lay in enumerate(corpus.layouts))
+    write_text(path, itertools.chain(
+        [f"{{\n \"classes\": [\n{classes}\n ],\n \"layouts\": ["], layouts,
+        ["\n ]\n}\n" if corpus.layouts else "]\n}\n"]))
 
 
 def load_coco(images_path, annotations_path=None) -> Corpus:
@@ -197,6 +199,7 @@ def load_coco(images_path, annotations_path=None) -> Corpus:
 
 
 def _coco_from_obj(obj, source: str) -> Corpus:
+    """The COCO document `obj` as native records, for _corpus_from_obj."""
     try:
         images = obj["images"]
         annotations = obj["annotations"]
@@ -207,35 +210,27 @@ def _coco_from_obj(obj, source: str) -> Corpus:
         ) from None
 
     cats = sorted(categories, key=lambda c: int(c["id"]))
-    vocab = ClassVocabulary(tuple(c["name"] for c in cats))
-    cat_to_idx = {int(c["id"]): i for i, c in enumerate(cats)}
-
-    img_info = {}
-    for im in images:
-        img_info[int(im["id"])] = (str(im["id"]), float(im["width"]),
-                                   float(im["height"]))
-    comps = {iid: [] for iid in img_info}
+    classes = [c["name"] for c in cats]
+    ClassVocabulary(classes)  # checked before any annotation is resolved
+    class_of = {int(c["id"]): c["name"] for c in cats}
+    # A later image with the same id replaces an earlier one.
+    layouts = {int(im["id"]): {**im, "components": []} for im in images}
 
     for ann in annotations:
         iid = int(ann["image_id"])
-        if iid not in img_info:
+        if iid not in layouts:
             raise ParseError(f"annotation references unknown image_id {iid}")
         cid = int(ann["category_id"])
-        if cid not in cat_to_idx:
+        if cid not in class_of:
             raise ParseError(f"annotation references unknown category_id {cid}")
         x, y, w, h = (float(v) for v in ann["bbox"])
         if w < 0 or h < 0:
             raise ParseError(
                 f"annotation on image {iid} has negative width or height"
             )
-        _, W, H = img_info[iid]
-        bbox = BBox(x, y, x + w, y + h).clamped(W, H)
-        score = ann.get("score")
-        comps[iid].append(Component(bbox, cat_to_idx[cid],
-                                    None if score is None else float(score)))
+        layouts[iid]["components"].append({
+            "bbox": [x, y, x + w, y + h], "class": class_of[cid],
+            "score": ann.get("score")})
 
-    layouts = []
-    for iid in sorted(img_info):
-        name, W, H = img_info[iid]
-        layouts.append(LayoutDocument(name, W, H, tuple(comps[iid])))
-    return Corpus(vocab, tuple(layouts), source=source)
+    layouts = [layouts[i] for i in sorted(layouts)]
+    return _corpus_from_obj({"classes": classes, "layouts": layouts}, source)

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (ClassVocabulary, LayoutDocument, ParseError,
-                   matrix_from_json, matrix_to_json, read_json)
+                   matrix_from_json, matrix_to_json, read_json, write_text)
 from .ingest import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -54,15 +54,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _stack(mats, dtype, n: int, C: int, what: str) -> np.ndarray:
-    """One read-only n x C x C array of the matrices in `mats`."""
-    mats = [np.asarray(m, dtype=dtype) for m in mats]
+def _stack(mats, n: int, C: int, what: str) -> np.ndarray:
+    """One n x C x C array of the matrices in `mats`."""
+    mats = [np.asarray(m) for m in mats]
     if len(mats) != n:
         raise ParseError(f"{len(mats)} {what} for {n} bands")
     bad = [m.shape for m in mats if m.shape != (C, C)]
     if bad:
         raise ParseError(f"graph matrix shape {bad[0]} != ({C},{C})")
-    return _read_only(np.stack(mats))
+    return np.stack(mats)
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,19 @@ class CoOccurrenceGraphSet:
 
     def __post_init__(self):
         C, n = self.vocabulary.size, self.band_config.n_bands
-        object.__setattr__(self, "edges", _stack(self.edges, np.float64, n, C,
-                                                 "edge matrices"))
+        edges = np.asarray(_stack(self.edges, n, C, "edge matrices"), float)
+        if not np.all(np.isfinite(edges) & (edges >= 0.0)):
+            raise ParseError("graph edges must be finite and non-negative")
+        object.__setattr__(self, "edges", _read_only(edges))
         if self.raw_counts is not None:
+            raw = _stack(self.raw_counts, n, C, "raw count matrices")
+            # Checked before the cast, which would wrap or truncate. A float
+            # rounds 2**63 - 1 up to 2**63, so floats take the strict bound.
+            below = raw < 2**63 if raw.dtype.kind == "f" else raw <= 2**63 - 1
+            if not np.all((raw >= 0) & below & (np.floor(raw) == raw)):
+                raise ParseError("raw counts must be integers in [0, 2**63)")
             object.__setattr__(self, "raw_counts",
-                               _stack(self.raw_counts, np.int64, n, C,
-                                      "raw count matrices"))
+                               _read_only(raw.astype(np.int64)))
 
     @property
     def n_graphs(self) -> int:
@@ -187,9 +194,8 @@ def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
 
 
 def save_graphs(graphs: CoOccurrenceGraphSet, path) -> None:
-    with open(path, "w") as f:
-        json.dump(graphs_to_obj(graphs), f, indent=1, sort_keys=True)
-        f.write("\n")
+    write_text(path, [json.dumps(graphs_to_obj(graphs), indent=1,
+                                 sort_keys=True), "\n"])
 
 
 def load_graphs(path) -> CoOccurrenceGraphSet:

@@ -1,6 +1,8 @@
 import copy
+import gzip
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +137,7 @@ class TestCondition:
                                               load_proposals)
         batch = load_proposals(pp)
         graphs = load_graphs(graphs_path)
-        alpha = band_association(batch, graphs.bands(), AssociationPolicy())
+        alpha = band_association(batch, graphs.band_config, AssociationPolicy())
         S = soft_mapping(batch.logits, MappingPolicy.SOFT)
         expected = condition_features(S, alpha, graphs, NodeFeatures(W), Z)
         assert np.allclose(load_matrix(out), expected, atol=1e-12)
@@ -232,6 +234,23 @@ class TestRescoreCmd:
         assert main(["rescore", str(corpus_path), str(graphs_path),
                      "--out", str(tmp_path / "o.json")]) == 2
         assert str(graphs_path) in capsys.readouterr().err
+
+    def test_negative_edges_exit_2(self, tmp_path, corpus_path, graphs_path,
+                                   capsys):
+        obj = json.loads(graphs_path.read_text())
+        band = obj["edges"][0]
+        band["data"] = [-5.0] * len(band["data"])
+        graphs_path.write_text(json.dumps(obj))
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["rescore", str(corpus_path), str(graphs_path),
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "edges must be finite and non-negative" in err
+        assert str(graphs_path) in err
 
 
 class TestEvalCmd:
@@ -385,6 +404,91 @@ class TestRenderCmd:
     def test_unknown_id_exit_2(self, tmp_path, corpus_path):
         assert main(["render", str(corpus_path), "nope",
                      "--out", str(tmp_path / "x.svg")]) == 2
+
+
+# Every file the CLI writes, by name; each is also written under name + ".gz".
+OUTPUTS = ("clean.json", "noisy.json", "g.json", "g.dot", "r.json", "f.json",
+           "l.svg")
+
+
+def run_outputs(inputs, d, suffix):
+    """Run every writing command into directory `d`, each output file
+    named from OUTPUTS plus `suffix`, each input read from the previous
+    command's output; returns the output paths by name."""
+    d.mkdir()
+    out = {name: str(d / (name + suffix)) for name in OUTPUTS}
+    assert main(["synth", inputs["spec"], "--n", "6",
+                 "--out-clean", out["clean.json"],
+                 "--out-noisy", out["noisy.json"]]) == 0
+    assert main(["build-prior", out["noisy.json"], "--bands", "3",
+                 "--keep-raw", "--dot", out["g.dot"],
+                 "--out", out["g.json"]]) == 0
+    assert main(["rescore", out["noisy.json"], out["g.json"],
+                 "--out", out["r.json"]]) == 0
+    assert main(["condition", inputs["props"], out["g.json"],
+                 "--nodes", inputs["W"], "--embed", inputs["Z"],
+                 "--out", out["f.json"]]) == 0
+    layout_id = load_native(out["clean.json"]).layouts[0].id
+    assert main(["render", out["clean.json"], layout_id,
+                 "--out", out["l.svg"]]) == 0
+    return out
+
+
+class TestGzipOutput:
+    @pytest.fixture
+    def inputs(self, tmp_path, rng):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_to_obj(block_spec(noise=0.3, seed=3))))
+        props = tmp_path / "props.json"
+        props.write_text(json.dumps({
+            "layout_id": "p", "height": 640.0,
+            "boxes": [[0, 5, 10, 15], [0, 400, 10, 500]],
+            "logits": {"rows": 2, "cols": 6,
+                       "data": list(rng.standard_normal(12))}}))
+        W, Z = tmp_path / "W.json", tmp_path / "Z.json"
+        save_matrix(rng.standard_normal((6, 4)), W)
+        save_matrix(rng.standard_normal((4, 5)), Z)
+        return {"spec": str(spec), "props": str(props), "W": str(W),
+                "Z": str(Z)}
+
+    def test_round_trip_and_stable_bytes(self, tmp_path, inputs, capsys):
+        plain = run_outputs(inputs, tmp_path / "plain", "")
+        gz = run_outputs(inputs, tmp_path / "gz", ".gz")
+        again = run_outputs(inputs, tmp_path / "again", ".gz")
+        for name in OUTPUTS:
+            data = Path(gz[name]).read_bytes()
+            assert gzip.decompress(data) == Path(plain[name]).read_bytes()
+            assert data[4:8] == b"\0\0\0\0"  # the gzip header's mtime
+            assert Path(again[name]).read_bytes() == data
+        # Consumers read the compressed outputs back.
+        assert load_graphs(gz["g.json"]).raw_counts is not None
+        assert np.array_equal(load_matrix(gz["f.json"]),
+                              load_matrix(plain["f.json"]))
+        reports = []
+        for out in (plain, gz):
+            capsys.readouterr()
+            assert main(["eval", out["r.json"], out["clean.json"],
+                         "--format", "json"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1] and '"ap"' in reports[0]
+
+    @pytest.mark.parametrize("command", [
+        ["build-prior", "{plain}", "--out", "{out}"],
+        ["rescore", "{corpus}", "{plain}", "--out", "{out}"],
+    ])
+    def test_plain_file_named_gz_exit_2(self, tmp_path, corpus_path,
+                                        graphs_path, capsys, command):
+        # A corpus or a graph file, not compressed, under a .gz name.
+        source = corpus_path if command[0] == "build-prior" else graphs_path
+        plain = tmp_path / (source.name + ".gz")
+        plain.write_bytes(source.read_bytes())
+        out = tmp_path / "out.json"
+        argv = [a.format(plain=plain, corpus=corpus_path, out=out)
+                for a in command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: {plain}: invalid JSON" in err
+        assert not out.exists()
 
 
 def test_version(capsys):

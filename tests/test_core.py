@@ -1,15 +1,19 @@
+import ast
 import gzip
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import layoutprior
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError, iou,
                               iou_matrix, load_matrix, matmul,
                               matrix_from_json, matrix_to_json, read_json,
-                              row_softmax)
+                              row_softmax, write_text)
 
 NAN, INF = float("nan"), float("inf")
 
@@ -242,3 +246,48 @@ class TestReadJson:
     def test_os_error_passes_through(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_json(tmp_path / "missing.json", lambda obj: obj)
+
+
+class TestWriteText:
+    def test_streams_parts(self, tmp_path):
+        p = tmp_path / "t.txt"
+        write_text(p, (str(i) for i in range(3)))
+        assert p.read_text() == "012"
+
+    def test_gz_has_zero_timestamp(self, tmp_path, monkeypatch):
+        a, b = tmp_path / "a" / "t.txt.gz", tmp_path / "b" / "t.txt.gz"
+        a.parent.mkdir()
+        b.parent.mkdir()
+        write_text(a, ["x" * 100])
+        monkeypatch.setattr(time, "time", lambda: 2.0e9)
+        write_text(b, ["x" * 100])
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_bytes()[4:8] == b"\0\0\0\0"
+        assert gzip.decompress(a.read_bytes()) == b"x" * 100
+
+
+# What opens a file: the builtin, and any module's or object's `open` or
+# `GzipFile` (gzip.open, gzip.GzipFile, io.open, Path.open).
+def _opens_file(call: ast.Call) -> bool:
+    f = call.func
+    return ((isinstance(f, ast.Name) and f.id == "open")
+            or (isinstance(f, ast.Attribute)
+                and f.attr in ("open", "GzipFile")))
+
+
+def test_only_open_text_opens_files():
+    """core.open_text is the one place in the library that opens a file."""
+    inside, outside = [], []
+    for path in sorted(Path(layoutprior.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if (path.name == "core.py" and isinstance(node, ast.FunctionDef)
+                    and node.name == "open_text"):
+                allowed = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _opens_file(node):
+                (inside if id(node) in allowed else outside).append(
+                    f"{path.name}:{node.lineno}")
+    assert outside == []
+    assert len(inside) == 2  # a .gz path and a plain one

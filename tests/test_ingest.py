@@ -336,6 +336,115 @@ def test_coco_native_round_trip(tmp_path):
     assert corpus_to_obj(again) == corpus_to_obj(corpus)
 
 
+def parent_coco_from_obj(obj, source):
+    """The former COCO parser, which built the objects itself: the oracle
+    for load_coco."""
+    try:
+        images = obj["images"]
+        annotations = obj["annotations"]
+        categories = obj["categories"]
+    except (KeyError, TypeError):
+        raise ParseError(
+            "COCO input must provide 'images', 'annotations', 'categories'"
+        ) from None
+
+    cats = sorted(categories, key=lambda c: int(c["id"]))
+    vocab = ClassVocabulary(tuple(c["name"] for c in cats))
+    cat_to_idx = {int(c["id"]): i for i, c in enumerate(cats)}
+
+    img_info = {}
+    for im in images:
+        img_info[int(im["id"])] = (str(im["id"]), float(im["width"]),
+                                   float(im["height"]))
+    comps = {iid: [] for iid in img_info}
+
+    for ann in annotations:
+        iid = int(ann["image_id"])
+        if iid not in img_info:
+            raise ParseError(f"annotation references unknown image_id {iid}")
+        cid = int(ann["category_id"])
+        if cid not in cat_to_idx:
+            raise ParseError(f"annotation references unknown category_id {cid}")
+        x, y, w, h = (float(v) for v in ann["bbox"])
+        if w < 0 or h < 0:
+            raise ParseError(
+                f"annotation on image {iid} has negative width or height"
+            )
+        _, W, H = img_info[iid]
+        bbox = BBox(x, y, x + w, y + h).clamped(W, H)
+        score = ann.get("score")
+        comps[iid].append(Component(bbox, cat_to_idx[cid],
+                                    None if score is None else float(score)))
+
+    layouts = []
+    for iid in sorted(img_info):
+        name, W, H = img_info[iid]
+        layouts.append(LayoutDocument(name, W, H, tuple(comps[iid])))
+    return Corpus(vocab, tuple(layouts), source=source)
+
+
+def random_coco(rng):
+    """A COCO document with unsorted and repeated image and category ids
+    (an id given as an int, a string or a float), scores present, absent,
+    None or zero, and boxes of zero size or reaching past the canvas."""
+    def some_id(i):
+        return [i, str(i), float(i)][int(rng.integers(3))]
+
+    cat_ids = [int(i) for i in rng.choice(40, int(rng.integers(1, 6)),
+                                          replace=False) - 5]
+    if rng.random() < 0.2:
+        cat_ids.append(cat_ids[0])  # a repeated id: the later one is used
+    categories = [{"id": some_id(c), "name": f"k{k}"}
+                  for k, c in enumerate(cat_ids)]
+    images = []
+    for _ in range(int(rng.integers(0, 7))):
+        width = float(rng.uniform(1, 400))
+        images.append({"id": some_id(int(rng.integers(-2, 6))),
+                       "width": round(width) if rng.random() < 0.5 else width,
+                       "height": float(rng.uniform(1, 800))})
+    annotations = []
+    for _ in range(int(rng.integers(0, 16)) if images else 0):
+        im = images[int(rng.integers(len(images)))]
+        W, H = float(im["width"]), im["height"]
+        w, h = (0.0 if rng.random() < 0.15 else float(rng.uniform(0, 1.5 * s))
+                for s in (W, H))
+        cid = cat_ids[int(rng.integers(len(cat_ids)))]
+        ann = {"image_id": some_id(int(float(im["id"]))),
+               "category_id": some_id(cid),
+               "bbox": [float(rng.uniform(-20, W + 20)),
+                        float(rng.uniform(-20, H + 20)), w, h]}
+        kind = int(rng.integers(5))
+        if kind:
+            ann["score"] = [None, 0.0, -0.0, float(rng.random())][kind - 1]
+        annotations.append(ann)
+    return {"images": images, "annotations": annotations,
+            "categories": categories}
+
+
+def test_coco_matches_former_parser(tmp_path):
+    docs = [COCO] + [random_coco(np.random.default_rng(seed))
+                     for seed in range(200)]
+    for i, doc in enumerate(docs):
+        expected = parent_coco_from_obj(json.loads(json.dumps(doc)), "x")
+        one = write(tmp_path, doc, f"one{i}.json")
+        images = write(tmp_path, {k: doc[k] for k in ("images", "categories")},
+                       f"im{i}.json")
+        ann = write(tmp_path, [{"annotations": doc["annotations"]},
+                               doc["annotations"],
+                               {"annotations": doc["annotations"],
+                                "categories": doc["categories"]}][i % 3],
+                    f"ann{i}.json")
+        for corpus in (load_coco(one), load_coco(images, ann)):
+            assert corpus_to_obj(corpus) == corpus_to_obj(expected)
+        assert load_coco(one).source == str(one)
+
+
+def test_duplicate_layout_ids_listed_once_sorted():
+    with pytest.raises(ParseError, match=r"corpus: \['a', 'b'\]$"):
+        Corpus(ClassVocabulary(("A",)),
+               tuple(LayoutDocument(i, 1, 1, ()) for i in "babcaa"))
+
+
 def test_duplicate_layout_ids_rejected():
     from layoutprior import ClassVocabulary, LayoutDocument
     with pytest.raises(ParseError, match="duplicate"):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -6,9 +7,9 @@ import pytest
 
 from layoutprior import ClassVocabulary, Corpus, LayoutDocument
 from layoutprior.core import Component, ParseError
-from layoutprior.prior import (BandConfig, accumulate, band_membership,
-                               build_prior, graphs_from_obj, graphs_to_dot,
-                               graphs_to_obj, load_graphs,
+from layoutprior.prior import (BandConfig, CoOccurrenceGraphSet, accumulate,
+                               band_membership, build_prior, graphs_from_obj,
+                               graphs_to_dot, graphs_to_obj, load_graphs,
                                normalize, save_graphs)
 
 from conftest import make_layout, random_corpus
@@ -303,6 +304,10 @@ class TestPersistence:
         (lambda o: o["raw_counts"].__setitem__(
             0, {"rows": 1, "cols": 1, "data": [1.0]}), r"shape \(1, 1\)"),
         (lambda o: o["edges"][0].update(data=None), "NoneType"),
+        (lambda o: o["raw_counts"][0]["data"].__setitem__(0, 1.5),
+         "raw counts must be integers"),
+        (lambda o: o["raw_counts"][0]["data"].__setitem__(0, 1e300),
+         "raw counts must be integers"),
     ])
     def test_malformed_file_names_it(self, tmp_path, three_box_corpus,
                                      change, message):
@@ -314,6 +319,34 @@ class TestPersistence:
         with pytest.raises(ParseError, match=message) as err:
             load_graphs(p)
         assert str(p) in str(err.value)
+
+    @pytest.mark.parametrize("raw", [1.5, 1e300, -1.0, 2.0 ** 63, -1,
+                                     np.uint64(2 ** 64 - 1)])
+    def test_raw_counts_checked_before_cast(self, raw):
+        vocab = ClassVocabulary(("A",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError,
+                               match=r"integers in \[0, 2\*\*63\)"):
+                CoOccurrenceGraphSet(vocab, BandConfig(1), [[[1.0]]],
+                                     raw_counts=[[[raw]]])
+
+    @pytest.mark.parametrize("raw", [0, 2 ** 63 - 1, 3.0, True,
+                                     np.uint64(2 ** 63 - 1)])
+    def test_raw_counts_in_range_kept(self, raw):
+        g = CoOccurrenceGraphSet(ClassVocabulary(("A",)), BandConfig(1),
+                                 [[[1.0]]], raw_counts=[[[raw]]])
+        assert g.raw_counts.dtype == np.int64
+        assert g.raw_counts[0, 0, 0] == raw
+
+    @pytest.mark.parametrize("edge", [-5.0, -0.5, float("nan"), float("inf")])
+    def test_edges_finite_non_negative(self, edge):
+        vocab = ClassVocabulary(("A", "B"))
+        E = np.eye(2)
+        E[0, 1] = edge
+        with pytest.raises(ParseError, match="edges must be finite and "
+                                             "non-negative"):
+            CoOccurrenceGraphSet(vocab, BandConfig(2), [np.eye(2), E])
 
     def test_dot_export(self, three_box_corpus):
         g = build_prior(three_box_corpus, BandConfig(2))

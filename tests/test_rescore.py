@@ -121,7 +121,7 @@ def loop_rescore(detections, graphs, config):
     C = graphs.vocabulary.size
     n = len(detections.boxes)
     s = row_softmax(detections.logits)
-    alpha = band_association(detections, graphs.bands(), config.association)
+    alpha = band_association(detections, graphs.band_config, config.association)
     band_totals = alpha.T @ s
     uniform = np.full(C, 1.0 / C)
     q = np.zeros((n, C))
