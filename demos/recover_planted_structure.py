@@ -38,7 +38,7 @@ def main():
     for n in (100, 1000, 10000):
         clean, _ = generate(spec, n)
         graphs = build_prior(clean, spec.band_config())
-        score = recovery_score(spec, graphs)
+        score = recovery_score(spec.planted_graphs, graphs)
         print(f"{n:>6} layouts -> recovery score {score:.4f}")
 
     clean, _ = generate(spec, 1)

@@ -138,9 +138,8 @@ def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
         )
     return np.hstack([f, f_prime])
 
-def proposals_to_obj(batch: ProposalBatch, layout_id: str = "") -> dict:
+def proposals_to_obj(batch: ProposalBatch) -> dict:
     obj = {
-        "layout_id": layout_id,
         "height": batch.layout_height,
         "boxes": [[b.x1, b.y1, b.x2, b.y2] for b in batch.boxes],
         "logits": matrix_to_json(batch.logits),
@@ -161,8 +160,8 @@ def proposals_from_obj(obj: dict) -> ProposalBatch:
         features = matrix_from_json(features)
     return ProposalBatch(boxes, logits, height, features)
 
-def save_proposals(batch: ProposalBatch, path, layout_id: str = "") -> None:
-    write_text(path, [json.dumps(proposals_to_obj(batch, layout_id))])
+def save_proposals(batch: ProposalBatch, path) -> None:
+    write_text(path, [json.dumps(proposals_to_obj(batch))])
 
 def load_proposals(path) -> ProposalBatch:
     return read_json(path, proposals_from_obj)

@@ -41,6 +41,16 @@ def parse_error(where, e: Exception) -> ParseError:
     return ParseError(f"{where}: {reason}")
 
 
+def json_int(value, name: str) -> int:
+    """`value`, which must be a JSON integer: an int, not a bool or a
+    float. int() reads it first, so that a string or an infinity fails
+    with int()'s own error."""
+    n = int(value)
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 def open_text(path, mode: str = "rt"):
     """Open a text file, gzip-compressed with a zero timestamp when the
     path ends in .gz. No other code in the library opens a file."""
@@ -243,7 +253,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows = json_int(obj["rows"], "rows")
+        cols = json_int(obj["cols"], "cols")
+        data = obj["data"]
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad MTX-JSON object: {e}") from None
     if len(data) != rows * cols:

@@ -38,7 +38,6 @@ from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
 class Corpus:
     vocabulary: ClassVocabulary
     layouts: tuple
-    source: str = ""
 
     @cached_property
     def columns(self):
@@ -85,7 +84,7 @@ def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
     return LayoutDocument(str(lid), width, height, tuple(comps))
 
 
-def _corpus_from_obj(obj, source: str) -> Corpus:
+def _corpus_from_obj(obj) -> Corpus:
     if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
             and isinstance(obj.get("layouts"), list)):
         raise ParseError("needs a 'classes' and a 'layouts' list")
@@ -95,12 +94,14 @@ def _corpus_from_obj(obj, source: str) -> Corpus:
         try:
             layouts.append(_layout_from_obj(lay, vocab))
         except PARSE_ERRORS as e:
-            raise parse_error(f"layout {i}", e) from None
-    return Corpus(vocab, tuple(layouts), source=source)
+            lid = lay.get("id") if isinstance(lay, dict) else None
+            where = f"layout {i}" if lid is None else f"layout {i}: id {lid!r}"
+            raise parse_error(where, e) from None
+    return Corpus(vocab, tuple(layouts))
 
 
 def load_native(path) -> Corpus:
-    return read_json(path, lambda obj: _corpus_from_obj(obj, str(path)))
+    return read_json(path, _corpus_from_obj)
 
 
 def _layout_to_obj(lay: LayoutDocument, names: tuple) -> dict:
@@ -172,33 +173,13 @@ def save_native(corpus: Corpus, path) -> None:
         ["\n ]\n}\n" if corpus.layouts else "]\n}\n"]))
 
 
-def load_coco(images_path, annotations_path=None) -> Corpus:
-    """Load COCO-style detection JSON.
-
-    Accepts either a single file holding images/annotations/categories or
-    separate image and annotation files (the annotation file then supplies
-    'annotations' and optionally 'categories').
-    """
-    source = str(images_path)
-    if annotations_path is None:
-        return read_json(images_path, lambda obj: _coco_from_obj(obj, source))
-
-    def merged(obj, ann_obj):
-        obj = dict(obj) if isinstance(obj, dict) else {}
-        if isinstance(ann_obj, dict):
-            obj["annotations"] = ann_obj.get("annotations", ann_obj)
-            if "categories" in ann_obj:
-                obj["categories"] = ann_obj["categories"]
-        else:
-            obj["annotations"] = ann_obj
-        return _coco_from_obj(obj, source)
-
-    # Read inside the annotation file's read, so that an error names both.
-    return read_json(annotations_path, lambda ann_obj: read_json(
-        images_path, lambda obj: merged(obj, ann_obj)))
+def load_coco(path) -> Corpus:
+    """Load a COCO-style detection file holding 'images', 'annotations'
+    and 'categories'."""
+    return read_json(path, _coco_from_obj)
 
 
-def _coco_from_obj(obj, source: str) -> Corpus:
+def _coco_from_obj(obj) -> Corpus:
     """The COCO document `obj` as native records, for _corpus_from_obj."""
     try:
         images = obj["images"]
@@ -233,4 +214,4 @@ def _coco_from_obj(obj, source: str) -> Corpus:
             "score": ann.get("score")})
 
     layouts = [layouts[i] for i in sorted(layouts)]
-    return _corpus_from_obj({"classes": classes, "layouts": layouts}, source)
+    return _corpus_from_obj({"classes": classes, "layouts": layouts})

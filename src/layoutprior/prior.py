@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ClassVocabulary, LayoutDocument, ParseError,
+from .core import (ClassVocabulary, LayoutDocument, ParseError, json_int,
                    matrix_from_json, matrix_to_json, read_json, write_text)
 from .ingest import Corpus
 
@@ -185,7 +185,8 @@ def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
             f"graph file version {version} != supported {GRAPH_SCHEMA_VERSION}"
         )
     vocab = ClassVocabulary(tuple(obj["classes"]))
-    config = BandConfig(int(obj["n_bands"]), float(obj["band_width_frac"]))
+    config = BandConfig(json_int(obj["n_bands"], "n_bands"),
+                        float(obj["band_width_frac"]))
     edges = [matrix_from_json(e) for e in obj["edges"]]
     raw = obj.get("raw_counts")
     if raw is not None:

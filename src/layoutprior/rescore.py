@@ -10,6 +10,7 @@ with the propagated prior.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,7 +26,7 @@ _LOG_FLOOR = 1e-300
 class RescoreConfig:
     blend: float = 0.5  # lambda in [0, 1]
     association: AssociationPolicy = AssociationPolicy()
-    epsilon: float = 1e-6
+    epsilon: ClassVar[float] = 1e-6  # a context of at most this mass is empty
 
     def __post_init__(self):
         if not (0.0 <= self.blend <= 1.0):
@@ -41,9 +42,6 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
             f"logits have {detections.logits.shape[1]} classes, "
             f"graphs have {C}"
         )
-    if not detections.boxes:
-        return detections
-
     s = row_softmax(detections.logits)  # n x C
     alpha = band_association(detections, graphs.band_config,
                              config.association)
@@ -82,8 +80,6 @@ def labels_to_logits(layout: LayoutDocument, n_classes: int,
     if not np.isfinite(confidence):
         raise ParseError(f"label confidence must be finite, got {confidence}")
     comps = layout.components
-    if not comps:
-        return ProposalBatch((), np.zeros((0, n_classes)), layout.height)
     scores = np.array([1.0 if c.score is None else c.score for c in comps])
     conf = np.minimum(np.maximum(confidence * scores, 1.0 / n_classes),
                       1.0 - 1e-9)
@@ -96,8 +92,6 @@ def labels_to_logits(layout: LayoutDocument, n_classes: int,
 
 def rescore_layout(layout: LayoutDocument, graphs: CoOccurrenceGraphSet,
                    config: RescoreConfig, confidence: float = 0.8) -> LayoutDocument:
-    if not layout.components:
-        return layout
     batch = labels_to_logits(layout, graphs.vocabulary.size, confidence)
     out = rescore(batch, graphs, config)
     probs = row_softmax(out.logits)
@@ -113,4 +107,4 @@ def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,
         raise ParseError("corpus and graph vocabularies differ")
     layouts = tuple(rescore_layout(l, graphs, config, confidence)
                     for l in corpus.layouts)
-    return Corpus(corpus.vocabulary, layouts, source=corpus.source)
+    return Corpus(corpus.vocabulary, layouts)

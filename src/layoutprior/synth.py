@@ -20,7 +20,7 @@ import numpy as np
 from .core import (BBox, ClassVocabulary, Component, LayoutDocument, ParseError,
                    read_json)
 from .ingest import Corpus
-from .prior import BandConfig, CoOccurrenceGraphSet
+from .prior import BandConfig, CoOccurrenceGraphSet, _read_only
 
 
 def _pair(values, kind, name: str) -> tuple:
@@ -37,8 +37,8 @@ def _pair(values, kind, name: str) -> tuple:
 @dataclass(frozen=True)
 class GeneratorSpec:
     vocabulary: ClassVocabulary
-    planted_graphs: tuple            # per band, C x C symmetric, unit diagonal
-    class_marginals: tuple           # per band, distribution over C classes
+    planted_graphs: np.ndarray       # N_b x C x C, weights in [0, 1]
+    class_marginals: np.ndarray      # N_b x C, each row a distribution
     boxes_per_band: tuple = (2, 5)   # inclusive integer range
     canvas: tuple = (360.0, 640.0)   # (width, height)
     box_size_frac: tuple = (0.05, 0.25)  # box side as fraction of canvas side
@@ -46,26 +46,26 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        graphs = tuple(np.asarray(g, dtype=np.float64)
-                       for g in self.planted_graphs)
-        marginals = tuple(np.asarray(m, dtype=np.float64)
-                          for m in self.class_marginals)
-        object.__setattr__(self, "planted_graphs", graphs)
-        object.__setattr__(self, "class_marginals", marginals)
+        for name in ("planted_graphs", "class_marginals"):
+            try:  # a copy, so that the caller's array stays writeable
+                a = np.array(getattr(self, name), dtype=np.float64)
+            except (TypeError, ValueError) as e:  # such as a ragged list
+                raise ParseError(f"{name}: {e}") from None
+            object.__setattr__(self, name, _read_only(a))
+        graphs, marginals = self.planted_graphs, self.class_marginals
         C = self.vocabulary.size
-        if len(marginals) != len(graphs):
-            raise ParseError("one class marginal required per band")
-        for g in graphs:
-            if g.shape != (C, C):
-                raise ParseError(f"planted graph shape {g.shape} != ({C},{C})")
-            # Written so that NaN fails: the class draws do not check weights.
-            if not np.all((g >= 0) & (g <= 1)):
-                raise ParseError("planted edge weights must lie in [0,1]")
-        for m in marginals:
-            if (m.shape != (C,) or not np.all(m >= 0)
-                    or abs(m.sum() - 1.0) > 1e-9):
-                raise ParseError("band marginals must be non-negative and "
-                                 "sum to 1")
+        if marginals.shape[:1] != graphs.shape[:1]:
+            raise ParseError("class_marginals needs one row per band")
+        if graphs.shape[1:] != (C, C):
+            raise ParseError(f"planted_graphs shape {graphs.shape} != "
+                             f"(n_bands,{C},{C})")
+        # Written so that NaN fails: the class draws do not check weights.
+        if not np.all((graphs >= 0) & (graphs <= 1)):
+            raise ParseError("planted_graphs edge weights must lie in [0,1]")
+        if (marginals.shape[1:] != (C,) or not np.all(marginals >= 0)
+                or not np.all(abs(marginals.sum(axis=1) - 1.0) <= 1e-9)):
+            raise ParseError("class_marginals rows must be non-negative and "
+                             "sum to 1")
         if not (0.0 <= self.noise < 1.0):
             raise ParseError("noise must lie in [0, 1)")
         lo, hi = _pair(self.boxes_per_band, numbers.Integral, "boxes_per_band")
@@ -278,35 +278,25 @@ def generate(spec: GeneratorSpec, n_layouts: int):
                                             tuple(clean_comps[a:b])))
         noisy_layouts.append(LayoutDocument(lid, w, h,
                                             tuple(noisy_comps[a:b])))
-    clean = Corpus(spec.vocabulary, tuple(clean_layouts), source="synth:clean")
-    noisy = Corpus(spec.vocabulary, tuple(noisy_layouts), source="synth:noisy")
-    return clean, noisy
+    return (Corpus(spec.vocabulary, tuple(clean_layouts)),
+            Corpus(spec.vocabulary, tuple(noisy_layouts)))
 
 
 def recovery_score(planted, recovered: CoOccurrenceGraphSet) -> float:
     """Mean per-band cosine similarity of off-diagonal edge weights.
 
-    `planted` may be a GeneratorSpec or a raw sequence of matrices.
-    Bands whose off-diagonal vector is zero on either side are skipped;
-    the sentinel -1 is returned when every band is skipped.
+    `planted` is an N_b x C x C stack shaped as `recovered.edges`, such
+    as `GeneratorSpec.planted_graphs`. Bands whose off-diagonal vector is
+    zero on either side are skipped; the sentinel -1 is returned when
+    every band is skipped.
     """
-    if isinstance(planted, GeneratorSpec):
-        planted_mats = planted.planted_graphs
-    elif isinstance(planted, CoOccurrenceGraphSet):
-        planted_mats = planted.edges
-    else:
-        planted_mats = tuple(np.asarray(g, dtype=np.float64) for g in planted)
-    if len(planted_mats) != recovered.n_graphs:
-        raise ParseError(
-            f"band count mismatch: {len(planted_mats)} planted vs "
-            f"{recovered.n_graphs} recovered"
-        )
+    planted = np.asarray(planted, dtype=np.float64)
+    if planted.shape != recovered.edges.shape:
+        raise ParseError(f"graph stack shape mismatch: {planted.shape} "
+                         f"planted vs {recovered.edges.shape} recovered")
+    off = ~np.eye(planted.shape[-1], dtype=bool)
     sims = []
-    for P, E in zip(planted_mats, recovered.edges):
-        if P.shape != E.shape:
-            raise ParseError(f"graph shape mismatch: {P.shape} vs {E.shape}")
-        off = ~np.eye(P.shape[0], dtype=bool)
-        a, b = P[off], E[off]
+    for a, b in zip(planted[:, off], recovered.edges[:, off]):
         na, nb = np.linalg.norm(a), np.linalg.norm(b)
         if na == 0 or nb == 0:
             continue
@@ -319,10 +309,8 @@ def recovery_score(planted, recovered: CoOccurrenceGraphSet) -> float:
 def spec_to_obj(spec: GeneratorSpec) -> dict:
     return {
         "classes": list(spec.vocabulary.names),
-        "planted_graphs": [[[float(v) for v in row] for row in g]
-                           for g in spec.planted_graphs],
-        "class_marginals": [[float(v) for v in m]
-                            for m in spec.class_marginals],
+        "planted_graphs": spec.planted_graphs.tolist(),
+        "class_marginals": spec.class_marginals.tolist(),
         "boxes_per_band": list(spec.boxes_per_band),
         "canvas": list(spec.canvas),
         "box_size_frac": list(spec.box_size_frac),
@@ -335,15 +323,13 @@ def spec_from_obj(obj: dict) -> GeneratorSpec:
     try:
         return GeneratorSpec(
             vocabulary=ClassVocabulary(tuple(obj["classes"])),
-            planted_graphs=tuple(np.asarray(g, dtype=np.float64)
-                                 for g in obj["planted_graphs"]),
-            class_marginals=tuple(np.asarray(m, dtype=np.float64)
-                                  for m in obj["class_marginals"]),
+            planted_graphs=obj["planted_graphs"],
+            class_marginals=obj["class_marginals"],
             boxes_per_band=tuple(obj.get("boxes_per_band", (2, 5))),
             canvas=tuple(obj.get("canvas", (360.0, 640.0))),
             box_size_frac=tuple(obj.get("box_size_frac", (0.05, 0.25))),
             noise=float(obj.get("noise", 0.0)),
-            seed=int(obj.get("seed", 0)),
+            seed=obj.get("seed", 0),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad generator spec: {e}") from None

@@ -204,7 +204,7 @@ def test_criterion_07_prior_recovery():
     start = time.perf_counter()
     spec = block_spec(seed=42)
     clean, _ = generate(spec, 1000)
-    score = recovery_score(spec, build_prior(clean, spec.band_config()))
+    score = recovery_score(spec.planted_graphs, build_prior(clean, spec.band_config()))
     assert score >= 0.90, f"recovery {score:.4f}"
     means = []
     for n in (100, 1000, 10000):
@@ -212,7 +212,8 @@ def test_criterion_07_prior_recovery():
         for seed in range(5):
             s = block_spec(seed=seed)
             c, _ = generate(s, n)
-            vals.append(recovery_score(s, build_prior(c, s.band_config())))
+            vals.append(recovery_score(s.planted_graphs,
+                                        build_prior(c, s.band_config())))
         means.append(float(np.mean(vals)))
     assert means[0] <= means[1] + 1e-12 and means[1] <= means[2] + 1e-12, means
     elapsed = time.perf_counter() - start

@@ -1,6 +1,7 @@
 import copy
 import gzip
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -150,6 +151,43 @@ class TestCondition:
                      "--nodes", str(wp), "--embed", str(bad),
                      "--out", str(tmp_path / "o.json")]) == 3
 
+    @pytest.mark.parametrize("bad, message", [
+        ("nodes", r"node features \(4, 4\)"),
+        ("embed", r"cannot multiply nodes \(3, 4\) by embed \(5, 5\)"),
+        ("features", r"features shape \(3, 2\) does not match 2 boxes"),
+    ])
+    def test_wrong_row_count_exit_3(self, tmp_path, graphs_path, rng, capsys,
+                                    bad, message):
+        # C + 1 node rows, K + 1 embedding rows, or a feature row too many.
+        pp, wp, zp, props, _, _ = self.write_inputs(tmp_path, graphs_path,
+                                                    rng)
+        if bad == "nodes":
+            save_matrix(rng.standard_normal((4, 4)), wp)
+        elif bad == "embed":
+            save_matrix(rng.standard_normal((5, 5)), zp)
+        else:
+            props["features"] = {"rows": 3, "cols": 2, "data": [0.0] * 6}
+            pp.write_text(json.dumps(props))
+        out = tmp_path / "o.json"
+        assert main(["condition", str(pp), str(graphs_path),
+                     "--nodes", str(wp), "--embed", str(zp), "--concat",
+                     "--out", str(out)]) == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert re.search(message, err)
+
+    def test_concat_without_features_exit_2(self, tmp_path, graphs_path, rng,
+                                            capsys):
+        pp, wp, zp, _, _, _ = self.write_inputs(tmp_path, graphs_path, rng)
+        out = tmp_path / "o.json"
+        assert main(["condition", str(pp), str(graphs_path),
+                     "--nodes", str(wp), "--embed", str(zp), "--concat",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == ("error: --concat requires proposal "
+                                           "features\n")
+
     def test_overflow_exit_2_writes_nothing(self, tmp_path, graphs_path, rng,
                                             capsys):
         # Finite inputs whose product overflows: the result is not a file
@@ -225,6 +263,8 @@ class TestRescoreCmd:
     @pytest.mark.parametrize("change", [
         lambda g: g.pop("edges"), lambda g: g.update(n_bands=3),
         lambda g: g.update(edges=[]), lambda g: g.update(n_bands="a"),
+        lambda g: g.update(n_bands=2.7),
+        lambda g: g.update(n_bands=True, edges=g["edges"][:1]),
     ])
     def test_malformed_graph_file_exit_2(self, tmp_path, corpus_path,
                                          graphs_path, capsys, change):
@@ -300,6 +340,15 @@ class TestEvalCmd:
         op.write_text(json.dumps(other))
         assert main(["eval", str(op), str(corpus_path)]) == 2
 
+    def test_vocabulary_mismatch_exit_2(self, tmp_path, corpus_path, capsys):
+        other = json.loads(json.dumps(CORPUS))
+        other["classes"].append("D")
+        op = tmp_path / "other.json"
+        op.write_text(json.dumps(other))
+        assert main(["eval", str(op), str(corpus_path)]) == 2
+        assert capsys.readouterr().err == ("error: detection and ground-truth "
+                                           "vocabularies differ\n")
+
     def test_table_output(self, corpus_path, capsys):
         scored = json.loads(json.dumps(CORPUS))
         for c in scored["layouts"][0]["components"]:
@@ -346,6 +395,14 @@ class TestSynthCmd:
         ("box_size_frac", [1.5, 2]), ("canvas", [float("nan"), 640]),
         ("canvas", [360, 0]), ("canvas", [360, 10 ** 400]), ("seed", -1),
         pytest.param("seed", float("inf"), id="seed-inf-overflow"),
+        pytest.param("seed", 1.9, id="seed-float"),
+        pytest.param("seed", True, id="seed-bool"),
+        pytest.param("planted_graphs", [np.eye(6).tolist(),
+                                        np.eye(5).tolist()], id="ragged"),
+        pytest.param("class_marginals", [[1 / 6] * 6], id="one-marginal"),
+        pytest.param("planted_graphs", [
+            np.eye(6).tolist(), np.diag([1.0] * 5 + [float("nan")]).tolist()],
+            id="nan-weight"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, field, value):
         obj = spec_to_obj(block_spec())

@@ -128,6 +128,11 @@ class TestProposalNodeFeatures:
         P = proposal_node_features(F, S)
         assert np.array_equal(P.matrix[1], [0.0, 0.0])
 
+    def test_row_mismatch(self):
+        with pytest.raises(ShapeError,
+                           match="features rows 3 != mapping rows 2"):
+            proposal_node_features(np.zeros((3, 4)), np.zeros((2, 3)))
+
     def test_matches_loop_oracle(self, rng):
         F = rng.standard_normal((5, 4))
         S = rng.uniform(0, 1, size=(5, 3))
@@ -261,6 +266,22 @@ class TestConditionFeatures:
                                nodes, np.zeros((5, 6)))
 
 
+    def test_mapping_columns_must_match_classes(self, rng):
+        graphs = make_graphs([np.eye(3)], 3)
+        nodes = NodeFeatures(rng.standard_normal((3, 4)))
+        with pytest.raises(ShapeError, match=r"mapping S \(2, 4\)"):
+            condition_features(np.zeros((2, 4)), np.ones((2, 1)), graphs,
+                               nodes, np.zeros((4, 6)))
+
+    def test_alpha_must_match_proposals_and_graphs(self, rng):
+        graphs = make_graphs([np.eye(3), np.eye(3)], 3)
+        nodes = NodeFeatures(rng.standard_normal((3, 4)))
+        for alpha in (np.ones((2, 1)), np.ones((3, 2))):
+            with pytest.raises(ShapeError, match="alpha"):
+                condition_features(np.zeros((2, 3)), alpha, graphs, nodes,
+                                   np.zeros((4, 6)))
+
+
 class TestConcat:
     def test_single_row(self):
         out = concat_features(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0, 5.0]]))
@@ -289,7 +310,7 @@ class TestProposalIO:
             rng.standard_normal((2, 8)),
         )
         p = tmp_path / "props.json"
-        save_proposals(batch, p, layout_id="x")
+        save_proposals(batch, p)
         again = load_proposals(p)
         assert again.boxes == batch.boxes
         assert np.array_equal(again.logits, batch.logits)

@@ -187,6 +187,10 @@ class TestRowSoftmax:
         shifted[2] += 123.456
         assert np.allclose(row_softmax(shifted), out, atol=1e-9)
 
+    def test_not_2d(self):
+        with pytest.raises(ShapeError, match=r"shape \(3,\)"):
+            row_softmax(np.zeros(3))
+
 
 class TestMtxJson:
     def test_round_trip(self, rng):
@@ -206,6 +210,10 @@ class TestMtxJson:
         with pytest.raises(ParseError):
             matrix_from_json({"rows": 1, "cols": 1, "data": [float("nan")]})
 
+    def test_stores_2d_only(self):
+        with pytest.raises(ShapeError, match=r"shape \(1, 1, 1\)"):
+            matrix_to_json(np.zeros((1, 1, 1)))
+
 
 class TestReadJson:
     def test_gzip_matrix(self, tmp_path):
@@ -219,6 +227,10 @@ class TestReadJson:
         ({"rows": 1, "cols": 1, "data": 5}, "has no len"),
         ({"rows": INF, "cols": 1, "data": [1.0]}, "infinity"),
         ({"rows": 1, "cols": 1, "data": [NAN]}, "finite"),
+        ({"rows": 2.9, "cols": 1, "data": [1.0, 2.0]},
+         "rows must be an integer, got 2.9"),
+        ({"rows": 1, "cols": True, "data": [1.0]},
+         "cols must be an integer, got True"),
     ])
     def test_rejection_names_file(self, tmp_path, obj, message):
         p = tmp_path / "m.json"

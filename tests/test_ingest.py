@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,24 @@ def test_malformed_layout_names_index(tmp_path, key, value):
     bad["layouts"].append(dict(bad["layouts"][0], id="b", **{key: value}))
     with pytest.raises(ParseError, match="layout 1: "):
         load_native(write(tmp_path, bad))
+
+
+def test_malformed_layout_names_id(tmp_path):
+    bad = json.loads(json.dumps(NATIVE))
+    bad["layouts"].append(dict(bad["layouts"][0], id="screen-42",
+                               width="abc"))
+    p = write(tmp_path, bad)
+    message = (f"{p}: layout 1: id 'screen-42': could not convert string to "
+               "float: 'abc'")
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        load_native(p)
+
+
+def test_class_id_out_of_range_rejected():
+    lay = LayoutDocument("x", 10, 10, (Component(BBox(0, 0, 1, 1), 1),))
+    with pytest.raises(ParseError, match=r"'x': class id 1 out of range "
+                                         "for 1 classes"):
+        Corpus(ClassVocabulary(("A",)), (lay,))
 
 
 def test_missing_file():
@@ -263,6 +282,25 @@ def test_coco_unknown_image(tmp_path):
         load_coco(write(tmp_path, bad, "coco.json"))
 
 
+def test_coco_unknown_category(tmp_path):
+    bad = json.loads(json.dumps(COCO))
+    bad["annotations"][1]["category_id"] = 2
+    p = write(tmp_path, bad, "coco.json")
+    with pytest.raises(ParseError, match="unknown category_id 2") as e:
+        load_coco(p)
+    assert str(p) in str(e.value)
+
+
+def test_coco_malformed_image_names_id(tmp_path):
+    bad = {**COCO, "annotations": [],
+           "images": [{"id": 3, "width": "abc", "height": 5},
+                      COCO["images"][0]]}
+    p = write(tmp_path, bad, "coco.json")
+    message = f"{p}: layout 1: id 3: could not convert string to float: 'abc'"
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        load_coco(p)
+
+
 def test_coco_negative_size(tmp_path):
     bad = json.loads(json.dumps(COCO))
     bad["annotations"][0]["bbox"] = [10, 20, -1, 40]
@@ -310,24 +348,6 @@ def test_coco_invalid_json(tmp_path, text):
     assert str(p) in str(e.value)
 
 
-def test_coco_separate_annotation_file(tmp_path):
-    images = {k: COCO[k] for k in ("images", "categories")}
-    one = load_coco(write(tmp_path, COCO, "coco.json"))
-    two = load_coco(write(tmp_path, images, "im.json"),
-                    write(tmp_path, {"annotations": COCO["annotations"]},
-                          "ann.json"))
-    assert two.layouts == one.layouts
-    bare = load_coco(write(tmp_path, images, "im2.json"),
-                     write(tmp_path, COCO["annotations"], "ann2.json"))
-    assert bare.layouts == one.layouts
-    bad = json.loads(json.dumps(COCO["annotations"]))
-    del bad[0]["image_id"]
-    ann = write(tmp_path, bad, "ann3.json")
-    with pytest.raises(ParseError, match="missing key 'image_id'") as e:
-        load_coco(write(tmp_path, images, "im3.json"), ann)
-    assert str(ann) in str(e.value)
-
-
 def test_coco_native_round_trip(tmp_path):
     corpus = load_coco(write(tmp_path, COCO, "coco.json"))
     out = tmp_path / "native.json"
@@ -336,7 +356,7 @@ def test_coco_native_round_trip(tmp_path):
     assert corpus_to_obj(again) == corpus_to_obj(corpus)
 
 
-def parent_coco_from_obj(obj, source):
+def parent_coco_from_obj(obj):
     """The former COCO parser, which built the objects itself: the oracle
     for load_coco."""
     try:
@@ -380,7 +400,7 @@ def parent_coco_from_obj(obj, source):
     for iid in sorted(img_info):
         name, W, H = img_info[iid]
         layouts.append(LayoutDocument(name, W, H, tuple(comps[iid])))
-    return Corpus(vocab, tuple(layouts), source=source)
+    return Corpus(vocab, tuple(layouts))
 
 
 def random_coco(rng):
@@ -425,18 +445,9 @@ def test_coco_matches_former_parser(tmp_path):
     docs = [COCO] + [random_coco(np.random.default_rng(seed))
                      for seed in range(200)]
     for i, doc in enumerate(docs):
-        expected = parent_coco_from_obj(json.loads(json.dumps(doc)), "x")
-        one = write(tmp_path, doc, f"one{i}.json")
-        images = write(tmp_path, {k: doc[k] for k in ("images", "categories")},
-                       f"im{i}.json")
-        ann = write(tmp_path, [{"annotations": doc["annotations"]},
-                               doc["annotations"],
-                               {"annotations": doc["annotations"],
-                                "categories": doc["categories"]}][i % 3],
-                    f"ann{i}.json")
-        for corpus in (load_coco(one), load_coco(images, ann)):
-            assert corpus_to_obj(corpus) == corpus_to_obj(expected)
-        assert load_coco(one).source == str(one)
+        expected = parent_coco_from_obj(json.loads(json.dumps(doc)))
+        corpus = load_coco(write(tmp_path, doc, f"one{i}.json"))
+        assert corpus_to_obj(corpus) == corpus_to_obj(expected)
 
 
 def test_duplicate_layout_ids_listed_once_sorted():

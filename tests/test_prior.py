@@ -300,6 +300,10 @@ class TestPersistence:
         (lambda o: o.update(n_bands="a"), "invalid literal"),
         (lambda o: o.update(n_bands=10 ** 9), "2 edge matrices"),
         (lambda o: o.update(n_bands=float("inf")), "infinity"),
+        (lambda o: o.update(n_bands=2.7), "n_bands must be an integer, got 2.7"),
+        (lambda o: o.update(n_bands=True, edges=o["edges"][:1],
+                            raw_counts=o["raw_counts"][:1]),
+         "n_bands must be an integer, got True"),
         (lambda o: o["raw_counts"].pop(), "1 raw count matrices for 2 bands"),
         (lambda o: o["raw_counts"].__setitem__(
             0, {"rows": 1, "cols": 1, "data": [1.0]}), r"shape \(1, 1\)"),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,16 @@ class TestRescore:
             out = rescore(b, pair_graph, cfg)
             assert np.allclose(row_softmax(out.logits).sum(axis=1), 1.0)
 
+    @pytest.mark.parametrize("kind", list(AssociationKind))
+    def test_zero_boxes(self, pair_graph, kind):
+        config = RescoreConfig(association=AssociationPolicy(kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rescore(batch([], np.zeros((0, 3))), pair_graph, config)
+        assert out.boxes == ()
+        assert out.logits.shape == (0, 3)
+        assert out.logits.dtype == np.float64
+
     def test_invalid_blend(self):
         with pytest.raises(ParseError):
             RescoreConfig(blend=1.5)
@@ -220,6 +232,15 @@ class TestRescoreCorpus:
         corpus = Corpus(graphs.vocabulary, ())
         out = rescore_corpus(corpus, graphs, RescoreConfig())
         assert out.layouts == ()
+
+    def test_empty_layouts_unchanged(self, rng):
+        graphs = self.make_graphs()
+        from layoutprior import Corpus, LayoutDocument
+        scored = random_corpus(rng, n_layouts=3, max_boxes=5, n_classes=3)
+        empty = tuple(LayoutDocument(f"e{i}", 100, 50 + i) for i in range(3))
+        corpus = Corpus(graphs.vocabulary, empty + scored.layouts)
+        out = rescore_corpus(corpus, graphs, RescoreConfig())
+        assert out.layouts[:3] == empty
 
     def test_single_detection_unchanged_class(self):
         graphs = self.make_graphs()

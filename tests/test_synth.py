@@ -82,8 +82,8 @@ def loop_generate(spec, n_layouts):
         w, h = spec.canvas
         clean_layouts.append(LayoutDocument(lid, w, h, tuple(clean_comps)))
         noisy_layouts.append(LayoutDocument(lid, w, h, tuple(noisy_comps)))
-    return (Corpus(spec.vocabulary, tuple(clean_layouts), source="synth:clean"),
-            Corpus(spec.vocabulary, tuple(noisy_layouts), source="synth:noisy"))
+    return (Corpus(spec.vocabulary, tuple(clean_layouts)),
+            Corpus(spec.vocabulary, tuple(noisy_layouts)))
 
 
 def perfbench_spec(seed):
@@ -152,7 +152,6 @@ class TestGenerateOracle:
         spec, n = ORACLE_CASES[name]
         for got, want in zip(generate(spec, n), loop_generate(spec, n)):
             assert corpus_to_obj(got) == corpus_to_obj(want)
-            assert got.source == want.source
 
     # sha256 of the sorted-key JSON of both corpora, taken from the loop
     # generator. A change to any layout's stream order changes them.
@@ -291,6 +290,23 @@ class TestGenerate:
             GeneratorSpec(spec.vocabulary, spec.planted_graphs,
                           spec.class_marginals, noise=1.0)
 
+    def test_stacks_are_read_only_copies(self):
+        graphs, marginals = np.stack([np.eye(6)] * 2), np.full((2, 6), 1 / 6)
+        spec = GeneratorSpec(block_spec().vocabulary, graphs, marginals)
+        for got, want in ((spec.planted_graphs, graphs),
+                          (spec.class_marginals, marginals)):
+            assert got.dtype == np.float64 and np.array_equal(got, want)
+            assert not got.flags.writeable and want.flags.writeable
+
+    @pytest.mark.parametrize("field", ["planted_graphs", "class_marginals"])
+    def test_ragged_stack_names_field(self, field):
+        spec = block_spec()
+        stacks = {"planted_graphs": list(spec.planted_graphs),
+                  "class_marginals": list(spec.class_marginals)}
+        stacks[field][1] = stacks[field][1][:-1]
+        with pytest.raises(ParseError, match=f"^{field}: .*inhomogeneous"):
+            GeneratorSpec(spec.vocabulary, **stacks)
+
     @pytest.mark.parametrize("band,row,col,value", [
         (0, 0, 1, np.nan), (1, 4, 3, 1.5), (0, 2, 2, -0.1)])
     def test_invalid_planted_weight(self, band, row, col, value):
@@ -314,7 +330,7 @@ class TestRecoveryScore:
         spec = block_spec()
         clean, _ = generate(spec, 200)
         g = build_prior(clean, spec.band_config())
-        assert recovery_score(g, g) == pytest.approx(1.0)
+        assert recovery_score(g.edges, g) == pytest.approx(1.0)
 
     def test_disjoint_supports_zero(self):
         a = np.eye(4)
@@ -343,7 +359,7 @@ class TestRecoveryScore:
         spec = block_spec(seed=42)
         clean, _ = generate(spec, 1000)
         g = build_prior(clean, spec.band_config())
-        assert recovery_score(spec, g) >= 0.9
+        assert recovery_score(spec.planted_graphs, g) >= 0.9
 
 
 class TestSpecIO:
