@@ -11,7 +11,7 @@ import gzip
 import io
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,24 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return n
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, flagged read-only."""
+    a.flags.writeable = False
+    return a
+
+
+def fields_equal(a, b):
+    """An __eq__ for dataclasses with array fields: equal when `b` is of
+    `a`'s class and every field is equal, compared by np.array_equal
+    where either side is an array."""
+    if b.__class__ is not a.__class__:
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    return all(np.array_equal(x, y)
+               if isinstance(x, np.ndarray) or isinstance(y, np.ndarray)
+               else x == y for x, y in pairs)
 
 
 def open_text(path, mode: str = "rt"):

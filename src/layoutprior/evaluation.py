@@ -234,8 +234,7 @@ def evaluate(dets: Corpus, gts: Corpus,
              config: EvalConfig = EvalConfig()) -> EvalReport:
     if dets.vocabulary.names != gts.vocabulary.names:
         raise LayoutPriorError("detection and ground-truth vocabularies differ")
-    det_ids = {l.id for l in dets.layouts}
-    gt_ids = {l.id for l in gts.layouts}
+    det_ids, gt_ids = set(dets.ids), set(gts.ids)
     if det_ids != gt_ids:
         missing = sorted(gt_ids - det_ids)
         extra = sorted(det_ids - gt_ids)
@@ -244,7 +243,7 @@ def evaluate(dets: Corpus, gts: Corpus,
             f"unknown in detections: {extra}"
         )
 
-    C, I = gts.vocabulary.size, len(dets.layouts)
+    C, I = gts.vocabulary.size, len(dets.ids)
     iou_thrs = config.iou_thresholds
     T, R = len(iou_thrs), len(config.recall_points)
     A, M = len(config.area_ranges), len(config.max_dets)
@@ -268,9 +267,9 @@ def evaluate(dets: Corpus, gts: Corpus,
 
     # A ground truth's image is the position of its layout's id among
     # the detection layouts.
-    index = {lay.id: i for i, lay in enumerate(dets.layouts)}
+    index = {lid: i for i, lid in enumerate(dets.ids)}
     g_layout, g_cls, _, g_boxes = gts.columns
-    g_img = np.array([index[lay.id] for lay in gts.layouts],
+    g_img = np.array([index[lid] for lid in gts.ids],
                      dtype=np.int64)[g_layout]
     g_key = g_cls * I + g_img
     order = np.argsort(g_key, kind="stable")

@@ -15,8 +15,17 @@ boxes becoming ``[x1, y1, x2, y2]``, and parsed as a native file is.
 
 ``Corpus.columns`` is the corpus as flat arrays, one row per component
 in layout order: layout index, class id, score (1.0 when missing) and an
-(N, 4) box array. It is built on first use, cached and read-only, and it
-is not a dataclass field: equality, hashing and ``replace`` ignore it.
+(N, 4) box array; ``Corpus.ids`` and ``Corpus.heights`` hold the layout
+ids and canvas heights. They are cached and read-only, and they are not
+dataclass fields: equality and hashing stay those of the vocabulary and
+the layouts, and ``replace`` ignores them.
+
+``load_native`` builds them from the decoded JSON in one array pass and
+builds the layout objects only when ``Corpus.layouts`` is first read.
+A file that pass cannot take, because some value is not read by numpy
+as a number or some record fails a check, goes through the per-record
+parser instead, which gives the same corpus for any file both accept and
+raises the error that names the record.
 """
 
 from __future__ import annotations
@@ -31,13 +40,31 @@ import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
                    LayoutDocument, ParseError, parse_error, read_json,
-                   write_text)
+                   read_only, write_text)
 
 
 @dataclass(frozen=True)
 class Corpus:
+    """A class vocabulary and the layouts labelled with it.
+
+    `ids`, `heights` and `columns` are derived from `layouts` on first
+    use. A corpus that `load_native` read holds them from the start, and
+    its `layouts` are built from them on first use.
+    """
+
     vocabulary: ClassVocabulary
     layouts: tuple
+
+    @cached_property
+    def ids(self) -> tuple:
+        """The layout ids, in layout order."""
+        return tuple(lay.id for lay in self.layouts)
+
+    @cached_property
+    def heights(self) -> np.ndarray:
+        """Read-only float64 canvas heights, in layout order."""
+        return read_only(np.array([lay.height for lay in self.layouts],
+                                   dtype=np.float64))
 
     @cached_property
     def columns(self):
@@ -49,11 +76,9 @@ class Corpus:
                 for i, lay in enumerate(self.layouts) for c in lay.components)
         cols = np.fromiter(itertools.chain.from_iterable(rows),
                            dtype=np.float64, count=7 * n).reshape(n, 7)
-        out = (cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
-               cols[:, 2], cols[:, 3:])
-        for a in out:
-            a.flags.writeable = False
-        return out
+        return tuple(read_only(a) for a in (
+            cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
+            cols[:, 2], cols[:, 3:]))
 
     def __post_init__(self):
         object.__setattr__(self, "layouts", tuple(self.layouts))
@@ -70,6 +95,34 @@ class Corpus:
                         f"out of range for {C} classes"
                     )
 
+    @classmethod
+    def _from_columns(cls, vocabulary, ids, widths, heights, columns,
+                      scored) -> Corpus:
+        """A corpus of checked arrays, whose `layouts` are built on first
+        use; `scored` flags the components that have a score."""
+        corpus = object.__new__(cls)
+        vars(corpus).update(vocabulary=vocabulary, ids=ids, heights=heights,
+                            columns=columns, _widths=widths, _scored=scored)
+        return corpus
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: the `layouts` of
+        # a corpus made by _from_columns, until they are first built.
+        if name != "layouts" or "_widths" not in vars(self):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        layout, cls, score, boxes = self.columns
+        bounds = np.searchsorted(layout, np.arange(len(self.ids) + 1))
+        scores = np.where(self._scored, score, None)
+        comps = [Component(BBox(*b), c, s) for b, c, s in
+                 zip(boxes.tolist(), cls.tolist(), scores.tolist())]
+        layouts = tuple(
+            LayoutDocument(i, w, h, comps[a:b]) for i, w, h, a, b in zip(
+                self.ids, self._widths.tolist(), self.heights.tolist(),
+                bounds[:-1].tolist(), bounds[1:].tolist()))
+        object.__setattr__(self, "layouts", layouts)
+        return layouts
+
 
 def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
     lid = lay["id"]
@@ -84,13 +137,12 @@ def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
     return LayoutDocument(str(lid), width, height, tuple(comps))
 
 
-def _corpus_from_obj(obj) -> Corpus:
-    if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
-            and isinstance(obj.get("layouts"), list)):
-        raise ParseError("needs a 'classes' and a 'layouts' list")
-    vocab = ClassVocabulary(tuple(obj["classes"]))
+def _parse_records(records, vocab: ClassVocabulary) -> Corpus:
+    """The corpus of the native layout `records`, parsed one record at a
+    time: the reference for _columns, and the parser whose errors name
+    the record."""
     layouts = []
-    for i, lay in enumerate(obj["layouts"]):
+    for i, lay in enumerate(records):
         try:
             layouts.append(_layout_from_obj(lay, vocab))
         except PARSE_ERRORS as e:
@@ -98,6 +150,68 @@ def _corpus_from_obj(obj) -> Corpus:
             where = f"layout {i}" if lid is None else f"layout {i}: id {lid!r}"
             raise parse_error(where, e) from None
     return Corpus(vocab, tuple(layouts))
+
+
+def _numbers(values, shape) -> np.ndarray:
+    """`values` as a float64 array of `shape`; a ValueError unless numpy
+    reads them as bool, integer or float numbers of that shape."""
+    a = np.array(values) if len(values) else np.empty(shape)
+    if a.dtype.kind not in "biuf" or a.shape != shape:
+        raise ValueError(f"not {shape} numbers")
+    return a.astype(np.float64, copy=False)
+
+
+def _columns(records, vocab: ClassVocabulary) -> Corpus:
+    """The corpus that _parse_records makes of `records`, built as arrays
+    with no layout object. Raises one of PARSE_ERRORS, with no message
+    meant for the user, wherever _parse_records would convert a value
+    numpy does not read as a number or would reject a record."""
+    ids = [str(lay["id"]) for lay in records]
+    L = len(ids)
+    widths = _numbers([lay["width"] for lay in records], (L,))
+    heights = _numbers([lay["height"] for lay in records], (L,))
+    comps = [lay.get("components", []) for lay in records]
+    counts = np.fromiter(map(len, comps), np.int64, L)
+    flat = list(itertools.chain.from_iterable(comps))
+    N = len(flat)
+    cls = np.fromiter((vocab.index(c["class"]) for c in flat), np.int64, N)
+    boxes = _numbers([c["bbox"] for c in flat], (N, 4))
+    scores = [c.get("score") for c in flat]
+    scored = np.fromiter((s is not None for s in scores), bool, N)
+    score = np.ones(N)
+    score[scored] = _numbers([s for s in scores if s is not None],
+                             (int(scored.sum()),))
+    # The checks of BBox, Component, LayoutDocument and Corpus.
+    x1, y1, x2, y2 = boxes.T
+    if not (np.isfinite(boxes).all() and (x1 <= x2).all()
+            and (y1 <= y2).all() and np.isfinite(score).all()
+            and ((0.0 < widths) & (widths < np.inf)).all()
+            and ((0.0 < heights) & (heights < np.inf)).all()
+            and len(set(ids)) == L):
+        raise ValueError("a record fails a check")
+    # BBox.clamped, in place: max(v, 0.0) keeps v, -0.0 included, unless
+    # 0.0 > v, and min(v, side) keeps v unless side < v.
+    layout = np.repeat(np.arange(L), counts)
+    corners = boxes.reshape(N, 2, 2)  # (x1, y1) and (x2, y2)
+    side = np.stack([widths, heights], axis=1)[layout][:, None, :]
+    np.copyto(corners, 0.0, where=corners < 0.0)
+    np.copyto(corners, side, where=corners > side)
+    columns = tuple(read_only(a) for a in (layout, cls, score, boxes))
+    return Corpus._from_columns(vocab, tuple(ids), read_only(widths),
+                                read_only(heights), columns, scored)
+
+
+def _corpus_from_obj(obj) -> Corpus:
+    if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
+            and isinstance(obj.get("layouts"), list)):
+        raise ParseError("needs a 'classes' and a 'layouts' list")
+    vocab = ClassVocabulary(tuple(obj["classes"]))
+    try:
+        return _columns(obj["layouts"], vocab)
+    except PARSE_ERRORS:
+        # The per-record parser converts what numpy does not read, such
+        # as a numeric string, and raises the error that names a record.
+        return _parse_records(obj["layouts"], vocab)
 
 
 def load_native(path) -> Corpus:
@@ -179,6 +293,16 @@ def load_coco(path) -> Corpus:
     return read_json(path, _coco_from_obj)
 
 
+def _coco_id(value, name: str) -> int:
+    """The COCO id `value`: an int, a string that int() reads, or a float
+    equal to its int(). A bool or a fractional float, which int() would
+    truncate, raises a ValueError naming the field."""
+    n = int(value)
+    if isinstance(value, bool) or (isinstance(value, float) and n != value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return n
+
+
 def _coco_from_obj(obj) -> Corpus:
     """The COCO document `obj` as native records, for _corpus_from_obj."""
     try:
@@ -190,18 +314,20 @@ def _coco_from_obj(obj) -> Corpus:
             "COCO input must provide 'images', 'annotations', 'categories'"
         ) from None
 
-    cats = sorted(categories, key=lambda c: int(c["id"]))
-    classes = [c["name"] for c in cats]
+    cat_ids = [_coco_id(c["id"], "category id") for c in categories]
+    cats = sorted(zip(cat_ids, categories), key=lambda ic: ic[0])
+    classes = [c["name"] for _, c in cats]
     ClassVocabulary(classes)  # checked before any annotation is resolved
-    class_of = {int(c["id"]): c["name"] for c in cats}
+    class_of = {i: c["name"] for i, c in cats}
     # A later image with the same id replaces an earlier one.
-    layouts = {int(im["id"]): {**im, "components": []} for im in images}
+    layouts = {_coco_id(im["id"], "image id"): {**im, "components": []}
+               for im in images}
 
     for ann in annotations:
-        iid = int(ann["image_id"])
+        iid = _coco_id(ann["image_id"], "image_id")
         if iid not in layouts:
             raise ParseError(f"annotation references unknown image_id {iid}")
-        cid = int(ann["category_id"])
+        cid = _coco_id(ann["category_id"], "category_id")
         if cid not in class_of:
             raise ParseError(f"annotation references unknown category_id {cid}")
         x, y, w, h = (float(v) for v in ann["bbox"])

@@ -15,8 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ClassVocabulary, LayoutDocument, ParseError, json_int,
-                   matrix_from_json, matrix_to_json, read_json, write_text)
+from .core import (ClassVocabulary, LayoutDocument, ParseError, fields_equal,
+                   json_int, matrix_from_json, matrix_to_json, read_json,
+                   read_only, write_text)
 from .ingest import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -41,17 +42,12 @@ class BandConfig:
         height; built on first use, so a graph file may name any count."""
         upper = np.arange(self.n_bands) / self.n_bands
         lower = np.minimum(upper + self.band_width_frac, 1.0)
-        return _read_only(np.stack([upper, lower], axis=1))
+        return read_only(np.stack([upper, lower], axis=1))
 
     @cached_property
     def centroids(self) -> np.ndarray:
         """Read-only band centres, (upper + lower) / 2."""
-        return _read_only((self.bounds[:, 0] + self.bounds[:, 1]) / 2.0)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        return read_only((self.bounds[:, 0] + self.bounds[:, 1]) / 2.0)
 
 
 def _stack(mats, n: int, C: int, what: str) -> np.ndarray:
@@ -65,19 +61,21 @@ def _stack(mats, n: int, C: int, what: str) -> np.ndarray:
     return np.stack(mats)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoOccurrenceGraphSet:
     vocabulary: ClassVocabulary
     band_config: BandConfig
     edges: np.ndarray  # N_g x C x C float64, read-only
     raw_counts: Optional[np.ndarray] = None  # N_g x C x C int64, read-only
 
+    __eq__ = fields_equal  # and no hash, as the arrays have none
+
     def __post_init__(self):
         C, n = self.vocabulary.size, self.band_config.n_bands
         edges = np.asarray(_stack(self.edges, n, C, "edge matrices"), float)
         if not np.all(np.isfinite(edges) & (edges >= 0.0)):
             raise ParseError("graph edges must be finite and non-negative")
-        object.__setattr__(self, "edges", _read_only(edges))
+        object.__setattr__(self, "edges", read_only(edges))
         if self.raw_counts is not None:
             raw = _stack(self.raw_counts, n, C, "raw count matrices")
             # Checked before the cast, which would wrap or truncate. A float
@@ -86,7 +84,7 @@ class CoOccurrenceGraphSet:
             if not np.all((raw >= 0) & below & (np.floor(raw) == raw)):
                 raise ParseError("raw counts must be integers in [0, 2**63)")
             object.__setattr__(self, "raw_counts",
-                               _read_only(raw.astype(np.int64)))
+                               read_only(raw.astype(np.int64)))
 
     @property
     def n_graphs(self) -> int:
@@ -125,11 +123,10 @@ def accumulate(corpus: Corpus, config: BandConfig) -> np.ndarray:
     (including itself): H^T H over the surviving layouts' class
     histograms H (layouts x classes).
     """
-    C, L = corpus.vocabulary.size, len(corpus.layouts)
+    C, L = corpus.vocabulary.size, len(corpus.ids)
     layout, cls, _, boxes = corpus.columns
-    heights = np.array([lay.height for lay in corpus.layouts])
-    member = _member((boxes[:, 1] + boxes[:, 3]) / 2.0 / heights[layout],
-                     config)
+    member = _member((boxes[:, 1] + boxes[:, 3]) / 2.0
+                     / corpus.heights[layout], config)
     # Band by band: an N_b x L x C histogram would raise the peak memory.
     counts = np.empty((config.n_bands, C, C), dtype=np.int64)
     for j in range(config.n_bands):

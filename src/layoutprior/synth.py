@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (BBox, ClassVocabulary, Component, LayoutDocument, ParseError,
-                   read_json)
+                   fields_equal, read_json, read_only)
 from .ingest import Corpus
-from .prior import BandConfig, CoOccurrenceGraphSet, _read_only
+from .prior import BandConfig, CoOccurrenceGraphSet
 
 
 def _pair(values, kind, name: str) -> tuple:
@@ -34,7 +34,7 @@ def _pair(values, kind, name: str) -> tuple:
     return tuple(values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     vocabulary: ClassVocabulary
     planted_graphs: np.ndarray       # N_b x C x C, weights in [0, 1]
@@ -45,13 +45,15 @@ class GeneratorSpec:
     noise: float = 0.0               # label-flip probability
     seed: int = 0
 
+    __eq__ = fields_equal  # and no hash, as the arrays have none
+
     def __post_init__(self):
         for name in ("planted_graphs", "class_marginals"):
             try:  # a copy, so that the caller's array stays writeable
                 a = np.array(getattr(self, name), dtype=np.float64)
             except (TypeError, ValueError) as e:  # such as a ragged list
                 raise ParseError(f"{name}: {e}") from None
-            object.__setattr__(self, name, _read_only(a))
+            object.__setattr__(self, name, read_only(a))
         graphs, marginals = self.planted_graphs, self.class_marginals
         C = self.vocabulary.size
         if marginals.shape[:1] != graphs.shape[:1]:

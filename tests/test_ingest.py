@@ -1,15 +1,19 @@
 import gzip
 import json
 import re
+from math import inf, nan
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
-                         LayoutDocument, load_coco, load_native, save_native)
-from layoutprior.core import ParseError
-from layoutprior.ingest import corpus_to_obj
+from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
+                         Corpus, LayoutDocument, build_prior, evaluate,
+                         load_coco, load_native, save_native)
+from layoutprior.core import PARSE_ERRORS, ParseError, parse_error
+from layoutprior.ingest import (_columns, _corpus_from_obj, _parse_records,
+                                corpus_to_obj)
 from layoutprior.synth import generate
 
 from conftest import FIXTURES
@@ -331,6 +335,21 @@ def _coco_without(path):
                                "bbox": [0, 0, 1]}]}, "not enough values"),
     ({**COCO, "categories": [{"id": 1, "name": 7}]}, "strings"),
     ({"images": []}, "must provide"),
+    # int() would truncate these ids, merging images 3.2 and 3.7.
+    ({**COCO, "annotations": [], "images": [
+        {"id": 3.2, "width": 1, "height": 1},
+        {"id": 3.7, "width": 1, "height": 1}]},
+     "image id must be an integer, got 3.2"),
+    ({**COCO, "annotations": [{"image_id": 1.5, "category_id": 1,
+                               "bbox": [0, 0, 1, 1]}]},
+     "image_id must be an integer, got 1.5"),
+    ({**COCO, "annotations": [{"image_id": 1, "category_id": True,
+                               "bbox": [0, 0, 1, 1]}]},
+     "category_id must be an integer, got True"),
+    ({**COCO, "categories": [{"id": 1.5, "name": "a"}]},
+     "category id must be an integer, got 1.5"),
+    ({**COCO, "images": [{"id": False, "width": 1, "height": 1}]},
+     "image id must be an integer, got False"),
 ])
 def test_coco_malformed_records_name_file(tmp_path, bad, match):
     p = write(tmp_path, bad, "coco.json")
@@ -461,3 +480,159 @@ def test_duplicate_layout_ids_rejected():
     with pytest.raises(ParseError, match="duplicate"):
         Corpus(ClassVocabulary(("A",)),
                (LayoutDocument("x", 1, 1, ()), LayoutDocument("x", 1, 1, ())))
+
+
+# The columnar loader against the per-record parser. Both must give the
+# same corpus, bit for bit, or the same error text; the columnar path
+# alone may give up on records the parser accepts, but only by raising.
+
+# Numbers both paths read: signed zeros, subnormals, values past any
+# canvas, and bools.
+_plain = st.one_of(
+    st.floats(-50.0, 400.0), st.integers(-50, 400), st.booleans(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e308,
+                     2.2250738585072014e-308, 1.7976931348623157e308]))
+# Ints that numpy reads as int64, uint64 or float64, or as objects.
+_big = st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1,
+                        2**64, 2**64 + 1, -2**63, -2**63 - 1])
+# Values the parser alone converts, or that fail one of its checks.
+_odd = st.one_of(
+    st.sampled_from(["1.5", "-0.0", " 7 ", "1_0", "1e3", "inf", "nan", "x",
+                     "", None, [], [1.0], {}]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(2**1023, 2**1030))
+_sides = st.one_of(st.floats(1.0, 500.0), st.integers(1, 500),
+                   st.sampled_from([True, 5e-324, 1e308]))
+
+
+def _ordered(xs_ys):
+    """A box of two x and two y values, each pair in order."""
+    xa, xb, ya, yb = xs_ys
+    return [min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb)]
+
+
+def _layouts(numbers, boxes=st.nothing(), scores=st.nothing(),
+             sides=st.nothing(), ids=st.text("abc", max_size=2),
+             components=st.sampled_from(["", {}])):
+    """Layout records: ordered boxes of `numbers`, scores that are absent,
+    None, 1.0 or `numbers`, sides from _sides, and each strategy given
+    added to the choices of its field."""
+    comp = st.fixed_dictionaries(
+        {"bbox": st.one_of(st.tuples(numbers, numbers, numbers,
+                                     numbers).map(_ordered), boxes),
+         "class": st.sampled_from(["A", "B", "C"])},
+        optional={"score": st.one_of(st.none(), st.just(1.0), numbers,
+                                     scores)})
+    return st.fixed_dictionaries(
+        {"id": ids, "width": st.one_of(_sides, sides),
+         "height": st.one_of(_sides, sides)},
+        optional={"components": st.one_of(st.lists(comp, max_size=4),
+                                          components)})
+
+
+def _valid_records(numbers):
+    return st.lists(_layouts(numbers), max_size=3,
+                    unique_by=lambda lay: lay["id"])
+
+
+# A value that fails one check of the per-record parser, by the field
+# of _faulty_records' layout or component it replaces.
+_FAULTS = {
+    "bbox": [[5, 0, 1, 1], [0, 5, 1, 1], [0, 0, inf, 1], [nan, 0, 1, 1],
+             [-inf, 0, 1, 1]],
+    "score": [nan, inf, -inf],
+    "class": ["Z", ["A"]],
+    "width": [0, -1.0, inf, nan],
+    "height": [0, -0.0, inf, nan],
+}
+
+
+@st.composite
+def _faulty_records(draw):
+    """Valid records and, at any position, a layout that fails one check:
+    it holds a faulty value, or a later layout has the same id."""
+    records = draw(_valid_records(_plain))
+    comp = {"bbox": [1, 2, 3, 4], "class": "A", "score": 0.5}
+    lay = {"id": "f", "width": 10.0, "height": 10.0, "components": [comp]}
+    key = draw(st.sampled_from(["id", *_FAULTS]))
+    if key == "id":
+        records.append(dict(lay))
+    else:
+        target = lay if key in ("width", "height") else comp
+        target[key] = draw(st.sampled_from(_FAULTS[key]))
+    records.insert(draw(st.integers(0, len(records))), lay)
+    return records
+
+
+# Records of any kind: odd values in every field, repeated ids, missing
+# ids and records that are not objects.
+_any_records = st.lists(st.one_of(
+    _layouts(st.one_of(_plain, _big),
+             boxes=st.one_of(st.lists(st.one_of(_plain, _odd), min_size=4,
+                                      max_size=4),
+                             st.lists(_plain, min_size=3, max_size=5),
+                             st.sampled_from(["1234", None, {
+                                 "1": 0, "2": 0, "3": 1, "4": 1}])),
+             scores=_odd, sides=st.one_of(_plain, _big, _odd),
+             ids=st.sampled_from(["a", "b", 1, "1", 2.5]),
+             components=st.sampled_from(["", {}, None, "ab", {"k": 1}])),
+    st.fixed_dictionaries({"width": _sides, "height": _sides}),
+    st.sampled_from([["a"], "a", None, 3])), max_size=3)
+
+
+def _load(records, vocab):
+    """The corpus load_native makes of a file holding `records`."""
+    return _corpus_from_obj({"classes": list(vocab.names),
+                             "layouts": records})
+
+
+def _outcome(parse, records, vocab):
+    """What `parse` makes of `records`: every array and number of the
+    corpus exactly, or the error text."""
+    try:
+        corpus = parse(records, vocab)
+    except PARSE_ERRORS as e:
+        return "error", str(parse_error("f", e))
+    return ("corpus", dumped(corpus), corpus.ids,
+            corpus.heights.dtype, corpus.heights.tobytes(),
+            [(a.dtype, a.shape, a.tobytes()) for a in corpus.columns])
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.one_of(_valid_records(_plain),
+                 _valid_records(st.one_of(_plain, _plain, _big)),
+                 _faulty_records(), _any_records))
+@example([{"id": "z", "width": 10, "height": 10, "components": [
+    {"bbox": [-0.0, -0.0, 20.0, 5e-324], "class": "A"}]}])
+@example([{"id": "e", "width": 10, "height": 10, "components": ""},
+          {"id": "f", "width": 10, "height": 10, "components": {}}])
+@example([{"id": "s", "width": "10", "height": 10, "components": [
+    {"bbox": ["1.5", True, 2, 3], "class": "B", "score": "0.5"}]}])
+@example([{"id": "n", "width": 2**64, "height": 2**63, "components": [
+    {"bbox": [2**63 + 1, 0, 2**64 + 1, 1], "class": "C", "score": 1.0},
+    {"bbox": [0, 0, 1, 1], "class": "C"}]}])
+def test_columnar_loader_matches_record_parser(records):
+    vocab = ClassVocabulary(("A", "B", "C"))
+    want = _outcome(_parse_records, records, vocab)
+    assert _outcome(_load, records, vocab) == want
+    got = _outcome(_columns, records, vocab)
+    if want[0] == "error":
+        assert got[0] == "error"
+    elif got[0] == "corpus":
+        assert got == want
+
+
+def test_columnar_loader_builds_no_layouts(tmp_path):
+    corpus = load_native(write(tmp_path, NATIVE))
+    # The prior and the evaluation read the arrays alone.
+    build_prior(corpus, BandConfig(2))
+    evaluate(corpus, corpus)
+    assert "layouts" not in vars(corpus)
+    assert corpus.ids == ("a",) and corpus.heights.tolist() == [200.0]
+    assert not corpus.heights.flags.writeable
+    assert corpus.layouts == _parse_records(NATIVE["layouts"],
+                                            corpus.vocabulary).layouts
+    assert corpus.layouts is corpus.layouts
+    with pytest.raises(AttributeError, match="'Corpus' object has no "
+                                             "attribute 'layout'"):
+        corpus.layout

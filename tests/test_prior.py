@@ -197,6 +197,18 @@ class TestNormalize:
             with pytest.raises(ValueError, match="read-only"):
                 stack[0, 0, 1] = 7
 
+    def test_equality_is_field_wise(self, three_box_corpus):
+        g = build_prior(three_box_corpus, BandConfig(2), keep_raw=True)
+        assert g == build_prior(three_box_corpus, BandConfig(2), keep_raw=True)
+        assert g != build_prior(three_box_corpus, BandConfig(2))
+        assert g != build_prior(three_box_corpus, BandConfig(2, 1.0),
+                                keep_raw=True)
+        edges = g.edges.copy()
+        edges[1, 0, 1] = 0.25
+        assert g != replace(g, edges=edges) and g != "graphs"
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(g)
+
     def test_uniform_counts(self):
         g = normalize([np.array([[1, 1], [1, 1]])], self.vocab(2), BandConfig(1))
         assert np.allclose(g.edges[0], [[1, 0.5], [0.5, 1]])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,6 +298,17 @@ class TestGenerate:
                           (spec.class_marginals, marginals)):
             assert got.dtype == np.float64 and np.array_equal(got, want)
             assert not got.flags.writeable and want.flags.writeable
+
+    def test_equality_is_field_wise(self):
+        spec = block_spec()
+        assert spec == block_spec() and not spec != block_spec()
+        assert spec != block_spec(seed=1) and spec != block_spec(noise=0.3)
+        graphs = spec.planted_graphs.copy()
+        graphs[1, 0, 1] = 0.5
+        assert spec != replace(spec, planted_graphs=graphs)
+        assert spec != spec_to_obj(spec)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(spec)
 
     @pytest.mark.parametrize("field", ["planted_graphs", "class_marginals"])
     def test_ragged_stack_names_field(self, field):
