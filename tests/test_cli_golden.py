@@ -3,7 +3,8 @@ its stdout and stderr, on small fixed inputs.
 
 The inputs are the eval fixture, a hand-written native corpus with int,
 negative, signed-zero and past-the-canvas coordinates and absent and
-present scores, and `block_spec` corpora made by `synth`. A change that
+present scores, and `block_spec` corpora made by `synth`, two of them on
+int canvases, one side beyond int64. A change that
 alters any byte of any output fails here; a deliberate change of an
 output format re-pins the digests and says why.
 """
@@ -54,6 +55,10 @@ def digests(d) -> dict:
     by name, and each run's stdout and stderr under its label."""
     spec, odd = d / "spec.json", d / "odd.json"
     spec.write_text(json.dumps(spec_to_obj(block_spec(noise=0.3, seed=3))))
+    int_spec, huge_spec = d / "int_spec.json", d / "huge_spec.json"
+    for path, canvas in ((int_spec, [300, 500]), (huge_spec, [640, 10**30])):
+        path.write_text(json.dumps(
+            {**spec_to_obj(block_spec(noise=0.3, seed=5)), "canvas": canvas}))
     odd.write_text(json.dumps(ODD))
     rng = np.random.Generator(np.random.PCG64(11))
     W, Z = d / "W.json", d / "Z.json"
@@ -71,7 +76,9 @@ def digests(d) -> dict:
     f = {name: d / name for name in (
         "clean.json", "noisy.json", "g.json", "g.dot", "g2.json", "g2.dot",
         "go.json", "go.dot", "r.json", "r2.json", "ro.json", "f.json",
-        "f2.json", "l.svg", "lo.svg", "le.svg")}
+        "f2.json", "l.svg", "lo.svg", "le.svg", "ic.json", "in.json",
+        "ig.json", "ir.json", "il.svg", "hc.json", "hn.json", "hg.json",
+        "hr.json", "hl.svg")}
     std = {
         "synth": run(["synth", spec, "--n", "40", "--seed", "7",
                       "--out-clean", f["clean.json"],
@@ -110,6 +117,19 @@ def digests(d) -> dict:
         "render-odd": run(["render", odd, "ints", "--out", f["lo.svg"]]),
         "render-empty": run(["render", odd, "empty", "--out", f["le.svg"]]),
     }
+    for p, spec_path in (("i", int_spec), ("h", huge_spec)):
+        std.update({
+            f"synth-{p}": run(["synth", spec_path, "--n", "5",
+                               "--out-clean", f[f"{p}c.json"],
+                               "--out-noisy", f[f"{p}n.json"]]),
+            f"build-prior-{p}": run(["build-prior", f[f"{p}c.json"],
+                                     "--keep-raw", "--bands", "2",
+                                     "--out", f[f"{p}g.json"]]),
+            f"rescore-{p}": run(["rescore", f[f"{p}n.json"], f[f"{p}g.json"],
+                                 "--out", f[f"{p}r.json"]]),
+            f"render-{p}": run(["render", f[f"{p}n.json"], "synth-00002",
+                                "--out", f[f"{p}l.svg"]]),
+        })
     out = {name: hashlib.sha256(p.read_bytes()).hexdigest()
            for name, p in f.items()}
     out.update({f"{label} stdio": hashlib.sha256(text.encode()).hexdigest()
@@ -181,6 +201,42 @@ PINNED = {
     "render-odd stdio":
         "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
     "render-empty stdio":
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    "ic.json":
+        "85589c256e88a4f0031ede077939151ab4bb910e92f4b2cbedac69a328d45464",
+    "in.json":
+        "9410c84b7b98196d15aeced6c77ffba97f7a87e864ecd38149627d56457221de",
+    "ig.json":
+        "2e8edbc0d29dfbd7a1ee4912425acd92d7a86feabf625e4e36fe44dad341957e",
+    "ir.json":
+        "7e2bfccc44f19f776c6e303b2998fd0b226ea346bac182c4dc309a43e648a266",
+    "il.svg":
+        "3bbf586da047886d23786541bfcc384dace0970356cddbfe3a9529d072ae1576",
+    "hc.json":
+        "a4ea3dedbc0bffaa3e938c10f531126692842efb4b65fa139acea157c73de38a",
+    "hn.json":
+        "3a6fecd7892ac7f84a665d854e9de95c9f81c50265ed9a3ed8ee4a3777fc9ee8",
+    "hg.json":
+        "2e8edbc0d29dfbd7a1ee4912425acd92d7a86feabf625e4e36fe44dad341957e",
+    "hr.json":
+        "58c88ab11e6f3111b060c7f87e0ac79220c2c5400f676d70a419d6e11eda456b",
+    "hl.svg":
+        "ae6f71cf74f35367405d76c2d6a6d79cdb2a22e69c713eb0ca8b6a4eb5d7bf9e",
+    "synth-i stdio":
+        "4aa2145c45f075a75336a84b0f1be377420e06bd9b3e4dafca26750f1c993e7a",
+    "build-prior-i stdio":
+        "71fcccf6c6721391bef8d05fa164d0f72bbe147c145bef2e4d8a047cc771e2bd",
+    "rescore-i stdio":
+        "03980a829280423aae2a31e496835f845e5a425cf159d0cc5ae67c42c70e8dd3",
+    "render-i stdio":
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    "synth-h stdio":
+        "4aa2145c45f075a75336a84b0f1be377420e06bd9b3e4dafca26750f1c993e7a",
+    "build-prior-h stdio":
+        "71fcccf6c6721391bef8d05fa164d0f72bbe147c145bef2e4d8a047cc771e2bd",
+    "rescore-h stdio":
+        "03980a829280423aae2a31e496835f845e5a425cf159d0cc5ae67c42c70e8dd3",
+    "render-h stdio":
         "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
 }
 
