@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .core import (BBox, ClassVocabulary, Component, LayoutDocument,
                    LayoutPriorError, ParseError, ProposalBatch, ShapeError,
-                   iou, load_matrix, matmul, row_softmax, save_matrix)
+                   load_matrix, matmul, row_softmax, save_matrix)
 from .ingest import Corpus, load_coco, load_native, save_native
 from .prior import (BandConfig, CoOccurrenceGraphSet, accumulate,
                     band_membership, build_prior, load_graphs, normalize,

@@ -75,7 +75,7 @@ def cmd_rescore(args) -> int:
     graphs = load_graphs(args.graphs)
     out = rescore_corpus(corpus, graphs, config, confidence=args.confidence)
     save_native(out, args.out)
-    print(f"re-scored {len(out.layouts)} layouts (lambda={args.blend})",
+    print(f"re-scored {len(out.ids)} layouts (lambda={args.blend})",
           file=sys.stderr)
     return 0
 
@@ -106,10 +106,11 @@ def cmd_synth(args) -> int:
 
 def cmd_render(args) -> int:
     corpus = load_native(args.corpus)
-    by_id = {l.id: l for l in corpus.layouts}
-    if args.layout_id not in by_id:
+    if args.layout_id not in corpus.ids:
         raise ParseError(f"unknown layout id: {args.layout_id}")
-    write_text(args.out, [render_layout_svg(by_id[args.layout_id], corpus)])
+    i = corpus.ids.index(args.layout_id)
+    (layout,) = corpus.build_layouts(i, i + 1)
+    write_text(args.out, [render_layout_svg(layout, corpus)])
     return 0
 
 

@@ -60,7 +60,7 @@ def band_association(proposals: ProposalBatch, bands: BandConfig,
     if policy.kind is AssociationKind.EQUAL:
         return np.full((n_r, n_g), 1.0 / n_g)
 
-    yc = np.array([b.center()[1] for b in proposals.boxes])
+    yc = np.array([(b.y1 + b.y2) / 2.0 for b in proposals.boxes])
     delta = yc[:, None] / proposals.layout_height - bands.centroids[None, :]
 
     if policy.kind is AssociationKind.SINGLE:

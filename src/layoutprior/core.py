@@ -146,12 +146,6 @@ class BBox:
                 "coordinates must be finite with x1 <= x2 and y1 <= y2"
             )
 
-    def center(self):
-        return (self.x1 + self.x2) / 2.0, (self.y1 + self.y2) / 2.0
-
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
     def clamped(self, width: float, height: float) -> "BBox":
         return BBox(
             min(max(self.x1, 0.0), width),
@@ -216,7 +210,7 @@ class ProposalBatch:
 
 
 def box_areas(boxes: np.ndarray) -> np.ndarray:
-    """Areas of a (..., 4) array of x1, y1, x2, y2 rows, as in BBox.area."""
+    """Areas of a (..., 4) array of x1, y1, x2, y2 rows."""
     return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
@@ -234,13 +228,6 @@ def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union = box_areas(a) + box_areas(b) - inter
     positive = union > 0.0
     return np.where(positive, inter / np.where(positive, union, 1.0), 0.0)
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes; see iou_matrix."""
-    a = np.array([[a.x1, a.y1, a.x2, a.y2]], dtype=np.float64)
-    b = np.array([[b.x1, b.y1, b.x2, b.y2]], dtype=np.float64)
-    return float(iou_matrix(a, b)[0, 0])
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Corpus loading and saving: native layout JSON and COCO-style imports.
+"""Corpora as arrays, and native layout JSON and COCO-style imports.
 
 Native corpus format::
 
@@ -13,19 +13,17 @@ Native corpus format::
 A COCO document is translated into native records, its ``[x, y, w, h]``
 boxes becoming ``[x1, y1, x2, y2]``, and parsed as a native file is.
 
-``Corpus.columns`` is the corpus as flat arrays, one row per component
-in layout order: layout index, class id, score (1.0 when missing) and an
-(N, 4) box array; ``Corpus.ids`` and ``Corpus.heights`` hold the layout
-ids and canvas heights. They are cached and read-only, and they are not
-dataclass fields: equality and hashing stay those of the vocabulary and
-the layouts, and ``replace`` ignores them.
-
-``load_native`` builds them from the decoded JSON in one array pass and
-builds the layout objects only when ``Corpus.layouts`` is first read.
-A file that pass cannot take, because some value is not read by numpy
-as a number or some record fails a check, goes through the per-record
-parser instead, which gives the same corpus for any file both accept and
-raises the error that names the record.
+A `Corpus` is its arrays: the layout ids and canvas sides, and one row
+per component in layout order; corpora compare field by field.
+`Corpus.layouts` is a view of them as `LayoutDocument` objects, built
+on first use. `Corpus.from_layouts` makes a corpus of such objects, its
+numbers as float64 but for int canvas sides, so that `save_native`,
+which writes the arrays, writes what `load_native` reads back.
+`load_native` builds the arrays from the decoded JSON in one pass. A
+file that pass cannot take, because some value is not read by numpy as
+a number or some record fails a check, goes through the per-record
+parser instead, which gives the same corpus for any file both accept
+and raises the error that names the record.
 """
 
 from __future__ import annotations
@@ -33,95 +31,117 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
-                   LayoutDocument, ParseError, parse_error, read_json,
-                   read_only, write_text)
+                   LayoutDocument, ParseError, fields_equal, parse_error,
+                   read_json, read_only, write_text)
 
 
-@dataclass(frozen=True)
+def _sides(values) -> np.ndarray:
+    """A canvas column: ints as numpy reads them (int64, or objects past
+    its range) when every side is an int, float64 otherwise."""
+    ints = all(type(v) is int for v in values)
+    return np.array(values, dtype=None if ints else np.float64)
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
-    """A class vocabulary and the layouts labelled with it.
+    """A class vocabulary and the layouts labelled with it, as arrays.
 
-    `ids`, `heights` and `columns` are derived from `layouts` on first
-    use. A corpus that `load_native` read holds them from the start, and
-    its `layouts` are built from them on first use.
+    Per layout, in layout order: `ids` and the canvas `widths` and
+    `heights`. Per component, in layout order: `index`, its layout's
+    position; `class_id`; `score`, 1.0 where absent, and `scored`, which
+    flags the scores present; and `boxes`, (N, 4) rows of x1, y1, x2,
+    y2. Every array is read-only, and corpora compare field by field.
     """
 
     vocabulary: ClassVocabulary
-    layouts: tuple
+    ids: tuple
+    widths: np.ndarray
+    heights: np.ndarray
+    index: np.ndarray
+    class_id: np.ndarray
+    score: np.ndarray
+    scored: np.ndarray
+    boxes: np.ndarray
 
-    @cached_property
-    def ids(self) -> tuple:
-        """The layout ids, in layout order."""
-        return tuple(lay.id for lay in self.layouts)
+    __eq__ = fields_equal
 
-    @cached_property
-    def heights(self) -> np.ndarray:
-        """Read-only float64 canvas heights, in layout order."""
-        return read_only(np.array([lay.height for lay in self.layouts],
-                                   dtype=np.float64))
-
-    @cached_property
-    def columns(self):
-        """(layout, class_id, score, boxes) arrays; see the module
-        docstring. A box row is x1, y1, x2, y2."""
-        n = sum(len(lay.components) for lay in self.layouts)
-        rows = ((i, c.class_id, 1.0 if c.score is None else c.score,
-                 c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
-                for i, lay in enumerate(self.layouts) for c in lay.components)
-        cols = np.fromiter(itertools.chain.from_iterable(rows),
-                           dtype=np.float64, count=7 * n).reshape(n, 7)
-        return tuple(read_only(a) for a in (
-            cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
-            cols[:, 2], cols[:, 3:]))
+    def __hash__(self):
+        return hash((self.vocabulary, self.ids))
 
     def __post_init__(self):
-        object.__setattr__(self, "layouts", tuple(self.layouts))
-        ids = Counter(l.id for l in self.layouts)
-        if len(ids) != len(self.layouts):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for f in fields(self)[2:]:
+            object.__setattr__(self, f.name,
+                               read_only(np.asarray(getattr(self, f.name))))
+        ids = Counter(self.ids)
+        if len(ids) != len(self.ids):
             dupes = sorted(i for i, n in ids.items() if n > 1)
             raise ParseError(f"duplicate layout ids in corpus: {dupes}")
         C = self.vocabulary.size
-        for layout in self.layouts:
-            for comp in layout.components:
-                if not (0 <= comp.class_id < C):
-                    raise ParseError(
-                        f"layout {layout.id!r}: class id {comp.class_id} "
-                        f"out of range for {C} classes"
-                    )
+        bad = np.flatnonzero((self.class_id < 0) | (self.class_id >= C))
+        if len(bad):
+            k = bad[0]
+            raise ParseError(f"layout {self.ids[self.index[k]]!r}: class "
+                             f"id {self.class_id[k]} out of range for {C} "
+                             "classes")
 
     @classmethod
-    def _from_columns(cls, vocabulary, ids, widths, heights, columns,
-                      scored) -> Corpus:
-        """A corpus of checked arrays, whose `layouts` are built on first
-        use; `scored` flags the components that have a score."""
-        corpus = object.__new__(cls)
-        vars(corpus).update(vocabulary=vocabulary, ids=ids, heights=heights,
-                            columns=columns, _widths=widths, _scored=scored)
-        return corpus
+    def from_layouts(cls, vocabulary: ClassVocabulary, layouts) -> Corpus:
+        """The corpus of the LayoutDocument objects `layouts`. Ids go
+        through str(); coordinates and scores become float64, and so do
+        the canvas sides unless every side of a column is an int."""
+        layouts = tuple(layouts)
+        n = sum(len(lay.components) for lay in layouts)
+        rows = ((i, c.class_id, 1.0 if c.score is None else c.score,
+                 c.score is not None, c.bbox.x1, c.bbox.y1, c.bbox.x2,
+                 c.bbox.y2)
+                for i, lay in enumerate(layouts) for c in lay.components)
+        cols = np.fromiter(itertools.chain.from_iterable(rows),
+                           dtype=np.float64, count=8 * n).reshape(n, 8)
+        return cls(vocabulary, tuple(str(lay.id) for lay in layouts),
+                   _sides([lay.width for lay in layouts]),
+                   _sides([lay.height for lay in layouts]),
+                   cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
+                   cols[:, 2], cols[:, 3].astype(bool), cols[:, 4:])
 
-    def __getattr__(self, name):
-        # Reached only for an attribute that is not set: the `layouts` of
-        # a corpus made by _from_columns, until they are first built.
-        if name != "layouts" or "_widths" not in vars(self):
-            raise AttributeError(
-                f"{type(self).__name__!r} object has no attribute {name!r}")
-        layout, cls, score, boxes = self.columns
-        bounds = np.searchsorted(layout, np.arange(len(self.ids) + 1))
-        scores = np.where(self._scored, score, None)
-        comps = [Component(BBox(*b), c, s) for b, c, s in
-                 zip(boxes.tolist(), cls.tolist(), scores.tolist())]
-        layouts = tuple(
-            LayoutDocument(i, w, h, comps[a:b]) for i, w, h, a, b in zip(
-                self.ids, self._widths.tolist(), self.heights.tolist(),
-                bounds[:-1].tolist(), bounds[1:].tolist()))
-        object.__setattr__(self, "layouts", layouts)
-        return layouts
+    @cached_property
+    def columns(self) -> tuple:
+        """(index, class_id, score, boxes), for the stages that read the
+        components as arrays."""
+        return self.index, self.class_id, self.score, self.boxes
+
+    @cached_property
+    def offsets(self) -> list:
+        """Where each layout's components start in the component arrays,
+        and where the last one ends: len(ids) + 1 ints."""
+        return np.searchsorted(self.index,
+                               np.arange(len(self.ids) + 1)).tolist()
+
+    @cached_property
+    def layouts(self) -> tuple:
+        """The layouts as LayoutDocument objects, built on first use."""
+        return self.build_layouts(0, len(self.ids))
+
+    def build_layouts(self, start: int, stop: int) -> tuple:
+        """New LayoutDocument objects for the layouts at positions
+        `start` to `stop`, 0 <= start <= stop <= len(ids)."""
+        cuts = self.offsets[start:stop + 1]
+        a, b = cuts[0], cuts[-1]
+        scores = np.where(self.scored[a:b], self.score[a:b], None)
+        boxes = map(BBox, *self.boxes[a:b].T.tolist())
+        comps = list(map(Component, boxes, self.class_id[a:b].tolist(),
+                         scores.tolist()))
+        return tuple(
+            LayoutDocument(i, w, h, comps[lo - a:hi - a])
+            for i, w, h, lo, hi in zip(
+                self.ids[start:stop], self.widths[start:stop].tolist(),
+                self.heights[start:stop].tolist(), cuts, cuts[1:]))
 
 
 def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
@@ -149,7 +169,7 @@ def _parse_records(records, vocab: ClassVocabulary) -> Corpus:
             lid = lay.get("id") if isinstance(lay, dict) else None
             where = f"layout {i}" if lid is None else f"layout {i}: id {lid!r}"
             raise parse_error(where, e) from None
-    return Corpus(vocab, tuple(layouts))
+    return Corpus.from_layouts(vocab, layouts)
 
 
 def _numbers(values, shape) -> np.ndarray:
@@ -181,13 +201,13 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     score = np.ones(N)
     score[scored] = _numbers([s for s in scores if s is not None],
                              (int(scored.sum()),))
-    # The checks of BBox, Component, LayoutDocument and Corpus.
+    # The checks of BBox, Component and LayoutDocument, which must come
+    # before the clamp; Corpus checks the ids.
     x1, y1, x2, y2 = boxes.T
     if not (np.isfinite(boxes).all() and (x1 <= x2).all()
             and (y1 <= y2).all() and np.isfinite(score).all()
             and ((0.0 < widths) & (widths < np.inf)).all()
-            and ((0.0 < heights) & (heights < np.inf)).all()
-            and len(set(ids)) == L):
+            and ((0.0 < heights) & (heights < np.inf)).all()):
         raise ValueError("a record fails a check")
     # BBox.clamped, in place: max(v, 0.0) keeps v, -0.0 included, unless
     # 0.0 > v, and min(v, side) keeps v unless side < v.
@@ -196,9 +216,8 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     side = np.stack([widths, heights], axis=1)[layout][:, None, :]
     np.copyto(corners, 0.0, where=corners < 0.0)
     np.copyto(corners, side, where=corners > side)
-    columns = tuple(read_only(a) for a in (layout, cls, score, boxes))
-    return Corpus._from_columns(vocab, tuple(ids), read_only(widths),
-                                read_only(heights), columns, scored)
+    return Corpus(vocab, ids, widths, heights, layout, cls, score, scored,
+                  boxes)
 
 
 def _corpus_from_obj(obj) -> Corpus:
@@ -218,73 +237,56 @@ def load_native(path) -> Corpus:
     return read_json(path, _corpus_from_obj)
 
 
-def _layout_to_obj(lay: LayoutDocument, names: tuple) -> dict:
-    comps = []
-    for c in lay.components:
-        entry = {
-            "bbox": [c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2],
-            "class": names[c.class_id],
-        }
-        if c.score is not None:
-            entry["score"] = c.score
-        comps.append(entry)
-    return {"id": lay.id, "width": lay.width, "height": lay.height,
-            "components": comps}
-
-
 def corpus_to_obj(corpus: Corpus) -> dict:
     names = corpus.vocabulary.names
-    return {"classes": list(names),
-            "layouts": [_layout_to_obj(lay, names) for lay in corpus.layouts]}
+    return {"classes": list(names), "layouts": [
+        {"id": lay.id, "width": lay.width, "height": lay.height,
+         "components": [
+             {"bbox": [c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2],
+              "class": names[c.class_id],
+              **({} if c.score is None else {"score": c.score})}
+             for c in lay.components]}
+        for lay in corpus.layouts]}
 
 
 # `save_native` writes what json.dump(corpus_to_obj(c), f, indent=1,
 # sort_keys=True) writes, from these templates for the depth each part
-# sits at in the document.
+# sits at in the document. A number is formatted by %r: float.__repr__,
+# json's float format, or an int's digits.
 _str = json.encoder.encode_basestring_ascii
-_float = float.__repr__  # json's float format; TypeError for a non-float
-_COMPONENT = ("    {\n     \"bbox\": [\n      %s,\n      %s,\n      %s,\n"
-              "      %s\n     ],\n     \"class\": %s%s\n    }")
-_SCORE = ",\n     \"score\": "
-_LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %s,\n"
-           "   \"id\": %s,\n   \"width\": %s\n  }")
+_COMPONENT = ("    {\n     \"bbox\": [\n      %r,\n      %r,\n      %r,\n"
+              "      %r\n     ],\n     \"class\": %s%s\n    }")
+_SCORE = ",\n     \"score\": %r"
+_LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %r,\n"
+           "   \"id\": %s,\n   \"width\": %r\n  }")
 
 
-def _layout_json(lay: LayoutDocument, names: tuple, encoded: tuple) -> str:
-    """The layout's entry as json.dump writes it inside the document;
-    `encoded` holds the JSON strings of the class `names`.
-
-    Float numbers and a string id take the templates; any other value,
-    such as an int canvas side, sends the layout through json.dumps,
-    indented to its depth (its output holds no raw newline but the ones
-    indent writes).
-    """
-    try:
+def _layout_texts(corpus: Corpus, encoded: tuple):
+    """Each layout's entry as json.dump writes it inside the document,
+    one at a time; `encoded` holds the JSON strings of the class names."""
+    cuts = corpus.offsets
+    for lid, w, h, a, b in zip(corpus.ids, corpus.widths.tolist(),
+                               corpus.heights.tolist(), cuts, cuts[1:]):
         comps = ",\n".join([
-            _COMPONENT % (_float(c.bbox.x1), _float(c.bbox.y1),
-                          _float(c.bbox.x2), _float(c.bbox.y2),
-                          encoded[c.class_id],
-                          "" if c.score is None else _SCORE + _float(c.score))
-            for c in lay.components])
-        return _LAYOUT % (f"[\n{comps}\n   ]" if comps else "[]",
-                          _float(lay.height), _str(lay.id), _float(lay.width))
-    except TypeError:
-        text = json.dumps(_layout_to_obj(lay, names), indent=1, sort_keys=True)
-        return "  " + text.replace("\n", "\n  ")
+            _COMPONENT % (*box, encoded[c], _SCORE % s if has else "")
+            for box, c, s, has in zip(
+                corpus.boxes[a:b].tolist(), corpus.class_id[a:b].tolist(),
+                corpus.score[a:b].tolist(), corpus.scored[a:b].tolist())])
+        yield _LAYOUT % (f"[\n{comps}\n   ]" if comps else "[]", h, _str(lid),
+                         w)
 
 
 def save_native(corpus: Corpus, path) -> None:
     """Write `corpus` as native JSON, one layout at a time; the bytes are
     json.dump(corpus_to_obj(corpus), f, indent=1, sort_keys=True) and a
     newline."""
-    names = corpus.vocabulary.names
-    encoded = tuple(_str(n) for n in names)
+    encoded = tuple(_str(n) for n in corpus.vocabulary.names)
     classes = ",\n".join("  " + n for n in encoded)
-    layouts = ((",\n" if i else "\n") + _layout_json(lay, names, encoded)
-               for i, lay in enumerate(corpus.layouts))
+    layouts = ((",\n" if i else "\n") + text
+               for i, text in enumerate(_layout_texts(corpus, encoded)))
     write_text(path, itertools.chain(
         [f"{{\n \"classes\": [\n{classes}\n ],\n \"layouts\": ["], layouts,
-        ["\n ]\n}\n" if corpus.layouts else "]\n}\n"]))
+         ["\n ]\n}\n" if corpus.ids else "]\n}\n"]))
 
 
 def load_coco(path) -> Corpus:

@@ -15,9 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ClassVocabulary, LayoutDocument, ParseError, fields_equal,
-                   json_int, matrix_from_json, matrix_to_json, read_json,
-                   read_only, write_text)
+from .core import (ClassVocabulary, ParseError, fields_equal, json_int,
+                   matrix_from_json, matrix_to_json, read_json, read_only,
+                   write_text)
 from .ingest import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -95,23 +95,17 @@ class CoOccurrenceGraphSet:
         return self.band_config
 
 
-def _member(t: np.ndarray, config: BandConfig) -> np.ndarray:
-    """Boxes x bands flags of the rule in band_membership, for an array
-    of box centres t as fractions of the canvas height."""
+def band_membership(t: np.ndarray, config: BandConfig) -> np.ndarray:
+    """Boxes x bands membership flags for an array `t` of box centres as
+    fractions of the canvas height, center_y / H.
+
+    A box belongs to band j when upper_j <= t < lower_j (half-open); a
+    center exactly at the bottom edge belongs to every band whose lower
+    bound is 1.
+    """
     upper, lower = config.bounds.T
     t = t[:, None]
     return (t >= upper) & ((t < lower) | ((t == 1.0) & (lower == 1.0)))
-
-
-def band_membership(layout: LayoutDocument, config: BandConfig) -> np.ndarray:
-    """0/1 membership matrix, boxes x bands.
-
-    A box belongs to band j when upper_j <= center_y/H < lower_j
-    (half-open); a center exactly at the bottom edge belongs to every
-    band whose lower bound is 1.
-    """
-    t = np.array([(c.bbox.y1 + c.bbox.y2) / 2.0 for c in layout.components])
-    return _member(t / layout.height, config).astype(np.int64)
 
 
 def accumulate(corpus: Corpus, config: BandConfig) -> np.ndarray:
@@ -125,8 +119,8 @@ def accumulate(corpus: Corpus, config: BandConfig) -> np.ndarray:
     """
     C, L = corpus.vocabulary.size, len(corpus.ids)
     layout, cls, _, boxes = corpus.columns
-    member = _member((boxes[:, 1] + boxes[:, 3]) / 2.0
-                     / corpus.heights[layout], config)
+    member = band_membership((boxes[:, 1] + boxes[:, 3]) / 2.0
+                             / corpus.heights[layout], config)
     # Band by band: an N_b x L x C histogram would raise the peak memory.
     counts = np.empty((config.n_bands, C, C), dtype=np.int64)
     for j in range(config.n_bands):

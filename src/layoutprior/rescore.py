@@ -14,7 +14,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import Component, LayoutDocument, ParseError, ProposalBatch, row_softmax
+from .core import BBox, LayoutDocument, ParseError, ProposalBatch, row_softmax
 from .conditioning import AssociationPolicy, band_association
 from .ingest import Corpus
 from .prior import CoOccurrenceGraphSet
@@ -73,38 +73,46 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
                          detections.layout_height, detections.features)
 
 
+def _label_batch(boxes: tuple, class_id, score: np.ndarray, height,
+                 n_classes: int, confidence: float) -> ProposalBatch:
+    """labels_to_logits of a layout given as its BBox objects, class ids,
+    scores (1.0 where absent) and canvas height."""
+    if not np.isfinite(confidence):
+        raise ParseError(f"label confidence must be finite, got {confidence}")
+    conf = np.minimum(np.maximum(confidence * score, 1.0 / n_classes),
+                      1.0 - 1e-9)
+    probs = np.repeat(((1.0 - conf) / max(n_classes - 1, 1))[:, None],
+                      n_classes, axis=1)
+    probs[np.arange(len(boxes)), class_id] = conf
+    return ProposalBatch(boxes, np.log(probs), height)
+
+
 def labels_to_logits(layout: LayoutDocument, n_classes: int,
                      confidence: float = 0.8) -> ProposalBatch:
     """Soft logits from labeled components: mass `confidence` on the
     label (scaled by the component score when present), remainder uniform."""
-    if not np.isfinite(confidence):
-        raise ParseError(f"label confidence must be finite, got {confidence}")
     comps = layout.components
-    scores = np.array([1.0 if c.score is None else c.score for c in comps])
-    conf = np.minimum(np.maximum(confidence * scores, 1.0 / n_classes),
-                      1.0 - 1e-9)
-    probs = np.repeat(((1.0 - conf) / max(n_classes - 1, 1))[:, None],
-                      n_classes, axis=1)
-    probs[np.arange(len(comps)), [c.class_id for c in comps]] = conf
-    return ProposalBatch(tuple(c.bbox for c in comps), np.log(probs),
-                         layout.height)
-
-
-def rescore_layout(layout: LayoutDocument, graphs: CoOccurrenceGraphSet,
-                   config: RescoreConfig, confidence: float = 0.8) -> LayoutDocument:
-    batch = labels_to_logits(layout, graphs.vocabulary.size, confidence)
-    out = rescore(batch, graphs, config)
-    probs = row_softmax(out.logits)
-    classes = np.argmax(probs, axis=1)
-    comps = tuple(Component(comp.bbox, int(cls), float(p[cls]))
-                  for comp, cls, p in zip(layout.components, classes, probs))
-    return replace(layout, components=comps)
+    return _label_batch(
+        tuple(c.bbox for c in comps), [c.class_id for c in comps],
+        np.array([1.0 if c.score is None else c.score for c in comps]),
+        layout.height, n_classes, confidence)
 
 
 def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,
                    config: RescoreConfig, confidence: float = 0.8) -> Corpus:
+    """`corpus` with every label rescored within its own layout: each
+    component takes the class of highest rescored probability, and that
+    probability as its score."""
     if corpus.vocabulary.names != graphs.vocabulary.names:
         raise ParseError("corpus and graph vocabularies differ")
-    layouts = tuple(rescore_layout(l, graphs, config, confidence)
-                    for l in corpus.layouts)
-    return Corpus(corpus.vocabulary, layouts)
+    C = graphs.vocabulary.size
+    boxes = tuple(map(BBox, *corpus.boxes.T.tolist()))
+    cuts = corpus.offsets
+    probs = [row_softmax(rescore(_label_batch(
+                boxes[a:b], corpus.class_id[a:b], corpus.score[a:b], h, C,
+                confidence), graphs, config).logits)
+             for a, b, h in zip(cuts, cuts[1:], corpus.heights.tolist())]
+    probs = np.concatenate(probs or [np.empty((0, C))])
+    cls = np.argmax(probs, axis=1)
+    return replace(corpus, class_id=cls, score=probs[np.arange(len(cls)), cls],
+                   scored=np.ones(len(cls), dtype=bool))

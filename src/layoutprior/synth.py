@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BBox, ClassVocabulary, Component, LayoutDocument, ParseError,
-                   fields_equal, read_json, read_only)
+from .core import (ClassVocabulary, ParseError, fields_equal, read_json,
+                   read_only)
 from .ingest import Corpus
 from .prior import BandConfig, CoOccurrenceGraphSet
 
@@ -263,25 +263,15 @@ def generate(spec: GeneratorSpec, n_layouts: int):
                                cx), width - cx)
     hh = np.minimum(np.minimum(_uniform(flo, fhi, d[:, 4]) * height / 2.0,
                                cy), height - cy)
-    boxes = list(map(BBox, *(a.tolist() for a in
-                             (cx - hw, cy - hh, cx + hw, cy + hh))))
-    clean_comps = list(map(Component, boxes, cls.tolist()))
-    # Clean and noisy share each component whose label did not change.
-    noisy_comps = list(clean_comps)
-    for i in np.flatnonzero(noisy_cls != cls).tolist():
-        noisy_comps[i] = Component(boxes[i], int(noisy_cls[i]))
-
+    boxes = np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
     w, h = spec.canvas
-    ends = np.cumsum(k.sum(axis=1)).tolist()
-    clean_layouts, noisy_layouts = [], []
-    for li, (a, b) in enumerate(zip([0] + ends, ends)):
-        lid = f"synth-{li:05d}"
-        clean_layouts.append(LayoutDocument(lid, w, h,
-                                            tuple(clean_comps[a:b])))
-        noisy_layouts.append(LayoutDocument(lid, w, h,
-                                            tuple(noisy_comps[a:b])))
-    return (Corpus(spec.vocabulary, tuple(clean_layouts)),
-            Corpus(spec.vocabulary, tuple(noisy_layouts)))
+    layouts = (tuple(f"synth-{li:05d}" for li in range(n_layouts)),
+               np.full(n_layouts, w), np.full(n_layouts, h),
+               np.repeat(np.arange(n_layouts), k.sum(axis=1)))
+    score, scored = np.ones(n_boxes), np.zeros(n_boxes, dtype=bool)
+    # Clean and noisy share every array but the class ids.
+    return tuple(Corpus(spec.vocabulary, *layouts, c, score, scored, boxes)
+                 for c in (cls, noisy_cls))
 
 
 def recovery_score(planted, recovered: CoOccurrenceGraphSet) -> float:

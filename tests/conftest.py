@@ -29,7 +29,7 @@ def random_corpus(rng, n_layouts=5, max_boxes=20, n_classes=4, height=100.0):
             box = BBox(x, y, min(x + w, 100.0), min(y + h, height))
             comps.append(Component(box, int(rng.integers(n_classes))))
         layouts.append(LayoutDocument(f"l{li}", 100.0, height, tuple(comps)))
-    return Corpus(vocab, tuple(layouts))
+    return Corpus.from_layouts(vocab, tuple(layouts))
 
 
 def random_node_features(C: int, K: int, seed: int) -> NodeFeatures:
@@ -53,4 +53,4 @@ def three_box_corpus():
     vocab = ClassVocabulary(("A", "B", "C"))
     layout = make_layout("l1", [(0, 5, 10, 15), (0, 15, 10, 25),
                                 (0, 75, 10, 85)], [0, 1, 2])
-    return Corpus(vocab, (layout,))
+    return Corpus.from_layouts(vocab, (layout,))

@@ -72,7 +72,8 @@ def test_criterion_02_graph_invariants():
                 LayoutDocument(f"{lay.id}-rep{r}", lay.width, lay.height,
                                lay.components)
                 for r in range(k) for lay in corpus.layouts)
-            gk = build_prior(Corpus(corpus.vocabulary, layouts), cfg)
+            gk = build_prior(Corpus.from_layouts(corpus.vocabulary, layouts),
+                             cfg)
             for a, b in zip(g.edges, gk.edges):
                 assert np.allclose(a, b, atol=1e-9)
     report(2, "symmetry, unit diagonal, [0,1] range, replication "
@@ -86,7 +87,7 @@ def test_criterion_03_hand_trace_fixture():
         Component(BBox(0, 15, 10, 25), 1),
         Component(BBox(0, 75, 10, 85), 2),
     ))
-    g = build_prior(Corpus(vocab, (layout,)), BandConfig(2))
+    g = build_prior(Corpus.from_layouts(vocab, (layout,)), BandConfig(2))
     expected0 = np.eye(3)
     expected0[0, 1] = expected0[1, 0] = 0.5
     assert np.array_equal(g.edges[0], expected0)
@@ -113,7 +114,7 @@ def test_criterion_04_association_contracts():
                                   AssociationPolicy(AssociationKind.SINGLE))
         centroids = bands5.centroids
         for i, box in enumerate(boxes):
-            d = np.abs(box.center()[1] / 100.0 - centroids)
+            d = np.abs((box.y1 + box.y2) / 2.0 / 100.0 - centroids)
             if np.sum(d == d.min()) == 1:  # unique nearest band
                 assert np.argmax(tiny[i]) == np.argmax(single[i])
     two = BandConfig(2)
@@ -187,7 +188,7 @@ def test_criterion_06_evaluation_harness():
                 Component(BBox(*box), ci, 1.0 if with_scores else None)
                 for ci, box in enumerate(shapes))
             layouts.append(LayoutDocument(f"img{i}", 1000, 1000, comps))
-        return Corpus(vocab, tuple(layouts))
+        return Corpus.from_layouts(vocab, tuple(layouts))
 
     prep = evaluate(perfect_corpus(True), perfect_corpus(False))
     for k in prep.FIELDS:

@@ -8,13 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layoutprior import load_native
+from layoutprior import cli, ingest, load_native, save_native
 from layoutprior.cli import main
 from layoutprior.conditioning import (MappingPolicy, NodeFeatures,
                                       soft_mapping)
-from layoutprior.core import load_matrix, save_matrix
+from layoutprior.core import LayoutDocument, load_matrix, save_matrix
 from layoutprior.prior import load_graphs
-from layoutprior.synth import spec_to_obj
+from layoutprior.render import render_layout_svg
+from layoutprior.synth import generate, spec_to_obj
 
 from test_synth import block_spec
 
@@ -461,6 +462,32 @@ class TestRenderCmd:
     def test_unknown_id_exit_2(self, tmp_path, corpus_path):
         assert main(["render", str(corpus_path), "nope",
                      "--out", str(tmp_path / "x.svg")]) == 2
+
+    def test_builds_only_the_rendered_layout(self, tmp_path, monkeypatch):
+        clean, _ = generate(block_spec(seed=2), 5)
+        cp = tmp_path / "c.json"
+        save_native(clean, cp)
+        loaded, built = [], []
+
+        def load(path):
+            loaded.append(load_native(path))
+            return loaded[-1]
+
+        def layout(*args):
+            built.append(args[0])
+            return LayoutDocument(*args)
+
+        monkeypatch.setattr(cli, "load_native", load)
+        monkeypatch.setattr(ingest, "LayoutDocument", layout)
+        out = tmp_path / "l.svg"
+        assert main(["render", str(cp), "synth-00002",
+                     "--out", str(out)]) == 0
+        assert built == ["synth-00002"]
+        assert "layouts" not in vars(loaded[0])
+        monkeypatch.undo()
+        corpus = load_native(cp)
+        want = render_layout_svg(corpus.layouts[2], corpus)
+        assert out.read_text() == want
 
 
 # Every file the CLI writes, by name; each is also written under name + ".gz".

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 import layoutprior
+from layoutprior.conditioning import AssociationPolicy, band_association
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
-                              ParseError, ProposalBatch, ShapeError, iou,
-                              iou_matrix, load_matrix, matmul,
+                              ParseError, ProposalBatch, ShapeError,
+                              box_areas, iou_matrix, load_matrix, matmul,
                               matrix_from_json, matrix_to_json, read_json,
                               row_softmax, write_text)
+from layoutprior.prior import BandConfig
 
 NAN, INF = float("nan"), float("inf")
 
@@ -26,14 +28,29 @@ def boxes():
                        max(t[0], t[2]), max(t[1], t[3])))
 
 
+def rows(*bs):
+    """The boxes `bs` as an (N, 4) array of x1, y1, x2, y2 rows."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in bs]).reshape(-1, 4)
+
+
+def iou(a, b):
+    """The IoU of two boxes, from iou_matrix."""
+    return float(iou_matrix(rows(a), rows(b))[0, 0])
+
+
 class TestBBox:
     def test_center_area(self):
         b = BBox(0, 0, 10, 20)
-        assert b.center() == (5, 10)
-        assert b.area() == 200
+        # The association reads the centre y = 10, 0.25 of a height of 40:
+        # band 0's centroid, 0.5 above band 1's.
+        alpha = band_association(ProposalBatch((b,), np.zeros((1, 1)), 40.0),
+                                 BandConfig(2), AssociationPolicy(sigma=0.3))
+        far = np.exp(-0.5 * (0.5 / 0.3) ** 2)
+        assert alpha[0] == pytest.approx([1 / (1 + far), far / (1 + far)])
+        assert box_areas(rows(b)).tolist() == [200]
 
     def test_degenerate_allowed(self):
-        assert BBox(5, 5, 5, 5).area() == 0
+        assert box_areas(rows(BBox(5, 5, 5, 5))).tolist() == [0]
 
     def test_inverted_rejected(self):
         with pytest.raises(ParseError):
@@ -106,7 +123,7 @@ class TestIou:
 
     @given(boxes())
     def test_self_iou(self, a):
-        expected = 1.0 if a.area() > 0 else 0.0
+        expected = 1.0 if box_areas(rows(a))[0] > 0 else 0.0
         assert iou(a, a) == expected
 
     @given(boxes(), boxes())
@@ -120,13 +137,11 @@ class TestIou:
             ix = max(0.0, min(a.x2, b.x2) - max(a.x1, b.x1))
             iy = max(0.0, min(a.y2, b.y2) - max(a.y1, b.y1))
             inter = ix * iy
-            union = a.area() + b.area() - inter
+            union = ((a.x2 - a.x1) * (a.y2 - a.y1)
+                     + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
             return inter / union if union > 0.0 else 0.0
 
-        def arr(bs):
-            return np.array([(b.x1, b.y1, b.x2, b.y2) for b in bs]).reshape(-1, 4)
-
-        m = iou_matrix(arr(xs), arr(ys))
+        m = iou_matrix(rows(*xs), rows(*ys))
         assert m.shape == (len(xs), len(ys))
         for i, a in enumerate(xs):
             for j, b in enumerate(ys):

@@ -25,7 +25,7 @@ def corpus_of(vocab_names, images):
                                 it[2] if len(it) > 2 else None)
                       for it in items)
         layouts.append(LayoutDocument(lid, 1000, 1000, comps))
-    return Corpus(vocab, tuple(layouts))
+    return Corpus.from_layouts(vocab, tuple(layouts))
 
 
 class TestMatch:
@@ -156,7 +156,7 @@ class TestEvaluate:
 
     def test_id_mismatch_listed(self):
         dets, gts = self.perfect()
-        dets = Corpus(dets.vocabulary, dets.layouts[:1])
+        dets = Corpus.from_layouts(dets.vocabulary, dets.layouts[:1])
         with pytest.raises(LayoutPriorError, match="i2"):
             evaluate(dets, gts)
 
@@ -213,7 +213,7 @@ class TestEvaluate:
                               c.class_id, c.score) for c in lay.components)
                 layouts.append(LayoutDocument(lay.id, lay.width * k,
                                               lay.height * k, comps))
-            return Corpus(corpus.vocabulary, tuple(layouts))
+            return Corpus.from_layouts(corpus.vocabulary, tuple(layouts))
 
         dets = load_native(os.path.join(FIXTURES, "eval_dets.json"))
         gts = load_native(os.path.join(FIXTURES, "eval_gts.json"))
@@ -454,7 +454,7 @@ class TestEvaluateOracle:
                 comps.append(Component(b, c.class_id, s))
             layouts.append(LayoutDocument(lay.id, lay.width, lay.height,
                                           tuple(comps)))
-        return Corpus(corpus.vocabulary, tuple(layouts))
+        return Corpus.from_layouts(corpus.vocabulary, tuple(layouts))
 
     def check(self, dets, gts, config=EvalConfig()):
         assert evaluate(dets, gts, config).to_dict() == \
@@ -474,10 +474,12 @@ class TestEvaluateOracle:
                                      big=False)
         names = dets.vocabulary.names
         empty = [LayoutDocument(l.id, l.width, l.height) for l in gts.layouts]
-        for d, g in ((Corpus(dets.vocabulary, ()), Corpus(gts.vocabulary, ())),
-                     (Corpus(dets.vocabulary, empty), gts),
-                     (dets, Corpus(gts.vocabulary, empty)),
-                     (dets, Corpus(gts.vocabulary, gts.layouts[::-1]))):
+        for d, g in ((Corpus.from_layouts(dets.vocabulary, ()),
+                      Corpus.from_layouts(gts.vocabulary, ())),
+                     (Corpus.from_layouts(dets.vocabulary, empty), gts),
+                     (dets, Corpus.from_layouts(gts.vocabulary, empty)),
+                     (dets, Corpus.from_layouts(gts.vocabulary,
+                                                gts.layouts[::-1]))):
             for config in self.CONFIGS:
                 self.check(d, g, config)
         # Zero-area boxes; an IoU of 1 - 1e-12, which matches at the 1.0
@@ -509,7 +511,7 @@ def test_ground_truth_layouts_in_another_order():
             continue
         want = evaluate(dets, gts).to_dict()
         for layouts in (gts.layouts[::-1], gts.layouts[1:] + gts.layouts[:1]):
-            moved = Corpus(gts.vocabulary, layouts)
+            moved = Corpus.from_layouts(gts.vocabulary, layouts)
             assert evaluate(dets, moved).to_dict() == want == \
                 loop_evaluate(dets, moved)
         checked += 1

@@ -1,8 +1,10 @@
 import gzip
 import json
 import re
-from math import inf, nan
+import tempfile
 from dataclasses import replace
+from math import inf, nan
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,7 +128,7 @@ def test_class_id_out_of_range_rejected():
     lay = LayoutDocument("x", 10, 10, (Component(BBox(0, 0, 1, 1), 1),))
     with pytest.raises(ParseError, match=r"'x': class id 1 out of range "
                                          "for 1 classes"):
-        Corpus(ClassVocabulary(("A",)), (lay,))
+        Corpus.from_layouts(ClassVocabulary(("A",)), (lay,))
 
 
 def test_missing_file():
@@ -164,7 +166,7 @@ def test_columns(tmp_path):
     assert not any(a.flags.writeable for a in corpus.columns)
     # Not a field: equality, hashing and replace do not see it.
     assert corpus == twin and hash(corpus) == hash(twin)
-    empty = replace(corpus, layouts=())
+    empty = Corpus.from_layouts(corpus.vocabulary, ())
     assert [a.shape for a in empty.columns] == [(0,), (0,), (0,), (0, 4)]
 
 
@@ -182,7 +184,7 @@ def _odd_corpus():
     comps = tuple(Component(BBox(1.5, 2.25, 3.0, 4.125), i,
                             None if i % 2 else 0.1 * i)
                   for i in range(len(names)))
-    return Corpus(vocab, (
+    return Corpus.from_layouts(vocab, (
         LayoutDocument('id "q" \\ \u00e9\n', 360.0, 640.0, comps),
         LayoutDocument("empty", 10.0, 20.0, ()),
         # int coordinates, int canvas, an int score and a float subclass
@@ -202,10 +204,12 @@ def byte_cases():
     clean, noisy = generate(block_spec(noise=0.3, seed=5), 15)
     yield "synth-clean", clean
     yield "synth-noisy", noisy
-    yield "empty-corpus", Corpus(vocab, ())
-    yield "no-components", Corpus(vocab, (LayoutDocument("x", 1.0, 2.0),))
+    yield "empty-corpus", Corpus.from_layouts(vocab, ())
+    yield "no-components", Corpus.from_layouts(
+        vocab, (LayoutDocument("x", 1.0, 2.0),))
     yield "odd", _odd_corpus()
-    yield "native", Corpus(ClassVocabulary(("Toolbar", "Text", "Icon")), (
+    yield "native", Corpus.from_layouts(
+        ClassVocabulary(("Toolbar", "Text", "Icon")), (
         LayoutDocument("a", 100, 200, (
             Component(BBox(0, 0, 50, 20), 0),
             Component(BBox(10, 30, 90, 60), 1, 0.875))),))
@@ -228,7 +232,7 @@ def test_save_native_bytes(tmp_path, name, corpus, suffix):
 
 
 def test_save_native_int_id(tmp_path):
-    corpus = Corpus(ClassVocabulary(("A",)), (
+    corpus = Corpus.from_layouts(ClassVocabulary(("A",)), (
         LayoutDocument(7, 10.0, 10.0, (Component(BBox(0.0, 0, 1, 1), 0),)),))
     p = tmp_path / "c.json"
     save_native(corpus, p)
@@ -236,16 +240,27 @@ def test_save_native_int_id(tmp_path):
     assert load_native(p).layouts[0].id == "7"
 
 
-def test_save_native_unencodable_number(tmp_path):
-    # json has no encoding for a numpy integer; neither path invents one.
-    corpus = Corpus(ClassVocabulary(("A",)), (
-        LayoutDocument("x", 10.0, 10.0,
-                       (Component(BBox(0.0, 0.0, 1.0, 1.0), 0,
-                                  np.float32(0.5)),)),))
-    with pytest.raises(TypeError):
-        dumped(corpus)
-    with pytest.raises(TypeError):
-        save_native(corpus, tmp_path / "c.json")
+def test_save_native_normalizes_numbers(tmp_path):
+    # A corpus built from objects holds str ids and float64 coordinates
+    # and scores: an int id is written as a string, an int coordinate or
+    # score as a float and a float32 score as its float64 value, as the
+    # loader reads them back. Canvas sides that are all ints stay ints.
+    corpus = Corpus.from_layouts(ClassVocabulary(("A",)), (
+        LayoutDocument(7, 10, 20, (
+            Component(BBox(0, 0.0, 1.0, 1), 0, np.float32(0.1)),
+            Component(BBox(0.0, 2, 3.0, 4.0), 0, 1))),))
+    p = tmp_path / "c.json"
+    save_native(corpus, p)
+    assert p.read_text() == dumped(corpus)
+    lay = json.loads(p.read_text())["layouts"][0]
+    assert lay["id"] == "7"
+    assert [type(lay["width"]), type(lay["height"])] == [int, int]
+    comps = lay["components"]
+    assert [c["bbox"] for c in comps] == [[0, 0, 1, 1], [0, 2, 3, 4]]
+    assert [c["score"] for c in comps] == [0.10000000149011612, 1.0]
+    assert all(type(v) is float
+               for c in comps for v in [*c["bbox"], c["score"]])
+    assert load_native(p) == corpus
 
 
 COCO = {
@@ -419,7 +434,7 @@ def parent_coco_from_obj(obj):
     for iid in sorted(img_info):
         name, W, H = img_info[iid]
         layouts.append(LayoutDocument(name, W, H, tuple(comps[iid])))
-    return Corpus(vocab, tuple(layouts))
+    return Corpus.from_layouts(vocab, tuple(layouts))
 
 
 def random_coco(rng):
@@ -471,14 +486,14 @@ def test_coco_matches_former_parser(tmp_path):
 
 def test_duplicate_layout_ids_listed_once_sorted():
     with pytest.raises(ParseError, match=r"corpus: \['a', 'b'\]$"):
-        Corpus(ClassVocabulary(("A",)),
+        Corpus.from_layouts(ClassVocabulary(("A",)),
                tuple(LayoutDocument(i, 1, 1, ()) for i in "babcaa"))
 
 
 def test_duplicate_layout_ids_rejected():
     from layoutprior import ClassVocabulary, LayoutDocument
     with pytest.raises(ParseError, match="duplicate"):
-        Corpus(ClassVocabulary(("A",)),
+        Corpus.from_layouts(ClassVocabulary(("A",)),
                (LayoutDocument("x", 1, 1, ()), LayoutDocument("x", 1, 1, ())))
 
 
@@ -636,3 +651,101 @@ def test_columnar_loader_builds_no_layouts(tmp_path):
     with pytest.raises(AttributeError, match="'Corpus' object has no "
                                              "attribute 'layout'"):
         corpus.layout
+
+
+# Round-trip laws of native files, over corpora built from objects: ids
+# and class names with escapes and non-ASCII text, empty layouts,
+# zero-area boxes, signed zeros, subnormals, values up to 1e308, absent
+# scores, and canvas sides that are floats or ints.
+
+_text = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé '
+                                          '\U0001f600'), st.characters()),
+                max_size=4)
+_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+                     0.1, 1.0, 1e308]),
+    st.floats(0.0, 1e308))
+_float_sides = st.one_of(st.floats(5e-324, 1.7976931348623157e308),
+                         st.sampled_from([5e-324, 1.0, 1e308]))
+# Ints that float64 holds exactly, which the loader reads back equal.
+_exact_sides = st.one_of(_float_sides, st.integers(1, 2**53))
+# Ints past int64 and past float64's exact range too.
+_int_sides = st.one_of(_exact_sides,
+                       st.sampled_from([2**63 - 1, 2**63, 2**64 + 1, 10**30]))
+
+
+@st.composite
+def _corpora(draw, sides):
+    """A corpus built from layout objects, whose canvas sides come from
+    `sides` and whose boxes lie on the canvas."""
+    names = draw(st.lists(_text.filter(bool), min_size=1, max_size=4,
+                          unique=True))
+    layouts = []
+    for lid in draw(st.lists(_text, max_size=4, unique=True)):
+        w, h = draw(sides), draw(sides)
+        comps = []
+        for _ in range(draw(st.integers(0, 3))):
+            xa, xb = (min(draw(_values), w) for _ in "ab")
+            ya, yb = (min(draw(_values), h) for _ in "ab")
+            score = draw(st.one_of(st.none(), _values,
+                                   st.sampled_from([-0.0, -5e-324, -1e308])))
+            comps.append(Component(
+                BBox(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb)),
+                draw(st.integers(0, len(names) - 1)), score))
+        layouts.append(LayoutDocument(lid, w, h, comps))
+    return Corpus.from_layouts(ClassVocabulary(tuple(names)), layouts)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_corpora(_exact_sides))
+def test_load_inverts_save(corpus):
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("c.json", "c.json.gz"):
+            save_native(corpus, f"{d}/{name}")
+            assert load_native(f"{d}/{name}") == corpus
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_corpora(_int_sides))
+def test_from_layouts_inverts_layouts(corpus):
+    again = Corpus.from_layouts(corpus.vocabulary, corpus.layouts)
+    assert again == corpus and hash(again) == hash(corpus)
+    assert [a.dtype for a in (again.widths, again.heights)] == [
+        a.dtype for a in (corpus.widths, corpus.heights)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_corpora(_float_sides))
+def test_save_rewrites_loaded_file_bytes(corpus):
+    # A file that holds an int canvas side reads back as a float and is
+    # rewritten as one (300 as 300.0); any other file the library wrote
+    # is rewritten byte for byte. The gzip header holds the base name.
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("c.json", "c.json.gz"):
+            first, second = Path(d, "1", name), Path(d, "2", name)
+            first.parent.mkdir(exist_ok=True)
+            second.parent.mkdir(exist_ok=True)
+            save_native(corpus, first)
+            save_native(load_native(first), second)
+            assert second.read_bytes() == first.read_bytes()
+
+
+def test_int_canvas_past_int64():
+    # The canvas column keeps ints past int64 as Python ints; the prior
+    # and the evaluation read them as a loaded corpus's float sides.
+    spec = replace(block_spec(noise=0.3, seed=5), canvas=(640, 10**30))
+    clean, noisy = generate(spec, 5)
+    assert clean.widths.dtype == np.int64 and clean.heights.dtype == object
+    again = Corpus.from_layouts(clean.vocabulary, clean.layouts)
+    assert again == clean and again.heights.dtype == object
+    with tempfile.TemporaryDirectory() as d:
+        save_native(clean, f"{d}/c.json")
+        text = Path(d, "c.json").read_text()
+        loaded = load_native(f"{d}/c.json")
+    assert '"height": 1000000000000000000000000000000,' in text
+    assert '"width": 640\n' in text
+    cfg = BandConfig(2)
+    assert np.array_equal(build_prior(clean, cfg, keep_raw=True).raw_counts,
+                          build_prior(loaded, cfg, keep_raw=True).raw_counts)
+    assert (evaluate(noisy, clean).to_dict()
+            == evaluate(noisy, loaded).to_dict())

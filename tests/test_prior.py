@@ -77,32 +77,37 @@ class TestBands:
             BandConfig(n, w)
 
 
+def centres(corpus) -> np.ndarray:
+    """Each box's centre y as a fraction of its canvas height."""
+    boxes = corpus.boxes
+    return (boxes[:, 1] + boxes[:, 3]) / 2.0 / corpus.heights[corpus.index]
+
+
 class TestMembership:
     def test_first_band(self):
-        lay = make_layout("l", [(0, 5, 10, 15)], [0])
-        M = band_membership(lay, BandConfig(2, 0.5))
+        t = np.array([10.0]) / 100.0  # centre y = 10 of 100
+        M = band_membership(t, BandConfig(2, 0.5))
         assert M.tolist() == [[1, 0]]
 
     def test_half_open_boundary(self):
-        lay = make_layout("l", [(0, 45, 10, 55)], [0])  # center y = 50
-        M = band_membership(lay, BandConfig(2, 0.5))
+        t = np.array([50.0]) / 100.0
+        M = band_membership(t, BandConfig(2, 0.5))
         assert M.tolist() == [[0, 1]]
 
     def test_bottom_edge_goes_to_last_band(self):
-        lay = make_layout("l", [(0, 100, 10, 100)], [0])
-        M = band_membership(lay, BandConfig(2, 0.5))
+        t = np.array([100.0]) / 100.0
+        M = band_membership(t, BandConfig(2, 0.5))
         assert M.tolist() == [[0, 1]]
 
     def test_overlapping_double_membership(self):
-        lay = make_layout("l", [(0, 55, 10, 65)], [0])  # center y = 60
-        M = band_membership(lay, BandConfig(2, 0.75))
+        t = np.array([60.0]) / 100.0
+        M = band_membership(t, BandConfig(2, 0.75))
         assert M.tolist() == [[1, 1]]
 
     def test_disjoint_partition(self, rng):
         corpus = random_corpus(rng, n_layouts=3)
-        for lay in corpus.layouts:
-            M = band_membership(lay, BandConfig(10))
-            assert np.all(M.sum(axis=1) == 1)
+        M = band_membership(centres(corpus), BandConfig(10))
+        assert np.all(M.sum(axis=1) == 1)
 
 
 class TestAccumulate:
@@ -113,14 +118,15 @@ class TestAccumulate:
         assert np.array_equal(raw[1], np.zeros((3, 3)))
 
     def test_empty_corpus(self):
-        corpus = Corpus(ClassVocabulary(("A",)), ())
+        corpus = Corpus.from_layouts(ClassVocabulary(("A",)), ())
         raw = accumulate(corpus, BandConfig(3))
         assert all(np.array_equal(r, np.zeros((1, 1))) for r in raw)
 
     def test_singleton_bands_filtered(self):
         lay = make_layout("l", [(0, 5, 10, 15), (0, 55, 10, 65)], [0, 1])
-        raw = accumulate(Corpus(ClassVocabulary(("A", "B")), (lay,)),
-                         BandConfig(2))
+        raw = accumulate(
+            Corpus.from_layouts(ClassVocabulary(("A", "B")), (lay,)),
+            BandConfig(2))
         assert all(r.sum() == 0 for r in raw)
 
     @pytest.mark.parametrize("n_bands, width", [
@@ -143,8 +149,9 @@ class TestAccumulate:
                                      max_boxes=20, n_classes=C, height=height)
                 layouts += [replace(lay, id=f"{height}-{lay.id}")
                             for lay in part.layouts]
-            corpus = Corpus(ClassVocabulary(tuple(f"c{i}" for i in range(C))),
-                            tuple(layouts))
+            corpus = Corpus.from_layouts(
+                ClassVocabulary(tuple(f"c{i}" for i in range(C))),
+                tuple(layouts))
             got = accumulate(corpus, cfg)
             want = brute_force_counts(corpus, cfg)
             assert len(got) == len(want)
@@ -252,7 +259,7 @@ class TestBuildPrior:
                                      for c in lay.components],
                                     [c.class_id for c in lay.components],
                                     height=lay.height, width=lay.width))
-            rep_corpus = Corpus(corpus.vocabulary, tuple(layouts))
+            rep_corpus = Corpus.from_layouts(corpus.vocabulary, tuple(layouts))
             gk = build_prior(rep_corpus, BandConfig(5))
             for a, b in zip(g1.edges, gk.edges):
                 assert np.allclose(a, b, atol=1e-9)
@@ -268,7 +275,7 @@ class TestBuildPrior:
             comps = tuple(Component(c.bbox, int(inv[c.class_id]), c.score)
                           for c in lay.components)
             layouts.append(LayoutDocument(lay.id, lay.width, lay.height, comps))
-        perm_corpus = Corpus(perm_vocab, tuple(layouts))
+        perm_corpus = Corpus.from_layouts(perm_vocab, tuple(layouts))
         g = build_prior(corpus, BandConfig(3))
         gp = build_prior(perm_corpus, BandConfig(3))
         for E, Ep in zip(g.edges, gp.edges):

@@ -16,8 +16,8 @@ def test_svg_escapes_class_names():
                             None if i % 2 else 0.5)
                   for i in range(len(NAMES)))
     layout = LayoutDocument("x", 100, 100, comps)
-    root = ET.fromstring(render_layout_svg(layout, Corpus(vocab, (layout,)))
-                         .encode("utf-8"))
+    corpus = Corpus.from_layouts(vocab, (layout,))
+    root = ET.fromstring(render_layout_svg(layout, corpus).encode("utf-8"))
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts == ["b&<c> 0.50", 'q"x', "back\\slash 0.50", "plain"]
 

@@ -1,17 +1,20 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from layoutprior import ClassVocabulary, ProposalBatch
+from layoutprior import ClassVocabulary, Corpus, ProposalBatch, build_prior
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       band_association)
-from layoutprior.core import BBox, ParseError, row_softmax
+from layoutprior.core import BBox, Component, ParseError, row_softmax
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 from layoutprior.rescore import (_LOG_FLOOR, RescoreConfig, labels_to_logits,
                                  rescore, rescore_corpus)
+from layoutprior.synth import generate
 
 from conftest import random_corpus
+from test_synth import block_spec
 
 def graphs_from(edges, n_classes):
     vocab = ClassVocabulary(tuple(f"c{i}" for i in range(n_classes)))
@@ -220,6 +223,18 @@ class TestLabelsToLogits:
             others = np.delete(probs[i], comp.class_id)
             assert np.allclose(others, 0.1, atol=1e-9)
 
+def rescore_layout(layout, graphs, config, confidence=0.8):
+    """One layout rescored on its own, as objects: the oracle for
+    rescore_corpus."""
+    batch = labels_to_logits(layout, graphs.vocabulary.size, confidence)
+    out = rescore(batch, graphs, config)
+    probs = row_softmax(out.logits)
+    classes = np.argmax(probs, axis=1)
+    comps = tuple(Component(comp.bbox, int(cls), float(p[cls]))
+                  for comp, cls, p in zip(layout.components, classes, probs))
+    return replace(layout, components=comps)
+
+
 class TestRescoreCorpus:
     def make_graphs(self):
         E = np.eye(3)
@@ -229,7 +244,7 @@ class TestRescoreCorpus:
     def test_empty_corpus(self):
         graphs = self.make_graphs()
         from layoutprior import Corpus
-        corpus = Corpus(graphs.vocabulary, ())
+        corpus = Corpus.from_layouts(graphs.vocabulary, ())
         out = rescore_corpus(corpus, graphs, RescoreConfig())
         assert out.layouts == ()
 
@@ -238,7 +253,7 @@ class TestRescoreCorpus:
         from layoutprior import Corpus, LayoutDocument
         scored = random_corpus(rng, n_layouts=3, max_boxes=5, n_classes=3)
         empty = tuple(LayoutDocument(f"e{i}", 100, 50 + i) for i in range(3))
-        corpus = Corpus(graphs.vocabulary, empty + scored.layouts)
+        corpus = Corpus.from_layouts(graphs.vocabulary, empty + scored.layouts)
         out = rescore_corpus(corpus, graphs, RescoreConfig())
         assert out.layouts[:3] == empty
 
@@ -247,7 +262,7 @@ class TestRescoreCorpus:
         from layoutprior import Component, Corpus, LayoutDocument
         lay = LayoutDocument("x", 100, 100,
                              (Component(BBox(0, 0, 10, 10), 2),))
-        corpus = Corpus(graphs.vocabulary, (lay,))
+        corpus = Corpus.from_layouts(graphs.vocabulary, (lay,))
         out = rescore_corpus(corpus, graphs, RescoreConfig(blend=0.5))
         # with no context the band falls back to the uniform prior,
         # which cannot flip the argmax
@@ -259,12 +274,22 @@ class TestRescoreCorpus:
         corpus = random_corpus(rng, n_layouts=4, max_boxes=8,
                                n_classes=vocab_size)
         from layoutprior import Corpus
-        corpus = Corpus(graphs.vocabulary, corpus.layouts)
+        corpus = Corpus.from_layouts(graphs.vocabulary, corpus.layouts)
         cfg = RescoreConfig(blend=0.5)
         whole = rescore_corpus(corpus, graphs, cfg)
-        from layoutprior.rescore import rescore_layout
         for lay, got in zip(corpus.layouts, whole.layouts):
             assert rescore_layout(lay, graphs, cfg) == got
+
+    def test_builds_no_layouts(self):
+        spec = block_spec(noise=0.3, seed=4)
+        clean, noisy = generate(spec, 8)
+        graphs = build_prior(clean, spec.band_config())
+        out = rescore_corpus(noisy, graphs, RescoreConfig())
+        assert "layouts" not in vars(noisy) and "layouts" not in vars(out)
+        assert out.boxes is noisy.boxes and out.scored.all()
+        assert out == Corpus.from_layouts(noisy.vocabulary, [
+            rescore_layout(lay, graphs, RescoreConfig())
+            for lay in noisy.build_layouts(0, 8)])
 
     def test_vocab_mismatch(self, rng):
         graphs = self.make_graphs()

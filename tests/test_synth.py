@@ -83,8 +83,8 @@ def loop_generate(spec, n_layouts):
         w, h = spec.canvas
         clean_layouts.append(LayoutDocument(lid, w, h, tuple(clean_comps)))
         noisy_layouts.append(LayoutDocument(lid, w, h, tuple(noisy_comps)))
-    return (Corpus(spec.vocabulary, tuple(clean_layouts)),
-            Corpus(spec.vocabulary, tuple(noisy_layouts)))
+    return (Corpus.from_layouts(spec.vocabulary, tuple(clean_layouts)),
+            Corpus.from_layouts(spec.vocabulary, tuple(noisy_layouts)))
 
 
 def perfbench_spec(seed):
@@ -255,6 +255,13 @@ class TestGenerate:
         assert (corpus_to_obj(load_native(tmp_path / "c.json"))
                 == corpus_to_obj(want))
 
+    def test_builds_no_layouts(self):
+        clean, noisy = generate(block_spec(noise=0.5, seed=3), 6)
+        assert "layouts" not in vars(clean) and "layouts" not in vars(noisy)
+        # Clean and noisy share every array but the class ids.
+        assert clean.boxes is noisy.boxes and clean.index is noisy.index
+        assert not np.array_equal(clean.class_id, noisy.class_id)
+
     def test_membership_closes_loop(self):
         # each generated box must fall in its generating band under the
         # prior module's membership rule
@@ -262,7 +269,9 @@ class TestGenerate:
         clean, _ = generate(spec, 10)
         cfg = spec.band_config()
         for lay in clean.layouts:
-            M = band_membership(lay, cfg)
+            t = np.array([(c.bbox.y1 + c.bbox.y2) / 2.0
+                          for c in lay.components]) / lay.height
+            M = band_membership(t, cfg)
             # boxes are emitted band by band, 3 per band
             for i in range(len(lay.components)):
                 assert M[i, i // 3] == 1
