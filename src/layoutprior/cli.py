@@ -1,6 +1,7 @@
 """Command-line pipelines: build-prior, condition, rescore, eval, synth, render.
 
 Exit codes: 0 success, 2 input/validation error, 3 shape/contract error.
+Each command but synth checks its options before it reads a file.
 Summaries go to stderr; data goes to files or stdout.
 """
 
@@ -32,13 +33,12 @@ def _err(msg: str, code: int) -> int:
 
 
 def _association(args) -> AssociationPolicy:
-    kind = AssociationKind(args.assoc)
-    return AssociationPolicy(kind, mu=args.mu, sigma=args.sigma)
+    return AssociationPolicy(AssociationKind(args.assoc), args.mu, args.sigma)
 
 
 def cmd_build_prior(args) -> int:
-    corpus = load_native(args.corpus)
     config = BandConfig(args.bands, args.band_width)
+    corpus = load_native(args.corpus)
     graphs = build_prior(corpus, config, keep_raw=args.keep_raw)
     save_graphs(graphs, args.out)
     for j, E in enumerate(graphs.edges):
@@ -51,12 +51,13 @@ def cmd_build_prior(args) -> int:
 
 
 def cmd_condition(args) -> int:
+    association, mapping = _association(args), MappingPolicy(args.map)
     batch = load_proposals(args.proposals)
     graphs = load_graphs(args.graphs)
     nodes = NodeFeatures(load_matrix(args.nodes))
     embed = load_matrix(args.embed)
-    alpha = band_association(batch, graphs.band_config, _association(args))
-    S = soft_mapping(batch.logits, MappingPolicy(args.map))
+    alpha = band_association(batch, graphs.band_config, association)
+    S = soft_mapping(batch.logits, mapping)
     f_prime = condition_features(S, alpha, graphs, nodes, embed)
     if args.concat:
         if batch.features is None:
@@ -69,11 +70,10 @@ def cmd_condition(args) -> int:
 
 
 def cmd_rescore(args) -> int:
-    # Validates --lambda before any file is read.
-    config = RescoreConfig(blend=args.blend, association=_association(args))
+    config = RescoreConfig(args.blend, _association(args), args.confidence)
     corpus = load_native(args.detections)
     graphs = load_graphs(args.graphs)
-    out = rescore_corpus(corpus, graphs, config, confidence=args.confidence)
+    out = rescore_corpus(corpus, graphs, config)
     save_native(out, args.out)
     print(f"re-scored {len(out.ids)} layouts (lambda={args.blend})",
           file=sys.stderr)
@@ -127,9 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-prior",
                        help="compute per-band co-occurrence graphs")
     p.add_argument("corpus")
-    p.add_argument("--bands", type=int, default=10,
-                   help="number of horizontal bands (default 10)")
-    p.add_argument("--band-width", type=float, default=None,
+    p.add_argument("--bands", type=int, default=BandConfig.n_bands,
+                   help="number of horizontal bands (default %(default)s)")
+    p.add_argument("--band-width", type=float,
                    help="band width as fraction of height "
                         "(default 1/bands, non-overlapping)")
     p.add_argument("--keep-raw", action="store_true",
@@ -140,11 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_build_prior)
 
     def add_assoc(p):
-        p.add_argument("--assoc", choices=["gauss", "single", "equal"],
-                       default="gauss")
-        p.add_argument("--sigma", type=float, default=0.3,
-                       help="Gaussian association std (default 0.3)")
-        p.add_argument("--mu", type=float, default=0.0)
+        p.add_argument("--assoc", choices=[k.value for k in AssociationKind],
+                       default=AssociationPolicy.kind.value)
+        p.add_argument("--sigma", type=float, default=AssociationPolicy.sigma,
+                       help="Gaussian association std (default %(default)s)")
+        p.add_argument("--mu", type=float, default=AssociationPolicy.mu)
 
     p = sub.add_parser("condition",
                        help="condition proposal features on the graphs")
@@ -155,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embed", required=True,
                    help="embedding matrix (MTX-JSON), K x D' (default D'=512)")
     add_assoc(p)
-    p.add_argument("--map", choices=["soft", "hard"], default="soft")
+    p.add_argument("--map", choices=[m.value for m in MappingPolicy],
+                   default=MappingPolicy.SOFT.value)
     p.add_argument("--concat", action="store_true",
                    help="concatenate original features before writing")
     p.add_argument("--out", required=True)
@@ -164,9 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rescore", help="re-score detections with the prior")
     p.add_argument("detections")
     p.add_argument("graphs")
-    p.add_argument("--lambda", dest="blend", type=float, default=0.5,
-                   help="blend strength in [0,1] (default 0.5)")
-    p.add_argument("--confidence", type=float, default=0.8,
+    p.add_argument("--lambda", dest="blend", type=float,
+                   default=RescoreConfig.blend,
+                   help="blend strength in [0,1] (default %(default)s)")
+    p.add_argument("--confidence", type=float,
+                   default=RescoreConfig.confidence,
                    help="label confidence when building soft logits")
     add_assoc(p)
     p.add_argument("--out", required=True)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (INF, BBox, ParseError, ProposalBatch, ShapeError, matmul,
+from .core import (BBox, ParseError, ProposalBatch, ShapeError, finite, matmul,
                    matrix_from_json, matrix_to_json, read_json, row_softmax,
                    write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
@@ -35,8 +35,8 @@ class AssociationPolicy:
     sigma: float = 0.3
 
     def __post_init__(self):
-        # Written so that NaN fails: NaN weights switch the prior off.
-        if not (-INF < self.mu < INF and 0.0 < self.sigma < INF):
+        # NaN weights would switch the prior off.
+        if not (finite(self.mu) and finite(self.sigma) and self.sigma > 0.0):
             raise ParseError("association needs a finite mu and a finite "
                              f"sigma > 0, got {self.mu} and {self.sigma}")
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import math
 import zlib
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
-
-INF = float("inf")
 
 
 class LayoutPriorError(Exception):
@@ -39,6 +38,15 @@ def parse_error(where, e: Exception) -> ParseError:
     """A ParseError for `e`, one of PARSE_ERRORS, that says where it arose."""
     reason = f"missing key {e}" if isinstance(e, KeyError) else e
     return ParseError(f"{where}: {reason}")
+
+
+def finite(x) -> bool:
+    """Whether the real number `x` is finite. An int past the float
+    range is not, as no float64 array can hold it."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def json_int(value, name: str) -> int:
@@ -138,9 +146,8 @@ class BBox:
     y2: float
 
     def __post_init__(self):
-        # Chained comparisons are False for NaN, so this also rejects it.
-        if not (-INF < self.x1 <= self.x2 < INF
-                and -INF < self.y1 <= self.y2 < INF):
+        if not (all(map(finite, (self.x1, self.y1, self.x2, self.y2)))
+                and self.x1 <= self.x2 and self.y1 <= self.y2):
             raise ParseError(
                 f"malformed box ({self.x1},{self.y1},{self.x2},{self.y2}): "
                 "coordinates must be finite with x1 <= x2 and y1 <= y2"
@@ -162,7 +169,7 @@ class Component:
     score: Optional[float] = None
 
     def __post_init__(self):
-        if self.score is not None and not -INF < self.score < INF:
+        if self.score is not None and not finite(self.score):
             raise ParseError(f"non-finite score: {self.score}")
 
 
@@ -175,7 +182,8 @@ class LayoutDocument:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
-        if not (0 < self.width < INF and 0 < self.height < INF):
+        if not (finite(self.width) and finite(self.height)
+                and self.width > 0 and self.height > 0):
             raise ParseError(
                 f"layout {self.id!r}: canvas size must be positive and finite")
 
@@ -205,7 +213,7 @@ class ProposalBatch:
                     f"{len(self.boxes)} boxes"
                 )
             object.__setattr__(self, "features", feats)
-        if not 0 < self.layout_height < INF:
+        if not (finite(self.layout_height) and self.layout_height > 0):
             raise ParseError("layout_height must be positive and finite")
 
 

@@ -68,8 +68,7 @@ class EvalReport:
     ar_large: float
     per_class: dict = field(default_factory=dict)
 
-    FIELDS = ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large",
-              "ar1", "ar10", "ar100", "ar_small", "ar_medium", "ar_large")
+    FIELDS = tuple(row[0] for row in _SUMMARY)
 
     def to_dict(self, include_per_class: bool = True) -> dict:
         out = {k: getattr(self, k) for k in self.FIELDS}
@@ -256,7 +255,7 @@ def evaluate(dets: Corpus, gts: Corpus,
     # detections are sorted by descending score (ties keep input order)
     # and truncated to the largest cap: matching is greedy in that order,
     # so every smaller cap is a prefix.
-    img, cls, score, boxes = dets.columns
+    img, cls, score, boxes = dets.index, dets.class_id, dets.score, dets.boxes
     key = cls * I + img
     order = np.lexsort((-score, key))
     rank = _rank(key[order])
@@ -268,7 +267,7 @@ def evaluate(dets: Corpus, gts: Corpus,
     # A ground truth's image is the position of its layout's id among
     # the detection layouts.
     index = {lid: i for i, lid in enumerate(dets.ids)}
-    g_layout, g_cls, _, g_boxes = gts.columns
+    g_layout, g_cls, g_boxes = gts.index, gts.class_id, gts.boxes
     g_img = np.array([index[lid] for lid in gts.ids],
                      dtype=np.int64)[g_layout]
     g_key = g_cls * I + g_img

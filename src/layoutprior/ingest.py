@@ -13,8 +13,8 @@ Native corpus format::
 A COCO document is translated into native records, its ``[x, y, w, h]``
 boxes becoming ``[x1, y1, x2, y2]``, and parsed as a native file is.
 
-A `Corpus` is its arrays: the layout ids and canvas sides, and one row
-per component in layout order; corpora compare field by field.
+A `Corpus` is its arrays, each one field: the layout ids and canvas sides,
+and one row per component in layout order; corpora compare field by field.
 `Corpus.layouts` is a view of them as `LayoutDocument` objects, built
 on first use. `Corpus.from_layouts` makes a corpus of such objects, its
 numbers as float64 but for int canvas sides, so that `save_native`,
@@ -111,12 +111,6 @@ class Corpus:
                    cols[:, 2], cols[:, 3].astype(bool), cols[:, 4:])
 
     @cached_property
-    def columns(self) -> tuple:
-        """(index, class_id, score, boxes), for the stages that read the
-        components as arrays."""
-        return self.index, self.class_id, self.score, self.boxes
-
-    @cached_property
     def offsets(self) -> list:
         """Where each layout's components start in the component arrays,
         and where the last one ends: len(ids) + 1 ints."""
@@ -206,8 +200,8 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     x1, y1, x2, y2 = boxes.T
     if not (np.isfinite(boxes).all() and (x1 <= x2).all()
             and (y1 <= y2).all() and np.isfinite(score).all()
-            and ((0.0 < widths) & (widths < np.inf)).all()
-            and ((0.0 < heights) & (heights < np.inf)).all()):
+            and (np.isfinite(widths) & (widths > 0.0)).all()
+            and (np.isfinite(heights) & (heights > 0.0)).all()):
         raise ValueError("a record fails a check")
     # BBox.clamped, in place: max(v, 0.0) keeps v, -0.0 included, unless
     # 0.0 > v, and min(v, side) keeps v unless side < v.

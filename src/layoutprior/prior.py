@@ -118,7 +118,7 @@ def accumulate(corpus: Corpus, config: BandConfig) -> np.ndarray:
     histograms H (layouts x classes).
     """
     C, L = corpus.vocabulary.size, len(corpus.ids)
-    layout, cls, _, boxes = corpus.columns
+    layout, cls, boxes = corpus.index, corpus.class_id, corpus.boxes
     member = band_membership((boxes[:, 1] + boxes[:, 3]) / 2.0
                              / corpus.heights[layout], config)
     # Band by band: an N_b x L x C histogram would raise the peak memory.

@@ -14,7 +14,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import BBox, LayoutDocument, ParseError, ProposalBatch, row_softmax
+from .core import (BBox, LayoutDocument, ParseError, ProposalBatch, finite,
+                   row_softmax)
 from .conditioning import AssociationPolicy, band_association
 from .ingest import Corpus
 from .prior import CoOccurrenceGraphSet
@@ -26,11 +27,15 @@ _LOG_FLOOR = 1e-300
 class RescoreConfig:
     blend: float = 0.5  # lambda in [0, 1]
     association: AssociationPolicy = AssociationPolicy()
+    confidence: float = 0.8  # label mass of a component's soft logits
     epsilon: ClassVar[float] = 1e-6  # a context of at most this mass is empty
 
     def __post_init__(self):
         if not (0.0 <= self.blend <= 1.0):
             raise ParseError("blend strength must lie in [0, 1]")
+        if not finite(self.confidence):
+            raise ParseError("label confidence must be finite, got "
+                             f"{self.confidence}")
 
 
 def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
@@ -77,8 +82,6 @@ def _label_batch(boxes: tuple, class_id, score: np.ndarray, height,
                  n_classes: int, confidence: float) -> ProposalBatch:
     """labels_to_logits of a layout given as its BBox objects, class ids,
     scores (1.0 where absent) and canvas height."""
-    if not np.isfinite(confidence):
-        raise ParseError(f"label confidence must be finite, got {confidence}")
     conf = np.minimum(np.maximum(confidence * score, 1.0 / n_classes),
                       1.0 - 1e-9)
     probs = np.repeat(((1.0 - conf) / max(n_classes - 1, 1))[:, None],
@@ -88,18 +91,19 @@ def _label_batch(boxes: tuple, class_id, score: np.ndarray, height,
 
 
 def labels_to_logits(layout: LayoutDocument, n_classes: int,
-                     confidence: float = 0.8) -> ProposalBatch:
+                     confidence=RescoreConfig.confidence) -> ProposalBatch:
     """Soft logits from labeled components: mass `confidence` on the
     label (scaled by the component score when present), remainder uniform."""
     comps = layout.components
     return _label_batch(
         tuple(c.bbox for c in comps), [c.class_id for c in comps],
         np.array([1.0 if c.score is None else c.score for c in comps]),
-        layout.height, n_classes, confidence)
+        layout.height, n_classes,
+        RescoreConfig(confidence=confidence).confidence)  # which checks it
 
 
 def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,
-                   config: RescoreConfig, confidence: float = 0.8) -> Corpus:
+                   config: RescoreConfig) -> Corpus:
     """`corpus` with every label rescored within its own layout: each
     component takes the class of highest rescored probability, and that
     probability as its score."""
@@ -110,7 +114,7 @@ def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,
     cuts = corpus.offsets
     probs = [row_softmax(rescore(_label_batch(
                 boxes[a:b], corpus.class_id[a:b], corpus.score[a:b], h, C,
-                confidence), graphs, config).logits)
+                config.confidence), graphs, config).logits)
              for a, b, h in zip(cuts, cuts[1:], corpus.heights.tolist())]
     probs = np.concatenate(probs or [np.empty((0, C))])
     cls = np.argmax(probs, axis=1)

@@ -12,26 +12,28 @@ platforms for a fixed seed.
 from __future__ import annotations
 
 import numbers
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import (ClassVocabulary, ParseError, fields_equal, read_json,
-                   read_only)
+from .core import (ClassVocabulary, ParseError, fields_equal, finite,
+                   read_json, read_only)
 from .ingest import Corpus
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 
-def _pair(values, kind, name: str) -> tuple:
-    """The two entries of a (lo, hi) or (width, height) field, each an
-    instance of `kind` (booleans excluded)."""
+def _pair(spec, name: str, kind) -> tuple:
+    """Set `spec`'s (lo, hi) or (width, height) field `name` to the tuple
+    of its two entries, each a `kind` but not a bool, and return it."""
+    values = getattr(spec, name)
     if not (isinstance(values, (tuple, list)) and len(values) == 2
             and all(isinstance(v, kind) and not isinstance(v, bool)
                     for v in values)):
         raise ParseError(f"{name} must be two {kind.__name__} numbers, "
                          f"got {values!r}")
-    return tuple(values)
+    pair = tuple(values)
+    object.__setattr__(spec, name, pair)
+    return pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,19 +72,19 @@ class GeneratorSpec:
                              "sum to 1")
         if not (0.0 <= self.noise < 1.0):
             raise ParseError("noise must lie in [0, 1)")
-        lo, hi = _pair(self.boxes_per_band, numbers.Integral, "boxes_per_band")
+        lo, hi = _pair(self, "boxes_per_band", numbers.Integral)
         # rng.integers draws below hi + 1, which must fit in an int64.
         if not 0 <= lo <= hi < 2 ** 63:
             raise ParseError("boxes_per_band must satisfy 0 <= lo <= hi")
-        lo, hi = _pair(self.box_size_frac, numbers.Real, "box_size_frac")
+        lo, hi = _pair(self, "box_size_frac", numbers.Real)
         if not 0.0 <= lo <= hi <= 1.0:
             raise ParseError("box_size_frac must satisfy 0 <= lo <= hi <= 1")
         # numpy scalars become floats, to compare in double precision and
-        # to serialize; an integer beyond the float range compares below inf.
+        # to serialize.
         canvas = tuple(v if isinstance(v, int) else float(v)
-                       for v in _pair(self.canvas, numbers.Real, "canvas"))
+                       for v in _pair(self, "canvas", numbers.Real))
         object.__setattr__(self, "canvas", canvas)
-        if not all(0.0 < v <= sys.float_info.max for v in canvas):
+        if not all(finite(v) and v > 0.0 for v in canvas):
             raise ParseError("canvas sides must be positive and finite")
         if not (isinstance(self.seed, numbers.Integral)
                 and not isinstance(self.seed, bool) and self.seed >= 0):
@@ -312,17 +314,15 @@ def spec_to_obj(spec: GeneratorSpec) -> dict:
 
 
 def spec_from_obj(obj: dict) -> GeneratorSpec:
+    """`obj` as a spec; GeneratorSpec's defaults fill the keys it omits."""
     try:
-        return GeneratorSpec(
-            vocabulary=ClassVocabulary(tuple(obj["classes"])),
-            planted_graphs=obj["planted_graphs"],
-            class_marginals=obj["class_marginals"],
-            boxes_per_band=tuple(obj.get("boxes_per_band", (2, 5))),
-            canvas=tuple(obj.get("canvas", (360.0, 640.0))),
-            box_size_frac=tuple(obj.get("box_size_frac", (0.05, 0.25))),
-            noise=float(obj.get("noise", 0.0)),
-            seed=obj.get("seed", 0),
-        )
+        given = {f.name: obj[f.name] for f in fields(GeneratorSpec)[3:]
+                 if f.name in obj}
+        if "noise" in given:
+            given["noise"] = float(given["noise"])
+        return GeneratorSpec(ClassVocabulary(tuple(obj["classes"])),
+                             obj["planted_graphs"], obj["class_marginals"],
+                             **given)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad generator spec: {e}") from None
 

@@ -294,6 +294,23 @@ class TestRescoreCmd:
         assert str(graphs_path) in err
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["build-prior", "{f}", "--bands", "0"], "n_bands must be >= 1"),
+    (["build-prior", "{f}", "--band-width", "2"], "band_width_frac must be"),
+    (["condition", "{f}", "{f}", "--nodes", "{f}", "--embed", "{f}",
+      "--sigma", "nan"], "association needs a finite mu"),
+    (["rescore", "{f}", "{f}", "--confidence", "nan"],
+     "label confidence must be finite, got nan"),
+])
+def test_options_checked_before_files(tmp_path, capsys, argv, rule):
+    missing, out = tmp_path / "none.json", tmp_path / "o.json"
+    assert main([a.format(f=missing) for a in argv]
+                + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert rule in err and "none.json" not in err
+    assert not out.exists()
+
+
 class TestEvalCmd:
     def test_identical_scores_one(self, tmp_path, corpus_path, capsys):
         scored = json.loads(json.dumps(CORPUS))

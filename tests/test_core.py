@@ -1,7 +1,9 @@
 import ast
 import gzip
 import json
+import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,12 @@ from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               matrix_from_json, matrix_to_json, read_json,
                               row_softmax, write_text)
 from layoutprior.prior import BandConfig
+from layoutprior.rescore import RescoreConfig
+
+from test_synth import block_spec
 
 NAN, INF = float("nan"), float("inf")
+BIG = 10 ** 400  # an int that compares below INF but no float can hold
 
 coords = st.floats(min_value=0, max_value=1000, allow_nan=False)
 
@@ -78,6 +84,21 @@ class TestNonFinite:
     def test_layout_height(self, height):
         with pytest.raises(ParseError, match="finite"):
             ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), height)
+
+    @pytest.mark.parametrize("build", [
+        lambda: BBox(0, 0, BIG, 1), lambda: BBox(-BIG, 0, 1, 1),
+        lambda: Component(BBox(0, 0, 1, 1), 0, BIG),
+        lambda: LayoutDocument("l", BIG, 1.0),
+        lambda: LayoutDocument("l", 1, BIG),
+        lambda: ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), BIG),
+        lambda: AssociationPolicy(mu=-BIG),
+        lambda: AssociationPolicy(sigma=BIG),
+        lambda: RescoreConfig(confidence=BIG),
+        lambda: replace(block_spec(), canvas=(BIG, 640.0)),
+    ])
+    def test_int_past_float_range(self, build):
+        with pytest.raises(ParseError, match="finite"):
+            build()
 
 
 class TestVocabulary:
@@ -318,3 +339,38 @@ def test_only_open_text_opens_files():
                     f"{path.name}:{node.lineno}")
     assert outside == []
     assert len(inside) == 2  # a .gz path and a plain one
+
+
+def _infinite(node: ast.expr) -> bool:
+    """Whether the expression `node` is, with or without a sign, an
+    infinity (INF, np.inf, math.inf, float("inf"), a literal past the
+    float range) or sys.float_info.max."""
+    if isinstance(node, ast.UnaryOp):
+        return _infinite(node.operand)
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float) and math.isinf(node.value)
+    if isinstance(node, ast.Call):
+        return (ast.unparse(node.func) == "float" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant)
+                and str(node.args[0].value).strip().lstrip("+-").lower()
+                in ("inf", "infinity"))
+    name = ast.unparse(node)
+    return (isinstance(node, (ast.Name, ast.Attribute))
+            and (name.split(".")[-1] in ("INF", "inf", "Inf", "infty")
+                 or name.endswith("float_info.max")))
+
+
+def test_no_comparison_with_infinity():
+    """core.finite, and np.isfinite on arrays, are how the library tests
+    that a number is finite. No comparison has an infinity or the largest
+    float as an operand: an int past the float range passes such a test."""
+    for text in ("INF", "-np.inf", "math.inf", 'float("-inf")', "1e999",
+                 "sys.float_info.max"):
+        assert _infinite(ast.parse(text, mode="eval").body), text
+    found = []
+    for path in sorted(Path(layoutprior.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(map(_infinite, [node.left, *node.comparators]))]
+    assert found == []

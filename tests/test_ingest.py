@@ -2,7 +2,7 @@ import gzip
 import json
 import re
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import inf, nan
 from pathlib import Path
 
@@ -155,19 +155,22 @@ def test_gzip_transparent(tmp_path):
     assert load_native(out).layouts == corpus.layouts
 
 
+def _arrays(corpus):
+    """The array fields of `corpus`, in field order."""
+    return [getattr(corpus, f.name) for f in fields(Corpus)[2:]]
+
+
 def test_columns(tmp_path):
     corpus = load_native(write(tmp_path, NATIVE))
     twin = load_native(write(tmp_path, NATIVE))
-    layout, cls, score, boxes = corpus.columns
-    assert layout.tolist() == [0, 0] and cls.tolist() == [0, 1]
-    assert score.tolist() == [1.0, 0.875]
-    assert boxes.tolist() == [[0, 0, 50, 20], [10, 30, 90, 60]]
-    assert corpus.columns is corpus.columns
-    assert not any(a.flags.writeable for a in corpus.columns)
-    # Not a field: equality, hashing and replace do not see it.
+    assert [a.tolist() for a in _arrays(corpus)] == [
+        [100], [200], [0, 0], [0, 1], [1.0, 0.875], [False, True],
+        [[0, 0, 50, 20], [10, 30, 90, 60]]]
+    assert not any(a.flags.writeable for a in _arrays(corpus))
     assert corpus == twin and hash(corpus) == hash(twin)
+    assert corpus != replace(twin, score=np.array([1.0, 0.5]))
     empty = Corpus.from_layouts(corpus.vocabulary, ())
-    assert [a.shape for a in empty.columns] == [(0,), (0,), (0,), (0, 4)]
+    assert [a.shape for a in _arrays(empty)] == [(0,)] * 6 + [(0, 4)]
 
 
 def dumped(corpus) -> str:
@@ -609,8 +612,8 @@ def _outcome(parse, records, vocab):
     except PARSE_ERRORS as e:
         return "error", str(parse_error("f", e))
     return ("corpus", dumped(corpus), corpus.ids,
-            corpus.heights.dtype, corpus.heights.tobytes(),
-            [(a.dtype, a.shape, a.tobytes()) for a in corpus.columns])
+            [(f.name, a.dtype, a.shape, a.tobytes())
+             for f, a in zip(fields(Corpus)[2:], _arrays(corpus))])
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)

@@ -395,3 +395,11 @@ class TestSpecIO:
     def test_bad_spec(self):
         with pytest.raises(ParseError):
             spec_from_obj({"classes": ["a"]})
+
+    def test_pairs_are_tuples(self):
+        spec = block_spec()
+        listed = replace(spec, boxes_per_band=[2, 5],
+                         box_size_frac=[0.05, 0.25], canvas=[360, 640.0])
+        assert listed == replace(spec, canvas=(360, 640.0))
+        assert listed.boxes_per_band == (2, 5)
+        assert spec_from_obj(spec_to_obj(listed)) == listed
