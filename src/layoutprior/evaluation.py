@@ -37,6 +37,7 @@ _SUMMARY = (  # field, precision (or recall), area range, cap, threshold
     ("ar_medium", False, "medium", 100, None),
     ("ar_large", False, "large", 100, None),
 )
+_AP_CAPS = {cap for _, is_ap, _, cap, _ in _SUMMARY if is_ap}
 
 
 @dataclass(frozen=True)
@@ -86,37 +87,49 @@ class EvalReport:
                 + "  ".join(row))
 
 
-def _sample(tp_flags: np.ndarray, fp_flags: np.ndarray, n_pos: np.ndarray,
-            recall_points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Interpolated precision samples and recall of rows of score-ordered
-    flags shaped (..., A, T, N), with one positive count per area.
+def _at_true_positives(tp_flags: np.ndarray,
+                       fp_flags: np.ndarray) -> np.ndarray:
+    """The precision envelope of rows of score-ordered, exclusive true-
+    and false-positive flags (..., N), read at entry 0 and then at each
+    true positive in turn: (..., N + 2), 0 past a row's last one.
 
-    Entries that are neither a true nor a false positive (ignored ones)
-    repeat the previous precision and recall, which leaves the envelope
-    and its samples unchanged. Returns (samples (..., A, T, R),
-    recall (..., A, T)).
+    Entries that are neither a true nor a false positive (ignored ones,
+    and padding) repeat the previous precision, which leaves the
+    envelope unchanged.
     """
-    *lead, N = tp_flags.shape
-    tp = np.cumsum(tp_flags, axis=-1)
-    fp = np.cumsum(fp_flags, axis=-1)
-    pr = tp / np.maximum(tp + fp, 1)
+    N = tp_flags.shape[-1]
+    pr = np.cumsum(tp_flags | fp_flags, axis=-1, dtype=np.float64)
+    np.divide(np.cumsum(tp_flags, axis=-1), np.maximum(pr, 1.0, out=pr),
+              out=pr)
     # Monotone-decreasing envelope from the right.
-    pr = np.maximum.accumulate(pr[..., ::-1], axis=-1)[..., ::-1]
-    # The first entry with tp / n >= p is the first with tp >= k_p, the
-    # least k with k / n >= p (N + 2 when none up to N + 1 has it): one
-    # integer search over all rows at once.
-    k = np.array([np.searchsorted(np.arange(N + 2) / n, recall_points)
-                  for n in n_pos.tolist()]).reshape(-1, 1, len(recall_points))
-    # Row r's keys r * (N + 2) + tp sit at flat positions r * N to
-    # r * N + N - 1, so the search returns r * N + the entry's index, or
-    # r * N + N when no entry qualifies.
-    row = np.arange(np.prod(lead, dtype=int)).reshape(tuple(lead) + (1,))
-    pos = np.searchsorted((row * (N + 2) + tp).ravel(), row * (N + 2) + k)
-    # Recall levels beyond the last operating point sample precision 0:
-    # an extra last entry per row, which shifts row r by r positions.
-    pr = np.concatenate([pr, np.zeros(tuple(lead) + (1,))], axis=-1)
-    recall = tp_flags.sum(axis=-1) / n_pos[:, None]
-    return pr.ravel()[pos + row], recall
+    np.maximum.accumulate(pr[..., ::-1], axis=-1, out=pr[..., ::-1])
+    table = np.zeros(tp_flags.shape[:-1] + (N + 2,))
+    if N:
+        table[..., 0] = pr[..., 0]
+    hit = np.flatnonzero(tp_flags)
+    row = hit // max(N, 1)
+    table.reshape(-1, N + 2)[row, _rank(row) + 1] = pr.ravel()[hit]
+    return table
+
+
+def _sample(tp_flags: np.ndarray, fp_flags: np.ndarray, n_pos: np.ndarray,
+            recall_points: np.ndarray) -> np.ndarray:
+    """Interpolated precision samples (L, T, R) of rows of score-ordered,
+    exclusive true- and false-positive flags (L, T, N), with one positive
+    count per leading row.
+
+    The first entry with tp / n >= p is the first with tp >= k_p, the
+    least k with k / n >= p (N + 2 when none up to N + 1 has it): entry 0
+    for k = 0, else the row's k-th true positive. Recall levels beyond
+    the last operating point sample precision 0.
+    """
+    L, T, N = tp_flags.shape
+    n, row = np.unique(n_pos, return_inverse=True)
+    k = np.array([np.searchsorted(np.arange(N + 2) / v, recall_points)
+                  for v in n.tolist()],
+                 dtype=np.intp).reshape(len(n), 1, len(recall_points))[row]
+    return np.take_along_axis(_at_true_positives(tp_flags, fp_flags),
+                              np.minimum(k, N + 1), axis=-1)
 
 
 def precision_recall(flags, n_gt: int,
@@ -132,7 +145,7 @@ def precision_recall(flags, n_gt: int,
         return np.zeros(len(recall_points)), SENTINEL
     flags = np.asarray(flags, dtype=bool).reshape(1, 1, -1)
     samples = _sample(flags, ~flags, np.array([n_gt]),
-                      np.asarray(recall_points, dtype=np.float64))[0][0, 0]
+                      np.asarray(recall_points, dtype=np.float64))[0, 0]
     return samples, float(samples.mean())
 
 
@@ -150,46 +163,45 @@ def _outside(areas: np.ndarray, config: EvalConfig) -> np.ndarray:
 
 def _greedy(ious: np.ndarray, n_dt: np.ndarray, gt_ig: np.ndarray,
             gt_pad: np.ndarray, iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy matching of U units' score-ordered detections at every
-    area range and threshold at once.
+    """Greedy matching of U units' score-ordered detections at one area
+    range and every threshold at once.
 
     ious is U x D x G; units are ordered by detection count n_dt, most
     first, so step d touches only the units that have a detection d.
     Each unit's ground truths lie in reverse input order along G.
-    gt_ig (A x U x G) flags ground truths outside each area range and
-    gt_pad (U x G) the padding. Each detection claims the unmatched
-    ground truth of highest IoU (the later one in input order on ties,
-    argmax's first) that reaches the threshold, preferring non-ignored
-    ground truths. Returns (matched, matched_ignored), both A x T x U x D:
-    whether the detection matched, and whether its match is an ignored
-    ground truth.
+    gt_ig (U x G) flags ground truths outside the area range and gt_pad
+    (U x G) the padding. Each detection claims the unmatched ground
+    truth of highest IoU (the later one in input order on ties, argmax's
+    first) that reaches the threshold, preferring non-ignored ground
+    truths. Returns (matched, matched_ignored), both T x U x D: whether
+    the detection matched, and whether its match is an ignored ground
+    truth.
     """
     U, D, G = ious.shape
-    A = gt_ig.shape[0]
     thr = np.minimum(np.asarray(iou_thrs, dtype=np.float64),
                      1.0 - 1e-10).reshape(-1, 1, 1)
-    taken = np.repeat(np.broadcast_to(gt_pad, (A, 1, U, G)), len(thr), axis=1)
-    matched = np.zeros(taken.shape[:3] + (D,), dtype=bool)
+    taken = np.repeat(gt_pad[None], len(thr), axis=0)
+    matched = np.zeros(taken.shape[:2] + (D,), dtype=bool)
     matched_ig = np.zeros_like(matched)
     slots = np.arange(G)
     for d in range(D):
         u = int(np.count_nonzero(n_dt > d))
         row = ious[:u, d]
-        cand = ~taken[:, :, :u] & (row >= thr)
-        real = cand & ~gt_ig[:, None, :u]
+        cand = ~taken[:, :u] & (row >= thr)
+        real = cand & ~gt_ig[:u]
         has_real = real.any(axis=-1)
         cand = np.where(has_real[..., None], real, cand)
         hit = cand.any(axis=-1)
         best = np.argmax(np.where(cand, row, -np.inf), axis=-1)
-        taken[:, :, :u] |= hit[..., None] & (slots == best[..., None])
-        matched[:, :, :u, d] = hit
-        matched_ig[:, :, :u, d] = hit & ~has_real
+        taken[:, :u] |= hit[..., None] & (slots == best[..., None])
+        matched[:, :u, d] = hit
+        matched_ig[:, :u, d] = hit & ~has_real
     return matched, matched_ig
 
 
-def _match_class(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
-                 iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
-    """Match one class's detections, sorted by unit key and then rank,
+def _match(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
+           iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
+    """Match every unit's detections, sorted by unit key and then rank,
     to its ground truths, sorted by unit key and then input order.
 
     dt_out (A x K) and g_out (A x G_total) flag boxes outside each area
@@ -221,12 +233,17 @@ def _match_class(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
     gt_box[gu, gr] = g_boxes[found]
     gt_pad = np.ones((U, G), dtype=bool)
     gt_pad[gu, gr] = False
-    gt_ig = np.zeros((A, U, G), dtype=bool)
-    gt_ig[:, gu, gr] = g_out[:, found]
-    matched, matched_ig = _greedy(iou_matrix(dt_box, gt_box), n_dt[by_count],
-                                  gt_ig, gt_pad, iou_thrs)
-    m, mig = matched[:, :, u, rank], matched_ig[:, :, u, rank]
-    return m & ~mig, ~m & ~dt_out[:, None]
+    ious = iou_matrix(dt_box, gt_box)
+    tp = np.empty((A, T, len(key)), dtype=bool)
+    fp = np.empty_like(tp)
+    for a in range(A):
+        gt_ig = np.zeros((U, G), dtype=bool)
+        gt_ig[gu, gr] = g_out[a, found]
+        matched, matched_ig = _greedy(ious, n_dt[by_count], gt_ig, gt_pad,
+                                      iou_thrs)
+        m, mig = matched[:, u, rank], matched_ig[:, u, rank]
+        tp[a], fp[a] = m & ~mig, ~m & ~dt_out[a]
+    return tp, fp
 
 
 def evaluate(dets: Corpus, gts: Corpus,
@@ -242,14 +259,8 @@ def evaluate(dets: Corpus, gts: Corpus,
             f"unknown in detections: {extra}"
         )
 
-    C, I = gts.vocabulary.size, len(dets.ids)
+    C, I, A = gts.vocabulary.size, len(dets.ids), len(config.area_ranges)
     iou_thrs = config.iou_thresholds
-    T, R = len(iou_thrs), len(config.recall_points)
-    A, M = len(config.area_ranges), len(config.max_dets)
-    # precision[t, r, class, area, maxdet] and recall[t, class, area, maxdet];
-    # sentinel where a slice has no ground truth.
-    precision = np.full((T, R, C, A, M), SENTINEL)
-    recall = np.full((T, C, A, M), SENTINEL)
 
     # A unit is one (class, image), keyed class * I + image. Each unit's
     # detections are sorted by descending score (ties keep input order)
@@ -261,7 +272,7 @@ def evaluate(dets: Corpus, gts: Corpus,
     rank = _rank(key[order])
     keep = rank < max(config.max_dets)
     order, rank = order[keep], rank[keep]
-    key, score, boxes = key[order], score[order], boxes[order]
+    key, cls, score, boxes = key[order], cls[order], score[order], boxes[order]
     dt_out = _outside(box_areas(boxes), config)
 
     # A ground truth's image is the position of its layout's id among
@@ -272,62 +283,77 @@ def evaluate(dets: Corpus, gts: Corpus,
                      dtype=np.int64)[g_layout]
     g_key = g_cls * I + g_img
     order = np.argsort(g_key, kind="stable")
-    g_key, g_boxes = g_key[order], g_boxes[order]
+    g_key, g_cls, g_boxes = g_key[order], g_cls[order], g_boxes[order]
     g_rank = _rank(g_key)
     g_out = _outside(box_areas(g_boxes), config)
+    # Positives per (area range, class); only slices with some are scored.
+    n_pos = np.bincount((np.arange(A)[:, None] * C + g_cls)[~g_out],
+                        minlength=A * C).reshape(A, C)
+    live_a, live_c = np.nonzero(n_pos)
+    n_live = n_pos[live_a, live_c]
 
-    recall_points = np.asarray(config.recall_points, dtype=np.float64)
-    caps = np.array(config.max_dets).reshape(-1, 1)
-    # Each class's units are one run of keys.
-    d_bounds = np.searchsorted(key, np.arange(C + 1) * I)
-    g_bounds = np.searchsorted(g_key, np.arange(C + 1) * I)
-    for ci in range(C):
-        d = slice(*d_bounds[ci:ci + 2])
-        g = slice(*g_bounds[ci:ci + 2])
-        n_pos = (~g_out[:, g]).sum(axis=1)
-        live = np.flatnonzero(n_pos)
-        if not live.size:
-            continue
-        tp, fp = _match_class(key[d], rank[d], boxes[d], dt_out[:, d],
-                              g_key[g], g_rank[g], g_boxes[g], g_out[:, g],
-                              iou_thrs)
-        # Pool the images' detections in one stable score order (ties in
-        # image order, then input order), every cap at once: entries past
-        # a cap count as neither a true nor a false positive.
-        pooled = np.argsort(-score[d], kind="stable")
-        in_cap = (rank[d][pooled] < caps)[:, None, None]
-        samples, rec = _sample(tp[live][..., pooled] & in_cap,
-                               fp[live][..., pooled] & in_cap,
-                               n_pos[live], recall_points)
-        precision[:, :, ci, live] = samples.transpose(2, 3, 1, 0)
-        recall[:, ci, live] = rec.transpose(2, 1, 0)
+    tp, fp = _match(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
+                    iou_thrs)
+    # Pool each class's detections in one stable score order (ties in
+    # image order, then input order), padded to the longest class:
+    # padding is neither a true nor a false positive.
+    pooled = np.lexsort((-score, cls))
+    p_cls = cls[pooled]
+    slot = _rank(p_cls)
+    width = int(slot.max(initial=-1)) + 1
 
-    # Each summary field's slice, classes on the last axis; a field whose
-    # area range, cap or threshold the config lacks stays at the sentinel.
-    area_names = [name for name, _, _ in config.area_ranges]
-    thrs = list(iou_thrs)
-    slices = []
-    for name, is_ap, area, cap, thr in _SUMMARY:
-        if (area in area_names and cap in config.max_dets
-                and (thr is None or thr in thrs)):
-            v = (precision if is_ap else recall)[
-                ..., area_names.index(area), config.max_dets.index(cap)]
-            if thr is not None:
-                v = v[thrs.index(thr):thrs.index(thr) + 1]
-            slices.append((name, v))
-
-    def block(classes):
-        out = dict.fromkeys(EvalReport.FIELDS, SENTINEL)
-        for name, v in slices:
-            v = v[..., classes]
-            valid = v[v > SENTINEL]
-            if valid.size:
-                out[name] = float(valid.mean())
+    def pad(v):
+        out = np.zeros(v.shape[:-1] + (C, width), dtype=v.dtype)
+        out[..., p_cls, slot] = v[..., pooled]
         return out
 
-    per_class = {gts.vocabulary.names[ci]: block(slice(ci, ci + 1))
-                 for ci in range(C)}
-    return EvalReport(per_class=per_class, **block(slice(None)))
+    tp, fp, rank = pad(tp), pad(fp), pad(rank)
+    # Each live (area range, class) row's recall at every cap, L x M x T:
+    # its in-cap true positives over its positives (entries past a cap
+    # count as neither a true nor a false positive) ...
+    caps = np.array(config.max_dets).reshape(-1, 1, 1, 1, 1)
+    hits = (tp & (rank < caps)).sum(axis=-1)[:, live_a, :, live_c]
+    recall = hits / n_live[:, None, None]
+    # ... and its precision samples, L x T x R, kept only at the caps the
+    # AP fields read.
+    recall_points = np.asarray(config.recall_points, dtype=np.float64)
+    precision = {}
+    for cap in _AP_CAPS.intersection(config.max_dets):
+        in_cap = (rank < cap)[live_c, None]
+        precision[cap] = _sample(tp[live_a, :, live_c] & in_cap,
+                                 fp[live_a, :, live_c] & in_cap, n_live,
+                                 recall_points)
+
+    # Each summary field averages the cells of its area range's live rows
+    # at its cap, over every threshold or just one; a field whose area
+    # range, cap or threshold the config lacks, or with no live row,
+    # stays at the sentinel.
+    area_names = [name for name, _, _ in config.area_ranges]
+    thrs = list(iou_thrs)
+    overall = dict.fromkeys(EvalReport.FIELDS, SENTINEL)
+    by_class = np.full((C, len(_SUMMARY)), SENTINEL)
+    for f, (name, is_ap, area, cap, thr) in enumerate(_SUMMARY):
+        if not (area in area_names and cap in config.max_dets
+                and (thr is None or thr in thrs)):
+            continue
+        rows = live_a == area_names.index(area)
+        v = (precision[cap][rows] if is_ap
+             else recall[rows, config.max_dets.index(cap)])
+        if thr is not None:
+            v = v[:, thrs.index(thr):thrs.index(thr) + 1]
+        if v.size:
+            # The overall mean reads the cells in (threshold, recall
+            # point, class) order, and each class's mean its own
+            # contiguous row: the cells, order and pairwise sums of a 1-D
+            # mean over the non-sentinel cells of a full (threshold,
+            # recall point, class) array.
+            overall[name] = float(np.moveaxis(v, 0, -1).ravel().mean())
+            by_class[live_c[rows], f] = np.ascontiguousarray(v).reshape(
+                len(v), -1).mean(axis=1)
+
+    per_class = {name: dict(zip(EvalReport.FIELDS, row)) for name, row
+                 in zip(gts.vocabulary.names, by_class.tolist())}
+    return EvalReport(per_class=per_class, **overall)
 
 
 def report_to_json(report: EvalReport) -> str:

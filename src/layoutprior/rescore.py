@@ -36,6 +36,9 @@ class RescoreConfig:
         if not finite(self.confidence):
             raise ParseError("label confidence must be finite, got "
                              f"{self.confidence}")
+        if not 0.0 <= self.confidence <= 1.0:
+            raise ParseError("label confidence must lie in [0, 1], got "
+                             f"{self.confidence}")
 
 
 def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,

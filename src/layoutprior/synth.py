@@ -319,7 +319,10 @@ def spec_from_obj(obj: dict) -> GeneratorSpec:
         given = {f.name: obj[f.name] for f in fields(GeneratorSpec)[3:]
                  if f.name in obj}
         if "noise" in given:
-            given["noise"] = float(given["noise"])
+            noise = given["noise"]
+            if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+                raise TypeError(f"noise must be a number, got {noise!r}")
+            given["noise"] = float(noise)
         return GeneratorSpec(ClassVocabulary(tuple(obj["classes"])),
                              obj["planted_graphs"], obj["class_marginals"],
                              **given)

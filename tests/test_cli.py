@@ -261,6 +261,23 @@ class TestRescoreCmd:
         assert not out.exists()
         assert flag[2:] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["5", "-1", "1.5", "-0.25"])
+    def test_confidence_outside_unit_interval_exit_2(
+            self, tmp_path, corpus_path, graphs_path, capsys, value):
+        out = tmp_path / "o.json"
+        assert main(["rescore", str(corpus_path), str(graphs_path),
+                     "--confidence", value, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "label confidence must lie in [0, 1], got " in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "1"])
+    def test_confidence_bounds_accepted(self, tmp_path, corpus_path,
+                                        graphs_path, value):
+        assert main(["rescore", str(corpus_path), str(graphs_path),
+                     "--confidence", value,
+                     "--out", str(tmp_path / "o.json")]) == 0
+
     @pytest.mark.parametrize("change", [
         lambda g: g.pop("edges"), lambda g: g.update(n_bands=3),
         lambda g: g.update(edges=[]), lambda g: g.update(n_bands="a"),

@@ -1,8 +1,10 @@
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
                          LayoutDocument, load_native)
@@ -10,6 +12,9 @@ from layoutprior.core import LayoutPriorError
 from layoutprior.evaluation import (SENTINEL, EvalConfig, evaluate,
                                     precision_recall)
 from layoutprior.ingest import corpus_to_obj
+from layoutprior.prior import BandConfig, build_prior
+from layoutprior.rescore import RescoreConfig, rescore_corpus
+from layoutprior.synth import GeneratorSpec, generate
 
 from reference_eval import reference_evaluate
 
@@ -515,3 +520,115 @@ def test_ground_truth_layouts_in_another_order():
             assert evaluate(dets, moved).to_dict() == want == \
                 loop_evaluate(dets, moved)
         checked += 1
+
+
+_DEFAULT = EvalConfig()
+
+
+@st.composite
+def _eval_pairs(draw):
+    """(detections, ground truth) corpora on a small canvas, so boxes
+    overlap and all three area ranges occur: 0-3 layouts, empty ones
+    included, zero-area boxes, most detections jittered copies of a
+    ground truth, and scores with ties, signed zeros and no score."""
+    n_classes = draw(st.integers(1, 3))
+    coord = st.integers(0, 160)
+
+    def box():
+        x1, x2 = sorted(draw(st.tuples(coord, coord)))
+        y1, y2 = sorted(draw(st.tuples(coord, coord)))
+        return (x1, y1, x2, y2)
+
+    def jittered(b):
+        d = draw(st.tuples(*[st.integers(-3, 3)] * 4))
+        x1, x2 = sorted((max(b[0] + d[0], 0), max(b[2] + d[2], 0)))
+        y1, y2 = sorted((max(b[1] + d[1], 0), max(b[3] + d[3], 0)))
+        return (x1, y1, x2, y2)
+
+    def detection(g):
+        if g and draw(st.booleans()):
+            b, c = draw(st.sampled_from(g))
+            return jittered(b), c, draw(score)
+        return box(), draw(cls), draw(score)
+
+    score = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 0.5, 1.0]),
+                      st.floats(-1.0, 1.0))
+    cls = st.integers(0, n_classes - 1)
+    dets, gts = {}, {}
+    for i in range(draw(st.integers(0, 3))):
+        g = [(box(), draw(cls)) for _ in range(draw(st.integers(0, 5)))]
+        gts[f"i{i}"] = g
+        dets[f"i{i}"] = [detection(g) for _ in range(draw(st.integers(0, 6)))]
+    names = [f"c{c}" for c in range(n_classes)]
+    return corpus_of(names, dets), corpus_of(names, gts)
+
+
+# Configs that leave out cap 100 (every AP field stays at the sentinel
+# and only recall is scored), put it below a larger cap, drop area
+# ranges, or drop the 0.5 and 0.75 thresholds.
+_eval_configs = st.builds(
+    EvalConfig,
+    iou_thresholds=st.sampled_from([_DEFAULT.iou_thresholds,
+                                    (0.3, 0.6, 0.95), (0.0, 1.0), (0.75,)]),
+    recall_points=st.sampled_from([_DEFAULT.recall_points,
+                                   (0.0, 0.25, 1 / 3, 1.0)]),
+    area_ranges=st.sets(st.sampled_from(range(4)), min_size=1).map(
+        lambda keep: tuple(r for i, r in enumerate(_DEFAULT.area_ranges)
+                           if i in keep)),
+    max_dets=st.sampled_from([(1, 10, 100), (1, 10), (2, 100, 200),
+                              (1, 3, 100), (100,), (3,)]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_eval_pairs(), _eval_configs)
+def test_evaluate_equals_loop_on_any_corpus_and_config(pair, config):
+    dets, gts = pair
+    assert evaluate(dets, gts, config).to_dict() == \
+        loop_evaluate(dets, gts, config)
+
+
+def _eval_workload(seed):
+    """The inputs of the benchmark's `eval` workload, rebuilt from the
+    library alone: 60 rescored layouts of a planted 25-class, 10-band
+    spec (1-3 boxes per band, noise 0.3) and their ground truths, with a
+    prior trained on 500 layouts."""
+    C, group = 25, np.arange(25) // 5
+    same = group[:, None] == group[None, :]
+    near = np.abs(group[:, None] - group[None, :]) == 1
+    graphs, marginals = [], []
+    for fav in np.arange(10) // 2:
+        P = np.where(same, np.where(group[:, None] == fav, 0.9, 0.5),
+                     np.where(near, 0.1, 0.0))
+        np.fill_diagonal(P, 1.0)
+        graphs.append(P)
+        m = np.where(group == fav, 0.6 / 5, 0.4 / (C - 5))
+        marginals.append(m / m.sum())
+    vocab = ClassVocabulary(tuple(f"k{c}" for c in range(C)))
+
+    def spec(s):
+        return GeneratorSpec(vocab, graphs, marginals, boxes_per_band=(1, 3),
+                             noise=0.3, seed=s)
+
+    prior = build_prior(generate(spec(seed), 500)[0], BandConfig(10))
+    clean, noisy = generate(spec(seed + 1_000_003), 60)
+    return rescore_corpus(noisy, prior, RescoreConfig()), clean
+
+
+# evaluate's traced peak on these inputs at seed 1001 while it still
+# looped over classes and kept precision at every cap: 3,249,556 bytes,
+# measured with this test's code on that version (Python 3.11, numpy
+# 2.4). A pass over all classes that keeps every cap's precision, or
+# runs every area range's matching at once, goes past it.
+PEAK_BEFORE_ONE_PASS = 3_249_556
+
+
+def test_evaluate_peak_memory_on_eval_workload():
+    dets, gts = _eval_workload(1001)
+    evaluate(dets, gts)  # first-call allocations are not evaluate's
+    tracemalloc.start()
+    try:
+        evaluate(dets, gts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BEFORE_ONE_PASS

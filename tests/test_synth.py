@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from layoutprior import ClassVocabulary
+from layoutprior.cli import main
 from layoutprior.core import BBox, Component, LayoutDocument, ParseError
 from layoutprior.ingest import Corpus, corpus_to_obj, load_native, save_native
 from layoutprior.prior import BandConfig, band_membership, build_prior
@@ -395,6 +396,27 @@ class TestSpecIO:
     def test_bad_spec(self):
         with pytest.raises(ParseError):
             spec_from_obj({"classes": ["a"]})
+
+    @pytest.mark.parametrize("noise", ["0.25", True, None, [0.25]])
+    def test_noise_must_be_a_number(self, tmp_path, capsys, noise):
+        obj = spec_to_obj(block_spec())
+        obj["noise"] = noise
+        with pytest.raises(ParseError, match="bad generator spec: noise "
+                                             "must be a number"):
+            spec_from_obj(obj)
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(obj))
+        assert main(["synth", str(sp), "--n", "2",
+                     "--out-clean", str(tmp_path / "c.json"),
+                     "--out-noisy", str(tmp_path / "n.json")]) == 2
+        assert "bad generator spec: noise must be a number" in \
+            capsys.readouterr().err
+
+    def test_integer_noise_is_a_float(self):
+        obj = spec_to_obj(block_spec())
+        obj["noise"] = 0
+        spec = spec_from_obj(obj)
+        assert spec.noise == 0.0 and isinstance(spec.noise, float)
 
     def test_pairs_are_tuples(self):
         spec = block_spec()
