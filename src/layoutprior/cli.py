@@ -19,7 +19,7 @@ from .conditioning import (AssociationKind, AssociationPolicy, MappingPolicy,
 from .core import (LayoutPriorError, ParseError, ShapeError, load_matrix,
                    save_matrix, write_text)
 from .evaluation import EvalConfig, evaluate, report_to_json
-from .ingest import load_native, save_native
+from .ingest import load_native, save_native, save_native_labelings
 from .prior import (GRAPH_SCHEMA_VERSION, BandConfig, build_prior,
                     graphs_to_dot, load_graphs, save_graphs)
 from .render import render_layout_svg
@@ -97,8 +97,7 @@ def cmd_synth(args) -> int:
         from dataclasses import replace
         spec = replace(spec, seed=args.seed)
     clean, noisy = generate(spec, args.n)
-    save_native(clean, args.out_clean)
-    save_native(noisy, args.out_noisy)
+    save_native_labelings((clean, noisy), (args.out_clean, args.out_noisy))
     print(f"generated {args.n} layouts (seed={spec.seed}, noise={spec.noise})",
           file=sys.stderr)
     return 0

@@ -15,10 +15,15 @@ boxes becoming ``[x1, y1, x2, y2]``, and parsed as a native file is.
 
 A `Corpus` is its arrays, each one field: the layout ids and canvas sides,
 and one row per component in layout order; corpora compare field by field.
+Their shapes are checked: one row per component in every component
+array, and an `index` of layout positions in non-decreasing order.
 `Corpus.layouts` is a view of them as `LayoutDocument` objects, built
 on first use. `Corpus.from_layouts` makes a corpus of such objects, its
 numbers as float64 but for int canvas sides, so that `save_native`,
 which writes the arrays, writes what `load_native` reads back.
+`save_native_labelings` writes corpora that label the same layouts, as
+`synth`'s clean and noisy corpora do, in one pass that formats each
+shared box once; `save_native` is its one-corpus case.
 `load_native` builds the arrays from the decoded JSON in one pass. A
 file that pass cannot take, because some value is not read by numpy as
 a number or some record fails a check, goes through the per-record
@@ -28,8 +33,10 @@ and raises the error that names the record.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -37,8 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
-                   LayoutDocument, ParseError, fields_equal, parse_error,
-                   read_json, read_only, write_text)
+                   LayoutDocument, ParseError, ShapeError, fields_equal,
+                   open_text, parse_error, read_json, read_only)
 
 
 def _sides(values) -> np.ndarray:
@@ -79,6 +86,18 @@ class Corpus:
         for f in fields(self)[2:]:
             object.__setattr__(self, f.name,
                                read_only(np.asarray(getattr(self, f.name))))
+        L, N, index = len(self.ids), self.index.size, self.index
+        for name, shape in (("widths", (L,)), ("heights", (L,)),
+                            ("index", (N,)), ("class_id", (N,)),
+                            ("score", (N,)), ("scored", (N,)),
+                            ("boxes", (N, 4))):
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"corpus {name} has shape "
+                                 f"{getattr(self, name).shape}, not {shape}")
+        if N and not (index.dtype.kind in "iu" and 0 <= index[0]
+                      and index[-1] < L and (index[1:] >= index[:-1]).all()):
+            raise ShapeError("corpus index must hold layout positions in "
+                             f"[0, {L}), in non-decreasing order")
         ids = Counter(self.ids)
         if len(ids) != len(self.ids):
             dupes = sorted(i for i, n in ids.items() if n > 1)
@@ -243,44 +262,100 @@ def corpus_to_obj(corpus: Corpus) -> dict:
         for lay in corpus.layouts]}
 
 
-# `save_native` writes what json.dump(corpus_to_obj(c), f, indent=1,
+# The native writer writes what json.dump(corpus_to_obj(c), f, indent=1,
 # sort_keys=True) writes, from these templates for the depth each part
 # sits at in the document. A number is formatted by %r: float.__repr__,
 # json's float format, or an int's digits.
 _str = json.encoder.encode_basestring_ascii
-_COMPONENT = ("    {\n     \"bbox\": [\n      %r,\n      %r,\n      %r,\n"
-              "      %r\n     ],\n     \"class\": %s%s\n    }")
+_BOX = ("    {\n     \"bbox\": [\n      %r,\n      %r,\n      %r,\n"
+        "      %r\n     ],\n     \"class\": ")
 _SCORE = ",\n     \"score\": %r"
 _LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %r,\n"
            "   \"id\": %s,\n   \"width\": %r\n  }")
 
 
-def _layout_texts(corpus: Corpus, encoded: tuple):
-    """Each layout's entry as json.dump writes it inside the document,
-    one at a time; `encoded` holds the JSON strings of the class names."""
-    cuts = corpus.offsets
-    for lid, w, h, a, b in zip(corpus.ids, corpus.widths.tolist(),
-                               corpus.heights.tolist(), cuts, cuts[1:]):
-        comps = ",\n".join([
-            _COMPONENT % (*box, encoded[c], _SCORE % s if has else "")
-            for box, c, s, has in zip(
-                corpus.boxes[a:b].tolist(), corpus.class_id[a:b].tolist(),
-                corpus.score[a:b].tolist(), corpus.scored[a:b].tolist())])
-        yield _LAYOUT % (f"[\n{comps}\n   ]" if comps else "[]", h, _str(lid),
-                         w)
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether `a` and `b` hold values written as the same text: they are
+    one array, or arrays of one dtype and shape, not object, with the
+    same bytes, which tells -0.0 from 0.0 and 300 from 300.0."""
+    return a is b or (a.dtype == b.dtype != object and a.shape == b.shape
+                      and a.tobytes() == b.tobytes())
+
+
+def _same_file(a, b) -> bool:
+    """Whether the paths `a` and `b` name one file, existing or not."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _layout_texts(corpora: tuple, encoded: tuple):
+    """Each layout's entry as json.dump writes it inside each corpus's
+    document, one layout at a time: a list of one text per corpus.
+    `encoded[k]` holds the JSON strings of corpus k's class names. The
+    corpora share their boxes, whose text is formatted once."""
+    first = corpora[0]
+    cuts = first.offsets
+    for lid, w, h, a, b in zip(first.ids, first.widths.tolist(),
+                               first.heights.tolist(), cuts, cuts[1:]):
+        boxes = [_BOX % tuple(box) for box in first.boxes[a:b].tolist()]
+        lid = _str(lid)
+        texts = []
+        for corpus, names in zip(corpora, encoded):
+            comps = ",\n".join([
+                f"{box}{names[c]}{_SCORE % s if has else ''}\n    }}"
+                for box, c, s, has in zip(
+                    boxes, corpus.class_id[a:b].tolist(),
+                    corpus.score[a:b].tolist(),
+                    corpus.scored[a:b].tolist())])
+            texts.append(_LAYOUT % (f"[\n{comps}\n   ]" if comps else "[]",
+                                    h, lid, w))
+        yield texts
+
+
+def save_native_labelings(corpora, paths) -> None:
+    """Write each of `corpora`, labelings of the same layouts, as native
+    JSON to the path at its position in `paths`, in one pass over the
+    layouts; each file's bytes are json.dump(corpus_to_obj(corpus), f,
+    indent=1, sort_keys=True) and a newline.
+
+    The corpora must share their ids, canvas sides, index and boxes, as
+    equal values of one dtype, and each box's text is formatted once for
+    all of them; a ShapeError is raised otherwise. A file named by more
+    than one path ends up holding the last of its corpora, as writing
+    them one after another would leave it.
+    """
+    corpora, paths = tuple(corpora), tuple(paths)
+    if not corpora or len(corpora) != len(paths):
+        raise ShapeError(f"{len(corpora)} corpora for {len(paths)} paths")
+    first = corpora[0]
+    for corpus in corpora[1:]:
+        if corpus.ids != first.ids or not all(
+                _same_array(getattr(corpus, n), getattr(first, n))
+                for n in ("widths", "heights", "index", "boxes")):
+            raise ShapeError("corpora written together must share their "
+                             "ids, canvas sides, index and boxes")
+    keep = [k for k, p in enumerate(paths)
+            if not any(_same_file(p, q) for q in paths[k + 1:])]
+    corpora = tuple(corpora[k] for k in keep)
+    encoded = [tuple(map(_str, c.vocabulary.names)) for c in corpora]
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open_text(paths[k], "wt")) for k in keep]
+        for f, names in zip(files, encoded):
+            classes = ",\n".join("  " + n for n in names)
+            f.write(f"{{\n \"classes\": [\n{classes}\n ],\n \"layouts\": [")
+        for i, texts in enumerate(_layout_texts(corpora, encoded)):
+            for f, text in zip(files, texts):
+                f.write((",\n" if i else "\n") + text)
+        for f in files:
+            f.write("\n ]\n}\n" if first.ids else "]\n}\n")
 
 
 def save_native(corpus: Corpus, path) -> None:
-    """Write `corpus` as native JSON, one layout at a time; the bytes are
-    json.dump(corpus_to_obj(corpus), f, indent=1, sort_keys=True) and a
-    newline."""
-    encoded = tuple(_str(n) for n in corpus.vocabulary.names)
-    classes = ",\n".join("  " + n for n in encoded)
-    layouts = ((",\n" if i else "\n") + text
-               for i, text in enumerate(_layout_texts(corpus, encoded)))
-    write_text(path, itertools.chain(
-        [f"{{\n \"classes\": [\n{classes}\n ],\n \"layouts\": ["], layouts,
-         ["\n ]\n}\n" if corpus.ids else "]\n}\n"]))
+    """Write `corpus` as native JSON, one layout at a time: the one-corpus
+    case of save_native_labelings."""
+    save_native_labelings((corpus,), (path,))
 
 
 def load_coco(path) -> Corpus:

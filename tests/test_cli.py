@@ -12,8 +12,10 @@ from layoutprior import cli, ingest, load_native, save_native
 from layoutprior.cli import main
 from layoutprior.conditioning import (MappingPolicy, NodeFeatures,
                                       soft_mapping)
-from layoutprior.core import LayoutDocument, load_matrix, save_matrix
+from layoutprior.core import (LayoutDocument, load_matrix, open_text,
+                              save_matrix)
 from layoutprior.prior import load_graphs
+from layoutprior.ingest import corpus_to_obj
 from layoutprior.render import render_layout_svg
 from layoutprior.synth import generate, spec_to_obj
 
@@ -466,6 +468,56 @@ class TestSynthCmd:
                      "--out-noisy", str(tmp_path / "n.json")]) == 2
         assert "layout count" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
+
+    # The two outputs are written together; each must still hold what
+    # json.dump writes through core.open_text, as when they were written
+    # one after the other.
+
+    @staticmethod
+    def dumped_bytes(tmp_path, corpus, name):
+        """The bytes of json.dump(corpus_to_obj(corpus), indent=1,
+        sort_keys=True) and a newline in a file named `name`."""
+        p = tmp_path / "oracle" / name
+        p.parent.mkdir(exist_ok=True)
+        with open_text(p, "wt") as f:
+            json.dump(corpus_to_obj(corpus), f, indent=1, sort_keys=True)
+            f.write("\n")
+        return p.read_bytes()
+
+    def synth(self, tmp_path, clean, noisy):
+        spec = block_spec(noise=0.3, seed=5)
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(spec_to_obj(spec)))
+        code = main(["synth", str(sp), "--n", "6", "--out-clean", str(clean),
+                     "--out-noisy", str(noisy)])
+        return code, generate(spec, 6)
+
+    @pytest.mark.parametrize("name", ["both.json", "both.json.gz"])
+    def test_one_path_for_both_holds_noisy(self, tmp_path, name):
+        p = tmp_path / name
+        for other in (p, tmp_path / "." / name):
+            code, (_, noisy) = self.synth(tmp_path, p, other)
+            assert code == 0
+            assert p.read_bytes() == self.dumped_bytes(tmp_path, noisy, name)
+
+    @pytest.mark.parametrize("names", [("c.json.gz", "n.json"),
+                                       ("c.json", "n.json.gz")])
+    def test_gz_and_plain_outputs(self, tmp_path, names):
+        paths = [tmp_path / n for n in names]
+        code, corpora = self.synth(tmp_path, *paths)
+        assert code == 0
+        for p, corpus in zip(paths, corpora):
+            assert p.read_bytes() == self.dumped_bytes(tmp_path, corpus,
+                                                       p.name)
+
+    @pytest.mark.parametrize("second", [True, False])
+    def test_unwritable_path_exit_2(self, tmp_path, capsys, second):
+        bad = tmp_path / "dir.json"
+        bad.mkdir()
+        paths = [tmp_path / "ok.json", bad][::1 if second else -1]
+        code, _ = self.synth(tmp_path, *paths)
+        assert code == 2
+        assert str(bad) in capsys.readouterr().err
 
 
 class TestRenderCmd:

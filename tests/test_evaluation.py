@@ -14,9 +14,10 @@ from layoutprior.evaluation import (SENTINEL, EvalConfig, evaluate,
 from layoutprior.ingest import corpus_to_obj
 from layoutprior.prior import BandConfig, build_prior
 from layoutprior.rescore import RescoreConfig, rescore_corpus
-from layoutprior.synth import GeneratorSpec, generate
+from layoutprior.synth import generate
 
 from reference_eval import reference_evaluate
+from test_synth import workload_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -592,22 +593,10 @@ def _eval_workload(seed):
     library alone: 60 rescored layouts of a planted 25-class, 10-band
     spec (1-3 boxes per band, noise 0.3) and their ground truths, with a
     prior trained on 500 layouts."""
-    C, group = 25, np.arange(25) // 5
-    same = group[:, None] == group[None, :]
-    near = np.abs(group[:, None] - group[None, :]) == 1
-    graphs, marginals = [], []
-    for fav in np.arange(10) // 2:
-        P = np.where(same, np.where(group[:, None] == fav, 0.9, 0.5),
-                     np.where(near, 0.1, 0.0))
-        np.fill_diagonal(P, 1.0)
-        graphs.append(P)
-        m = np.where(group == fav, 0.6 / 5, 0.4 / (C - 5))
-        marginals.append(m / m.sum())
-    vocab = ClassVocabulary(tuple(f"k{c}" for c in range(C)))
+    names = tuple(f"k{c}" for c in range(25))
 
     def spec(s):
-        return GeneratorSpec(vocab, graphs, marginals, boxes_per_band=(1, 3),
-                             noise=0.3, seed=s)
+        return workload_spec(s, names)
 
     prior = build_prior(generate(spec(seed), 500)[0], BandConfig(10))
     clean, noisy = generate(spec(seed + 1_000_003), 60)

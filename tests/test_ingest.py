@@ -2,6 +2,7 @@ import gzip
 import json
 import re
 import tempfile
+import tracemalloc
 from dataclasses import fields, replace
 from math import inf, nan
 from pathlib import Path
@@ -13,13 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
                          Corpus, LayoutDocument, build_prior, evaluate,
                          load_coco, load_native, save_native)
-from layoutprior.core import PARSE_ERRORS, ParseError, parse_error
+from layoutprior.core import PARSE_ERRORS, ParseError, ShapeError, parse_error
 from layoutprior.ingest import (_columns, _corpus_from_obj, _parse_records,
-                                corpus_to_obj)
+                                corpus_to_obj, save_native_labelings)
 from layoutprior.synth import generate
 
 from conftest import FIXTURES
-from test_synth import block_spec
+from test_synth import block_spec, workload_spec
 
 NATIVE = {
     "classes": ["Toolbar", "Text", "Icon"],
@@ -500,6 +501,41 @@ def test_duplicate_layout_ids_rejected():
                (LayoutDocument("x", 1, 1, ()), LayoutDocument("x", 1, 1, ())))
 
 
+def _two_components(**arrays):
+    """The arrays of a two-layout corpus of two components, with `arrays`
+    in place of any of them."""
+    base = dict(ids=("a", "b"), widths=[10.0, 10.0], heights=[10.0, 10.0],
+                index=[0, 1], class_id=[0, 0], score=[1.0, 1.0],
+                scored=[False, False], boxes=[[0.0, 0.0, 1.0, 1.0]] * 2)
+    return {**base, **arrays}
+
+
+@pytest.mark.parametrize("arrays, match", [
+    # offsets would put both components under the first layout
+    (dict(index=[1, 0]), "non-decreasing"),
+    # and here would give the one layout no component
+    (dict(ids=("a",), widths=[10.0], heights=[10.0], index=[5],
+          class_id=[0], score=[1.0], scored=[False],
+          boxes=[[0.0, 0.0, 1.0, 1.0]]), r"\[0, 1\)"),
+    (dict(index=[-1, 0]), "non-decreasing"),
+    (dict(index=[0.0, 1.0]), "non-decreasing"),
+    (dict(index=[0, 0, 1]), "class_id has shape"),
+    (dict(class_id=[0]), "class_id has shape"),
+    (dict(score=[1.0]), "score has shape"),
+    (dict(scored=[False] * 3), "scored has shape"),
+    (dict(boxes=[[0.0, 0.0, 1.0, 1.0]]), r"boxes has shape \(1, 4\)"),
+    (dict(boxes=[[0.0, 0.0, 1.0]] * 2), r"boxes has shape \(2, 3\)"),
+    (dict(boxes=[0.0] * 8), r"not \(2, 4\)"),
+    (dict(widths=[10.0]), "widths has shape"),
+    (dict(heights=[[10.0, 10.0]]), "heights has shape"),
+    (dict(index=0), r"index has shape \(\)"),
+])
+def test_corpus_rejects_misshapen_arrays(arrays, match):
+    vocab = ClassVocabulary(("A",))
+    with pytest.raises(ShapeError, match=match):
+        Corpus(vocab, **_two_components(**arrays))
+    Corpus(vocab, **_two_components())
+
 # The columnar loader against the per-record parser. Both must give the
 # same corpus, bit for bit, or the same error text; the columnar path
 # alone may give up on records the parser accepts, but only by raising.
@@ -752,3 +788,101 @@ def test_int_canvas_past_int64():
                           build_prior(loaded, cfg, keep_raw=True).raw_counts)
     assert (evaluate(noisy, clean).to_dict()
             == evaluate(noisy, loaded).to_dict())
+
+
+# The writer of corpora that share their layouts and boxes, against the
+# json.dump oracle, file by file.
+
+@st.composite
+def _relabelled(draw, sides):
+    """A corpus from _corpora and a twin that shares its ids, canvas
+    sides, index and boxes, with class names, class ids and scores of its
+    own, some present and some absent."""
+    corpus = draw(_corpora(sides))
+    names = draw(st.lists(_text.filter(bool), min_size=1, max_size=4,
+                          unique=True))
+    N = len(corpus.index)
+    scores = draw(st.lists(st.one_of(st.none(), _values), min_size=N,
+                           max_size=N))
+    twin = replace(
+        corpus, vocabulary=ClassVocabulary(tuple(names)),
+        class_id=draw(st.lists(st.integers(0, len(names) - 1), min_size=N,
+                               max_size=N).map(np.array)).astype(np.int64),
+        score=np.array([1.0 if s is None else s for s in scores]),
+        scored=np.array([s is not None for s in scores], dtype=bool))
+    return corpus, twin
+
+
+def _read(path) -> str:
+    with (gzip.open(path, "rt") if str(path).endswith(".gz")
+          else open(path)) as f:
+        return f.read()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_relabelled(_float_sides))
+def test_labelings_writer_matches_dump(pair):
+    with tempfile.TemporaryDirectory() as d:
+        for suffix in (".json", ".json.gz"):
+            paths = [f"{d}/a{suffix}", f"{d}/b{suffix}"]
+            save_native_labelings(pair, paths)
+            assert [_read(p) for p in paths] == [dumped(c) for c in pair]
+        # The twin first, and one file of each kind.
+        paths = [f"{d}/b.json.gz", f"{d}/a.json"]
+        save_native_labelings(pair[::-1], paths)
+        assert [_read(p) for p in paths] == [dumped(c) for c in pair[::-1]]
+
+
+def test_labelings_writer_needs_shared_layouts(tmp_path):
+    spec = replace(block_spec(noise=0.3, seed=5), canvas=(360, 640))
+    clean, noisy = generate(spec, 4)
+    paths = [tmp_path / "c.json", tmp_path / "n.json"]
+    # Equal arrays that are not the same object are shared too.
+    copied = replace(noisy, boxes=noisy.boxes.copy(), index=noisy.index + 0)
+    save_native_labelings((clean, copied), paths)
+    assert [p.read_text() for p in paths] == [dumped(clean), dumped(noisy)]
+    # -0.0 and 0.0, or 360 and 360.0, are equal values of other text.
+    zero, minus = clean.boxes.copy(), clean.boxes.copy()
+    zero[0, 0], minus[0, 0] = 0.0, -0.0
+    clean, noisy = replace(clean, boxes=zero), replace(noisy, boxes=zero)
+    for other in (replace(noisy, ids=noisy.ids[::-1]),
+                  replace(noisy, boxes=minus),
+                  replace(noisy, boxes=zero + 1.0),
+                  replace(noisy, widths=noisy.widths.astype(np.float64)),
+                  replace(noisy, heights=noisy.heights + 1),
+                  replace(noisy, index=np.zeros_like(noisy.index))):
+        with pytest.raises(ShapeError, match="must share"):
+            save_native_labelings((clean, other), paths)
+    with pytest.raises(ShapeError, match="2 corpora for 1 paths"):
+        save_native_labelings((clean, noisy), paths[:1])
+    with pytest.raises(ShapeError, match="0 corpora for 0 paths"):
+        save_native_labelings((), ())
+
+
+def test_labelings_writer_same_file_holds_last(tmp_path):
+    clean, noisy = generate(block_spec(noise=0.3, seed=5), 4)
+    p = tmp_path / "x.json"
+    save_native_labelings((clean, noisy), (p, tmp_path / "." / "x.json"))
+    assert p.read_text() == dumped(noisy)
+    save_native_labelings((noisy, clean), (p, p))
+    assert p.read_text() == dumped(clean)
+
+
+# The traced peak of writing the `synth` workload's two corpora while
+# each box's text was still formatted for the whole corpus before the
+# first layout was written: 3.08 MB. Writing one layout at a time, as
+# two save_native calls did, peaked at 0.067 MB (Python 3.11, numpy 2.4).
+PEAK_BOUND = 250_000
+
+
+def test_labelings_writer_peak_memory_on_synth_workload(tmp_path):
+    pair = generate(workload_spec(1001), 400)
+    paths = (tmp_path / "clean.json", tmp_path / "noisy.json")
+    save_native_labelings(pair, paths)  # first-call allocations
+    tracemalloc.start()
+    try:
+        save_native_labelings(pair, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND

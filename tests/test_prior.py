@@ -1,9 +1,12 @@
 import json
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layoutprior import ClassVocabulary, Corpus, LayoutDocument
 from layoutprior.core import Component, ParseError
@@ -377,3 +380,50 @@ class TestPersistence:
         assert dot.startswith("graph cooccurrence {")
         assert 'b0_c0 -- b0_c1' in dot
         assert 'b1_c0 -- b1_c1' not in dot
+
+
+# Round-trip laws of graph files, plain and gzip, over graph sets with
+# class names that need escaping or are not ASCII, signed zeros and
+# subnormal weights, and raw counts or none. Counts stay within 2**53,
+# the ints a float64 holds exactly, as the file writes them as floats.
+
+_names = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9 '
+                                           '\U0001f600'), st.characters()),
+                 min_size=1, max_size=4)
+_weights = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.5, 1.0,
+                                      1e308]), st.floats(0.0, 1e308))
+
+
+def _stack_of(values, n, C):
+    return st.lists(values, min_size=n * C * C, max_size=n * C * C).map(
+        lambda v: np.array(v).reshape(n, C, C))
+
+
+@st.composite
+def _graph_sets(draw):
+    names = draw(st.lists(_names, min_size=1, max_size=3, unique=True))
+    n, C = draw(st.integers(1, 3)), len(names)
+    config = BandConfig(n, draw(st.one_of(st.none(), st.floats(5e-324, 1.0))))
+    raw = draw(st.one_of(st.none(), _stack_of(
+        st.one_of(st.integers(0, 9), st.just(2**53)), n, C)))
+    return CoOccurrenceGraphSet(ClassVocabulary(tuple(names)), config,
+                                draw(_stack_of(_weights, n, C)),
+                                raw_counts=raw)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_graph_sets())
+def test_graph_files_round_trip(graphs):
+    # load inverts save, and save rewrites a loaded file byte for byte.
+    # The gzip header holds the base name: the same name, another folder.
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("g.json", "g.json.gz"):
+            first, second = Path(d, "1", name), Path(d, "2", name)
+            first.parent.mkdir(exist_ok=True)
+            second.parent.mkdir(exist_ok=True)
+            save_graphs(graphs, first)
+            loaded = load_graphs(first)
+            assert loaded == graphs
+            assert loaded.edges.tobytes() == graphs.edges.tobytes()
+            save_graphs(loaded, second)
+            assert second.read_bytes() == first.read_bytes()

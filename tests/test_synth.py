@@ -28,6 +28,36 @@ def block_spec(noise=0.0, seed=42, boxes=(2, 5)):
                          noise=noise, seed=seed)
 
 
+# The class names of the benchmark's workloads; the draws do not read them.
+WORKLOAD_CLASSES = (
+    "text", "icon", "image", "text_button", "input", "toolbar", "list_item",
+    "card", "checkbox", "radio_button", "switch", "slider", "tab", "drawer",
+    "modal", "map_view", "video", "web_view", "advertisement", "date_picker",
+    "pager_indicator", "multi_tab", "background_image", "bottom_navigation",
+    "button_bar")
+
+
+def workload_spec(seed, names=WORKLOAD_CLASSES):
+    """The planted spec of the benchmark's workloads, rebuilt from the
+    library alone: 25 classes in five groups of five, 10 bands, 1-3
+    boxes per band and noise 0.3. Band j favours group j // 2: 60% of
+    its first draws go to that group, and its edges are 0.9 inside it,
+    0.5 inside other groups, 0.1 between neighbouring groups and 0
+    otherwise, with a unit diagonal."""
+    C, group = 25, np.arange(25) // 5
+    same = group[:, None] == group[None, :]
+    near = np.abs(group[:, None] - group[None, :]) == 1
+    graphs, marginals = [], []
+    for fav in np.arange(10) // 2:
+        P = np.where(same, np.where(group[:, None] == fav, 0.9, 0.5),
+                     np.where(near, 0.1, 0.0))
+        np.fill_diagonal(P, 1.0)
+        graphs.append(P)
+        m = np.where(group == fav, 0.6 / 5, 0.4 / (C - 5))
+        marginals.append(m / m.sum())
+    return GeneratorSpec(ClassVocabulary(tuple(names)), graphs, marginals,
+                         boxes_per_band=(1, 3), noise=0.3, seed=seed)
+
 # The generator as one Generator call per draw: the oracle `generate`
 # must reproduce exactly.
 
