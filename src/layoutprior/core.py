@@ -153,14 +153,6 @@ class BBox:
                 "coordinates must be finite with x1 <= x2 and y1 <= y2"
             )
 
-    def clamped(self, width: float, height: float) -> "BBox":
-        return BBox(
-            min(max(self.x1, 0.0), width),
-            min(max(self.y1, 0.0), height),
-            min(max(self.x2, 0.0), width),
-            min(max(self.y2, 0.0), height),
-        )
-
 
 @dataclass(frozen=True)
 class Component:
@@ -217,16 +209,18 @@ class ProposalBatch:
             raise ParseError("layout_height must be positive and finite")
 
 
+@np.errstate(over="ignore")  # an area past the float range is inf
 def box_areas(boxes: np.ndarray) -> np.ndarray:
     """Areas of a (..., 4) array of x1, y1, x2, y2 rows."""
     return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pairwise IoU of (..., N, 4) and (..., M, 4) float box arrays as an
     (..., N, M) array, broadcasting the leading dimensions; 0 where the
-    union has zero area. Every cell is computed with the same operations
-    whatever the leading shape."""
+    union has zero area or is inf - inf. Every cell is computed with the
+    same operations whatever the leading shape."""
     a, b = a[..., :, None, :], b[..., None, :, :]
     ix = np.maximum(0.0, np.minimum(a[..., 2], b[..., 2])
                     - np.maximum(a[..., 0], b[..., 0]))
@@ -257,11 +251,13 @@ def row_softmax(m: np.ndarray) -> np.ndarray:
 
 
 def matrix_to_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=np.float64)
+    """MTX-JSON of `m`; ints past 2**53, which floats round, stay ints."""
+    m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"MTX-JSON stores 2-D matrices only, got shape {m.shape}")
     return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": [float(v) for v in m.ravel()]}
+            "data": [float(v) if abs(v) <= 2**53 else v
+                     for v in m.ravel().tolist()]}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

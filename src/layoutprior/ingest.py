@@ -25,10 +25,10 @@ which writes the arrays, writes what `load_native` reads back.
 `synth`'s clean and noisy corpora do, in one pass that formats each
 shared box once; `save_native` is its one-corpus case.
 `load_native` builds the arrays from the decoded JSON in one pass. A
-file that pass cannot take, because some value is not read by numpy as
-a number or some record fails a check, goes through the per-record
-parser instead, which gives the same corpus for any file both accept
-and raises the error that names the record.
+side, coordinate or score must be a JSON number (an int, float or bool,
+not a string such as "1.5") and `components`, when present, a list. On
+a fault the pass is run on one record at a time, and the error names the
+first failing record: ``layout {i}: id {id!r}: reason``.
 """
 
 from __future__ import annotations
@@ -157,74 +157,65 @@ class Corpus:
                 self.heights[start:stop].tolist(), cuts, cuts[1:]))
 
 
-def _layout_from_obj(lay, vocab: ClassVocabulary) -> LayoutDocument:
-    lid = lay["id"]
-    width, height = float(lay["width"]), float(lay["height"])
-    comps = []
-    for c in lay.get("components", []):
-        class_id = vocab.index(c["class"])
-        bbox = BBox(*(float(v) for v in c["bbox"])).clamped(width, height)
-        score = c.get("score")
-        comps.append(Component(bbox, class_id,
-                               None if score is None else float(score)))
-    return LayoutDocument(str(lid), width, height, tuple(comps))
+def _number(value, name: str) -> float:
+    """float(`value`), which must be an int, a float or a bool, not "1.5"."""
+    x = float(value)
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return x
 
 
-def _parse_records(records, vocab: ClassVocabulary) -> Corpus:
-    """The corpus of the native layout `records`, parsed one record at a
-    time: the reference for _columns, and the parser whose errors name
-    the record."""
-    layouts = []
-    for i, lay in enumerate(records):
-        try:
-            layouts.append(_layout_from_obj(lay, vocab))
-        except PARSE_ERRORS as e:
-            lid = lay.get("id") if isinstance(lay, dict) else None
-            where = f"layout {i}" if lid is None else f"layout {i}: id {lid!r}"
-            raise parse_error(where, e) from None
-    return Corpus.from_layouts(vocab, layouts)
-
-
-def _numbers(values, shape) -> np.ndarray:
-    """`values` as a float64 array of `shape`; a ValueError unless numpy
-    reads them as bool, integer or float numbers of that shape."""
-    a = np.array(values) if len(values) else np.empty(shape)
-    if a.dtype.kind not in "biuf" or a.shape != shape:
-        raise ValueError(f"not {shape} numbers")
-    return a.astype(np.float64, copy=False)
+def _numbers(values: list, name: str, width: int = 0) -> np.ndarray:
+    """`values`, numbers or rows of `width` of them, as float64. What numpy
+    does not read so, ints past int64 or faults, goes through _number."""
+    shape = (len(values), width) if width else (len(values),)
+    try:
+        a = np.array(values) if values else np.empty(shape)
+        if a.dtype.kind in "biuf" and a.shape == shape:
+            return a.astype(np.float64, copy=False)
+    except (ValueError, OverflowError):  # ragged rows, or an int past float
+        pass
+    if not width:
+        return np.array([_number(v, name) for v in values])
+    rows = [[_number(v, name) for v in row] for row in values]
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"bbox must hold {width} numbers, got {len(row)}")
+    return np.array(rows)
 
 
 def _columns(records, vocab: ClassVocabulary) -> Corpus:
-    """The corpus that _parse_records makes of `records`, built as arrays
-    with no layout object. Raises one of PARSE_ERRORS, with no message
-    meant for the user, wherever _parse_records would convert a value
-    numpy does not read as a number or would reject a record."""
+    """The corpus of the native layout `records`, as arrays. It reads each
+    field for every record or component before the next: id, width,
+    height, components, class, bbox and score. Then a layout that fails a
+    check is built as objects, which raise the check's error."""
     ids = [str(lay["id"]) for lay in records]
     L = len(ids)
-    widths = _numbers([lay["width"] for lay in records], (L,))
-    heights = _numbers([lay["height"] for lay in records], (L,))
+    widths = _numbers([lay["width"] for lay in records], "width")
+    heights = _numbers([lay["height"] for lay in records], "height")
     comps = [lay.get("components", []) for lay in records]
-    counts = np.fromiter(map(len, comps), np.int64, L)
+    for c in comps:
+        if type(c) is not list:
+            raise ValueError(f"components must be a list, got {c!r}")
+    layout = np.repeat(np.arange(L), np.fromiter(map(len, comps), np.int64, L))
     flat = list(itertools.chain.from_iterable(comps))
     N = len(flat)
     cls = np.fromiter((vocab.index(c["class"]) for c in flat), np.int64, N)
-    boxes = _numbers([c["bbox"] for c in flat], (N, 4))
+    boxes = _numbers([c["bbox"] for c in flat], "bbox coordinate", 4)
     scores = [c.get("score") for c in flat]
     scored = np.fromiter((s is not None for s in scores), bool, N)
     score = np.ones(N)
-    score[scored] = _numbers([s for s in scores if s is not None],
-                             (int(scored.sum()),))
-    # The checks of BBox, Component and LayoutDocument, which must come
-    # before the clamp; Corpus checks the ids.
+    score[scored] = _numbers([s for s in scores if s is not None], "score")
     x1, y1, x2, y2 = boxes.T
-    if not (np.isfinite(boxes).all() and (x1 <= x2).all()
-            and (y1 <= y2).all() and np.isfinite(score).all()
-            and (np.isfinite(widths) & (widths > 0.0)).all()
-            and (np.isfinite(heights) & (heights > 0.0)).all()):
-        raise ValueError("a record fails a check")
-    # BBox.clamped, in place: max(v, 0.0) keeps v, -0.0 included, unless
-    # 0.0 > v, and min(v, side) keeps v unless side < v.
-    layout = np.repeat(np.arange(L), counts)
+    bad = ~(np.isfinite(boxes).all(axis=1) & (x1 <= x2) & (y1 <= y2)
+            & np.isfinite(score))
+    ok = (np.isfinite(widths) & (widths > 0.0) & np.isfinite(heights)
+          & (heights > 0.0) & (np.bincount(layout[bad], minlength=L) == 0))
+    if not ok.all():  # its objects raise the first failing check's error
+        Corpus(vocab, ids, widths, heights, layout, cls, score, scored,
+               boxes).build_layouts(ok.argmin(), ok.argmin() + 1)
+    # The clamp to the canvas, in place: max(v, 0.0) keeps v, -0.0
+    # included, unless 0.0 > v, and min(v, side) keeps v unless side < v.
     corners = boxes.reshape(N, 2, 2)  # (x1, y1) and (x2, y2)
     side = np.stack([widths, heights], axis=1)[layout][:, None, :]
     np.copyto(corners, 0.0, where=corners < 0.0)
@@ -240,10 +231,15 @@ def _corpus_from_obj(obj) -> Corpus:
     vocab = ClassVocabulary(tuple(obj["classes"]))
     try:
         return _columns(obj["layouts"], vocab)
-    except PARSE_ERRORS:
-        # The per-record parser converts what numpy does not read, such
-        # as a numeric string, and raises the error that names a record.
-        return _parse_records(obj["layouts"], vocab)
+    except PARSE_ERRORS as error:  # named by the first record failing alone
+        for i, lay in enumerate(obj["layouts"]):
+            try:
+                _columns([lay], vocab)
+            except PARSE_ERRORS as e:
+                lid = lay.get("id") if isinstance(lay, dict) else None
+                raise parse_error(f"layout {i}" if lid is None else
+                                  f"layout {i}: id {lid!r}", e) from None
+        raise error from None
 
 
 def load_native(path) -> Corpus:

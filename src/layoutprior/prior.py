@@ -166,6 +166,13 @@ def graphs_to_obj(graphs: CoOccurrenceGraphSet) -> dict:
     return obj
 
 
+def _counts_from_json(obj) -> np.ndarray:
+    """Raw counts from MTX-JSON as Python numbers, each int exact."""
+    m = matrix_from_json(obj)
+    return np.array([v if type(v) is int else x for v, x in zip(
+        obj["data"], m.ravel().tolist())], dtype=object).reshape(m.shape)
+
+
 def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
     try:
         version = obj["version"]
@@ -181,7 +188,7 @@ def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
     edges = [matrix_from_json(e) for e in obj["edges"]]
     raw = obj.get("raw_counts")
     if raw is not None:
-        raw = [matrix_from_json(r) for r in raw]
+        raw = [_counts_from_json(r) for r in raw]
     return CoOccurrenceGraphSet(vocab, config, edges, raw_counts=raw)
 
 

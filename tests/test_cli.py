@@ -19,6 +19,7 @@ from layoutprior.ingest import corpus_to_obj
 from layoutprior.render import render_layout_svg
 from layoutprior.synth import generate, spec_to_obj
 
+from reference_eval import reference_evaluate
 from test_synth import block_spec
 
 CORPUS = {
@@ -79,6 +80,28 @@ class TestBuildPrior:
         assert main(["build-prior", str(p), "--out",
                      str(tmp_path / "g.json")]) == 2
         assert "layout 0: missing key 'id'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("width", "10", "width must be a JSON number, got '10'"),
+        ("bbox", ["1.5", 0, 2, 3],
+         "bbox coordinate must be a JSON number, got '1.5'"),
+        ("score", "0.5", "score must be a JSON number, got '0.5'"),
+        ("components", {}, "components must be a list, got {}"),
+    ])
+    def test_contract_fault_exit_2(self, tmp_path, capsys, field, value,
+                                   reason):
+        bad = json.loads(json.dumps(CORPUS))
+        bad["layouts"].insert(0, {"id": "l0", "width": 5, "height": 5})
+        lay = bad["layouts"][1]
+        target = lay if field in ("width", "components") \
+            else lay["components"][1]
+        target[field] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(bad))
+        assert main(["build-prior", str(p), "--out",
+                     str(tmp_path / "g.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {p}: layout 1: id 'l1': {reason}\n")
 
     def test_dot_output(self, tmp_path, corpus_path):
         dot = tmp_path / "g.dot"
@@ -369,6 +392,29 @@ class TestEvalCmd:
         dp.write_text(json.dumps(bad))  # writes NaN / Infinity literals
         assert main(["eval", str(dp), str(corpus_path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_areas_past_float_range_quiet(self, tmp_path, capsys):
+        # Box areas that overflow float64: every field is the sentinel,
+        # as the reference gives, with no numpy warning on stderr.
+        side = 1e308
+        gts = {"classes": ["A"], "layouts": [
+            {"id": "x", "width": side, "height": side, "components": [
+                {"bbox": [0.0, 0.0, side, side], "class": "A"}]}]}
+        dets = json.loads(json.dumps(gts))
+        dets["layouts"][0]["components"] = [
+            {"bbox": [0.0, 0.0, side, side], "class": "A", "score": 0.9},
+            {"bbox": [0.0, 0.0, side / 2, side], "class": "A",
+             "score": 0.5}]
+        dp, gp = tmp_path / "dets.json", tmp_path / "gts.json"
+        dp.write_text(json.dumps(dets))
+        gp.write_text(json.dumps(gts))
+        assert main(["eval", str(dp), str(gp), "--format", "json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        report = json.loads(out)
+        want = reference_evaluate(dets, gts)
+        assert {k: report[k] for k in want} == want
+        assert set(want.values()) == {-1.0}
 
     def test_id_mismatch_exit_2(self, tmp_path, corpus_path):
         other = json.loads(json.dumps(CORPUS))

@@ -15,8 +15,8 @@ from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
                          Corpus, LayoutDocument, build_prior, evaluate,
                          load_coco, load_native, save_native)
 from layoutprior.core import PARSE_ERRORS, ParseError, ShapeError, parse_error
-from layoutprior.ingest import (_columns, _corpus_from_obj, _parse_records,
-                                corpus_to_obj, save_native_labelings)
+from layoutprior.ingest import (_corpus_from_obj, corpus_to_obj,
+                                save_native_labelings)
 from layoutprior.synth import generate
 
 from conftest import FIXTURES
@@ -123,6 +123,70 @@ def test_malformed_layout_names_id(tmp_path):
                "float: 'abc'")
     with pytest.raises(ParseError, match=re.escape(message) + "$"):
         load_native(p)
+
+
+def assert_rejected(tmp_path, obj, message):
+    """load_native on a file of `obj`, and the per-record parser on its
+    records, raise `message`, load_native's naming the file."""
+    p = write(tmp_path, obj)
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{p}: {message}')}$"):
+        load_native(p)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_records(obj["layouts"], ClassVocabulary(tuple(obj["classes"])))
+
+
+# What the contract rejects, in the last of many layouts: the error names
+# that layout by its position and id.
+@pytest.mark.parametrize("field,value,reason", [
+    ("width", "10", "width must be a JSON number, got '10'"),
+    ("height", " 7 ", "height must be a JSON number, got ' 7 '"),
+    ("bbox", ["1.5", 0, 2, 3],
+     "bbox coordinate must be a JSON number, got '1.5'"),
+    ("bbox", [0, 0, "1e3", 3],
+     "bbox coordinate must be a JSON number, got '1e3'"),
+    ("bbox", "1234", "bbox coordinate must be a JSON number, got '1'"),
+    ("bbox", [0, 0, 5], "bbox must hold 4 numbers, got 3"),
+    ("bbox", [0, 0, "abc", 3], "could not convert string to float: 'abc'"),
+    ("score", "0.5", "score must be a JSON number, got '0.5'"),
+    ("score", "1_0", "score must be a JSON number, got '1_0'"),
+    ("components", "", "components must be a list, got ''"),
+    ("components", {}, "components must be a list, got {}"),
+])
+def test_contract_fault_in_last_layout_names_it(tmp_path, field, value,
+                                                reason):
+    obj = corpus_to_obj(generate(block_spec(seed=5), 300)[0])
+    last = obj["layouts"][-1]
+    target = last if field in ("width", "height", "components") \
+        else last["components"][-1]
+    target[field] = value
+    assert_rejected(tmp_path, obj, f"layout 299: id {last['id']!r}: {reason}")
+
+
+# A record's first fault: its values are read field by field, each for
+# every component, and then checked as its objects check them,
+# component by component and the canvas last.
+@pytest.mark.parametrize("layout,reason", [
+    ({"components": [{"bbox": ["x", 0, 1, 1], "class": "Text"},
+                     {"bbox": [0, 0, 1, 1], "class": "Z"}]},
+     "unknown class name: 'Z'"),
+    ({"components": [{"bbox": [0, 0, 1, 1], "class": "Text", "score": "s"},
+                     {"bbox": [0, 0, 1, None], "class": "Text"}]},
+     "float() argument must be a string or a real number, not 'NoneType'"),
+    ({"components": [{"bbox": [5, 0, 1, 1], "class": "Text"},
+                     {"bbox": [0, 0, 1, 1], "class": "Text", "score": "1"}]},
+     "score must be a JSON number, got '1'"),
+    ({"components": [{"bbox": [0, 0, 1, 1], "class": "Text", "score": nan},
+                     {"bbox": [5, 0, 1, 1], "class": "Text"}]},
+     "non-finite score: nan"),
+    ({"width": 0, "components": [{"bbox": [5, 0, 1, 1], "class": "Text"}]},
+     "malformed box (5.0,0.0,1.0,1.0): coordinates must be finite with "
+     "x1 <= x2 and y1 <= y2"),
+    ({"width": 0}, "layout 'b': canvas size must be positive and finite"),
+])
+def test_first_fault_in_reading_order(tmp_path, layout, reason):
+    bad = json.loads(json.dumps(NATIVE))
+    bad["layouts"].append({**bad["layouts"][0], "id": "b", **layout})
+    assert_rejected(tmp_path, bad, f"layout 1: id 'b': {reason}")
 
 
 def test_class_id_out_of_range_rejected():
@@ -324,6 +388,15 @@ def test_coco_malformed_image_names_id(tmp_path):
         load_coco(p)
 
 
+def test_coco_string_side_names_image(tmp_path):
+    bad = {**COCO, "images": [*COCO["images"],
+                              {"id": 7, "width": "640", "height": 480}]}
+    p = write(tmp_path, bad, "coco.json")
+    message = f"{p}: layout 2: id 7: width must be a JSON number, got '640'"
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        load_coco(p)
+
+
 def test_coco_negative_size(tmp_path):
     bad = json.loads(json.dumps(COCO))
     bad["annotations"][0]["bbox"] = [10, 20, -1, 40]
@@ -429,7 +502,7 @@ def parent_coco_from_obj(obj):
                 f"annotation on image {iid} has negative width or height"
             )
         _, W, H = img_info[iid]
-        bbox = BBox(x, y, x + w, y + h).clamped(W, H)
+        bbox = clamped(BBox(x, y, x + w, y + h), W, H)
         score = ann.get("score")
         comps[iid].append(Component(bbox, cat_to_idx[cid],
                                     None if score is None else float(score)))
@@ -536,11 +609,66 @@ def test_corpus_rejects_misshapen_arrays(arrays, match):
         Corpus(vocab, **_two_components(**arrays))
     Corpus(vocab, **_two_components())
 
-# The columnar loader against the per-record parser. Both must give the
-# same corpus, bit for bit, or the same error text; the columnar path
-# alone may give up on records the parser accepts, but only by raising.
+def clamped(box: BBox, width: float, height: float) -> BBox:
+    """`box` clamped to a width x height canvas."""
+    return BBox(min(max(box.x1, 0.0), width), min(max(box.y1, 0.0), height),
+                min(max(box.x2, 0.0), width), min(max(box.y2, 0.0), height))
 
-# Numbers both paths read: signed zeros, subnormals, values past any
+
+def _number(value, name):
+    """float(value), which must be a JSON number: an int, float or bool."""
+    x = float(value)
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return x
+
+
+def _layout_from_obj(lay, vocab):
+    """The record `lay` as a LayoutDocument. Its id, width, height and
+    components are read in turn, then each field of every component:
+    class, bbox and score. Then the objects check the values, component
+    by component and the canvas last."""
+    lid = lay["id"]
+    width = _number(lay["width"], "width")
+    height = _number(lay["height"], "height")
+    comps = lay.get("components", [])
+    if not isinstance(comps, list):
+        raise ValueError(f"components must be a list, got {comps!r}")
+    classes = [vocab.index(c["class"]) for c in comps]
+    bboxes = [c["bbox"] for c in comps]
+    boxes = [[_number(v, "bbox coordinate") for v in box] for box in bboxes]
+    for box in boxes:
+        if len(box) != 4:
+            raise ValueError(f"bbox must hold 4 numbers, got {len(box)}")
+    scores = [c.get("score") for c in comps]
+    scores = [None if s is None else _number(s, "score") for s in scores]
+    checked = LayoutDocument(str(lid), width, height, [
+        Component(BBox(*box), k, s)
+        for box, k, s in zip(boxes, classes, scores)])
+    return replace(checked, components=[
+        replace(c, bbox=clamped(c.bbox, width, height))
+        for c in checked.components])
+
+
+def parse_records(records, vocab):
+    """The corpus of the native layout `records`, parsed one record at a
+    time, and within it one field at a time: the oracle for load_native,
+    whose errors name the first faulty record and give its first fault."""
+    layouts = []
+    for i, lay in enumerate(records):
+        try:
+            layouts.append(_layout_from_obj(lay, vocab))
+        except PARSE_ERRORS as e:
+            lid = lay.get("id") if isinstance(lay, dict) else None
+            where = f"layout {i}" if lid is None else f"layout {i}: id {lid!r}"
+            raise parse_error(where, e) from None
+    return Corpus.from_layouts(vocab, layouts)
+
+
+# The loader against the per-record parser: the same corpus, bit for bit,
+# or the same error text.
+
+# Numbers the contract accepts: signed zeros, subnormals, values past any
 # canvas, and bools.
 _plain = st.one_of(
     st.floats(-50.0, 400.0), st.integers(-50, 400), st.booleans(),
@@ -549,7 +677,8 @@ _plain = st.one_of(
 # Ints that numpy reads as int64, uint64 or float64, or as objects.
 _big = st.sampled_from([2**53 + 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1,
                         2**64, 2**64 + 1, -2**63, -2**63 - 1])
-# Values the parser alone converts, or that fail one of its checks.
+# Values that break the contract, numeric strings among them, or that
+# fail one of the parser's checks.
 _odd = st.one_of(
     st.sampled_from(["1.5", "-0.0", " 7 ", "1_0", "1e3", "inf", "nan", "x",
                      "", None, [], [1.0], {}]),
@@ -567,10 +696,11 @@ def _ordered(xs_ys):
 
 def _layouts(numbers, boxes=st.nothing(), scores=st.nothing(),
              sides=st.nothing(), ids=st.text("abc", max_size=2),
-             components=st.sampled_from(["", {}])):
+             components=st.nothing()):
     """Layout records: ordered boxes of `numbers`, scores that are absent,
     None, 1.0 or `numbers`, sides from _sides, and each strategy given
-    added to the choices of its field."""
+    added to the choices of its field. `components` that are not a list,
+    such as "" or {}, break the contract: _any_records draws them."""
     comp = st.fixed_dictionaries(
         {"bbox": st.one_of(st.tuples(numbers, numbers, numbers,
                                      numbers).map(_ordered), boxes),
@@ -589,7 +719,7 @@ def _valid_records(numbers):
                     unique_by=lambda lay: lay["id"])
 
 
-# A value that fails one check of the per-record parser, by the field
+# A value that fails one check of the parser, by the field
 # of _faulty_records' layout or component it replaces.
 _FAULTS = {
     "bbox": [[5, 0, 1, 1], [0, 5, 1, 1], [0, 0, inf, 1], [nan, 0, 1, 1],
@@ -667,13 +797,8 @@ def _outcome(parse, records, vocab):
     {"bbox": [0, 0, 1, 1], "class": "C"}]}])
 def test_columnar_loader_matches_record_parser(records):
     vocab = ClassVocabulary(("A", "B", "C"))
-    want = _outcome(_parse_records, records, vocab)
-    assert _outcome(_load, records, vocab) == want
-    got = _outcome(_columns, records, vocab)
-    if want[0] == "error":
-        assert got[0] == "error"
-    elif got[0] == "corpus":
-        assert got == want
+    assert _outcome(_load, records, vocab) == _outcome(parse_records,
+                                                       records, vocab)
 
 
 def test_columnar_loader_builds_no_layouts(tmp_path):
@@ -684,8 +809,8 @@ def test_columnar_loader_builds_no_layouts(tmp_path):
     assert "layouts" not in vars(corpus)
     assert corpus.ids == ("a",) and corpus.heights.tolist() == [200.0]
     assert not corpus.heights.flags.writeable
-    assert corpus.layouts == _parse_records(NATIVE["layouts"],
-                                            corpus.vocabulary).layouts
+    assert corpus.layouts == parse_records(NATIVE["layouts"],
+                                           corpus.vocabulary).layouts
     assert corpus.layouts is corpus.layouts
     with pytest.raises(AttributeError, match="'Corpus' object has no "
                                              "attribute 'layout'"):

@@ -384,8 +384,8 @@ class TestPersistence:
 
 # Round-trip laws of graph files, plain and gzip, over graph sets with
 # class names that need escaping or are not ASCII, signed zeros and
-# subnormal weights, and raw counts or none. Counts stay within 2**53,
-# the ints a float64 holds exactly, as the file writes them as floats.
+# subnormal weights, and raw counts or none, up to 2**63 - 1: past 2**53,
+# where a float64 rounds, the file writes them as ints.
 
 _names = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9 '
                                            '\U0001f600'), st.characters()),
@@ -405,7 +405,8 @@ def _graph_sets(draw):
     n, C = draw(st.integers(1, 3)), len(names)
     config = BandConfig(n, draw(st.one_of(st.none(), st.floats(5e-324, 1.0))))
     raw = draw(st.one_of(st.none(), _stack_of(
-        st.one_of(st.integers(0, 9), st.just(2**53)), n, C)))
+        st.one_of(st.integers(0, 9),
+                  st.sampled_from([2**53, 2**53 + 1, 2**63 - 1])), n, C)))
     return CoOccurrenceGraphSet(ClassVocabulary(tuple(names)), config,
                                 draw(_stack_of(_weights, n, C)),
                                 raw_counts=raw)
@@ -427,3 +428,28 @@ def test_graph_files_round_trip(graphs):
             assert loaded.edges.tobytes() == graphs.edges.tobytes()
             save_graphs(loaded, second)
             assert second.read_bytes() == first.read_bytes()
+
+
+def test_raw_counts_past_float_precision_exact(tmp_path):
+    # Counts up to 2**53 are written as floats, as always; larger ones as
+    # ints, which read back exactly.
+    raw = np.array([[[12, 2**53], [2**53 + 1, 2**63 - 1]]])
+    graphs = CoOccurrenceGraphSet(ClassVocabulary(("A", "B")), BandConfig(1),
+                                  np.ones((1, 2, 2)), raw_counts=raw)
+    p = tmp_path / "g.json"
+    save_graphs(graphs, p)
+    data = json.loads(p.read_text())["raw_counts"][0]["data"]
+    assert [type(v) for v in data] == [float, float, int, int]
+    assert np.array_equal(load_graphs(p).raw_counts, raw)
+
+
+@pytest.mark.parametrize("count", [2**63, -1, 2**64 + 1, -2**60])
+def test_int_raw_count_out_of_range_rejected(tmp_path, count):
+    obj = graphs_to_obj(CoOccurrenceGraphSet(
+        ClassVocabulary(("A",)), BandConfig(1), [[[1.0]]],
+        raw_counts=[[[2**53 + 1]]]))
+    obj["raw_counts"][0]["data"] = [count]
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ParseError, match=r"integers in \[0, 2\*\*63\)"):
+        load_graphs(p)
