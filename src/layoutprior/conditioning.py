@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (BBox, ParseError, ProposalBatch, ShapeError, finite, matmul,
-                   matrix_from_json, matrix_to_json, read_json, row_softmax,
-                   write_text)
+from .core import (BBox, ParseError, ProposalBatch, ShapeError, finite,
+                   json_number, json_numbers, matmul, matrix_from_json,
+                   matrix_to_json, read_json, row_softmax, write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -150,15 +150,16 @@ def proposals_to_obj(batch: ProposalBatch) -> dict:
 
 def proposals_from_obj(obj: dict) -> ProposalBatch:
     try:
-        boxes = tuple(BBox(*(float(v) for v in b)) for b in obj["boxes"])
+        boxes = json_numbers(obj["boxes"], "box coordinate", 4)
         logits = matrix_from_json(obj["logits"])
-        height = float(obj["height"])
+        height = json_number(obj["height"], "height")
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad proposal batch object: {e}") from None
     features = obj.get("features")
     if features is not None:
         features = matrix_from_json(features)
-    return ProposalBatch(boxes, logits, height, features)
+    return ProposalBatch(tuple(map(BBox, *boxes.T.tolist())), logits, height,
+                         features)
 
 def save_proposals(batch: ProposalBatch, path) -> None:
     write_text(path, [json.dumps(proposals_to_obj(batch))])

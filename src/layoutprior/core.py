@@ -59,6 +59,36 @@ def json_int(value, name: str) -> int:
     return n
 
 
+def json_number(value, name: str) -> float:
+    """float(`value`), which must be a JSON number: an int, a float or a
+    bool, not a string such as "1.5". float() reads it first, so that
+    "abc" fails with float()'s own error."""
+    x = float(value)
+    if not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return x
+
+
+def json_numbers(values: list, name: str, width: int = 0) -> np.ndarray:
+    """`values`, JSON numbers or rows of `width` of them, as float64. What
+    numpy does not read so, ints past int64 or faults, goes through
+    json_number."""
+    shape = (len(values), width) if width else (len(values),)
+    try:
+        a = np.array(values) if values else np.empty(shape)
+        if a.dtype.kind in "biuf" and a.shape == shape:
+            return a.astype(np.float64, copy=False)
+    except (ValueError, OverflowError):  # ragged rows, or an int past float
+        pass
+    if not width:
+        return np.array([json_number(v, name) for v in values])
+    rows = [[json_number(v, name) for v in row] for row in values]
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"bbox must hold {width} numbers, got {len(row)}")
+    return np.array(rows)
+
+
 def read_only(a: np.ndarray) -> np.ndarray:
     """`a`, flagged read-only."""
     a.flags.writeable = False
@@ -271,7 +301,10 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ParseError(
             f"MTX-JSON data length {len(data)} != rows*cols {rows * cols}"
         )
-    m = np.asarray(data, dtype=np.float64).reshape(rows, cols)
+    try:
+        m = json_numbers(data, "entry").reshape(rows, cols)
+    except PARSE_ERRORS as e:
+        raise ParseError(f"bad MTX-JSON data: {e}") from None
     if not np.all(np.isfinite(m)):
         raise ParseError("MTX-JSON entries must be finite")
     return m

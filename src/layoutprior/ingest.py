@@ -45,7 +45,8 @@ import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
                    LayoutDocument, ParseError, ShapeError, fields_equal,
-                   open_text, parse_error, read_json, read_only)
+                   json_number, json_numbers, open_text, parse_error,
+                   read_json, read_only)
 
 
 def _sides(values) -> np.ndarray:
@@ -157,33 +158,6 @@ class Corpus:
                 self.heights[start:stop].tolist(), cuts, cuts[1:]))
 
 
-def _number(value, name: str) -> float:
-    """float(`value`), which must be an int, a float or a bool, not "1.5"."""
-    x = float(value)
-    if not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a JSON number, got {value!r}")
-    return x
-
-
-def _numbers(values: list, name: str, width: int = 0) -> np.ndarray:
-    """`values`, numbers or rows of `width` of them, as float64. What numpy
-    does not read so, ints past int64 or faults, goes through _number."""
-    shape = (len(values), width) if width else (len(values),)
-    try:
-        a = np.array(values) if values else np.empty(shape)
-        if a.dtype.kind in "biuf" and a.shape == shape:
-            return a.astype(np.float64, copy=False)
-    except (ValueError, OverflowError):  # ragged rows, or an int past float
-        pass
-    if not width:
-        return np.array([_number(v, name) for v in values])
-    rows = [[_number(v, name) for v in row] for row in values]
-    for row in rows:
-        if len(row) != width:
-            raise ValueError(f"bbox must hold {width} numbers, got {len(row)}")
-    return np.array(rows)
-
-
 def _columns(records, vocab: ClassVocabulary) -> Corpus:
     """The corpus of the native layout `records`, as arrays. It reads each
     field for every record or component before the next: id, width,
@@ -191,8 +165,8 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     check is built as objects, which raise the check's error."""
     ids = [str(lay["id"]) for lay in records]
     L = len(ids)
-    widths = _numbers([lay["width"] for lay in records], "width")
-    heights = _numbers([lay["height"] for lay in records], "height")
+    widths = json_numbers([lay["width"] for lay in records], "width")
+    heights = json_numbers([lay["height"] for lay in records], "height")
     comps = [lay.get("components", []) for lay in records]
     for c in comps:
         if type(c) is not list:
@@ -201,11 +175,12 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     flat = list(itertools.chain.from_iterable(comps))
     N = len(flat)
     cls = np.fromiter((vocab.index(c["class"]) for c in flat), np.int64, N)
-    boxes = _numbers([c["bbox"] for c in flat], "bbox coordinate", 4)
+    boxes = json_numbers([c["bbox"] for c in flat], "bbox coordinate", 4)
     scores = [c.get("score") for c in flat]
     scored = np.fromiter((s is not None for s in scores), bool, N)
     score = np.ones(N)
-    score[scored] = _numbers([s for s in scores if s is not None], "score")
+    score[scored] = json_numbers([s for s in scores if s is not None],
+                                 "score")
     x1, y1, x2, y2 = boxes.T
     bad = ~(np.isfinite(boxes).all(axis=1) & (x1 <= x2) & (y1 <= y2)
             & np.isfinite(score))
@@ -397,7 +372,8 @@ def _coco_from_obj(obj) -> Corpus:
         cid = _coco_id(ann["category_id"], "category_id")
         if cid not in class_of:
             raise ParseError(f"annotation references unknown category_id {cid}")
-        x, y, w, h = (float(v) for v in ann["bbox"])
+        x, y, w, h = (json_number(v, "annotation bbox value")
+                      for v in ann["bbox"])
         if w < 0 or h < 0:
             raise ParseError(
                 f"annotation on image {iid} has negative width or height"

@@ -11,13 +11,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
 
 from .core import (ClassVocabulary, ParseError, fields_equal, json_int,
-                   matrix_from_json, matrix_to_json, read_json, read_only,
-                   write_text)
+                   json_number, matrix_from_json, matrix_to_json, read_json,
+                   read_only, write_text)
 from .ingest import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
@@ -125,11 +126,21 @@ def accumulate(corpus: Corpus, config: BandConfig) -> np.ndarray:
     counts = np.empty((config.n_bands, C, C), dtype=np.int64)
     for j in range(config.n_bands):
         m = member[:, j]
-        hist = np.bincount(layout[m] * C + cls[m],
-                           minlength=L * C).reshape(L, C)
-        hist[hist.sum(axis=1) < 2] = 0
-        counts[j] = hist.T @ hist
+        counts[j] = _band_counts(np.bincount(
+            layout[m] * C + cls[m], minlength=L * C).reshape(L, C))
     return counts
+
+
+def _band_counts(hist: np.ndarray) -> np.ndarray:
+    """H^T H, as int64, over the rows of the int64 class histogram `hist`
+    (layouts x classes) that hold at least two boxes."""
+    rows = hist.sum(axis=1)
+    kept = rows >= 2
+    # Each entry's partial sums are integers at most sum(rows**2), exact in
+    # float64 in any order below 2**53; 2**52 covers that sum's own rounding.
+    exact = np.square(rows[kept], dtype=np.float64).sum() <= 2**52
+    h = hist[kept].astype(np.float64 if exact else np.int64)
+    return (h.T @ h).astype(np.int64)
 
 
 def normalize(raw, vocabulary: ClassVocabulary, config: BandConfig,
@@ -183,8 +194,9 @@ def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
             f"graph file version {version} != supported {GRAPH_SCHEMA_VERSION}"
         )
     vocab = ClassVocabulary(tuple(obj["classes"]))
-    config = BandConfig(json_int(obj["n_bands"], "n_bands"),
-                        float(obj["band_width_frac"]))
+    config = BandConfig(
+        json_int(obj["n_bands"], "n_bands"),
+        json_number(obj["band_width_frac"], "band_width_frac"))
     edges = [matrix_from_json(e) for e in obj["edges"]]
     raw = obj.get("raw_counts")
     if raw is not None:
@@ -192,9 +204,34 @@ def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
     return CoOccurrenceGraphSet(vocab, config, edges, raw_counts=raw)
 
 
+# The graph writer writes what json.dumps(graphs_to_obj(g), indent=1,
+# sort_keys=True) writes, from templates: the keys in sorted order, each
+# part at its depth, an MTX-JSON number as the repr of the float or int
+# that matrix_to_json gives, and a scalar or class name as json writes it.
+_MATRIX = ('  {\n   "cols": %d,\n   "data": [\n    %s\n   ],\n'
+           '   "rows": %d\n  }')
+
+
+def _matrices_text(stack: np.ndarray) -> str:
+    """The JSON list of the MTX-JSON objects of the matrices in `stack`."""
+    return "[\n" + ",\n".join([_MATRIX % (
+        m.shape[1], ",\n    ".join(map(repr, matrix_to_json(m)["data"])),
+        m.shape[0]) for m in stack]) + "\n ]"
+
+
 def save_graphs(graphs: CoOccurrenceGraphSet, path) -> None:
-    write_text(path, [json.dumps(graphs_to_obj(graphs), indent=1,
-                                 sort_keys=True), "\n"])
+    """Write `graphs` as json.dumps(graphs_to_obj(graphs), indent=1,
+    sort_keys=True) and a newline would."""
+    names = ",\n  ".join(map(encode_basestring_ascii, graphs.vocabulary.names))
+    parts = ['{\n "band_width_frac": ',
+             json.dumps(graphs.band_config.band_width_frac),
+             ',\n "classes": [\n  ', names, '\n ],\n "edges": ',
+             _matrices_text(graphs.edges), ',\n "n_bands": ',
+             json.dumps(graphs.band_config.n_bands)]
+    if graphs.raw_counts is not None:
+        parts += [',\n "raw_counts": ', _matrices_text(graphs.raw_counts)]
+    parts.append(f',\n "version": {GRAPH_SCHEMA_VERSION}\n}}\n')
+    write_text(path, parts)
 
 
 def load_graphs(path) -> CoOccurrenceGraphSet:

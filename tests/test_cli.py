@@ -203,6 +203,40 @@ class TestCondition:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert re.search(message, err)
 
+    @pytest.mark.parametrize("field, value, reason", [
+        ("height", "100", "height must be a JSON number, got '100'"),
+        ("boxes", [["0", 5, 10, 15], [0, 45, 10, 55]],
+         "box coordinate must be a JSON number, got '0'"),
+        ("logits", {"rows": 2, "cols": 3, "data": ["1.5"] * 6},
+         "bad MTX-JSON data: entry must be a JSON number, got '1.5'"),
+    ])
+    def test_numeric_string_in_proposals_exit_2(
+            self, tmp_path, graphs_path, rng, capsys, field, value, reason):
+        pp, wp, zp, props, _, _ = self.write_inputs(tmp_path, graphs_path,
+                                                    rng)
+        props[field] = value
+        pp.write_text(json.dumps(props))
+        out = tmp_path / "o.json"
+        assert main(["condition", str(pp), str(graphs_path),
+                     "--nodes", str(wp), "--embed", str(zp),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {pp}: ") and reason in err
+
+    def test_numeric_string_in_matrix_exit_2(self, tmp_path, graphs_path,
+                                             rng, capsys):
+        pp, wp, zp, _, _, _ = self.write_inputs(tmp_path, graphs_path, rng)
+        obj = json.loads(wp.read_text())
+        obj["data"][3] = "1e3"
+        wp.write_text(json.dumps(obj))
+        assert main(["condition", str(pp), str(graphs_path),
+                     "--nodes", str(wp), "--embed", str(zp),
+                     "--out", str(tmp_path / "o.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {wp}: bad MTX-JSON data: entry must be a JSON number, "
+            "got '1e3'\n")
+
     def test_concat_without_features_exit_2(self, tmp_path, graphs_path, rng,
                                             capsys):
         pp, wp, zp, _, _, _ = self.write_inputs(tmp_path, graphs_path, rng)
@@ -308,6 +342,8 @@ class TestRescoreCmd:
         lambda g: g.update(edges=[]), lambda g: g.update(n_bands="a"),
         lambda g: g.update(n_bands=2.7),
         lambda g: g.update(n_bands=True, edges=g["edges"][:1]),
+        lambda g: g.update(band_width_frac="0.5"),
+        lambda g: g["edges"][0]["data"].__setitem__(0, "1.0"),
     ])
     def test_malformed_graph_file_exit_2(self, tmp_path, corpus_path,
                                          graphs_path, capsys, change):
@@ -317,6 +353,32 @@ class TestRescoreCmd:
         assert main(["rescore", str(corpus_path), str(graphs_path),
                      "--out", str(tmp_path / "o.json")]) == 2
         assert str(graphs_path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("band_width_frac", "0.5",
+         "band_width_frac must be a JSON number, got '0.5'"),
+        ("edges", " 1 ", "bad MTX-JSON data: entry must be a JSON number, "
+         "got ' 1 '"),
+        ("raw_counts", "2", "bad MTX-JSON data: entry must be a JSON number, "
+         "got '2'"),
+    ])
+    def test_numeric_string_in_graph_file_exit_2(
+            self, tmp_path, corpus_path, capsys, field, value, reason):
+        gp = tmp_path / "raw.json"
+        assert main(["build-prior", str(corpus_path), "--bands", "2",
+                     "--keep-raw", "--out", str(gp)]) == 0
+        capsys.readouterr()
+        obj = json.loads(gp.read_text())
+        if field == "band_width_frac":
+            obj[field] = value
+        else:
+            obj[field][1]["data"][0] = value
+        gp.write_text(json.dumps(obj))
+        out = tmp_path / "o.json"
+        assert main(["rescore", str(corpus_path), str(gp),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: {gp}: {reason}\n"
 
     def test_negative_edges_exit_2(self, tmp_path, corpus_path, graphs_path,
                                    capsys):

@@ -12,7 +12,7 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       proposal_node_features,
                                       proposals_from_obj, proposals_to_obj,
                                       save_proposals, soft_mapping)
-from layoutprior.core import BBox, ShapeError
+from layoutprior.core import BBox, ParseError, ShapeError
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 
 from conftest import random_embed, random_node_features
@@ -321,6 +321,32 @@ class TestProposalIO:
         batch = ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), 10.0)
         again = proposals_from_obj(proposals_to_obj(batch))
         assert again.features is None
+
+    @pytest.mark.parametrize("change, message", [
+        (dict(height="100"), "height must be a JSON number, got '100'"),
+        (dict(boxes=[["0", "0", "1", "1"]]),
+         "box coordinate must be a JSON number, got '0'"),
+        (dict(boxes=[[0, 0, 1, " 1 "]]),
+         "box coordinate must be a JSON number, got ' 1 '"),
+        (dict(boxes=[[0, 0, 1]]), "bbox must hold 4 numbers, got 3"),
+        (dict(logits={"rows": 1, "cols": 2, "data": ["1.5", 0]}),
+         "bad MTX-JSON data: entry must be a JSON number, got '1.5'"),
+        (dict(features={"rows": 1, "cols": 1, "data": ["2"]}),
+         "bad MTX-JSON data: entry must be a JSON number, got '2'"),
+    ])
+    def test_numeric_strings_rejected(self, change, message):
+        obj = proposals_to_obj(ProposalBatch((BBox(0, 0, 1, 1),),
+                                             np.zeros((1, 2)), 10.0))
+        with pytest.raises(ParseError) as e:
+            proposals_from_obj({**obj, **change})
+        assert message in str(e.value)
+
+    def test_bools_accepted(self):
+        batch = proposals_from_obj({
+            "height": True, "boxes": [[False, False, True, True]],
+            "logits": {"rows": 1, "cols": 1, "data": [True]}})
+        assert batch.boxes == (BBox(0.0, 0.0, 1.0, 1.0),)
+        assert batch.layout_height == 1.0 and batch.logits.tolist() == [[1.0]]
 
     def test_seeded_generators_deterministic(self):
         a = random_node_features(3, 4, seed=9).matrix

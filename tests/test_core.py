@@ -267,6 +267,15 @@ class TestReadJson:
          "rows must be an integer, got 2.9"),
         ({"rows": 1, "cols": True, "data": [1.0]},
          "cols must be an integer, got True"),
+        # Each entry is a JSON number, not a string numpy would parse.
+        ({"rows": 1, "cols": 2, "data": ["1.5", " 2 "]},
+         "bad MTX-JSON data: entry must be a JSON number, got '1.5'"),
+        ({"rows": 1, "cols": 2, "data": [1.5, " 2 "]},
+         "bad MTX-JSON data: entry must be a JSON number, got ' 2 '"),
+        ({"rows": 1, "cols": 1, "data": ["abc"]},
+         "bad MTX-JSON data: could not convert string to float: 'abc'"),
+        ({"rows": 1, "cols": 1, "data": [None]}, "bad MTX-JSON data: "),
+        ({"rows": 1, "cols": 1, "data": [[1.0]]}, "bad MTX-JSON data: "),
     ])
     def test_rejection_names_file(self, tmp_path, obj, message):
         p = tmp_path / "m.json"
@@ -274,6 +283,14 @@ class TestReadJson:
         with pytest.raises(ParseError, match=message) as e:
             load_matrix(p)
         assert str(e.value).startswith(f"{p}: ")
+
+    def test_json_numbers_accepted(self, tmp_path):
+        # Bools are JSON numbers here, as in corpora; an int past int64
+        # is read by float().
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"rows": 2, "cols": 2,
+                                 "data": [True, False, 2**70, -3]}))
+        assert load_matrix(p).tolist() == [[1.0, 0.0], [2.0**70, -3.0]]
 
     @pytest.mark.parametrize("name, content", [
         ("m.json", b"{not json"),

@@ -397,6 +397,25 @@ def test_coco_string_side_names_image(tmp_path):
         load_coco(p)
 
 
+@pytest.mark.parametrize("value", ["10", " 20 ", "3e1", "1_0"])
+def test_coco_string_bbox_value_names_field(tmp_path, value):
+    # A bbox value is a JSON number, as a native coordinate is.
+    bad = json.loads(json.dumps(COCO))
+    bad["annotations"][2]["bbox"][1] = value
+    p = write(tmp_path, bad, "coco.json")
+    message = (f"{p}: annotation bbox value must be a JSON number, "
+               f"got {value!r}")
+    with pytest.raises(ParseError, match=re.escape(message) + "$"):
+        load_coco(p)
+
+
+def test_coco_bool_bbox_value_accepted(tmp_path):
+    doc = json.loads(json.dumps(COCO))
+    doc["annotations"][2]["bbox"] = [True, False, 3, True]
+    corpus = load_coco(write(tmp_path, doc, "coco.json"))
+    assert corpus.boxes[corpus.index == 1].tolist() == [[1.0, 0.0, 4.0, 1.0]]
+
+
 def test_coco_negative_size(tmp_path):
     bad = json.loads(json.dumps(COCO))
     bad["annotations"][0]["bbox"] = [10, 20, -1, 40]

@@ -1,3 +1,4 @@
+import gzip
 import json
 import tempfile
 import warnings
@@ -6,14 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layoutprior import ClassVocabulary, Corpus, LayoutDocument
 from layoutprior.core import Component, ParseError
-from layoutprior.prior import (BandConfig, CoOccurrenceGraphSet, accumulate,
-                               band_membership, build_prior, graphs_from_obj,
-                               graphs_to_dot, graphs_to_obj, load_graphs,
-                               normalize, save_graphs)
+from layoutprior.prior import (BandConfig, CoOccurrenceGraphSet, _band_counts,
+                               accumulate, band_membership, build_prior,
+                               graphs_from_obj, graphs_to_dot, graphs_to_obj,
+                               load_graphs, normalize, save_graphs)
 
 from conftest import make_layout, random_corpus
 
@@ -168,6 +169,76 @@ class TestAccumulate:
         want = brute_force_counts(corpus, cfg)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+
+@st.composite
+def _corpora_and_bands(draw):
+    """A small corpus and a band config, disjoint or overlapping, whose
+    box centres often lie on a band bound or the bottom edge."""
+    config = BandConfig(draw(st.integers(1, 5)), draw(st.one_of(
+        st.none(), st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+        st.floats(0.01, 1.0))))
+    C = draw(st.integers(1, 4))
+    bounds = sorted({y for band in config.bounds.tolist() for y in band})
+    centres = st.one_of(st.sampled_from(bounds), st.floats(0.0, 1.0))
+    layouts = []
+    for i in range(draw(st.integers(0, 4))):
+        height = draw(st.sampled_from([1.0, 37.0, 100.0, 640.0]))
+        k = draw(st.integers(0, 12))
+        ts = draw(st.lists(centres, min_size=k, max_size=k))
+        layouts.append(make_layout(
+            f"l{i}", [(0.0, t * height, 1.0, t * height) for t in ts],
+            draw(st.lists(st.integers(0, C - 1), min_size=k, max_size=k)),
+            height, 10.0))
+    vocab = ClassVocabulary(tuple(f"c{i}" for i in range(C)))
+    return Corpus.from_layouts(vocab, tuple(layouts)), config
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(_corpora_and_bands())
+def test_accumulate_matches_brute_force(drawn):
+    corpus, config = drawn
+    got = accumulate(corpus, config)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, brute_force_counts(corpus, config))
+
+
+class TestBandCounts:
+    """The band gram in float64 while every entry stays below 2**53, and
+    in int64 past that; both equal the int64 H^T H over the kept rows."""
+
+    @staticmethod
+    def int64_gram(hist):
+        kept = hist[hist.sum(axis=1) >= 2]
+        return kept.T @ kept
+
+    def test_float_branch_exact(self, rng):
+        # Row sums below 2**25 over four rows: the bound stays under 2**52,
+        # with odd products far past 2**32. Rows of zero or one box drop.
+        hist = np.vstack([rng.integers(0, 2**24, (4, 3)),
+                          [[0, 0, 0], [0, 1, 0], [1, 0, 0]]])
+        got = _band_counts(hist)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, self.int64_gram(hist))
+
+    def test_float_branch_at_bound(self):
+        hist = np.array([[2**25 + 1, 2**25 - 1]])  # the bound is 2**52
+        assert np.array_equal(_band_counts(hist), self.int64_gram(hist))
+
+    def test_int64_branch_past_bound(self):
+        # Products near 2**54 that float64 rounds; the int64 gram is exact.
+        hist = np.array([[2**27 + 1, 2**27 + 3, 0], [2**27 + 5, 1, 7],
+                         [2**27 - 1, 2**27 + 9, 3]])
+        want = self.int64_gram(hist)
+        as_float = hist.astype(np.float64)
+        assert not np.array_equal((as_float.T @ as_float).astype(np.int64),
+                                  want)
+        got = _band_counts(hist)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_no_kept_rows(self):
+        for hist in (np.zeros((0, 3), np.int64), np.eye(3, dtype=np.int64)):
+            assert np.array_equal(_band_counts(hist), np.zeros((3, 3)))
 
 
 def loop_normalize(raw):
@@ -428,6 +499,24 @@ def test_graph_files_round_trip(graphs):
             assert loaded.edges.tobytes() == graphs.edges.tobytes()
             save_graphs(loaded, second)
             assert second.read_bytes() == first.read_bytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_graph_sets())
+@example(CoOccurrenceGraphSet(ClassVocabulary(("a",)), BandConfig(2, 1),
+                              np.ones((2, 1, 1))))
+def test_graph_writer_matches_json_dumps(graphs):
+    # save_graphs writes from templates the bytes the indenting json
+    # encoder writes, plain and compressed.
+    want = json.dumps(graphs_to_obj(graphs), indent=1, sort_keys=True) + "\n"
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("g.json", "g.json.gz"):
+            p = Path(d, name)
+            save_graphs(graphs, p)
+            got = p.read_bytes()
+            if name.endswith(".gz"):
+                got = gzip.decompress(got)
+            assert got == want.encode()
 
 
 def test_raw_counts_past_float_precision_exact(tmp_path):
