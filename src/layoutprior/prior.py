@@ -9,6 +9,7 @@ that band across the corpus. Counts are row-column normalized
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -30,10 +31,19 @@ class BandConfig:
     band_width_frac: Optional[float] = None  # default: 1/n_bands (disjoint)
 
     def __post_init__(self):
-        if self.n_bands < 1:
+        # Stored as int and float, so that a graph file rewrites the same.
+        n, width = self.n_bands, self.band_width_frac
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
+            raise ParseError(f"n_bands must be an integer, got {n!r}")
+        if n < 1:
             raise ParseError("n_bands must be >= 1")
-        if self.band_width_frac is None:
-            object.__setattr__(self, "band_width_frac", 1.0 / self.n_bands)
+        if width is None:
+            width = 1.0 / n
+        elif not isinstance(width, numbers.Real) or isinstance(width, bool):
+            raise ParseError(f"band_width_frac must be a real number, "
+                             f"got {width!r}")
+        object.__setattr__(self, "n_bands", int(n))
+        object.__setattr__(self, "band_width_frac", float(width))
         if not (0.0 < self.band_width_frac <= 1.0):
             raise ParseError("band_width_frac must be in (0, 1]")
 

@@ -6,7 +6,9 @@ first class is drawn from the band marginal and each subsequent class
 proportionally to its planted edge weights against the classes already
 placed. All randomness comes from numpy's PCG64 generator, which is a
 published, portable algorithm; results are reproducible across
-platforms for a fixed seed.
+platforms for a fixed seed. Each layout reads its own stream, and
+`generate` reads a block of such streams in lockstep, decoding the raw
+words as numpy's Generator does.
 """
 
 from __future__ import annotations
@@ -105,65 +107,88 @@ _U32, _U64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
 # Doubles a box reads: the class draw's, then cy, cx and the width and
 # height fractions. With noise > 0 it reads a sixth, for the flip test.
 _BOX_WORDS = 5
-_BLOCK = 256  # words per random_raw read
+# Layouts whose streams are read together, and the most words a stream
+# reads up front: the first bounds the word block whatever the layout
+# count, the second whatever the box range (a stream that needs more
+# grows the block).
+_BLOCK_LAYOUTS = 512
+_MAX_WIDTH = 1024
 
 
-class _Stream:
-    """One PCG64 stream read the way numpy's Generator reads it.
+class _Streams:
+    """PCG64 streams read in lockstep, each the way numpy's Generator
+    reads it.
 
-    `take` hands out raw 64-bit words in order. `bounded(r)` is what
-    `integers(lo, lo + r + 1) - lo` returns: nothing is read when r == 0;
-    below 2**32 it is Lemire's method on 32-bit draws, a 32-bit draw
-    being the low half of a fresh word, with the high half kept for the
-    next 32-bit draw; above that it is Lemire's method on whole words,
-    which leaves the kept half alone. (numpy special-cases r == 2**32 - 1
-    as one 32-bit draw, which is what Lemire's method gives on Python's
-    unbounded integers.)
+    Row i of `words` holds the raw 64-bit words of the i-th bit generator.
+    A step reads from a set of distinct rows at once. `take(rows, n)`
+    hands out each row's next n words. `bounded(rows, r)` is, per row,
+    what `integers(lo, lo + r + 1) - lo` returns: nothing is read when
+    r == 0; below 2**32 it is Lemire's method on 32-bit draws, a 32-bit
+    draw being the low half of a fresh word, with the high half kept for
+    the row's next 32-bit draw; above that it is Lemire's method on whole
+    words, which leaves the kept half alone. (numpy special-cases
+    r == 2**32 - 1 as one 32-bit draw, which is what Lemire's method
+    gives there.) Rows whose draw is rejected draw again, by themselves.
+    A row that runs past its words reads its bit generator's next ones.
     """
 
-    def __init__(self, bit_generator):
-        self._bg = bit_generator
-        self.words, self._blocks = [], []
-        self._pos = 0
-        self._half = None
+    def __init__(self, bit_generators, width: int):
+        self._bgs = list(bit_generators)
+        self.words = np.empty((len(self._bgs), width), dtype=np.uint64)
+        for row, bg in zip(self.words, self._bgs):
+            row[:] = bg.random_raw(width)
+        self._pos = np.zeros(len(self._bgs), dtype=np.int64)
+        self._half = np.zeros(len(self._bgs), dtype=np.uint64)
+        self._has_half = np.zeros(len(self._bgs), dtype=bool)
 
-    def take(self, n: int) -> int:
-        """Consume the next n words; return the index of the first."""
-        start = self._pos
-        self._pos += n
-        short = self._pos - len(self.words)
-        if short > 0:
-            block = self._bg.random_raw(max(short, _BLOCK))
-            self._blocks.append(block)
-            self.words.extend(block.tolist())
+    def take(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Consume the next n words of each row; return the index of each
+        row's first."""
+        start = self._pos[rows]
+        self._pos[rows] = end = start + n
+        have = self.words.shape[1]
+        if end.size and end.max() > have:
+            # Every row grows, so each row's words stay one prefix of its
+            # stream.
+            width = max(int(end.max()), 2 * have)
+            words = np.empty((len(self._bgs), width), dtype=np.uint64)
+            words[:, :have] = self.words
+            for row, bg in zip(words, self._bgs):
+                row[have:] = bg.random_raw(width - have)
+            self.words = words
         return start
 
-    def raw(self) -> np.ndarray:
-        """Every word read so far, as a uint64 array."""
-        return np.concatenate(self._blocks)
+    def _word(self, rows):
+        at = self.take(rows, 1)  # which may grow `words`
+        return self.words[rows, at].astype(object)
 
-    def _word(self) -> int:
-        return self.words[self.take(1)]
+    def _uint32(self, rows):
+        has = self._has_half[rows]
+        out = self._half[rows]
+        fresh = rows[~has]
+        at = self.take(fresh, 1)
+        word = self.words[fresh, at]
+        out[~has] = word & _U32
+        self._half[fresh] = word >> 32
+        self._has_half[rows] = ~has
+        return out
 
-    def _uint32(self) -> int:
-        if self._half is not None:
-            half, self._half = self._half, None
-            return half
-        word = self._word()
-        self._half = word >> 32
-        return word & _U32
-
-    def bounded(self, r: int) -> int:
+    def bounded(self, rows: np.ndarray, r: int) -> np.ndarray:
+        out = np.zeros(len(rows), dtype=np.uint64)
         if r == 0:
-            return 0
+            return out
+        # Above 2**32 the products take 128 bits, so they are Python ints.
         draw, bits, mask = ((self._uint32, 32, _U32) if r <= _U32
                             else (self._word, 64, _U64))
         excl = r + 1
         threshold = (mask - r) % excl  # 2**bits mod excl
-        m = draw() * excl
-        while m & mask < threshold:
-            m = draw() * excl
-        return m >> bits
+        todo = np.arange(len(rows))
+        while todo.size:
+            m = draw(rows[todo]) * excl
+            kept = m & mask >= threshold
+            out[todo[kept]] = m[kept] >> bits
+            todo = todo[~kept]
+        return out
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -179,6 +204,42 @@ def _uniform(low, high, d):
     return low + (high - low) * d
 
 
+def _read_block(spec: GeneratorSpec, layouts: range):
+    """Read the streams of `layouts` in lockstep, in `generate`'s order.
+
+    Returns their box counts (layouts x bands) and the box steps. Each
+    step reads one draw kind from every row that makes it: per band the
+    box counts, then per box index t the boxes of the layouts with more
+    than t boxes in the band, and their flips. A box step is (layouts,
+    band, t, their boxes' five doubles, their flipped labels), a label
+    being -1 where the box keeps its class.
+    """
+    C, B = spec.vocabulary.size, spec.n_bands
+    lo, hi = (int(v) for v in spec.boxes_per_band)
+    noise = spec.noise
+    box_words = _BOX_WORDS + (noise > 0)
+    # What a layout reads when no draw is rejected, or a little more.
+    width = min(B * (1 + hi * (box_words + 1)), _MAX_WIDTH)
+    streams = _Streams((np.random.PCG64([spec.seed, li]) for li in layouts),
+                       width)
+    k = np.empty((len(layouts), B), dtype=np.int64)
+    steps = []
+    for j in range(B):
+        k[:, j] = lo + streams.bounded(np.arange(len(layouts)), hi - lo)
+        for t in range(int(k[:, j].max(initial=0))):
+            rows = np.flatnonzero(k[:, j] > t)
+            at = streams.take(rows, box_words)
+            d = (streams.words[rows[:, None], at[:, None]
+                               + np.arange(_BOX_WORDS)] >> 11) * _DOUBLE
+            label = np.full(len(rows), -1)
+            if noise:
+                flip = (streams.words[rows, at + _BOX_WORDS] >> 11) \
+                    * _DOUBLE < noise
+                label[flip] = streams.bounded(rows[flip], C - 1)
+            steps.append((layouts.start + rows, j, t, d, label))
+    return k, steps
+
+
 def generate(spec: GeneratorSpec, n_layouts: int):
     """Return (clean, noisy) corpora; noisy resamples each label
     uniformly with probability `spec.noise`.
@@ -192,41 +253,30 @@ def generate(spec: GeneratorSpec, n_layouts: int):
     band's first box, or of the planted edge weights summed over the
     classes already placed in the band. This order is part of the output
     contract: the words are decoded as numpy decodes them, so the result
-    equals that of one Generator call per draw.
+    equals that of one Generator call per draw. The streams are read in
+    lockstep, a block of layouts at a time; every class and box is then
+    drawn as array code over the whole corpus.
     """
     if n_layouts < 0:
         raise ParseError(f"layout count must be >= 0, got {n_layouts}")
     C, B = spec.vocabulary.size, spec.n_bands
-    lo, hi = (int(v) for v in spec.boxes_per_band)
-    noise = spec.noise
-    box_words = _BOX_WORDS + (noise > 0)
-    # Walk each stream for the box counts, the offsets of the box doubles
-    # and the noise flips; everything else reads the doubles as arrays.
-    k = np.zeros((n_layouts, B), dtype=np.int64)
-    doubles, flips, n_boxes = [], [], 0
-    for li in range(n_layouts):
-        # Per-layout derived seed keeps generation order-independent.
-        stream = _Stream(np.random.PCG64([spec.seed, li]))
-        starts = []
-        for j in range(B):
-            k[li, j] = kj = lo + stream.bounded(hi - lo)
-            for _ in range(kj):
-                first = stream.take(box_words)
-                starts.append(first)
-                if noise and (stream.words[first + _BOX_WORDS] >> 11) \
-                        * _DOUBLE < noise:
-                    flips.append((n_boxes + len(starts) - 1,
-                                  stream.bounded(C - 1)))
-        if starts:
-            idx = np.add.outer(starts, np.arange(_BOX_WORDS))
-            doubles.append((stream.raw()[idx] >> 11) * _DOUBLE)
-        n_boxes += len(starts)
-    d = (np.concatenate(doubles) if doubles
-         else np.empty((0, _BOX_WORDS)))
+    k = np.empty((n_layouts, B), dtype=np.int64)
+    steps = []
+    for start in range(0, n_layouts, _BLOCK_LAYOUTS):
+        block = range(start, min(start + _BLOCK_LAYOUTS, n_layouts))
+        k[start:block.stop], block_steps = _read_block(spec, block)
+        steps += block_steps
 
     # Index of each layout's first box in band j is first[:, j].
     counts = k.ravel()
     first = (np.cumsum(counts) - counts).reshape(k.shape)
+    n_boxes = int(counts.sum())
+    d = np.empty((n_boxes, _BOX_WORDS))
+    label = np.empty(n_boxes, dtype=np.int64)
+    for rows, j, t, doubles, flipped in steps:
+        at = first[rows, j] + t
+        d[at], label[at] = doubles, flipped
+    del steps  # a second copy of every box's doubles
     cls = np.empty(n_boxes, dtype=np.int64)
     for j in range(B):
         G = spec.planted_graphs[j]
@@ -248,10 +298,7 @@ def generate(spec: GeneratorSpec, n_layouts: int):
                 cdf = _cdf(w[pos] / total[pos, None])
                 draw[pos] = (cdf <= u[pos, None]).sum(axis=1)
             cls[at] = draw
-    noisy_cls = cls.copy()
-    if flips:
-        at, flipped = np.array(flips).T
-        noisy_cls[at] = flipped
+    noisy_cls = np.where(label < 0, cls, label)
 
     band = np.repeat(np.tile(np.arange(B), n_layouts), counts)
     upper, lower = spec.band_config().bounds[band].T

@@ -56,6 +56,22 @@ class TestBands:
                                          [0.75, 1.0]]
         assert np.allclose(bands.centroids, [0.125, 0.375, 0.625, 0.875])
 
+    def test_numpy_fields_stored_as_python_numbers(self):
+        cfg = BandConfig(np.int64(2), np.float32(0.5))
+        assert type(cfg.n_bands) is int and cfg.n_bands == 2
+        assert type(cfg.band_width_frac) is float
+        assert cfg.band_width_frac == 0.5
+        assert BandConfig(2, 1) == BandConfig(2, 1.0)
+        assert type(BandConfig(2, 1).band_width_frac) is float
+
+    @pytest.mark.parametrize("n,width", [
+        (True, None), (2.0, None), ("2", None), (np.float64(2), None),
+        (2, True), (2, "0.5"), (2, [0.5]), (2, np.bool_(True))])
+    def test_field_types_rejected(self, n, width):
+        with pytest.raises(ParseError, match="must be an integer|"
+                                             "must be a real number"):
+            BandConfig(n, width)
+
     def test_overlapping_clamped(self):
         bands = BandConfig(2, 0.75)
         assert bands.bounds.tolist() == [[0, 0.75], [0.5, 1.0]]
@@ -499,6 +515,26 @@ def test_graph_files_round_trip(graphs):
             assert loaded.edges.tobytes() == graphs.edges.tobytes()
             save_graphs(loaded, second)
             assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("config", [
+    BandConfig(np.int64(2)), BandConfig(2, np.float32(0.5)), BandConfig(2, 1)])
+def test_numpy_band_config_rewrites_same_bytes(tmp_path, config):
+    graphs = CoOccurrenceGraphSet(ClassVocabulary(("a",)), config,
+                                  np.ones((2, 1, 1)))
+    first, second = tmp_path / "1.json", tmp_path / "2.json"
+    save_graphs(graphs, first)
+    save_graphs(load_graphs(first), second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_bool_band_width_in_graph_file_reads_as_one(tmp_path):
+    obj = graphs_to_obj(CoOccurrenceGraphSet(
+        ClassVocabulary(("a",)), BandConfig(2), np.ones((2, 1, 1))))
+    obj["band_width_frac"] = True
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(obj))
+    assert load_graphs(p).band_config == BandConfig(2, 1.0)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

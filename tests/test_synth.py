@@ -1,19 +1,21 @@
 import hashlib
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layoutprior import ClassVocabulary
 from layoutprior.cli import main
 from layoutprior.core import BBox, Component, LayoutDocument, ParseError
 from layoutprior.ingest import Corpus, corpus_to_obj, load_native, save_native
 from layoutprior.prior import BandConfig, band_membership, build_prior
-from layoutprior.synth import (_DOUBLE, GeneratorSpec, _Stream, generate,
-                               load_spec, recovery_score, spec_from_obj,
-                               spec_to_obj)
+from layoutprior.synth import (_BLOCK_LAYOUTS, _DOUBLE, GeneratorSpec,
+                               _Streams, generate, load_spec, recovery_score,
+                               spec_from_obj, spec_to_obj)
 
 
 def block_spec(noise=0.0, seed=42, boxes=(2, 5)):
@@ -175,13 +177,50 @@ ORACLE_CASES = {
     "frac-0-0": (_replace(dense_spec(boxes=(0, 4)), box_size_frac=(0, 0)), 30),
     "frac-1-1": (_replace(dense_spec(boxes=(0, 4)), box_size_frac=(1, 1)), 30),
     "empty": (block_spec(noise=0.3), 0),
+    # Streams that read past the words the reader takes up front.
+    "past-max-width": (dense_spec(seed=5, boxes=(180, 200), n_bands=1), 5),
+    # More layouts than the reader reads at once.
+    "two-blocks": (block_spec(noise=0.3, seed=8, boxes=(0, 2)),
+                   _BLOCK_LAYOUTS + 37),
 }
+
+
+@st.composite
+def generator_specs(draw):
+    """Specs of 1-6 classes and 1-4 bands with 0-8 boxes per band. Edge
+    weights and marginal entries are often exactly 0, so some weight
+    rows sum to 0 and some classes are never drawn first."""
+    C, B = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    weight = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+    graphs = draw(st.lists(st.lists(weight, min_size=C * C, max_size=C * C),
+                           min_size=B, max_size=B))
+    marginals = []
+    for _ in range(B):
+        m = np.array(draw(st.lists(weight, min_size=C, max_size=C)))
+        m[draw(st.integers(0, C - 1))] += 0.5
+        marginals.append(m / m.sum())
+    lo = draw(st.integers(0, 8))
+    side = st.integers(1, 2000) | st.floats(0.5, 2000)
+    frac = sorted(draw(st.lists(st.floats(0, 1), min_size=2, max_size=2)))
+    return GeneratorSpec(
+        ClassVocabulary(tuple(f"c{i}" for i in range(C))),
+        np.reshape(graphs, (B, C, C)), marginals,
+        boxes_per_band=(lo, draw(st.integers(lo, 8))),
+        canvas=(draw(side), draw(side)), box_size_frac=tuple(frac),
+        noise=draw(st.just(0.0) | st.floats(0, 1, exclude_max=True)),
+        seed=draw(st.integers(0, 2 ** 64)))
 
 
 class TestGenerateOracle:
     @pytest.mark.parametrize("name", list(ORACLE_CASES))
     def test_matches_loop(self, name):
         spec, n = ORACLE_CASES[name]
+        for got, want in zip(generate(spec, n), loop_generate(spec, n)):
+            assert corpus_to_obj(got) == corpus_to_obj(want)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(generator_specs(), st.integers(0, 30))
+    def test_matches_loop_on_drawn_specs(self, spec, n):
         for got, want in zip(generate(spec, n), loop_generate(spec, n)):
             assert corpus_to_obj(got) == corpus_to_obj(want)
 
@@ -222,29 +261,68 @@ class TestStream:
               3 * 2 ** 30, 2 ** 32 - 3, 2 ** 32 - 2, 2 ** 32 - 1, 2 ** 32,
               2 ** 32 + 1, 2 ** 63, 2 ** 63 + 12345]
 
+    @staticmethod
+    def _doubles(streams, rows):
+        at = streams.take(rows, 1)  # which may grow `words`
+        return ((streams.words[rows, at] >> 11) * _DOUBLE).tolist()
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_decodes_like_generator(self, seed):
-        rng = np.random.Generator(np.random.PCG64(seed))
-        stream = _Stream(np.random.PCG64(seed))
+        # Each step reads from a drawn subset of four streams, so rows
+        # fall out of step and reject on different draws; each row is
+        # checked against its own Generator. Eight words per row to start
+        # with makes every row read past its first words.
+        seeds = [seed, seed + 10, seed + 20, seed + 30]
+        rngs = [np.random.Generator(np.random.PCG64(s)) for s in seeds]
+        streams = _Streams([np.random.PCG64(s) for s in seeds], 8)
         pick = np.random.Generator(np.random.PCG64(100 + seed))
         for _ in range(3000):
+            rows = np.flatnonzero(pick.random(len(seeds)) < 0.7)
             if pick.random() < 0.3:
-                word = stream.words[stream.take(1)]
-                assert (word >> 11) * _DOUBLE == rng.random()
+                assert self._doubles(streams, rows) == [rngs[i].random()
+                                                        for i in rows]
             else:
                 r = self.RANGES[int(pick.integers(len(self.RANGES)))]
                 lo = int(pick.integers(0, 1000))
-                want = rng.integers(lo, lo + r + 1, dtype=np.uint64)
-                assert lo + stream.bounded(r) == int(want)
-        word = stream.words[stream.take(1)]
-        assert (word >> 11) * _DOUBLE == rng.random()
+                want = [int(rngs[i].integers(lo, lo + r + 1, dtype=np.uint64))
+                        for i in rows]
+                got = streams.bounded(rows, r)
+                assert got.dtype == np.uint64
+                assert [lo + int(v) for v in got] == want
+        rows = np.arange(len(seeds))
+        assert self._doubles(streams, rows) == [rng.random() for rng in rngs]
+        assert len(set(streams.take(rows, 0).tolist())) == len(seeds)
 
     def test_raw_is_every_word_taken(self):
-        stream = _Stream(np.random.PCG64(7))
-        stream.take(3)
-        stream.take(600)
-        want = np.random.PCG64(7).random_raw(603)
-        assert np.array_equal(stream.raw()[:603], want)
+        streams = _Streams([np.random.PCG64(7), np.random.PCG64(8)], 4)
+        streams.take(np.array([0, 1]), 3)
+        assert streams.take(np.array([0]), 600).tolist() == [3]
+        # Row 0 read past its first block; both rows still hold a prefix
+        # of their own streams.
+        for row, seed in ((0, 7), (1, 8)):
+            want = np.random.PCG64(seed).random_raw(603)
+            assert np.array_equal(streams.words[row, :603], want)
+        assert streams.take(np.array([1]), 2).tolist() == [3]
+
+
+# generate's traced peak for the workload spec at seed 1 and 2000
+# layouts while it walked each stream in Python was 11,143,382 bytes
+# (10.63 MiB), measured with this test's code on that version (Python
+# 3.11, numpy 2.4). The lockstep reader, its word blocks and its box
+# steps must stay within 10% of that.
+PEAK_BOUND = int(11.7 * 2 ** 20)
+
+
+def test_generate_peak_memory_on_workload_spec():
+    spec = workload_spec(1)
+    generate(spec, 2000)  # first-call allocations are not generate's
+    tracemalloc.start()
+    try:
+        generate(spec, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BOUND
 
 
 class TestGenerate:
