@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import (BBox, ParseError, ProposalBatch, ShapeError, finite,
                    json_number, json_numbers, matmul, matrix_from_json,
-                   matrix_to_json, read_json, row_softmax, write_text)
+                   matrix_to_json, midpoint, read_json, row_softmax,
+                   write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -44,13 +45,40 @@ class MappingPolicy(Enum):
     SOFT = "soft"
     HARD = "hard"
 
+def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and float64 bit patterns: -0.0 is not 0.0, and NaNs
+    compare by payload."""
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
 @dataclass(frozen=True)
 class NodeFeatures:
     matrix: np.ndarray  # C x K
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix",
-                           np.asarray(self.matrix, dtype=np.float64))
+        matrix = np.asarray(self.matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ShapeError(
+                f"node features must be a 2-D matrix, got shape {matrix.shape}")
+        object.__setattr__(self, "matrix", matrix)
+        # Not a dataclass field: equality and repr stay on `matrix`.
+        object.__setattr__(self, "_projection", None)
+
+    def project(self, embed: np.ndarray) -> np.ndarray:
+        """W Z, read-only. The last product is kept with private copies of
+        the W and Z it came from and reused while both keep their shapes
+        and bytes; `matrix` may share the caller's buffer, so W is compared
+        too."""
+        W = self.matrix
+        embed = np.asarray(embed, dtype=np.float64)
+        memo = self._projection  # one read: a concurrent update is whole
+        if memo is not None and _same_bytes(memo[0], W) \
+                and _same_bytes(memo[1], embed):
+            return memo[2]
+        W, embed = W.copy(), embed.copy()
+        WZ = matmul(W, embed)
+        WZ.flags.writeable = False
+        object.__setattr__(self, "_projection", (W, embed, WZ))
+        return WZ
 
 def band_association(proposals: ProposalBatch, bands: BandConfig,
                      policy: AssociationPolicy) -> np.ndarray:
@@ -60,7 +88,7 @@ def band_association(proposals: ProposalBatch, bands: BandConfig,
     if policy.kind is AssociationKind.EQUAL:
         return np.full((n_r, n_g), 1.0 / n_g)
 
-    yc = np.array([(b.y1 + b.y2) / 2.0 for b in proposals.boxes])
+    yc = np.array([midpoint(b.y1, b.y2) for b in proposals.boxes])
     delta = yc[:, None] / proposals.layout_height - bands.centroids[None, :]
 
     if policy.kind is AssociationKind.SINGLE:
@@ -80,6 +108,9 @@ def band_association(proposals: ProposalBatch, bands: BandConfig,
 def soft_mapping(logits: np.ndarray, policy: MappingPolicy) -> np.ndarray:
     """Row-stochastic class mapping: softmax rows or one-hot argmax rows."""
     logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2 or not logits.shape[1]:
+        raise ShapeError("class mapping needs 2-D logits with at least one "
+                         f"column, got shape {logits.shape}")
     if policy is MappingPolicy.SOFT:
         return row_softmax(logits)
     S = np.zeros_like(logits)
@@ -114,7 +145,7 @@ def condition_features(S: np.ndarray, alpha: np.ndarray,
         raise ShapeError(f"mapping S {S.shape} does not match {C} classes")
     if W.shape[0] != C:
         raise ShapeError(f"node features {W.shape} do not match {C} classes")
-    if embed.shape[0] != W.shape[1]:
+    if embed.ndim != 2 or embed.shape[0] != W.shape[1]:
         raise ShapeError(
             f"cannot multiply nodes {W.shape} by embed {embed.shape}"
         )
@@ -127,7 +158,7 @@ def condition_features(S: np.ndarray, alpha: np.ndarray,
     # first. The running sum adds the bands in ascending order, as a loop
     # would; .sum(axis=0) adds pairwise for one proposal and one class.
     pooled = np.add.accumulate(alpha.T[:, :, None] * (S @ graphs.edges))[-1]
-    return matmul(pooled, matmul(W, embed))
+    return matmul(pooled, nodes.project(embed))
 
 def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)

@@ -239,6 +239,20 @@ class ProposalBatch:
             raise ParseError("layout_height must be positive and finite")
 
 
+def midpoint(lo: float, hi: float) -> float:
+    """(lo + hi) / 2 of two finite floats; where the sum passes the float
+    range, lo / 2 + hi / 2, which does not."""
+    mid = (lo + hi) / 2.0
+    return lo / 2.0 + hi / 2.0 if math.isinf(mid) else mid
+
+
+def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """`midpoint` of each pair of entries of two float arrays."""
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    return np.where(np.isinf(mid), lo / 2.0 + hi / 2.0, mid)
+
+
 @np.errstate(over="ignore")  # an area past the float range is inf
 def box_areas(boxes: np.ndarray) -> np.ndarray:
     """Areas of a (..., 4) array of x1, y1, x2, y2 rows."""
@@ -273,8 +287,9 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def row_softmax(m: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stabilized by subtracting each row's max."""
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeError(f"row_softmax expects a 2-D matrix, got shape {m.shape}")
+    if m.ndim != 2 or not m.shape[1]:
+        raise ShapeError("row_softmax expects a 2-D matrix with at least one "
+                         f"column, got shape {m.shape}")
     shifted = m - m.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)

@@ -265,6 +265,23 @@ class TestCondition:
         err = capsys.readouterr().err
         assert "must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mapping", [m.value for m in MappingPolicy])
+    def test_logits_without_columns_exit_3(self, tmp_path, graphs_path, rng,
+                                           capsys, mapping):
+        pp, wp, zp, props, _, _ = self.write_inputs(tmp_path, graphs_path,
+                                                    rng)
+        props["boxes"] = props["boxes"][:1]
+        props["logits"] = {"rows": 1, "cols": 0, "data": []}
+        pp.write_text(json.dumps(props))
+        out = tmp_path / "o.json"
+        assert main(["condition", str(pp), str(graphs_path),
+                     "--nodes", str(wp), "--embed", str(zp),
+                     "--map", mapping, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "error: class mapping needs 2-D logits with at least one column, "
+            "got shape (1, 0)\n")
+
     @pytest.mark.parametrize("flag, value", BAD_ASSOCIATION)
     def test_bad_association_exit_2(self, tmp_path, graphs_path, rng, capsys,
                                     flag, value):
@@ -775,6 +792,68 @@ def test_version(capsys):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert "layoutprior" in out and "schema v1" in out
+
+
+def _scaled(corpus, factor):
+    """A copy of a native corpus with every side and coordinate times
+    factor."""
+    corpus = copy.deepcopy(corpus)
+    for lay in corpus["layouts"]:
+        lay["width"] *= factor
+        lay["height"] *= factor
+        for comp in lay["components"]:
+            comp["bbox"] = [v * factor for v in comp["bbox"]]
+    return corpus
+
+
+def test_float_range_corpora_quiet(tmp_path, capsys):
+    """build-prior, rescore and eval on canvases near the float limit, where
+    box areas and some coordinate sums pass the float range: no warning,
+    even as an error, and the same graphs, classes and scores as on the
+    same corpus scaled by 2**-1000, which is exact."""
+    side, tall = 1e308, 1.7e308
+    big = {"classes": ["A", "B"], "layouts": [
+        {"id": "x", "width": side, "height": side, "components": [
+            {"bbox": [0.0, 0.0, side, side], "class": "A", "score": 0.9},
+            {"bbox": [0.0, 0.0, side / 2, side], "class": "B", "score": 0.5},
+            {"bbox": [side / 2, 0.9 * side, side, side], "class": "A",
+             "score": 0.7},
+            {"bbox": [0.0, 0.95 * side, side / 4, side], "class": "B",
+             "score": 0.2}]},
+        {"id": "y", "width": tall, "height": tall, "components": [
+            {"bbox": [0.0, 1.6e308, tall, tall], "class": "A", "score": 0.3},
+            {"bbox": [0.0, 1.5e308, 1e308, tall], "class": "B",
+             "score": 0.6}]}]}
+
+    def pipeline(name, corpus):
+        cp, gp, rp = (tmp_path / f"{name}-{f}.json"
+                      for f in ("corpus", "graphs", "rescored"))
+        cp.write_text(json.dumps(corpus))
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv in (["build-prior", str(cp), "--bands", "3",
+                          "--out", str(gp)],
+                         ["rescore", str(cp), str(gp), "--out", str(rp)],
+                         ["eval", str(rp), str(cp), "--format", "json"]):
+                assert main(argv) == 0, argv
+                runs.append(capsys.readouterr())
+        rescored = [(c["class"], c["score"]) for lay in
+                    json.loads(rp.read_text())["layouts"]
+                    for c in lay["components"]]
+        return gp.read_bytes(), rescored, runs
+
+    graphs, rescored, runs = pipeline("big", big)
+    small_graphs, small_rescored, small_runs = pipeline(
+        "small", _scaled(big, 2.0 ** -1000))
+    assert graphs == small_graphs and rescored == small_rescored
+    # The same summaries on stderr as the scaled run, and none from eval.
+    assert [r.err for r in runs] == [r.err for r in small_runs]
+    assert runs[2].err == ""
+    report = json.loads(runs[2].out)
+    want = reference_evaluate(json.loads((tmp_path / "big-rescored.json")
+                                         .read_text()), big)
+    assert {k: report[k] for k in want} == want
 
 
 # Replacement values for the mutation fuzz. None is big enough to make a

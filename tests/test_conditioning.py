@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layoutprior import ClassVocabulary, ProposalBatch
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
@@ -98,6 +101,13 @@ class TestSoftMapping:
     def test_hard_tie_lowest_index(self):
         S = soft_mapping(np.array([[2.0, 2.0, 1.0]]), MappingPolicy.HARD)
         assert S.tolist() == [[1.0, 0.0, 0.0]]
+
+    @pytest.mark.parametrize("policy", list(MappingPolicy))
+    @pytest.mark.parametrize("shape", [(1, 0), (0, 0), (3,)])
+    def test_logits_without_columns(self, policy, shape):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"at least one column, got shape {shape}")):
+            soft_mapping(np.zeros(shape), policy)
 
     def test_row_contracts(self, rng):
         logits = rng.standard_normal((10, 5)) * 3
@@ -280,6 +290,99 @@ class TestConditionFeatures:
             with pytest.raises(ShapeError, match="alpha"):
                 condition_features(np.zeros((2, 3)), alpha, graphs, nodes,
                                    np.zeros((4, 6)))
+
+
+class TestNodeFeatures:
+    @pytest.mark.parametrize("matrix", [np.ones(2), np.ones((2, 2, 2)), 1.0])
+    def test_not_2d(self, matrix):
+        with pytest.raises(ShapeError, match="node features must be a 2-D"):
+            NodeFeatures(matrix)
+
+    def test_projection_kept(self, rng):
+        nodes = NodeFeatures(rng.standard_normal((3, 4)))
+        Z = rng.standard_normal((4, 5))
+        WZ = nodes.project(Z)
+        assert np.array_equal(WZ, nodes.matrix @ Z)
+        assert nodes.project(Z.copy()) is WZ
+        with pytest.raises(ValueError, match="read-only"):
+            WZ[0, 0] = 1.0
+
+    def test_memo_outside_equality_and_repr(self, rng):
+        W = rng.standard_normal((2, 3))
+        nodes, fresh = NodeFeatures(W), NodeFeatures(W)
+        before = repr(nodes)
+        nodes.project(np.ones((3, 4)))
+        assert repr(nodes) == before == repr(fresh)
+        assert [f.name for f in dataclasses.fields(nodes)] == ["matrix"]
+
+
+# Changes made to W and Z between conditionings through one NodeFeatures.
+MEMO_STEPS = ("mutate Z", "fresh equal Z", "flip a zero's sign", "insert NaN",
+              "reshape Z", "mutate W's source")
+
+
+def _flip_bits(a, i, mask):
+    """XOR the float64 at flat index i of a C-contiguous array with mask."""
+    a.reshape(-1).view(np.uint64)[i] ^= np.uint64(mask)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_projection_memo_matches_pooled_oracle(data):
+    """A run of conditionings through one NodeFeatures: every output equals
+    the oracle, and the kept W Z is reused exactly when W and Z hold the
+    bytes of the previous call."""
+    C, K, Dp = (data.draw(st.integers(1, hi)) for hi in (6, 8, 8))
+    rng = np.random.Generator(np.random.PCG64(
+        data.draw(st.integers(0, 2**32 - 1))))
+    n_g = data.draw(st.integers(1, 4))
+    edges = rng.uniform(0, 1, (n_g, C, C))
+    graphs = make_graphs(edges, C)
+    source = rng.standard_normal((C, K))
+    nodes = NodeFeatures(source)
+    assert np.shares_memory(nodes.matrix, source)
+    Z = rng.standard_normal((K, Dp))
+    last = None  # the bytes of W and Z at the previous call, and its W Z
+
+    def call():
+        nonlocal last
+        N = data.draw(st.integers(0, 7))
+        S = soft_mapping(rng.standard_normal((N, C)), MappingPolicy.SOFT)
+        alpha = rng.uniform(0, 1, (N, n_g))
+        out = condition_features(S, alpha, graphs, nodes, Z)
+        want = pooled_loop_oracle(S, alpha, edges, nodes.matrix, Z)
+        assert np.array_equal(out, want, equal_nan=True)
+        WZ = nodes.project(Z)
+        # Bit for bit, so signed zeros and NaN payloads count.
+        assert WZ.tobytes() == (nodes.matrix @ Z).tobytes()
+        key = (Z.shape, nodes.matrix.tobytes(), Z.tobytes())
+        if last is not None:
+            assert (WZ is last[1]) == (key == last[0])
+        last = key, WZ
+
+    call()
+    for step in data.draw(st.lists(st.sampled_from(MEMO_STEPS), max_size=8)):
+        i = data.draw(st.integers(0, Z.size - 1))
+        if step == "mutate Z":
+            _flip_bits(Z, i, data.draw(st.integers(1, 2**52 - 1)))
+        elif step == "fresh equal Z":
+            Z = Z.copy()
+        elif step == "flip a zero's sign":
+            Z.flat[i] = 0.0
+            call()
+            Z.flat[i] = -0.0
+        elif step == "insert NaN":
+            sign, payload = data.draw(st.integers(0, 1)), data.draw(
+                st.integers(0, 2**51 - 1))
+            Z.reshape(-1).view(np.uint64)[i] = np.uint64(
+                sign << 63 | 0x7FF8 << 48 | payload)
+        elif step == "reshape Z":
+            wider = np.hstack([Z, rng.standard_normal((K, 8))])
+            Z = np.ascontiguousarray(wider[:, :data.draw(st.integers(1, 8))])
+        else:
+            _flip_bits(source, data.draw(st.integers(0, source.size - 1)),
+                       data.draw(st.integers(1, 2**52 - 1)))
+        call()
 
 
 class TestConcat:

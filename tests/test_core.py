@@ -2,21 +2,23 @@ import ast
 import gzip
 import json
 import math
+import re
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import layoutprior
 from layoutprior.conditioning import AssociationPolicy, band_association
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError,
                               box_areas, iou_matrix, load_matrix, matmul,
-                              matrix_from_json, matrix_to_json, read_json,
-                              row_softmax, write_text)
+                              matrix_from_json, matrix_to_json, midpoint,
+                              midpoints, read_json, row_softmax, write_text)
 from layoutprior.prior import BandConfig
 from layoutprior.rescore import RescoreConfig
 
@@ -226,6 +228,36 @@ class TestRowSoftmax:
     def test_not_2d(self):
         with pytest.raises(ShapeError, match=r"shape \(3,\)"):
             row_softmax(np.zeros(3))
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 0)])
+    def test_no_columns(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"at least one column, got shape {shape}")):
+            row_softmax(np.zeros(shape))
+
+
+class TestMidpoints:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(st.floats(-1e308, 1.7e308),
+                              st.floats(-1e308, 1.7e308))))
+    def test_sum_then_halve_where_finite(self, pairs):
+        lo, hi = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = midpoints(lo, hi)
+        for m, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
+            # Python floats overflow quietly; the halves are exact for
+            # such large values.
+            want = (a + b) / 2.0
+            want = want if math.isfinite(want) else a / 2.0 + b / 2.0
+            assert m == midpoint(a, b) == want
+            assert math.isfinite(m) and min(a, b) <= m <= max(a, b)
+
+    def test_past_float_range(self):
+        top = 2.0 ** 1023
+        got = midpoints(np.array([top, -1.5 * top, 1.0]),
+                        np.array([1.5 * top, -1.5 * top, 2.0]))
+        assert got.tolist() == [1.25 * top, -1.5 * top, 1.5]
 
 
 class TestMtxJson:

@@ -272,6 +272,40 @@ def loop_normalize(raw):
     return np.stack(edges)
 
 
+@st.composite
+def _raw_counts(draw):
+    """Band count stacks with all-zero classes, in some bands or all."""
+    n, C = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    top = draw(st.sampled_from([1, 40, 2**31, 2**53, 2**62 - 1]))
+    raw = np.array(draw(st.lists(st.integers(0, top), min_size=n * C * C,
+                                 max_size=n * C * C)),
+                   dtype=np.int64).reshape(n, C, C)
+    if draw(st.booleans()):  # symmetric, as accumulate's counts are
+        raw = raw + raw.transpose(0, 2, 1)
+    for j, c in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, C - 1)))):
+        raw[j, c, :] = raw[j, :, c] = 0
+    for c in draw(st.lists(st.integers(0, C - 1))):
+        raw[:, c, :] = raw[:, :, c] = 0
+    return raw
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_raw_counts(), st.booleans())
+def test_normalize_matches_loop_on_drawn_counts(raw, as_list):
+    n, C = raw.shape[:2]
+    vocab = ClassVocabulary(tuple(f"c{i}" for i in range(C)))
+    g = normalize(list(raw) if as_list else raw, vocab, BandConfig(n),
+                  keep_raw=True)
+    assert np.array_equal(g.edges, loop_normalize(raw))
+    assert np.array_equal(g.raw_counts, raw)
+    # A class with no counts in a band keeps only its unit diagonal.
+    empty = (raw == 0).all(axis=2) & (raw == 0).all(axis=1)
+    for j, c in zip(*np.nonzero(empty)):
+        assert np.array_equal(g.edges[j, c], np.eye(C)[c])
+        assert np.array_equal(g.edges[j, :, c], np.eye(C)[c])
+
+
 class TestNormalize:
     def vocab(self, n):
         return ClassVocabulary(tuple(f"c{i}" for i in range(n)))

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from layoutprior import ClassVocabulary, Corpus, ProposalBatch, build_prior
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
@@ -164,7 +165,8 @@ class TestRescoreOracle:
     """`rescore` must equal the plain loop bit for bit: an allclose check
     would miss a reordered float sum."""
 
-    def random_case(self, rng, n, n_g, C):
+    @staticmethod
+    def random_case(rng, n, n_g, C):
         edges = []
         for _ in range(n_g):
             E = rng.uniform(0, 1, (C, C)) * (rng.uniform(0, 1, (C, C)) < 0.7)
@@ -209,6 +211,25 @@ class TestRescoreOracle:
         # detection 2, the only one in it
         assert fallbacks == 2 + 2 + 3
         assert np.array_equal(rescore(b, graphs, cfg).logits, want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=120)
+@given(st.data(), st.integers(1, 12), st.integers(1, 8),
+       st.sampled_from(list(AssociationKind)), st.floats(0.0, 1.0),
+       st.floats(0.02, 0.5), st.integers(0, 2**32 - 1))
+def test_rescore_matches_loop_on_drawn_cases(data, n_g, C, kind, blend, sigma,
+                                             seed):
+    """Drawn detection centres, bands, classes and lambda: `rescore` equals
+    the plain loop bit for bit."""
+    n = data.draw(st.integers(0, 30))
+    ys = data.draw(st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    graphs, _ = TestRescoreOracle.random_case(rng, 0, n_g, C)
+    b = batch(ys, rng.standard_normal((n, C)) * rng.uniform(0.5, 6))
+    cfg = RescoreConfig(blend=blend,
+                        association=AssociationPolicy(kind, sigma=sigma))
+    want, _ = loop_rescore(b, graphs, cfg)
+    assert np.array_equal(rescore(b, graphs, cfg).logits, want)
 
 
 class TestLabelsToLogits:
