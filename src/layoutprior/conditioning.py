@@ -82,27 +82,52 @@ class NodeFeatures:
 
 def band_association(proposals: ProposalBatch, bands: BandConfig,
                      policy: AssociationPolicy) -> np.ndarray:
-    """N_r x N_g association weights; rows are non-negative and sum to 1."""
-    n_r = len(proposals.boxes)
+    """N_r x N_g association weights of a proposal batch (`association`)."""
+    yc = np.array([midpoint(b.y1, b.y2) for b in proposals.boxes])
+    return association(yc / proposals.layout_height, bands, policy)
+
+def _nearest(dist: np.ndarray) -> np.ndarray:
+    """One-hot rows at each row's least entry, the lowest index on ties."""
+    alpha = np.zeros(dist.shape)
+    alpha[np.arange(len(dist)), np.argmin(dist, axis=1)] = 1.0
+    return alpha
+
+def association(t: np.ndarray, bands: BandConfig,
+                policy: AssociationPolicy) -> np.ndarray:
+    """len(t) x N_g association weights of box centres `t`, given as
+    fractions of their canvas heights; rows are non-negative and sum to 1."""
     n_g = bands.n_bands
     if policy.kind is AssociationKind.EQUAL:
-        return np.full((n_r, n_g), 1.0 / n_g)
+        return np.full((len(t), n_g), 1.0 / n_g)
 
-    yc = np.array([midpoint(b.y1, b.y2) for b in proposals.boxes])
-    delta = yc[:, None] / proposals.layout_height - bands.centroids[None, :]
-
+    delta = t[:, None] - bands.centroids[None, :]
     if policy.kind is AssociationKind.SINGLE:
-        alpha = np.zeros((n_r, n_g))
-        nearest = np.argmin(np.abs(delta), axis=1)  # argmin takes lowest index on ties
-        alpha[np.arange(n_r), nearest] = 1.0
-        return alpha
+        return _nearest(np.abs(delta))
+    return _gaussian(delta, policy.mu, policy.sigma)
 
+# Overflow to inf is a limit of the density, taken on purpose; an invalid
+# operation can only be -inf - -inf, in a row that is all -inf.
+@np.errstate(over="ignore", invalid="raise")
+def _gaussian(delta: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     # Density evaluated in log space; subtracting each row's max
     # exponent keeps tiny sigmas from underflowing to all-zero rows and
-    # cancels in the normalization (as does the density prefactor).
-    log_pref = -0.5 * math.log(2.0 * math.pi * policy.sigma ** 2)
-    log_alpha = log_pref - 0.5 * ((delta - policy.mu) / policy.sigma) ** 2
-    alpha = np.exp(log_alpha - log_alpha.max(axis=1, keepdims=True))
+    # cancels in the normalization, as does the density prefactor, which
+    # is taken as 0 where 2 pi sigma^2 is not a positive finite float.
+    try:
+        var = 2.0 * math.pi * sigma ** 2
+    except OverflowError:
+        var = 0.0
+    log_pref = -0.5 * math.log(var) if finite(var) and var > 0 else 0.0
+    log_alpha = log_pref - 0.5 * ((delta - mu) / sigma) ** 2
+    top = log_alpha.max(axis=1, keepdims=True)
+    try:
+        alpha = np.exp(log_alpha - top)
+    except FloatingPointError:
+        # A row whose every exponent overflows to -inf takes the weights'
+        # limit, a one-hot at the band of least |delta - mu|.
+        lost = ~np.isfinite(top[:, 0])
+        alpha = np.exp(log_alpha - np.where(lost[:, None], 0.0, top))
+        alpha[lost] = _nearest(np.abs(delta[lost] - mu))
     return alpha / alpha.sum(axis=1, keepdims=True)
 
 def soft_mapping(logits: np.ndarray, policy: MappingPolicy) -> np.ndarray:

@@ -14,9 +14,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (BBox, LayoutDocument, ParseError, ProposalBatch, finite,
-                   row_softmax)
-from .conditioning import AssociationPolicy, band_association
+from .core import (LayoutDocument, ParseError, ProposalBatch, finite,
+                   midpoints, row_softmax)
+from .conditioning import AssociationPolicy, association, band_association
 from .ingest import Corpus
 from .prior import CoOccurrenceGraphSet
 
@@ -53,11 +53,18 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
     s = row_softmax(detections.logits)  # n x C
     alpha = band_association(detections, graphs.band_config,
                              config.association)
+    return ProposalBatch(detections.boxes,
+                         _rescore(s, alpha, graphs.edges, config),
+                         detections.layout_height, detections.features)
 
+
+def _rescore(s: np.ndarray, alpha: np.ndarray, edges: np.ndarray,
+             config: RescoreConfig) -> np.ndarray:
+    """Rescored logits of one layout's distributions and band weights."""
     # Band context including everybody, minus each detection's own term
     # (leave-one-out): n x n_g x C.
     band_totals = alpha.T @ s  # n_g x C
-    uniform = np.full(C, 1.0 / C)
+    uniform = np.full(s.shape[1], 1.0 / s.shape[1])
     ctx = band_totals[None] - alpha[:, :, None] * s[:, None, :]
     total = ctx.sum(axis=2, keepdims=True)
     empty = total <= config.epsilon  # a NaN total is divided by, not replaced
@@ -65,7 +72,7 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
 
     # One stacked matrix-vector product per (detection, band); it rounds
     # as `edges[j] @ ctx[i, j]` does, which a gemm or einsum does not.
-    prop = np.matmul(graphs.edges[None], ctx[..., None])[..., 0]
+    prop = np.matmul(edges[None], ctx[..., None])[..., 0]
     # Summed over the bands in ascending order, as a loop would add them;
     # with one class numpy adds pairwise, but q then normalizes to 1.
     q = (alpha[:, :, None] * prop).sum(axis=1)
@@ -76,21 +83,19 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
     lam = config.blend
     blended = s ** (1.0 - lam) * q ** lam
     blended /= blended.sum(axis=1, keepdims=True)
-    new_logits = np.log(np.maximum(blended, _LOG_FLOOR))
-    return ProposalBatch(detections.boxes, new_logits,
-                         detections.layout_height, detections.features)
+    return np.log(np.maximum(blended, _LOG_FLOOR))
 
 
-def _label_batch(boxes: tuple, class_id, score: np.ndarray, height,
-                 n_classes: int, confidence: float) -> ProposalBatch:
-    """labels_to_logits of a layout given as its BBox objects, class ids,
-    scores (1.0 where absent) and canvas height."""
+def _label_logits(class_id, score: np.ndarray, n_classes: int,
+                  confidence: float) -> np.ndarray:
+    """Soft logits of components given by their class ids and scores
+    (1.0 where absent)."""
     conf = np.minimum(np.maximum(confidence * score, 1.0 / n_classes),
                       1.0 - 1e-9)
     probs = np.repeat(((1.0 - conf) / max(n_classes - 1, 1))[:, None],
                       n_classes, axis=1)
-    probs[np.arange(len(boxes)), class_id] = conf
-    return ProposalBatch(boxes, np.log(probs), height)
+    probs[np.arange(len(conf)), class_id] = conf
+    return np.log(probs)
 
 
 def labels_to_logits(layout: LayoutDocument, n_classes: int,
@@ -98,11 +103,12 @@ def labels_to_logits(layout: LayoutDocument, n_classes: int,
     """Soft logits from labeled components: mass `confidence` on the
     label (scaled by the component score when present), remainder uniform."""
     comps = layout.components
-    return _label_batch(
-        tuple(c.bbox for c in comps), [c.class_id for c in comps],
+    return ProposalBatch(tuple(c.bbox for c in comps), _label_logits(
+        [c.class_id for c in comps],
         np.array([1.0 if c.score is None else c.score for c in comps]),
-        layout.height, n_classes,
-        RescoreConfig(confidence=confidence).confidence)  # which checks it
+        n_classes,
+        RescoreConfig(confidence=confidence).confidence),  # which checks it
+        layout.height)
 
 
 def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,
@@ -113,13 +119,16 @@ def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,
     if corpus.vocabulary.names != graphs.vocabulary.names:
         raise ParseError("corpus and graph vocabularies differ")
     C = graphs.vocabulary.size
-    boxes = tuple(map(BBox, *corpus.boxes.T.tolist()))
+    s = row_softmax(_label_logits(corpus.class_id, corpus.score, C,
+                                  config.confidence))
+    # float64 first: an int side past int64 is held as a Python int.
+    heights = corpus.heights.astype(np.float64)[corpus.index]
+    alpha = association(midpoints(corpus.boxes[:, 1], corpus.boxes[:, 3])
+                        / heights, graphs.band_config, config.association)
     cuts = corpus.offsets
-    probs = [row_softmax(rescore(_label_batch(
-                boxes[a:b], corpus.class_id[a:b], corpus.score[a:b], h, C,
-                config.confidence), graphs, config).logits)
-             for a, b, h in zip(cuts, cuts[1:], corpus.heights.tolist())]
-    probs = np.concatenate(probs or [np.empty((0, C))])
+    logits = [_rescore(s[a:b], alpha[a:b], graphs.edges, config)
+              for a, b in zip(cuts, cuts[1:])]
+    probs = row_softmax(np.concatenate(logits or [np.empty((0, C))]))
     cls = np.argmax(probs, axis=1)
     return replace(corpus, class_id=cls, score=probs[np.arange(len(cls)), cls],
                    scored=np.ones(len(cls), dtype=bool))

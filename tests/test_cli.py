@@ -354,6 +354,60 @@ class TestRescoreCmd:
                      "--confidence", value,
                      "--out", str(tmp_path / "o.json")]) == 0
 
+    # Two layouts whose box centres lie off the two bands' centroids (0.25
+    # and 0.75) and off their midpoint, so single assignment has no ties.
+    TWO_LAYOUTS = {"classes": ["A", "B"], "layouts": [
+        {"id": "p", "width": 100, "height": 100, "components": [
+            {"bbox": [0, 10, 10, 20], "class": "A", "score": 0.9},
+            {"bbox": [0, 40, 10, 52], "class": "B", "score": 0.6},
+            {"bbox": [0, 80, 10, 90], "class": "A"}]},
+        {"id": "q", "width": 50, "height": 200, "components": [
+            {"bbox": [0, 20, 10, 30], "class": "B", "score": 0.7},
+            {"bbox": [0, 150, 10, 170], "class": "A", "score": 0.4}]}]}
+
+    @pytest.mark.parametrize("flag, value, limit, moved", [
+        ("--sigma", "1e200", "equal", False),
+        ("--sigma", "1e-170", "single", False),
+        ("--sigma", "1e-160", "single", False),
+        # Every |delta - mu| rounds to 1e300, so band 0 takes every box:
+        # single assignment of the same boxes moved to the top of the page.
+        ("--mu", "1e300", "single", True)])
+    def test_extreme_gaussian_takes_its_limit(self, tmp_path, capsys, flag,
+                                              value, limit, moved):
+        """A Gaussian so wide, so narrow or so far off that its weights
+        overflow rescores as the limit it tends to, quietly."""
+        top = copy.deepcopy(self.TWO_LAYOUTS)
+        for lay in top["layouts"]:
+            for c in lay["components"]:
+                c["bbox"][1], c["bbox"][3] = 0, 1
+        paths = {}
+        for name, corpus in (("corpus", self.TWO_LAYOUTS), ("top", top)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(corpus))
+        gp = tmp_path / "g.json"
+        assert main(["build-prior", str(paths["corpus"]), "--bands", "2",
+                     "--out", str(gp)]) == 0
+        capsys.readouterr()
+
+        def rescored(corpus, options):
+            out = tmp_path / "r.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["rescore", str(corpus), str(gp), "--lambda",
+                             "0.7", *options, "--out", str(out)])
+            assert code == 0
+            assert capsys.readouterr().err == \
+                "re-scored 2 layouts (lambda=0.7)\n"
+            return [(c["class"], c["score"]) for lay in
+                    json.loads(out.read_text())["layouts"]
+                    for c in lay["components"]]
+
+        got = rescored(paths["corpus"], [flag, value])
+        want = rescored(paths["top" if moved else "corpus"],
+                        ["--assoc", limit])
+        assert got == want
+        assert len({score for _, score in got}) > 1
+
     @pytest.mark.parametrize("change", [
         lambda g: g.pop("edges"), lambda g: g.update(n_bands=3),
         lambda g: g.update(edges=[]), lambda g: g.update(n_bands="a"),

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from layoutprior import ClassVocabulary, ProposalBatch
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       MappingPolicy, NodeFeatures,
-                                      band_association, concat_features,
+                                      association, band_association,
+                                      concat_features,
                                       condition_features, load_proposals,
                                       proposal_node_features,
                                       proposals_from_obj, proposals_to_obj,
@@ -83,6 +85,59 @@ class TestBandAssociation:
                                   AssociationPolicy(AssociationKind.SINGLE))
         assert np.array_equal(np.argmax(tiny, axis=1),
                               np.argmax(single, axis=1))
+
+
+def unguarded_gaussian(t, bands, mu, sigma):
+    """The Gaussian weights as the plain formula gives them, warnings
+    silenced; None where its prefactor raises."""
+    try:
+        log_pref = -0.5 * math.log(2.0 * math.pi * sigma ** 2)
+    except (OverflowError, ValueError):
+        return None
+    with np.errstate(all="ignore"):
+        delta = t[:, None] - bands.centroids[None, :]
+        log_alpha = log_pref - 0.5 * ((delta - mu) / sigma) ** 2
+        alpha = np.exp(log_alpha - log_alpha.max(axis=1, keepdims=True))
+        return alpha / alpha.sum(axis=1, keepdims=True)
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(
+        lambda e: min(max(10.0 ** e, lo), hi))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 6), st.floats(0.05, 1.0),
+       st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from(
+           [0.0, 0.25, 0.5, 1.0, 1e300, -1e300, math.inf])), max_size=12),
+       st.one_of(st.floats(-1e300, 1e300), st.floats(-2.0, 2.0),
+                 st.tuples(st.sampled_from([-1.0, 1.0]),
+                           log_uniform(1e-300, 1e300)).map(math.prod)),
+       st.one_of(st.floats(1e-300, 1e300), log_uniform(1e-300, 1e300)))
+def test_gaussian_finite_for_every_accepted_policy(n_bands, width, t, mu,
+                                                   sigma):
+    """Any finite mu and sigma in [1e-300, 1e300]: every row is finite,
+    non-negative and sums to 1, quietly; it equals the plain formula
+    wherever that is finite, and where every exponent overflows it is a
+    one-hot at the band of least |delta - mu|."""
+    bands = BandConfig(n_bands, width)
+    t = np.array(t, dtype=np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alpha = association(t, bands, AssociationPolicy(mu=mu, sigma=sigma))
+    assert alpha.shape == (len(t), n_bands)
+    assert np.isfinite(alpha).all() and (alpha >= 0).all()
+    assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    want = unguarded_gaussian(t, bands, mu, sigma)
+    if want is not None:
+        same = np.isfinite(want).all(axis=1)
+        assert np.array_equal(alpha[same].view(np.uint64),
+                              want[same].view(np.uint64))
+    with np.errstate(all="ignore"):
+        delta = t[:, None] - bands.centroids[None, :]
+        lost = np.isinf(((delta - mu) / sigma) ** 2).all(axis=1)
+        nearest = np.argmin(np.abs(delta - mu), axis=1)
+    assert np.array_equal(alpha[lost], np.eye(n_bands)[nearest[lost]])
 
 
 class TestSoftMapping:

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layoutprior import ClassVocabulary, Corpus, ProposalBatch, build_prior
+from layoutprior import (ClassVocabulary, Corpus, LayoutDocument,
+                         ProposalBatch, build_prior)
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       band_association)
 from layoutprior.core import BBox, Component, ParseError, row_softmax
@@ -317,6 +318,75 @@ class TestRescoreCorpus:
         corpus = random_corpus(rng, n_classes=4)
         with pytest.raises(ParseError):
             rescore_corpus(corpus, graphs, RescoreConfig())
+
+
+@st.composite
+def rescore_cases(draw):
+    """A corpus of 0-10 layouts of 0-8 scored or unscored components on
+    float or int canvases (an int height may pass int64), graphs over its
+    1-6 classes in 1-4 disjoint or overlapping bands, and a config."""
+    C, n_g = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    width = draw(st.one_of(st.just(1.0 / n_g), st.floats(1.0 / n_g, 1.0)))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32))))
+    edges = rng.uniform(0, 1, (n_g, C, C)) * (rng.uniform(0, 1, (n_g, C, C))
+                                               < 0.7)
+    edges = (edges + edges.transpose(0, 2, 1)) / 2
+    edges[:, np.arange(C), np.arange(C)] = 1.0
+    vocab = ClassVocabulary(tuple(f"c{i}" for i in range(C)))
+    graphs = CoOccurrenceGraphSet(vocab, BandConfig(n_g, width), tuple(edges))
+    side = draw(st.sampled_from([
+        st.floats(1.0, 5000.0), st.integers(1, 5000),
+        st.one_of(st.integers(1, 5000), st.integers(2**63, 2**70))]))
+    layouts = []
+    for i in range(draw(st.integers(0, 10))):
+        h = draw(side)
+        comps = []
+        for _ in range(draw(st.integers(0, 8))):
+            a, b = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2,
+                                        max_size=2)))
+            comps.append(Component(BBox(0.0, a * h, 10.0, b * h),
+                                   draw(st.integers(0, C - 1)),
+                                   draw(st.none() | st.floats(0.0, 1.0))))
+        layouts.append(LayoutDocument(f"l{i}", h, h, tuple(comps)))
+    config = RescoreConfig(
+        blend=draw(st.floats(0.0, 1.0)),
+        association=AssociationPolicy(draw(st.sampled_from(AssociationKind)),
+                                      draw(st.floats(-1.0, 1.0)),
+                                      draw(st.floats(0.01, 2.0))),
+        confidence=draw(st.floats(0.0, 1.0)))
+    return Corpus.from_layouts(vocab, layouts), graphs, config
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(rescore_cases())
+def test_rescore_corpus_matches_layout_oracle(case):
+    """rescore_corpus gives each layout the classes and the score bits of
+    that layout rescored on its own, as objects."""
+    corpus, graphs, config = case
+    got = rescore_corpus(corpus, graphs, config)
+    want = Corpus.from_layouts(graphs.vocabulary, [
+        rescore_layout(lay, graphs, config, config.confidence)
+        for lay in corpus.build_layouts(0, len(corpus.ids))])
+    assert np.array_equal(got.class_id, want.class_id)
+    assert np.array_equal(got.score.view(np.uint64),
+                          want.score.view(np.uint64))
+
+
+def test_rescore_corpus_builds_no_objects(monkeypatch):
+    spec = block_spec(noise=0.3, seed=4)
+    clean, noisy = generate(spec, 8)
+    graphs = build_prior(clean, spec.band_config())
+    built = []
+    for cls in (BBox, Component, LayoutDocument, ProposalBatch):
+        def counted(self, init=cls.__post_init__):
+            built.append(type(self).__name__)
+            init(self)
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    BBox(0, 0, 1, 1)
+    assert built == ["BBox"]  # the count sees a construction
+    built.clear()
+    out = rescore_corpus(noisy, graphs, RescoreConfig())
+    assert built == [] and out.index.size == noisy.index.size > 0
 
 
 def test_submodule_not_shadowed():
