@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .core import (BBox, ClassVocabulary, Component, LayoutDocument,
                    LayoutPriorError, ParseError, ProposalBatch, ShapeError,
                    load_matrix, matmul, row_softmax, save_matrix)
-from .ingest import Corpus, load_coco, load_native, save_native
+from .ingest import Corpus, load_native, save_native
 from .prior import (BandConfig, CoOccurrenceGraphSet, accumulate,
                     band_membership, build_prior, load_graphs, normalize,
                     save_graphs)

@@ -124,10 +124,17 @@ def _gaussian(delta: np.ndarray, mu: float, sigma: float) -> np.ndarray:
         alpha = np.exp(log_alpha - top)
     except FloatingPointError:
         # A row whose every exponent overflows to -inf takes the weights'
-        # limit, a one-hot at the band of least |delta - mu|.
+        # limit, a one-hot at the band of least |delta - mu|. Where mu
+        # lies below (above) a row's every delta, |delta - mu| may round
+        # to one value in all its bands; that band is its least (greatest)
+        # delta's.
         lost = ~np.isfinite(top[:, 0])
         alpha = np.exp(log_alpha - np.where(lost[:, None], 0.0, top))
-        alpha[lost] = _nearest(np.abs(delta[lost] - mu))
+        d = delta[lost]
+        below = (mu < d).all(axis=1, keepdims=True)
+        above = (mu > d).all(axis=1, keepdims=True)
+        alpha[lost] = _nearest(np.where(below, d, np.where(above, -d,
+                                                           np.abs(d - mu))))
     return alpha / alpha.sum(axis=1, keepdims=True)
 
 def soft_mapping(logits: np.ndarray, policy: MappingPolicy) -> np.ndarray:

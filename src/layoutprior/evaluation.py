@@ -71,11 +71,10 @@ class EvalReport:
 
     FIELDS = tuple(row[0] for row in _SUMMARY)
 
-    def to_dict(self, include_per_class: bool = True) -> dict:
+    def to_dict(self) -> dict:
         out = {k: getattr(self, k) for k in self.FIELDS}
-        if include_per_class:
-            out["per_class"] = {name: dict(block)
-                                for name, block in self.per_class.items()}
+        out["per_class"] = {name: dict(block)
+                            for name, block in self.per_class.items()}
         return out
 
     def to_table(self) -> str:

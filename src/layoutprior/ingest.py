@@ -1,4 +1,4 @@
-"""Corpora as arrays, and native layout JSON and COCO-style imports.
+"""Corpora as arrays, and the native layout JSON that holds them.
 
 Native corpus format::
 
@@ -9,9 +9,6 @@ Native corpus format::
                                   "score": optional}]}]}
 
 ``.json.gz`` paths are handled transparently on both read and write.
-
-A COCO document is translated into native records, its ``[x, y, w, h]``
-boxes becoming ``[x1, y1, x2, y2]``, and parsed as a native file is.
 
 A `Corpus` is its arrays, each one field: the layout ids and canvas sides,
 and one row per component in layout order; corpora compare field by field.
@@ -45,8 +42,8 @@ import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
                    LayoutDocument, ParseError, ShapeError, fields_equal,
-                   json_number, json_numbers, open_text, parse_error,
-                   read_json, read_only)
+                   json_numbers, open_text, parse_error, read_json,
+                   read_only)
 
 
 def _sides(values) -> np.ndarray:
@@ -328,59 +325,3 @@ def save_native(corpus: Corpus, path) -> None:
     case of save_native_labelings."""
     save_native_labelings((corpus,), (path,))
 
-
-def load_coco(path) -> Corpus:
-    """Load a COCO-style detection file holding 'images', 'annotations'
-    and 'categories'."""
-    return read_json(path, _coco_from_obj)
-
-
-def _coco_id(value, name: str) -> int:
-    """The COCO id `value`: an int, a string that int() reads, or a float
-    equal to its int(). A bool or a fractional float, which int() would
-    truncate, raises a ValueError naming the field."""
-    n = int(value)
-    if isinstance(value, bool) or (isinstance(value, float) and n != value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return n
-
-
-def _coco_from_obj(obj) -> Corpus:
-    """The COCO document `obj` as native records, for _corpus_from_obj."""
-    try:
-        images = obj["images"]
-        annotations = obj["annotations"]
-        categories = obj["categories"]
-    except (KeyError, TypeError):
-        raise ParseError(
-            "COCO input must provide 'images', 'annotations', 'categories'"
-        ) from None
-
-    cat_ids = [_coco_id(c["id"], "category id") for c in categories]
-    cats = sorted(zip(cat_ids, categories), key=lambda ic: ic[0])
-    classes = [c["name"] for _, c in cats]
-    ClassVocabulary(classes)  # checked before any annotation is resolved
-    class_of = {i: c["name"] for i, c in cats}
-    # A later image with the same id replaces an earlier one.
-    layouts = {_coco_id(im["id"], "image id"): {**im, "components": []}
-               for im in images}
-
-    for ann in annotations:
-        iid = _coco_id(ann["image_id"], "image_id")
-        if iid not in layouts:
-            raise ParseError(f"annotation references unknown image_id {iid}")
-        cid = _coco_id(ann["category_id"], "category_id")
-        if cid not in class_of:
-            raise ParseError(f"annotation references unknown category_id {cid}")
-        x, y, w, h = (json_number(v, "annotation bbox value")
-                      for v in ann["bbox"])
-        if w < 0 or h < 0:
-            raise ParseError(
-                f"annotation on image {iid} has negative width or height"
-            )
-        layouts[iid]["components"].append({
-            "bbox": [x, y, x + w, y + h], "class": class_of[cid],
-            "score": ann.get("score")})
-
-    layouts = [layouts[i] for i in sorted(layouts)]
-    return _corpus_from_obj({"classes": classes, "layouts": layouts})

@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
                          LayoutDocument, NodeFeatures)
@@ -40,6 +44,30 @@ def random_node_features(C: int, K: int, seed: int) -> NodeFeatures:
 def random_embed(K: int, d_prime: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(seed))
     return rng.standard_normal((K, d_prime))
+
+
+# Finite float64 entries, with -0.0 and subnormals drawn often.
+ENTRIES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.sampled_from([0.0, -0.0, 5e-324, -2.5e-310]))
+
+
+def finite_matrices(rows=st.integers(0, 4), cols=st.integers(0, 4)):
+    """Finite float64 matrices of `rows` x `cols`, each an int strategy."""
+    return st.tuples(rows, cols).flatmap(lambda rc: st.lists(
+        ENTRIES, min_size=rc[0] * rc[1], max_size=rc[0] * rc[1]).map(
+            lambda data: np.array(data, dtype=np.float64).reshape(rc)))
+
+
+def assert_rewrite_stable(save, load, value):
+    """save(load(p), p) leaves the bytes that save(value, p) wrote, for a
+    plain and a .gz path p."""
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("f.json", "f.json.gz"):
+            p = Path(d, name)
+            save(value, p)
+            written = p.read_bytes()
+            save(load(p), p)
+            assert p.read_bytes() == written, name
 
 
 @pytest.fixture

@@ -943,7 +943,9 @@ def mutate(obj, rng):
 def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
     """Mutated corpora, graph files, generator specs, proposal batches and
     matrices, and files that are not JSON: every run of every subcommand
-    that reads them exits 0, 2 or 3 and none raises."""
+    that reads them exits 0, 2 or 3 and none raises. The corpus commands
+    also read mutations of a corpus whose sides and boxes lie near the
+    float limit, and of its graphs."""
     scored = copy.deepcopy(CORPUS)
     scored["layouts"].append({"id": "l2", "width": 50, "height": 80,
                               "components": [{"bbox": [1, 2, 30, 40],
@@ -968,6 +970,11 @@ def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
             "nodes": {"rows": 3, "cols": 2, "data": [1.0, 0.0, 0.0, 1.0,
                                                      0.5, 0.5]},
             "embed": {"rows": 2, "cols": 2, "data": [1.0, 2.0, 3.0, 4.0]}}
+    wide = _scaled(scored, 1.7e308 / 100)
+    cp.write_text(json.dumps(wide))
+    assert main(["build-prior", str(cp), "--bands", "2", "--keep-raw",
+                 "--out", str(graphs)]) == 0
+    wide = {**base, "corpus": wide, "graphs": json.loads(graphs.read_text())}
 
     def write(name, obj):
         p = tmp_path / f"{name}.json"
@@ -1005,9 +1012,17 @@ def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
         return code
 
     rng = np.random.Generator(np.random.PCG64(4711))
-    for case in range(360):
-        name = list(commands)[case % len(commands)]
-        inputs = {"truth": base["corpus"], **base}
+    names = list(commands)
+    corpus_names = ["eval", "build-prior", "render", "rescore"]
+    for name in corpus_names:  # the float-range inputs are valid
+        assert run("wide", name, "corpus",
+                   {"truth": wide["corpus"], **wide}) == 0, name
+    for case in range(480):
+        if case < 360:
+            name, inputs = names[case % len(names)], base
+        else:
+            name, inputs = corpus_names[case % len(corpus_names)], wide
+        inputs = {"truth": inputs["corpus"], **inputs}
         target = targets.get(name, ["corpus"])
         target = target[rng.integers(len(target))]
         inputs[target] = mutate(inputs[target], rng)

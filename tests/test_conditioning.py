@@ -3,10 +3,11 @@ import itertools
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from layoutprior import ClassVocabulary, ProposalBatch
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
@@ -20,7 +21,8 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
 from layoutprior.core import BBox, ParseError, ShapeError
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 
-from conftest import random_embed, random_node_features
+from conftest import (assert_rewrite_stable, finite_matrices, random_embed,
+                      random_node_features)
 
 
 def batch_at(y_centers, n_classes=3, height=100.0, logits=None):
@@ -119,7 +121,10 @@ def test_gaussian_finite_for_every_accepted_policy(n_bands, width, t, mu,
     """Any finite mu and sigma in [1e-300, 1e300]: every row is finite,
     non-negative and sums to 1, quietly; it equals the plain formula
     wherever that is finite, and where every exponent overflows it is a
-    one-hot at the band of least |delta - mu|."""
+    one-hot at the band of least |delta - mu|, lowest index on ties. Where
+    mu lies below or above every delta of a row, that distance is taken
+    in exact arithmetic: in float64 it may round to one value in all
+    bands."""
     bands = BandConfig(n_bands, width)
     t = np.array(t, dtype=np.float64)
     with warnings.catch_warnings():
@@ -137,7 +142,25 @@ def test_gaussian_finite_for_every_accepted_policy(n_bands, width, t, mu,
         delta = t[:, None] - bands.centroids[None, :]
         lost = np.isinf(((delta - mu) / sigma) ** 2).all(axis=1)
         nearest = np.argmin(np.abs(delta - mu), axis=1)
+    for i in np.flatnonzero(lost):
+        if (mu < delta[i]).all() or (mu > delta[i]).all():
+            exact = [abs(Fraction(d) - Fraction(mu)) if math.isfinite(d)
+                     else math.inf for d in delta[i]]
+            nearest[i] = exact.index(min(exact))
     assert np.array_equal(alpha[lost], np.eye(n_bands)[nearest[lost]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 64), st.lists(st.floats(0.0, 1.0), max_size=12),
+       st.sampled_from([-1.0, 1.0]))
+@example(4, [0.1, 0.5, 0.93], -1.0)
+def test_gaussian_limit_matches_large_finite_mu(n_bands, t, sign):
+    """Where every exponent overflows at mu = +-1e300, the weights' limit
+    picks the band that the plain formula picks at mu = +-1e10."""
+    bands, t = BandConfig(n_bands), np.array(t, dtype=np.float64)
+    limit = association(t, bands, AssociationPolicy(mu=sign * 1e300))
+    finite = association(t, bands, AssociationPolicy(mu=sign * 1e10))
+    assert np.array_equal(limit.argmax(axis=1), finite.argmax(axis=1))
 
 
 class TestSoftMapping:
@@ -457,6 +480,27 @@ class TestConcat:
     def test_row_mismatch(self):
         with pytest.raises(ShapeError):
             concat_features(np.zeros((2, 2)), np.zeros((3, 2)))
+
+
+@st.composite
+def proposal_batches(draw):
+    """Proposal batches of finite float64 boxes, logits and height, with
+    features or without."""
+    n = draw(st.integers(0, 5))
+    coord = st.floats(-1e6, 1e6)
+    boxes = [BBox(min(x), min(y), max(x), max(y)) for x, y in draw(
+        st.lists(st.tuples(st.tuples(coord, coord), st.tuples(coord, coord)),
+                 min_size=n, max_size=n))]
+    rows = st.just(n)
+    features = draw(st.none() | finite_matrices(rows))
+    return ProposalBatch(boxes, draw(finite_matrices(rows)),
+                         draw(st.floats(5e-324, 1e308)), features)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(proposal_batches())
+def test_proposal_rewrite_keeps_bytes(batch):
+    assert_rewrite_stable(save_proposals, load_proposals, batch)
 
 
 class TestProposalIO:

@@ -18,10 +18,12 @@ from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError,
                               box_areas, iou_matrix, load_matrix, matmul,
                               matrix_from_json, matrix_to_json, midpoint,
-                              midpoints, read_json, row_softmax, write_text)
+                              midpoints, read_json, row_softmax, save_matrix,
+                              write_text)
 from layoutprior.prior import BandConfig
 from layoutprior.rescore import RescoreConfig
 
+from conftest import assert_rewrite_stable, finite_matrices
 from test_synth import block_spec
 
 NAN, INF = float("nan"), float("inf")
@@ -281,6 +283,12 @@ class TestMtxJson:
     def test_stores_2d_only(self):
         with pytest.raises(ShapeError, match=r"shape \(1, 1, 1\)"):
             matrix_to_json(np.zeros((1, 1, 1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(finite_matrices())
+def test_matrix_rewrite_keeps_bytes(m):
+    assert_rewrite_stable(save_matrix, load_matrix, m)
 
 
 class TestReadJson:

@@ -1,6 +1,8 @@
-"""Smoke test: every script in demos/ runs to completion."""
+"""Smoke tests: every script in demos/, and README's library quick start,
+run to completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,17 @@ def test_demo_runs(demo, tmp_path):
                             timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    """README's library quick start runs and prints its two AP50 figures,
+    so an export it uses cannot drift from the docs."""
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```",
+                      readme, re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", block], cwd=tmp_path,
+                            env=env, capture_output=True, text=True,
+                            timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert re.match(r"[0-9.]+ -> [0-9.]+\n", result.stdout), result.stdout

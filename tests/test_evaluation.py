@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
                          LayoutDocument, load_native)
 from layoutprior.core import LayoutPriorError
-from layoutprior.evaluation import (SENTINEL, EvalConfig, evaluate,
-                                    precision_recall)
+from layoutprior.evaluation import (SENTINEL, EvalConfig, EvalReport,
+                                    evaluate, precision_recall)
 from layoutprior.ingest import corpus_to_obj
 from layoutprior.prior import BandConfig, build_prior
 from layoutprior.rescore import RescoreConfig, rescore_corpus
@@ -296,7 +296,8 @@ def test_matches_reference_on_random_corpora():
     seen = set()
     for k in range(36):
         dets, gts = random_eval_pair(rng, big=k % 12 == 0)
-        got = evaluate(dets, gts).to_dict(include_per_class=False)
+        d = evaluate(dets, gts).to_dict()
+        got = {k: d[k] for k in EvalReport.FIELDS}
         want = reference_evaluate(corpus_to_obj(dets), corpus_to_obj(gts))
         assert got.keys() == want.keys()
         for key, v in want.items():

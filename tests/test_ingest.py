@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
                          Corpus, LayoutDocument, build_prior, evaluate,
-                         load_coco, load_native, save_native)
+                         load_native, save_native)
 from layoutprior.core import PARSE_ERRORS, ParseError, ShapeError, parse_error
 from layoutprior.ingest import (_corpus_from_obj, corpus_to_obj,
                                 save_native_labelings)
@@ -329,255 +329,6 @@ def test_save_native_normalizes_numbers(tmp_path):
     assert all(type(v) is float
                for c in comps for v in [*c["bbox"], c["score"]])
     assert load_native(p) == corpus
-
-
-COCO = {
-    "images": [{"id": 1, "width": 100, "height": 100},
-               {"id": 2, "width": 200, "height": 300}],
-    "annotations": [
-        {"image_id": 1, "category_id": 3, "bbox": [10, 20, 30, 40]},
-        {"image_id": 1, "category_id": 1, "bbox": [0, 0, 5, 5]},
-        {"image_id": 2, "category_id": 1, "bbox": [1, 2, 3, 4]},
-    ],
-    "categories": [{"id": 3, "name": "big"}, {"id": 1, "name": "small"}],
-}
-
-
-def test_coco_bbox_conversion(tmp_path):
-    corpus = load_coco(write(tmp_path, COCO, "coco.json"))
-    lay = {l.id: l for l in corpus.layouts}["1"]
-    big = corpus.vocabulary.index("big")
-    box = next(c.bbox for c in lay.components if c.class_id == big)
-    assert (box.x1, box.y1, box.x2, box.y2) == (10, 20, 40, 60)
-
-
-def test_coco_category_order(tmp_path):
-    corpus = load_coco(write(tmp_path, COCO, "coco.json"))
-    assert corpus.vocabulary.names == ("small", "big")
-
-
-def test_coco_counts(tmp_path):
-    corpus = load_coco(write(tmp_path, COCO, "coco.json"))
-    assert len(corpus.layouts) == 2
-    assert sum(len(l.components) for l in corpus.layouts) == 3
-
-
-def test_coco_unknown_image(tmp_path):
-    bad = json.loads(json.dumps(COCO))
-    bad["annotations"][0]["image_id"] = 99
-    with pytest.raises(ParseError, match="image_id"):
-        load_coco(write(tmp_path, bad, "coco.json"))
-
-
-def test_coco_unknown_category(tmp_path):
-    bad = json.loads(json.dumps(COCO))
-    bad["annotations"][1]["category_id"] = 2
-    p = write(tmp_path, bad, "coco.json")
-    with pytest.raises(ParseError, match="unknown category_id 2") as e:
-        load_coco(p)
-    assert str(p) in str(e.value)
-
-
-def test_coco_malformed_image_names_id(tmp_path):
-    bad = {**COCO, "annotations": [],
-           "images": [{"id": 3, "width": "abc", "height": 5},
-                      COCO["images"][0]]}
-    p = write(tmp_path, bad, "coco.json")
-    message = f"{p}: layout 1: id 3: could not convert string to float: 'abc'"
-    with pytest.raises(ParseError, match=re.escape(message) + "$"):
-        load_coco(p)
-
-
-def test_coco_string_side_names_image(tmp_path):
-    bad = {**COCO, "images": [*COCO["images"],
-                              {"id": 7, "width": "640", "height": 480}]}
-    p = write(tmp_path, bad, "coco.json")
-    message = f"{p}: layout 2: id 7: width must be a JSON number, got '640'"
-    with pytest.raises(ParseError, match=re.escape(message) + "$"):
-        load_coco(p)
-
-
-@pytest.mark.parametrize("value", ["10", " 20 ", "3e1", "1_0"])
-def test_coco_string_bbox_value_names_field(tmp_path, value):
-    # A bbox value is a JSON number, as a native coordinate is.
-    bad = json.loads(json.dumps(COCO))
-    bad["annotations"][2]["bbox"][1] = value
-    p = write(tmp_path, bad, "coco.json")
-    message = (f"{p}: annotation bbox value must be a JSON number, "
-               f"got {value!r}")
-    with pytest.raises(ParseError, match=re.escape(message) + "$"):
-        load_coco(p)
-
-
-def test_coco_bool_bbox_value_accepted(tmp_path):
-    doc = json.loads(json.dumps(COCO))
-    doc["annotations"][2]["bbox"] = [True, False, 3, True]
-    corpus = load_coco(write(tmp_path, doc, "coco.json"))
-    assert corpus.boxes[corpus.index == 1].tolist() == [[1.0, 0.0, 4.0, 1.0]]
-
-
-def test_coco_negative_size(tmp_path):
-    bad = json.loads(json.dumps(COCO))
-    bad["annotations"][0]["bbox"] = [10, 20, -1, 40]
-    with pytest.raises(ParseError, match="negative"):
-        load_coco(write(tmp_path, bad, "coco.json"))
-
-
-def _coco_without(path):
-    bad = json.loads(json.dumps(COCO))
-    obj = bad
-    for key in path[:-1]:
-        obj = obj[key]
-    del obj[path[-1]]
-    return bad
-
-
-@pytest.mark.parametrize("bad,match", [
-    (_coco_without(["images", 0, "id"]), "missing key 'id'"),
-    (_coco_without(["images", 1, "width"]), "missing key 'width'"),
-    (_coco_without(["annotations", 0, "bbox"]), "missing key 'bbox'"),
-    (_coco_without(["categories", 0, "name"]), "missing key 'name'"),
-    ({**COCO, "images": [{"id": "x", "width": 1, "height": 1}]},
-     "invalid literal"),
-    ({**COCO, "images": 5}, "not iterable"),
-    ({**COCO, "images": [{"id": 1e400, "width": 1, "height": 1}]},
-     "infinity"),
-    ({**COCO, "annotations": [{"image_id": 1, "category_id": 1,
-                               "bbox": [0, 0, 1]}]}, "not enough values"),
-    ({**COCO, "categories": [{"id": 1, "name": 7}]}, "strings"),
-    ({"images": []}, "must provide"),
-    # int() would truncate these ids, merging images 3.2 and 3.7.
-    ({**COCO, "annotations": [], "images": [
-        {"id": 3.2, "width": 1, "height": 1},
-        {"id": 3.7, "width": 1, "height": 1}]},
-     "image id must be an integer, got 3.2"),
-    ({**COCO, "annotations": [{"image_id": 1.5, "category_id": 1,
-                               "bbox": [0, 0, 1, 1]}]},
-     "image_id must be an integer, got 1.5"),
-    ({**COCO, "annotations": [{"image_id": 1, "category_id": True,
-                               "bbox": [0, 0, 1, 1]}]},
-     "category_id must be an integer, got True"),
-    ({**COCO, "categories": [{"id": 1.5, "name": "a"}]},
-     "category id must be an integer, got 1.5"),
-    ({**COCO, "images": [{"id": False, "width": 1, "height": 1}]},
-     "image id must be an integer, got False"),
-])
-def test_coco_malformed_records_name_file(tmp_path, bad, match):
-    p = write(tmp_path, bad, "coco.json")
-    with pytest.raises(ParseError, match=match) as e:
-        load_coco(p)
-    assert str(p) in str(e.value)
-
-
-@pytest.mark.parametrize("text", ["{not json", "\xff\xfe"])
-def test_coco_invalid_json(tmp_path, text):
-    p = tmp_path / "coco.json"
-    p.write_bytes(text.encode("latin-1"))
-    with pytest.raises(ParseError, match="invalid JSON") as e:
-        load_coco(p)
-    assert str(p) in str(e.value)
-
-
-def test_coco_native_round_trip(tmp_path):
-    corpus = load_coco(write(tmp_path, COCO, "coco.json"))
-    out = tmp_path / "native.json"
-    save_native(corpus, out)
-    again = load_native(out)
-    assert corpus_to_obj(again) == corpus_to_obj(corpus)
-
-
-def parent_coco_from_obj(obj):
-    """The former COCO parser, which built the objects itself: the oracle
-    for load_coco."""
-    try:
-        images = obj["images"]
-        annotations = obj["annotations"]
-        categories = obj["categories"]
-    except (KeyError, TypeError):
-        raise ParseError(
-            "COCO input must provide 'images', 'annotations', 'categories'"
-        ) from None
-
-    cats = sorted(categories, key=lambda c: int(c["id"]))
-    vocab = ClassVocabulary(tuple(c["name"] for c in cats))
-    cat_to_idx = {int(c["id"]): i for i, c in enumerate(cats)}
-
-    img_info = {}
-    for im in images:
-        img_info[int(im["id"])] = (str(im["id"]), float(im["width"]),
-                                   float(im["height"]))
-    comps = {iid: [] for iid in img_info}
-
-    for ann in annotations:
-        iid = int(ann["image_id"])
-        if iid not in img_info:
-            raise ParseError(f"annotation references unknown image_id {iid}")
-        cid = int(ann["category_id"])
-        if cid not in cat_to_idx:
-            raise ParseError(f"annotation references unknown category_id {cid}")
-        x, y, w, h = (float(v) for v in ann["bbox"])
-        if w < 0 or h < 0:
-            raise ParseError(
-                f"annotation on image {iid} has negative width or height"
-            )
-        _, W, H = img_info[iid]
-        bbox = clamped(BBox(x, y, x + w, y + h), W, H)
-        score = ann.get("score")
-        comps[iid].append(Component(bbox, cat_to_idx[cid],
-                                    None if score is None else float(score)))
-
-    layouts = []
-    for iid in sorted(img_info):
-        name, W, H = img_info[iid]
-        layouts.append(LayoutDocument(name, W, H, tuple(comps[iid])))
-    return Corpus.from_layouts(vocab, tuple(layouts))
-
-
-def random_coco(rng):
-    """A COCO document with unsorted and repeated image and category ids
-    (an id given as an int, a string or a float), scores present, absent,
-    None or zero, and boxes of zero size or reaching past the canvas."""
-    def some_id(i):
-        return [i, str(i), float(i)][int(rng.integers(3))]
-
-    cat_ids = [int(i) for i in rng.choice(40, int(rng.integers(1, 6)),
-                                          replace=False) - 5]
-    if rng.random() < 0.2:
-        cat_ids.append(cat_ids[0])  # a repeated id: the later one is used
-    categories = [{"id": some_id(c), "name": f"k{k}"}
-                  for k, c in enumerate(cat_ids)]
-    images = []
-    for _ in range(int(rng.integers(0, 7))):
-        width = float(rng.uniform(1, 400))
-        images.append({"id": some_id(int(rng.integers(-2, 6))),
-                       "width": round(width) if rng.random() < 0.5 else width,
-                       "height": float(rng.uniform(1, 800))})
-    annotations = []
-    for _ in range(int(rng.integers(0, 16)) if images else 0):
-        im = images[int(rng.integers(len(images)))]
-        W, H = float(im["width"]), im["height"]
-        w, h = (0.0 if rng.random() < 0.15 else float(rng.uniform(0, 1.5 * s))
-                for s in (W, H))
-        cid = cat_ids[int(rng.integers(len(cat_ids)))]
-        ann = {"image_id": some_id(int(float(im["id"]))),
-               "category_id": some_id(cid),
-               "bbox": [float(rng.uniform(-20, W + 20)),
-                        float(rng.uniform(-20, H + 20)), w, h]}
-        kind = int(rng.integers(5))
-        if kind:
-            ann["score"] = [None, 0.0, -0.0, float(rng.random())][kind - 1]
-        annotations.append(ann)
-    return {"images": images, "annotations": annotations,
-            "categories": categories}
-
-
-def test_coco_matches_former_parser(tmp_path):
-    docs = [COCO] + [random_coco(np.random.default_rng(seed))
-                     for seed in range(200)]
-    for i, doc in enumerate(docs):
-        expected = parent_coco_from_obj(json.loads(json.dumps(doc)))
-        corpus = load_coco(write(tmp_path, doc, f"one{i}.json"))
-        assert corpus_to_obj(corpus) == corpus_to_obj(expected)
 
 
 def test_duplicate_layout_ids_listed_once_sorted():
