@@ -42,7 +42,7 @@ def main():
         print(f"{n:>6} layouts -> recovery score {score:.4f}")
 
     clean, _ = generate(spec, 1)
-    svg = render_layout_svg(clean.layouts[0], clean)
+    svg = render_layout_svg(clean, 0)
     out = "demo_layout.svg"
     with open(out, "w") as f:
         f.write(svg)

@@ -107,9 +107,8 @@ def cmd_render(args) -> int:
     corpus = load_native(args.corpus)
     if args.layout_id not in corpus.ids:
         raise ParseError(f"unknown layout id: {args.layout_id}")
-    i = corpus.ids.index(args.layout_id)
-    (layout,) = corpus.build_layouts(i, i + 1)
-    write_text(args.out, [render_layout_svg(layout, corpus)])
+    write_text(args.out, [render_layout_svg(
+        corpus, corpus.ids.index(args.layout_id))])
     return 0
 
 

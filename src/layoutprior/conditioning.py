@@ -203,8 +203,9 @@ def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
 
 def proposals_to_obj(batch: ProposalBatch) -> dict:
     obj = {
-        "height": batch.layout_height,
-        "boxes": [[b.x1, b.y1, b.x2, b.y2] for b in batch.boxes],
+        "height": float(batch.layout_height),
+        "boxes": [list(map(float, (b.x1, b.y1, b.x2, b.y2)))
+                  for b in batch.boxes],
         "logits": matrix_to_json(batch.logits),
     }
     if batch.features is not None:

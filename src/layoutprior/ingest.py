@@ -14,10 +14,8 @@ A `Corpus` is its arrays, each one field: the layout ids and canvas sides,
 and one row per component in layout order; corpora compare field by field.
 Their shapes are checked: one row per component in every component
 array, and an `index` of layout positions in non-decreasing order.
-`Corpus.layouts` is a view of them as `LayoutDocument` objects, built
-on first use. `Corpus.from_layouts` makes a corpus of such objects, its
-numbers as float64 but for int canvas sides, so that `save_native`,
-which writes the arrays, writes what `load_native` reads back.
+`Corpus.layouts` is a read-only view of them as `LayoutDocument`
+objects, kept for callers outside the library.
 `save_native_labelings` writes corpora that label the same layouts, as
 `synth`'s clean and noisy corpora do, in one pass that formats each
 shared box once; `save_native` is its one-corpus case.
@@ -44,13 +42,6 @@ from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
                    LayoutDocument, ParseError, ShapeError, fields_equal,
                    json_numbers, open_text, parse_error, read_json,
                    read_only)
-
-
-def _sides(values) -> np.ndarray:
-    """A canvas column: ints as numpy reads them (int64, or objects past
-    its range) when every side is an int, float64 otherwise."""
-    ints = all(type(v) is int for v in values)
-    return np.array(values, dtype=None if ints else np.float64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,25 +99,6 @@ class Corpus:
                              f"id {self.class_id[k]} out of range for {C} "
                              "classes")
 
-    @classmethod
-    def from_layouts(cls, vocabulary: ClassVocabulary, layouts) -> Corpus:
-        """The corpus of the LayoutDocument objects `layouts`. Ids go
-        through str(); coordinates and scores become float64, and so do
-        the canvas sides unless every side of a column is an int."""
-        layouts = tuple(layouts)
-        n = sum(len(lay.components) for lay in layouts)
-        rows = ((i, c.class_id, 1.0 if c.score is None else c.score,
-                 c.score is not None, c.bbox.x1, c.bbox.y1, c.bbox.x2,
-                 c.bbox.y2)
-                for i, lay in enumerate(layouts) for c in lay.components)
-        cols = np.fromiter(itertools.chain.from_iterable(rows),
-                           dtype=np.float64, count=8 * n).reshape(n, 8)
-        return cls(vocabulary, tuple(str(lay.id) for lay in layouts),
-                   _sides([lay.width for lay in layouts]),
-                   _sides([lay.height for lay in layouts]),
-                   cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
-                   cols[:, 2], cols[:, 3].astype(bool), cols[:, 4:])
-
     @cached_property
     def offsets(self) -> list:
         """Where each layout's components start in the component arrays,
@@ -136,30 +108,24 @@ class Corpus:
 
     @cached_property
     def layouts(self) -> tuple:
-        """The layouts as LayoutDocument objects, built on first use."""
-        return self.build_layouts(0, len(self.ids))
-
-    def build_layouts(self, start: int, stop: int) -> tuple:
-        """New LayoutDocument objects for the layouts at positions
-        `start` to `stop`, 0 <= start <= stop <= len(ids)."""
-        cuts = self.offsets[start:stop + 1]
-        a, b = cuts[0], cuts[-1]
-        scores = np.where(self.scored[a:b], self.score[a:b], None)
-        boxes = map(BBox, *self.boxes[a:b].T.tolist())
-        comps = list(map(Component, boxes, self.class_id[a:b].tolist(),
+        """The layouts as LayoutDocument objects, built on first use: a
+        read-only view kept for callers outside the library."""
+        cuts = self.offsets
+        scores = np.where(self.scored, self.score, None)
+        boxes = map(BBox, *self.boxes.T.tolist())
+        comps = list(map(Component, boxes, self.class_id.tolist(),
                          scores.tolist()))
-        return tuple(
-            LayoutDocument(i, w, h, comps[lo - a:hi - a])
-            for i, w, h, lo, hi in zip(
-                self.ids[start:stop], self.widths[start:stop].tolist(),
-                self.heights[start:stop].tolist(), cuts, cuts[1:]))
+        return tuple(LayoutDocument(i, w, h, comps[lo:hi]) for i, w, h, lo, hi
+                     in zip(self.ids, self.widths.tolist(),
+                            self.heights.tolist(), cuts, cuts[1:]))
 
 
 def _columns(records, vocab: ClassVocabulary) -> Corpus:
     """The corpus of the native layout `records`, as arrays. It reads each
     field for every record or component before the next: id, width,
-    height, components, class, bbox and score. Then a layout that fails a
-    check is built as objects, which raise the check's error."""
+    height, components, class, bbox and score. Then, if a check fails, the
+    layouts are built as objects, which raise the first failing one's
+    error: boxes and scores component by component, then the canvases."""
     ids = [str(lay["id"]) for lay in records]
     L = len(ids)
     widths = json_numbers([lay["width"] for lay in records], "width")
@@ -179,13 +145,12 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     score[scored] = json_numbers([s for s in scores if s is not None],
                                  "score")
     x1, y1, x2, y2 = boxes.T
-    bad = ~(np.isfinite(boxes).all(axis=1) & (x1 <= x2) & (y1 <= y2)
-            & np.isfinite(score))
-    ok = (np.isfinite(widths) & (widths > 0.0) & np.isfinite(heights)
-          & (heights > 0.0) & (np.bincount(layout[bad], minlength=L) == 0))
-    if not ok.all():  # its objects raise the first failing check's error
+    sides = np.concatenate([widths, heights])
+    if not (np.isfinite(boxes).all() and (x1 <= x2).all() and (y1 <= y2).all()
+            and np.isfinite(score).all() and np.isfinite(sides).all()
+            and (sides > 0.0).all()):  # the objects raise the check's error
         Corpus(vocab, ids, widths, heights, layout, cls, score, scored,
-               boxes).build_layouts(ok.argmin(), ok.argmin() + 1)
+               boxes).layouts
     # The clamp to the canvas, in place: max(v, 0.0) keeps v, -0.0
     # included, unless 0.0 > v, and min(v, side) keeps v unless side < v.
     corners = boxes.reshape(N, 2, 2)  # (x1, y1) and (x2, y2)
@@ -219,15 +184,15 @@ def load_native(path) -> Corpus:
 
 
 def corpus_to_obj(corpus: Corpus) -> dict:
-    names = corpus.vocabulary.names
+    names, cuts = corpus.vocabulary.names, corpus.offsets
+    comps = [{"bbox": box, "class": names[c], **({"score": s} if has else {})}
+             for box, c, s, has in zip(
+                 corpus.boxes.tolist(), corpus.class_id.tolist(),
+                 corpus.score.tolist(), corpus.scored.tolist())]
     return {"classes": list(names), "layouts": [
-        {"id": lay.id, "width": lay.width, "height": lay.height,
-         "components": [
-             {"bbox": [c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2],
-              "class": names[c.class_id],
-              **({} if c.score is None else {"score": c.score})}
-             for c in lay.components]}
-        for lay in corpus.layouts]}
+        {"id": i, "width": w, "height": h, "components": comps[a:b]}
+        for i, w, h, a, b in zip(corpus.ids, corpus.widths.tolist(),
+                                 corpus.heights.tolist(), cuts, cuts[1:])]}
 
 
 # The native writer writes what json.dump(corpus_to_obj(c), f, indent=1,

@@ -24,16 +24,22 @@ from .ingest import Corpus
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 
-def _pair(spec, name: str, kind) -> tuple:
+def _real(v):
+    """An int as it is, and any other real, numpy's too, as a float."""
+    return v if isinstance(v, int) else float(v)
+
+
+def _pair(spec, name: str, kind, convert) -> tuple:
     """Set `spec`'s (lo, hi) or (width, height) field `name` to the tuple
-    of its two entries, each a `kind` but not a bool, and return it."""
+    of its two entries, each a `kind` but not a bool, converted by
+    `convert`, and return it."""
     values = getattr(spec, name)
     if not (isinstance(values, (tuple, list)) and len(values) == 2
             and all(isinstance(v, kind) and not isinstance(v, bool)
                     for v in values)):
         raise ParseError(f"{name} must be two {kind.__name__} numbers, "
                          f"got {values!r}")
-    pair = tuple(values)
+    pair = tuple(map(convert, values))
     object.__setattr__(spec, name, pair)
     return pair
 
@@ -72,25 +78,28 @@ class GeneratorSpec:
                 or not np.all(abs(marginals.sum(axis=1) - 1.0) <= 1e-9)):
             raise ParseError("class_marginals rows must be non-negative and "
                              "sum to 1")
+        # Scalars are stored as the Python numbers spec_to_obj writes:
+        # numpy ones are converted, and compare in double precision.
+        if (isinstance(self.noise, bool)
+                or not isinstance(self.noise, numbers.Real)):
+            raise ParseError(f"noise must be a number, got {self.noise!r}")
+        object.__setattr__(self, "noise", float(self.noise))
         if not (0.0 <= self.noise < 1.0):
             raise ParseError("noise must lie in [0, 1)")
-        lo, hi = _pair(self, "boxes_per_band", numbers.Integral)
+        lo, hi = _pair(self, "boxes_per_band", numbers.Integral, int)
         # rng.integers draws below hi + 1, which must fit in an int64.
         if not 0 <= lo <= hi < 2 ** 63:
             raise ParseError("boxes_per_band must satisfy 0 <= lo <= hi")
-        lo, hi = _pair(self, "box_size_frac", numbers.Real)
+        lo, hi = _pair(self, "box_size_frac", numbers.Real, _real)
         if not 0.0 <= lo <= hi <= 1.0:
             raise ParseError("box_size_frac must satisfy 0 <= lo <= hi <= 1")
-        # numpy scalars become floats, to compare in double precision and
-        # to serialize.
-        canvas = tuple(v if isinstance(v, int) else float(v)
-                       for v in _pair(self, "canvas", numbers.Real))
-        object.__setattr__(self, "canvas", canvas)
-        if not all(finite(v) and v > 0.0 for v in canvas):
+        if not all(finite(v) and v > 0.0
+                   for v in _pair(self, "canvas", numbers.Real, _real)):
             raise ParseError("canvas sides must be positive and finite")
         if not (isinstance(self.seed, numbers.Integral)
                 and not isinstance(self.seed, bool) and self.seed >= 0):
             raise ParseError("seed must be a non-negative integer")
+        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def n_bands(self) -> int:
@@ -365,11 +374,10 @@ def spec_from_obj(obj: dict) -> GeneratorSpec:
     try:
         given = {f.name: obj[f.name] for f in fields(GeneratorSpec)[3:]
                  if f.name in obj}
-        if "noise" in given:
-            noise = given["noise"]
-            if isinstance(noise, bool) or not isinstance(noise, (int, float)):
-                raise TypeError(f"noise must be a number, got {noise!r}")
-            given["noise"] = float(noise)
+        # As GeneratorSpec does, but so the error reads "bad generator spec".
+        noise = given.get("noise", 0.0)
+        if isinstance(noise, bool) or not isinstance(noise, (int, float)):
+            raise TypeError(f"noise must be a number, got {noise!r}")
         return GeneratorSpec(ClassVocabulary(tuple(obj["classes"])),
                              obj["planted_graphs"], obj["class_marginals"],
                              **given)

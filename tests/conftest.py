@@ -1,3 +1,4 @@
+import itertools
 import tempfile
 from pathlib import Path
 
@@ -9,6 +10,32 @@ from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
                          LayoutDocument, NodeFeatures)
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
+
+
+def _sides(values) -> np.ndarray:
+    """A canvas column: ints as numpy reads them (int64, or objects past
+    its range) when every side is an int, float64 otherwise."""
+    ints = all(type(v) is int for v in values)
+    return np.array(values, dtype=None if ints else np.float64)
+
+
+def corpus_from_layouts(vocabulary: ClassVocabulary, layouts) -> Corpus:
+    """The corpus of the LayoutDocument objects `layouts`. Ids go
+    through str(); coordinates and scores become float64, and so do
+    the canvas sides unless every side of a column is an int."""
+    layouts = tuple(layouts)
+    n = sum(len(lay.components) for lay in layouts)
+    rows = ((i, c.class_id, 1.0 if c.score is None else c.score,
+             c.score is not None, c.bbox.x1, c.bbox.y1, c.bbox.x2,
+             c.bbox.y2)
+            for i, lay in enumerate(layouts) for c in lay.components)
+    cols = np.fromiter(itertools.chain.from_iterable(rows),
+                       dtype=np.float64, count=8 * n).reshape(n, 8)
+    return Corpus(vocabulary, tuple(str(lay.id) for lay in layouts),
+                  _sides([lay.width for lay in layouts]),
+                  _sides([lay.height for lay in layouts]),
+                  cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
+                  cols[:, 2], cols[:, 3].astype(bool), cols[:, 4:])
 
 
 def make_layout(lid, boxes, class_ids, height=100.0, width=100.0, scores=None):
@@ -33,7 +60,7 @@ def random_corpus(rng, n_layouts=5, max_boxes=20, n_classes=4, height=100.0):
             box = BBox(x, y, min(x + w, 100.0), min(y + h, height))
             comps.append(Component(box, int(rng.integers(n_classes))))
         layouts.append(LayoutDocument(f"l{li}", 100.0, height, tuple(comps)))
-    return Corpus.from_layouts(vocab, tuple(layouts))
+    return corpus_from_layouts(vocab, tuple(layouts))
 
 
 def random_node_features(C: int, K: int, seed: int) -> NodeFeatures:
@@ -81,4 +108,4 @@ def three_box_corpus():
     vocab = ClassVocabulary(("A", "B", "C"))
     layout = make_layout("l1", [(0, 5, 10, 15), (0, 15, 10, 25),
                                 (0, 75, 10, 85)], [0, 1, 2])
-    return Corpus.from_layouts(vocab, (layout,))
+    return corpus_from_layouts(vocab, (layout,))

@@ -12,8 +12,8 @@ import time
 import numpy as np
 import pytest
 
-from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
-                         LayoutDocument, load_native)
+from layoutprior import (BBox, ClassVocabulary, Component, LayoutDocument,
+                         load_native)
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       NodeFeatures, band_association,
                                       condition_features)
@@ -26,7 +26,7 @@ from layoutprior.prior import (BandConfig, accumulate, build_prior,
 from layoutprior.rescore import RescoreConfig, rescore_corpus
 from layoutprior.synth import GeneratorSpec, generate, recovery_score
 
-from conftest import random_corpus
+from conftest import corpus_from_layouts, random_corpus
 from test_prior import brute_force_counts
 from test_synth import block_spec
 
@@ -72,7 +72,7 @@ def test_criterion_02_graph_invariants():
                 LayoutDocument(f"{lay.id}-rep{r}", lay.width, lay.height,
                                lay.components)
                 for r in range(k) for lay in corpus.layouts)
-            gk = build_prior(Corpus.from_layouts(corpus.vocabulary, layouts),
+            gk = build_prior(corpus_from_layouts(corpus.vocabulary, layouts),
                              cfg)
             for a, b in zip(g.edges, gk.edges):
                 assert np.allclose(a, b, atol=1e-9)
@@ -87,7 +87,7 @@ def test_criterion_03_hand_trace_fixture():
         Component(BBox(0, 15, 10, 25), 1),
         Component(BBox(0, 75, 10, 85), 2),
     ))
-    g = build_prior(Corpus.from_layouts(vocab, (layout,)), BandConfig(2))
+    g = build_prior(corpus_from_layouts(vocab, (layout,)), BandConfig(2))
     expected0 = np.eye(3)
     expected0[0, 1] = expected0[1, 0] = 0.5
     assert np.array_equal(g.edges[0], expected0)
@@ -188,7 +188,7 @@ def test_criterion_06_evaluation_harness():
                 Component(BBox(*box), ci, 1.0 if with_scores else None)
                 for ci, box in enumerate(shapes))
             layouts.append(LayoutDocument(f"img{i}", 1000, 1000, comps))
-        return Corpus.from_layouts(vocab, tuple(layouts))
+        return corpus_from_layouts(vocab, tuple(layouts))
 
     prep = evaluate(perfect_corpus(True), perfect_corpus(False))
     for k in prep.FIELDS:

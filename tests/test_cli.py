@@ -747,12 +747,47 @@ class TestRenderCmd:
         out = tmp_path / "l.svg"
         assert main(["render", str(cp), "synth-00002",
                      "--out", str(out)]) == 0
-        assert built == ["synth-00002"]
+        assert built == []
         assert "layouts" not in vars(loaded[0])
         monkeypatch.undo()
         corpus = load_native(cp)
-        want = render_layout_svg(corpus.layouts[2], corpus)
+        want = render_layout_svg(corpus, 2)
         assert out.read_text() == want
+
+
+def test_commands_build_no_layout_objects(tmp_path, monkeypatch, capsys):
+    """synth, build-prior, rescore, eval and render write the same bytes
+    when ingest's layout object classes refuse to be built."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_obj(block_spec(noise=0.3, seed=3))))
+
+    def run(d):
+        d.mkdir()
+        p = {n: str(d / n) for n in ("clean.json", "noisy.json", "g.json",
+                                     "r.json", "l.svg")}
+        assert main(["synth", str(spec), "--n", "6",
+                     "--out-clean", p["clean.json"],
+                     "--out-noisy", p["noisy.json"]]) == 0
+        assert main(["build-prior", p["noisy.json"], "--bands", "3",
+                     "--keep-raw", "--out", p["g.json"]]) == 0
+        assert main(["rescore", p["noisy.json"], p["g.json"],
+                     "--out", p["r.json"]]) == 0
+        assert main(["render", p["clean.json"], "synth-00002",
+                     "--out", p["l.svg"]]) == 0
+        capsys.readouterr()
+        assert main(["eval", p["r.json"], p["clean.json"],
+                     "--format", "json"]) == 0
+        return capsys.readouterr().out, [Path(v).read_bytes()
+                                         for v in p.values()]
+
+    want = run(tmp_path / "objects")
+
+    def refuse(*args):
+        raise AssertionError("a layout object was built")
+
+    for name in ("LayoutDocument", "Component", "BBox"):
+        monkeypatch.setattr(ingest, name, refuse)
+    assert run(tmp_path / "arrays") == want
 
 
 # Every file the CLI writes, by name; each is also written under name + ".gz".

@@ -484,17 +484,18 @@ class TestConcat:
 
 @st.composite
 def proposal_batches(draw):
-    """Proposal batches of finite float64 boxes, logits and height, with
-    features or without."""
+    """Proposal batches of finite float64 logits, boxes and height given
+    as floats or ints, with features or without."""
     n = draw(st.integers(0, 5))
-    coord = st.floats(-1e6, 1e6)
+    coord = st.floats(-1e6, 1e6) | st.integers(-10 ** 6, 10 ** 6)
     boxes = [BBox(min(x), min(y), max(x), max(y)) for x, y in draw(
         st.lists(st.tuples(st.tuples(coord, coord), st.tuples(coord, coord)),
                  min_size=n, max_size=n))]
     rows = st.just(n)
     features = draw(st.none() | finite_matrices(rows))
     return ProposalBatch(boxes, draw(finite_matrices(rows)),
-                         draw(st.floats(5e-324, 1e308)), features)
+                         draw(st.floats(5e-324, 1e308)
+                              | st.integers(1, 10 ** 6)), features)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
-                         LayoutDocument, load_native)
+from layoutprior import (BBox, ClassVocabulary, Component, LayoutDocument,
+                         load_native)
 from layoutprior.core import LayoutPriorError
 from layoutprior.evaluation import (SENTINEL, EvalConfig, EvalReport,
                                     evaluate, precision_recall)
@@ -16,6 +16,7 @@ from layoutprior.prior import BandConfig, build_prior
 from layoutprior.rescore import RescoreConfig, rescore_corpus
 from layoutprior.synth import generate
 
+from conftest import corpus_from_layouts
 from reference_eval import reference_evaluate
 from test_synth import workload_spec
 
@@ -31,7 +32,7 @@ def corpus_of(vocab_names, images):
                                 it[2] if len(it) > 2 else None)
                       for it in items)
         layouts.append(LayoutDocument(lid, 1000, 1000, comps))
-    return Corpus.from_layouts(vocab, tuple(layouts))
+    return corpus_from_layouts(vocab, tuple(layouts))
 
 
 class TestMatch:
@@ -162,7 +163,7 @@ class TestEvaluate:
 
     def test_id_mismatch_listed(self):
         dets, gts = self.perfect()
-        dets = Corpus.from_layouts(dets.vocabulary, dets.layouts[:1])
+        dets = corpus_from_layouts(dets.vocabulary, dets.layouts[:1])
         with pytest.raises(LayoutPriorError, match="i2"):
             evaluate(dets, gts)
 
@@ -219,7 +220,7 @@ class TestEvaluate:
                               c.class_id, c.score) for c in lay.components)
                 layouts.append(LayoutDocument(lay.id, lay.width * k,
                                               lay.height * k, comps))
-            return Corpus.from_layouts(corpus.vocabulary, tuple(layouts))
+            return corpus_from_layouts(corpus.vocabulary, tuple(layouts))
 
         dets = load_native(os.path.join(FIXTURES, "eval_dets.json"))
         gts = load_native(os.path.join(FIXTURES, "eval_gts.json"))
@@ -461,7 +462,7 @@ class TestEvaluateOracle:
                 comps.append(Component(b, c.class_id, s))
             layouts.append(LayoutDocument(lay.id, lay.width, lay.height,
                                           tuple(comps)))
-        return Corpus.from_layouts(corpus.vocabulary, tuple(layouts))
+        return corpus_from_layouts(corpus.vocabulary, tuple(layouts))
 
     def check(self, dets, gts, config=EvalConfig()):
         assert evaluate(dets, gts, config).to_dict() == \
@@ -481,11 +482,11 @@ class TestEvaluateOracle:
                                      big=False)
         names = dets.vocabulary.names
         empty = [LayoutDocument(l.id, l.width, l.height) for l in gts.layouts]
-        for d, g in ((Corpus.from_layouts(dets.vocabulary, ()),
-                      Corpus.from_layouts(gts.vocabulary, ())),
-                     (Corpus.from_layouts(dets.vocabulary, empty), gts),
-                     (dets, Corpus.from_layouts(gts.vocabulary, empty)),
-                     (dets, Corpus.from_layouts(gts.vocabulary,
+        for d, g in ((corpus_from_layouts(dets.vocabulary, ()),
+                      corpus_from_layouts(gts.vocabulary, ())),
+                     (corpus_from_layouts(dets.vocabulary, empty), gts),
+                     (dets, corpus_from_layouts(gts.vocabulary, empty)),
+                     (dets, corpus_from_layouts(gts.vocabulary,
                                                 gts.layouts[::-1]))):
             for config in self.CONFIGS:
                 self.check(d, g, config)
@@ -518,7 +519,7 @@ def test_ground_truth_layouts_in_another_order():
             continue
         want = evaluate(dets, gts).to_dict()
         for layouts in (gts.layouts[::-1], gts.layouts[1:] + gts.layouts[:1]):
-            moved = Corpus.from_layouts(gts.vocabulary, layouts)
+            moved = corpus_from_layouts(gts.vocabulary, layouts)
             assert evaluate(dets, moved).to_dict() == want == \
                 loop_evaluate(dets, moved)
         checked += 1

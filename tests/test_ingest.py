@@ -19,7 +19,7 @@ from layoutprior.ingest import (_corpus_from_obj, corpus_to_obj,
                                 save_native_labelings)
 from layoutprior.synth import generate
 
-from conftest import FIXTURES
+from conftest import FIXTURES, corpus_from_layouts
 from test_synth import block_spec, workload_spec
 
 NATIVE = {
@@ -193,7 +193,7 @@ def test_class_id_out_of_range_rejected():
     lay = LayoutDocument("x", 10, 10, (Component(BBox(0, 0, 1, 1), 1),))
     with pytest.raises(ParseError, match=r"'x': class id 1 out of range "
                                          "for 1 classes"):
-        Corpus.from_layouts(ClassVocabulary(("A",)), (lay,))
+        corpus_from_layouts(ClassVocabulary(("A",)), (lay,))
 
 
 def test_missing_file():
@@ -234,7 +234,7 @@ def test_columns(tmp_path):
     assert not any(a.flags.writeable for a in _arrays(corpus))
     assert corpus == twin and hash(corpus) == hash(twin)
     assert corpus != replace(twin, score=np.array([1.0, 0.5]))
-    empty = Corpus.from_layouts(corpus.vocabulary, ())
+    empty = corpus_from_layouts(corpus.vocabulary, ())
     assert [a.shape for a in _arrays(empty)] == [(0,)] * 6 + [(0, 4)]
 
 
@@ -252,7 +252,7 @@ def _odd_corpus():
     comps = tuple(Component(BBox(1.5, 2.25, 3.0, 4.125), i,
                             None if i % 2 else 0.1 * i)
                   for i in range(len(names)))
-    return Corpus.from_layouts(vocab, (
+    return corpus_from_layouts(vocab, (
         LayoutDocument('id "q" \\ \u00e9\n', 360.0, 640.0, comps),
         LayoutDocument("empty", 10.0, 20.0, ()),
         # int coordinates, int canvas, an int score and a float subclass
@@ -272,11 +272,11 @@ def byte_cases():
     clean, noisy = generate(block_spec(noise=0.3, seed=5), 15)
     yield "synth-clean", clean
     yield "synth-noisy", noisy
-    yield "empty-corpus", Corpus.from_layouts(vocab, ())
-    yield "no-components", Corpus.from_layouts(
+    yield "empty-corpus", corpus_from_layouts(vocab, ())
+    yield "no-components", corpus_from_layouts(
         vocab, (LayoutDocument("x", 1.0, 2.0),))
     yield "odd", _odd_corpus()
-    yield "native", Corpus.from_layouts(
+    yield "native", corpus_from_layouts(
         ClassVocabulary(("Toolbar", "Text", "Icon")), (
         LayoutDocument("a", 100, 200, (
             Component(BBox(0, 0, 50, 20), 0),
@@ -300,7 +300,7 @@ def test_save_native_bytes(tmp_path, name, corpus, suffix):
 
 
 def test_save_native_int_id(tmp_path):
-    corpus = Corpus.from_layouts(ClassVocabulary(("A",)), (
+    corpus = corpus_from_layouts(ClassVocabulary(("A",)), (
         LayoutDocument(7, 10.0, 10.0, (Component(BBox(0.0, 0, 1, 1), 0),)),))
     p = tmp_path / "c.json"
     save_native(corpus, p)
@@ -313,7 +313,7 @@ def test_save_native_normalizes_numbers(tmp_path):
     # and scores: an int id is written as a string, an int coordinate or
     # score as a float and a float32 score as its float64 value, as the
     # loader reads them back. Canvas sides that are all ints stay ints.
-    corpus = Corpus.from_layouts(ClassVocabulary(("A",)), (
+    corpus = corpus_from_layouts(ClassVocabulary(("A",)), (
         LayoutDocument(7, 10, 20, (
             Component(BBox(0, 0.0, 1.0, 1), 0, np.float32(0.1)),
             Component(BBox(0.0, 2, 3.0, 4.0), 0, 1))),))
@@ -333,14 +333,14 @@ def test_save_native_normalizes_numbers(tmp_path):
 
 def test_duplicate_layout_ids_listed_once_sorted():
     with pytest.raises(ParseError, match=r"corpus: \['a', 'b'\]$"):
-        Corpus.from_layouts(ClassVocabulary(("A",)),
+        corpus_from_layouts(ClassVocabulary(("A",)),
                tuple(LayoutDocument(i, 1, 1, ()) for i in "babcaa"))
 
 
 def test_duplicate_layout_ids_rejected():
     from layoutprior import ClassVocabulary, LayoutDocument
     with pytest.raises(ParseError, match="duplicate"):
-        Corpus.from_layouts(ClassVocabulary(("A",)),
+        corpus_from_layouts(ClassVocabulary(("A",)),
                (LayoutDocument("x", 1, 1, ()), LayoutDocument("x", 1, 1, ())))
 
 
@@ -432,7 +432,7 @@ def parse_records(records, vocab):
             lid = lay.get("id") if isinstance(lay, dict) else None
             where = f"layout {i}" if lid is None else f"layout {i}: id {lid!r}"
             raise parse_error(where, e) from None
-    return Corpus.from_layouts(vocab, layouts)
+    return corpus_from_layouts(vocab, layouts)
 
 
 # The loader against the per-record parser: the same corpus, bit for bit,
@@ -627,7 +627,7 @@ def _corpora(draw, sides):
                 BBox(min(xa, xb), min(ya, yb), max(xa, xb), max(ya, yb)),
                 draw(st.integers(0, len(names) - 1)), score))
         layouts.append(LayoutDocument(lid, w, h, comps))
-    return Corpus.from_layouts(ClassVocabulary(tuple(names)), layouts)
+    return corpus_from_layouts(ClassVocabulary(tuple(names)), layouts)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -642,7 +642,7 @@ def test_load_inverts_save(corpus):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(_corpora(_int_sides))
 def test_from_layouts_inverts_layouts(corpus):
-    again = Corpus.from_layouts(corpus.vocabulary, corpus.layouts)
+    again = corpus_from_layouts(corpus.vocabulary, corpus.layouts)
     assert again == corpus and hash(again) == hash(corpus)
     assert [a.dtype for a in (again.widths, again.heights)] == [
         a.dtype for a in (corpus.widths, corpus.heights)]
@@ -670,7 +670,7 @@ def test_int_canvas_past_int64():
     spec = replace(block_spec(noise=0.3, seed=5), canvas=(640, 10**30))
     clean, noisy = generate(spec, 5)
     assert clean.widths.dtype == np.int64 and clean.heights.dtype == object
-    again = Corpus.from_layouts(clean.vocabulary, clean.layouts)
+    again = corpus_from_layouts(clean.vocabulary, clean.layouts)
     assert again == clean and again.heights.dtype == object
     with tempfile.TemporaryDirectory() as d:
         save_native(clean, f"{d}/c.json")

@@ -9,14 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from layoutprior import ClassVocabulary, Corpus, LayoutDocument
+from layoutprior import ClassVocabulary, LayoutDocument
 from layoutprior.core import Component, ParseError
 from layoutprior.prior import (BandConfig, CoOccurrenceGraphSet, _band_counts,
                                accumulate, band_membership, build_prior,
                                graphs_from_obj, graphs_to_dot, graphs_to_obj,
                                load_graphs, normalize, save_graphs)
 
-from conftest import make_layout, random_corpus
+from conftest import corpus_from_layouts, make_layout, random_corpus
 
 
 def brute_force_counts(corpus, config):
@@ -138,14 +138,14 @@ class TestAccumulate:
         assert np.array_equal(raw[1], np.zeros((3, 3)))
 
     def test_empty_corpus(self):
-        corpus = Corpus.from_layouts(ClassVocabulary(("A",)), ())
+        corpus = corpus_from_layouts(ClassVocabulary(("A",)), ())
         raw = accumulate(corpus, BandConfig(3))
         assert all(np.array_equal(r, np.zeros((1, 1))) for r in raw)
 
     def test_singleton_bands_filtered(self):
         lay = make_layout("l", [(0, 5, 10, 15), (0, 55, 10, 65)], [0, 1])
         raw = accumulate(
-            Corpus.from_layouts(ClassVocabulary(("A", "B")), (lay,)),
+            corpus_from_layouts(ClassVocabulary(("A", "B")), (lay,)),
             BandConfig(2))
         assert all(r.sum() == 0 for r in raw)
 
@@ -169,7 +169,7 @@ class TestAccumulate:
                                      max_boxes=20, n_classes=C, height=height)
                 layouts += [replace(lay, id=f"{height}-{lay.id}")
                             for lay in part.layouts]
-            corpus = Corpus.from_layouts(
+            corpus = corpus_from_layouts(
                 ClassVocabulary(tuple(f"c{i}" for i in range(C))),
                 tuple(layouts))
             got = accumulate(corpus, cfg)
@@ -207,7 +207,7 @@ def _corpora_and_bands(draw):
             draw(st.lists(st.integers(0, C - 1), min_size=k, max_size=k)),
             height, 10.0))
     vocab = ClassVocabulary(tuple(f"c{i}" for i in range(C)))
-    return Corpus.from_layouts(vocab, tuple(layouts)), config
+    return corpus_from_layouts(vocab, tuple(layouts)), config
 
 
 @settings(derandomize=True, deadline=None, max_examples=80)
@@ -383,7 +383,7 @@ class TestBuildPrior:
                                      for c in lay.components],
                                     [c.class_id for c in lay.components],
                                     height=lay.height, width=lay.width))
-            rep_corpus = Corpus.from_layouts(corpus.vocabulary, tuple(layouts))
+            rep_corpus = corpus_from_layouts(corpus.vocabulary, tuple(layouts))
             gk = build_prior(rep_corpus, BandConfig(5))
             for a, b in zip(g1.edges, gk.edges):
                 assert np.allclose(a, b, atol=1e-9)
@@ -399,7 +399,7 @@ class TestBuildPrior:
             comps = tuple(Component(c.bbox, int(inv[c.class_id]), c.score)
                           for c in lay.components)
             layouts.append(LayoutDocument(lay.id, lay.width, lay.height, comps))
-        perm_corpus = Corpus.from_layouts(perm_vocab, tuple(layouts))
+        perm_corpus = corpus_from_layouts(perm_vocab, tuple(layouts))
         g = build_prior(corpus, BandConfig(3))
         gp = build_prior(perm_corpus, BandConfig(3))
         for E, Ep in zip(g.edges, gp.edges):

@@ -3,9 +3,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from layoutprior import BBox, ClassVocabulary, Component, Corpus, LayoutDocument
+from layoutprior import BBox, ClassVocabulary, Component, LayoutDocument
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet, graphs_to_dot
 from layoutprior.render import render_layout_svg
+
+from conftest import corpus_from_layouts
 
 NAMES = ("b&<c>", 'q"x', "back\\slash", "plain")
 
@@ -16,8 +18,8 @@ def test_svg_escapes_class_names():
                             None if i % 2 else 0.5)
                   for i in range(len(NAMES)))
     layout = LayoutDocument("x", 100, 100, comps)
-    corpus = Corpus.from_layouts(vocab, (layout,))
-    root = ET.fromstring(render_layout_svg(layout, corpus).encode("utf-8"))
+    corpus = corpus_from_layouts(vocab, (layout,))
+    root = ET.fromstring(render_layout_svg(corpus, 0).encode("utf-8"))
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert texts == ["b&<c> 0.50", 'q"x', "back\\slash 0.50", "plain"]
 

@@ -15,7 +15,7 @@ from layoutprior.rescore import (_LOG_FLOOR, RescoreConfig, labels_to_logits,
                                  rescore, rescore_corpus)
 from layoutprior.synth import generate
 
-from conftest import random_corpus
+from conftest import corpus_from_layouts, random_corpus
 from test_synth import block_spec
 
 def graphs_from(edges, n_classes):
@@ -266,7 +266,7 @@ class TestRescoreCorpus:
     def test_empty_corpus(self):
         graphs = self.make_graphs()
         from layoutprior import Corpus
-        corpus = Corpus.from_layouts(graphs.vocabulary, ())
+        corpus = corpus_from_layouts(graphs.vocabulary, ())
         out = rescore_corpus(corpus, graphs, RescoreConfig())
         assert out.layouts == ()
 
@@ -275,7 +275,7 @@ class TestRescoreCorpus:
         from layoutprior import Corpus, LayoutDocument
         scored = random_corpus(rng, n_layouts=3, max_boxes=5, n_classes=3)
         empty = tuple(LayoutDocument(f"e{i}", 100, 50 + i) for i in range(3))
-        corpus = Corpus.from_layouts(graphs.vocabulary, empty + scored.layouts)
+        corpus = corpus_from_layouts(graphs.vocabulary, empty + scored.layouts)
         out = rescore_corpus(corpus, graphs, RescoreConfig())
         assert out.layouts[:3] == empty
 
@@ -284,7 +284,7 @@ class TestRescoreCorpus:
         from layoutprior import Component, Corpus, LayoutDocument
         lay = LayoutDocument("x", 100, 100,
                              (Component(BBox(0, 0, 10, 10), 2),))
-        corpus = Corpus.from_layouts(graphs.vocabulary, (lay,))
+        corpus = corpus_from_layouts(graphs.vocabulary, (lay,))
         out = rescore_corpus(corpus, graphs, RescoreConfig(blend=0.5))
         # with no context the band falls back to the uniform prior,
         # which cannot flip the argmax
@@ -296,7 +296,7 @@ class TestRescoreCorpus:
         corpus = random_corpus(rng, n_layouts=4, max_boxes=8,
                                n_classes=vocab_size)
         from layoutprior import Corpus
-        corpus = Corpus.from_layouts(graphs.vocabulary, corpus.layouts)
+        corpus = corpus_from_layouts(graphs.vocabulary, corpus.layouts)
         cfg = RescoreConfig(blend=0.5)
         whole = rescore_corpus(corpus, graphs, cfg)
         for lay, got in zip(corpus.layouts, whole.layouts):
@@ -309,9 +309,9 @@ class TestRescoreCorpus:
         out = rescore_corpus(noisy, graphs, RescoreConfig())
         assert "layouts" not in vars(noisy) and "layouts" not in vars(out)
         assert out.boxes is noisy.boxes and out.scored.all()
-        assert out == Corpus.from_layouts(noisy.vocabulary, [
+        assert out == corpus_from_layouts(noisy.vocabulary, [
             rescore_layout(lay, graphs, RescoreConfig())
-            for lay in noisy.build_layouts(0, 8)])
+            for lay in noisy.layouts[:8]])
 
     def test_vocab_mismatch(self, rng):
         graphs = self.make_graphs()
@@ -354,7 +354,7 @@ def rescore_cases(draw):
                                       draw(st.floats(-1.0, 1.0)),
                                       draw(st.floats(0.01, 2.0))),
         confidence=draw(st.floats(0.0, 1.0)))
-    return Corpus.from_layouts(vocab, layouts), graphs, config
+    return corpus_from_layouts(vocab, layouts), graphs, config
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -364,9 +364,9 @@ def test_rescore_corpus_matches_layout_oracle(case):
     that layout rescored on its own, as objects."""
     corpus, graphs, config = case
     got = rescore_corpus(corpus, graphs, config)
-    want = Corpus.from_layouts(graphs.vocabulary, [
+    want = corpus_from_layouts(graphs.vocabulary, [
         rescore_layout(lay, graphs, config, config.confidence)
-        for lay in corpus.build_layouts(0, len(corpus.ids))])
+        for lay in corpus.layouts])
     assert np.array_equal(got.class_id, want.class_id)
     assert np.array_equal(got.score.view(np.uint64),
                           want.score.view(np.uint64))

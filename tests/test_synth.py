@@ -1,8 +1,10 @@
 import hashlib
 import json
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from hypothesis import given, settings, strategies as st
 
 from layoutprior import ClassVocabulary
 from layoutprior.cli import main
-from layoutprior.core import BBox, Component, LayoutDocument, ParseError
-from layoutprior.ingest import Corpus, corpus_to_obj, load_native, save_native
+from layoutprior.core import (BBox, Component, LayoutDocument, ParseError,
+                              write_text)
+from layoutprior.ingest import corpus_to_obj, load_native, save_native
 from layoutprior.prior import BandConfig, band_membership, build_prior
 from layoutprior.synth import (_BLOCK_LAYOUTS, _DOUBLE, GeneratorSpec,
                                _Streams, generate, load_spec, recovery_score,
                                spec_from_obj, spec_to_obj)
+
+from conftest import assert_rewrite_stable, corpus_from_layouts
 
 
 def block_spec(noise=0.0, seed=42, boxes=(2, 5)):
@@ -116,8 +121,8 @@ def loop_generate(spec, n_layouts):
         w, h = spec.canvas
         clean_layouts.append(LayoutDocument(lid, w, h, tuple(clean_comps)))
         noisy_layouts.append(LayoutDocument(lid, w, h, tuple(noisy_comps)))
-    return (Corpus.from_layouts(spec.vocabulary, tuple(clean_layouts)),
-            Corpus.from_layouts(spec.vocabulary, tuple(noisy_layouts)))
+    return (corpus_from_layouts(spec.vocabulary, tuple(clean_layouts)),
+            corpus_from_layouts(spec.vocabulary, tuple(noisy_layouts)))
 
 
 def perfbench_spec(seed):
@@ -533,3 +538,52 @@ class TestSpecIO:
         assert listed == replace(spec, canvas=(360, 640.0))
         assert listed.boxes_per_band == (2, 5)
         assert spec_from_obj(spec_to_obj(listed)) == listed
+
+    @pytest.mark.parametrize("noise", [False, True, "0.25", None])
+    def test_spec_refuses_non_number_noise(self, noise):
+        with pytest.raises(ParseError, match="noise must be a number"):
+            replace(block_spec(), noise=noise)
+
+
+# Python and numpy forms of an int, and of any other real.
+INT_FORMS = (int, np.int64, np.int32, np.uint16)
+REAL_FORMS = (float, np.float64, np.float32)
+
+
+@st.composite
+def spec_scalars(draw):
+    """The scalar fields of a valid spec, each number in one of its Python
+    or numpy forms."""
+    def form(v):
+        return draw(st.sampled_from(
+            INT_FORMS if isinstance(v, int) else REAL_FORMS))(v)
+
+    def pair(values):
+        return tuple(sorted(map(form, draw(st.lists(values, min_size=2,
+                                                    max_size=2))), key=float))
+
+    side = st.floats(1.0, 1e4) | st.integers(1, 10 ** 4)
+    return {"boxes_per_band": pair(st.integers(0, 50)),
+            "box_size_frac": pair(st.floats(0.0, 1.0)
+                                  | st.sampled_from([0, 1])),
+            "canvas": (form(draw(side)), form(draw(side))),
+            "noise": form(draw(st.floats(0.0, 0.99) | st.just(0))),
+            "seed": form(draw(st.integers(0, 2 ** 16 - 1)))}
+
+
+def save_spec(spec, path):
+    write_text(path, [json.dumps(spec_to_obj(spec))])
+
+
+@settings(derandomize=True, deadline=None, max_examples=75)
+@given(spec_scalars())
+def test_spec_round_trip_and_rewrite(scalars):
+    """A written spec reads back equal, and rewriting what was read keeps
+    the file's bytes, on a plain and a .gz path, whatever the forms of
+    its numbers."""
+    spec = replace(block_spec(), **scalars)
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("spec.json", "spec.json.gz"):
+            save_spec(spec, Path(d, name))
+            assert load_spec(Path(d, name)) == spec
+    assert_rewrite_stable(save_spec, load_spec, spec)
