@@ -18,10 +18,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (BBox, ParseError, ProposalBatch, ShapeError, finite,
-                   json_number, json_numbers, matmul, matrix_from_json,
-                   matrix_to_json, midpoint, read_json, row_softmax,
-                   write_text)
+from .core import (BBox, ParseError, ProposalBatch, ShapeError,
+                   fields_equal, finite, json_number, json_numbers, matmul,
+                   matrix_from_json, matrix_to_json, midpoint, read_json,
+                   row_softmax, write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -50,9 +50,11 @@ def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     compare by payload."""
     return np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeFeatures:
     matrix: np.ndarray  # C x K
+
+    __eq__ = fields_equal  # and no hash, as the array has none
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=np.float64)

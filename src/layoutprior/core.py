@@ -210,7 +210,7 @@ class LayoutDocument:
                 f"layout {self.id!r}: canvas size must be positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProposalBatch:
     """N_r candidate boxes with class logits and optional features."""
 
@@ -218,6 +218,8 @@ class ProposalBatch:
     logits: np.ndarray
     layout_height: float
     features: Optional[np.ndarray] = None
+
+    __eq__ = fields_equal  # and no hash, as the arrays have none
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))

@@ -8,7 +8,8 @@ placed. All randomness comes from numpy's PCG64 generator, which is a
 published, portable algorithm; results are reproducible across
 platforms for a fixed seed. Each layout reads its own stream, and
 `generate` reads a block of such streams in lockstep, decoding the raw
-words as numpy's Generator does.
+words as numpy's Generator does; each box is drawn whole, class, noisy
+class and coordinates, at the step that reads its words.
 """
 
 from __future__ import annotations
@@ -214,39 +215,76 @@ def _uniform(low, high, d):
 
 
 def _read_block(spec: GeneratorSpec, layouts: range):
-    """Read the streams of `layouts` in lockstep, in `generate`'s order.
+    """Draw the layouts `layouts`, reading their streams in lockstep in
+    `generate`'s order.
 
-    Returns their box counts (layouts x bands) and the box steps. Each
-    step reads one draw kind from every row that makes it: per band the
-    box counts, then per box index t the boxes of the layouts with more
-    than t boxes in the band, and their flips. A box step is (layouts,
-    band, t, their boxes' five doubles, their flipped labels), a label
-    being -1 where the box keeps its class.
+    Each step reads one draw kind from every row that makes it: per band
+    the box counts, then per box index t the boxes of the layouts with
+    more than t boxes in the band, and their flips. A box is drawn whole
+    at its step: its class, its noisy class and its coordinates. Returns
+    the box counts (layouts x bands), then the boxes, classes and noisy
+    classes in layout, band and box index order.
     """
-    C, B = spec.vocabulary.size, spec.n_bands
-    lo, hi = (int(v) for v in spec.boxes_per_band)
+    C = spec.vocabulary.size
+    lo, hi = spec.boxes_per_band
     noise = spec.noise
     box_words = _BOX_WORDS + (noise > 0)
+    bounds = spec.band_config().bounds
     # What a layout reads when no draw is rejected, or a little more.
-    width = min(B * (1 + hi * (box_words + 1)), _MAX_WIDTH)
+    width = min(len(bounds) * (1 + hi * (box_words + 1)), _MAX_WIDTH)
     streams = _Streams((np.random.PCG64([spec.seed, li]) for li in layouts),
                        width)
-    k = np.empty((len(layouts), B), dtype=np.int64)
+    side = np.array([float(v) for v in spec.canvas])  # width, height
+    flo, fhi = (float(v) for v in spec.box_size_frac)
+    k = np.empty((len(layouts), len(bounds)), dtype=np.int64)
+    last = np.empty(len(layouts), dtype=np.int64)  # the band's latest class
     steps = []
-    for j in range(B):
+    for j, (upper, lower) in enumerate(bounds):
         k[:, j] = lo + streams.bounded(np.arange(len(layouts)), hi - lo)
+        G = spec.planted_graphs[j]
+        marginal = _cdf(spec.class_marginals[j])
+        # One running weight row per layout. The loop form's
+        # G[:, placed].sum(axis=1) also adds in placement order, since numpy
+        # lays the gathered columns out transposed; with C == 1 it sums
+        # pairwise, but then the one class is drawn whatever the sum.
+        weights = np.zeros((len(layouts), C))
+        # Where the band's box centres (cx, cy) lie.
+        low, high = side * [[0.0, upper], [1.0, lower]]
         for t in range(int(k[:, j].max(initial=0))):
             rows = np.flatnonzero(k[:, j] > t)
             at = streams.take(rows, box_words)
             d = (streams.words[rows[:, None], at[:, None]
                                + np.arange(_BOX_WORDS)] >> 11) * _DOUBLE
-            label = np.full(len(rows), -1)
+            u = d[:, 0]
+            cls = marginal.searchsorted(u, side="right")
+            if t > 0:
+                w = weights[rows] = weights[rows] + G.T[last[rows]]
+                total = w.sum(axis=1)
+                pos = total > 0
+                cdf = _cdf(w[pos] / total[pos, None])
+                cls[pos] = (cdf <= u[pos, None]).sum(axis=1)
+            last[rows] = cls
+            noisy = cls.copy()
             if noise:
                 flip = (streams.words[rows, at + _BOX_WORDS] >> 11) \
                     * _DOUBLE < noise
-                label[flip] = streams.bounded(rows[flip], C - 1)
-            steps.append((layouts.start + rows, j, t, d, label))
-    return k, steps
+                noisy[flip] = streams.bounded(rows[flip], C - 1)
+            c = _uniform(low, high, d[:, [2, 1]])
+            # Half-extents are shrunk so the box stays on canvas with its
+            # center fixed, keeping band membership exact.
+            half = np.minimum(np.minimum(
+                _uniform(flo, fhi, d[:, 3:]) * side / 2.0, c), side - c)
+            steps.append((rows, j, t, np.concatenate([c - half, c + half], 1),
+                          cls, noisy))
+    # Index of each layout's first box in band j is first[:, j].
+    counts = k.ravel()
+    first = (np.cumsum(counts) - counts).reshape(k.shape)
+    boxes = np.empty((int(counts.sum()), 4))
+    cls, noisy = np.empty((2, len(boxes)), dtype=np.int64)
+    for rows, j, t, *drawn in steps:
+        at = first[rows, j] + t
+        boxes[at], cls[at], noisy[at] = drawn
+    return k, boxes, cls, noisy
 
 
 def generate(spec: GeneratorSpec, n_layouts: int):
@@ -263,73 +301,23 @@ def generate(spec: GeneratorSpec, n_layouts: int):
     classes already placed in the band. This order is part of the output
     contract: the words are decoded as numpy decodes them, so the result
     equals that of one Generator call per draw. The streams are read in
-    lockstep, a block of layouts at a time; every class and box is then
-    drawn as array code over the whole corpus.
+    lockstep, a block of layouts at a time, and each box is drawn whole
+    as its words are read.
     """
     if n_layouts < 0:
         raise ParseError(f"layout count must be >= 0, got {n_layouts}")
-    C, B = spec.vocabulary.size, spec.n_bands
-    k = np.empty((n_layouts, B), dtype=np.int64)
-    steps = []
-    for start in range(0, n_layouts, _BLOCK_LAYOUTS):
-        block = range(start, min(start + _BLOCK_LAYOUTS, n_layouts))
-        k[start:block.stop], block_steps = _read_block(spec, block)
-        steps += block_steps
-
-    # Index of each layout's first box in band j is first[:, j].
-    counts = k.ravel()
-    first = (np.cumsum(counts) - counts).reshape(k.shape)
-    n_boxes = int(counts.sum())
-    d = np.empty((n_boxes, _BOX_WORDS))
-    label = np.empty(n_boxes, dtype=np.int64)
-    for rows, j, t, doubles, flipped in steps:
-        at = first[rows, j] + t
-        d[at], label[at] = doubles, flipped
-    del steps  # a second copy of every box's doubles
-    cls = np.empty(n_boxes, dtype=np.int64)
-    for j in range(B):
-        G = spec.planted_graphs[j]
-        marginal = _cdf(spec.class_marginals[j])
-        # One running weight row per layout. The loop form's
-        # G[:, placed].sum(axis=1) also adds in placement order, since numpy
-        # lays the gathered columns out transposed; with C == 1 it sums
-        # pairwise, but then the one class is drawn whatever the sum.
-        weights = np.zeros((n_layouts, C))
-        for t in range(int(k[:, j].max(initial=0))):
-            rows = np.flatnonzero(k[:, j] > t)
-            at = first[rows, j] + t
-            u = d[at, 0]
-            draw = marginal.searchsorted(u, side="right")
-            if t > 0:
-                w = weights[rows] = weights[rows] + G.T[cls[at - 1]]
-                total = w.sum(axis=1)
-                pos = total > 0
-                cdf = _cdf(w[pos] / total[pos, None])
-                draw[pos] = (cdf <= u[pos, None]).sum(axis=1)
-            cls[at] = draw
-    noisy_cls = np.where(label < 0, cls, label)
-
-    band = np.repeat(np.tile(np.arange(B), n_layouts), counts)
-    upper, lower = spec.band_config().bounds[band].T
-    width, height = (float(v) for v in spec.canvas)
-    flo, fhi = (float(v) for v in spec.box_size_frac)
-    cy = _uniform(upper * height, lower * height, d[:, 1])
-    cx = _uniform(0.0, width, d[:, 2])
-    # Half-extents are shrunk so the box stays on canvas with its center
-    # fixed, keeping band membership exact.
-    hw = np.minimum(np.minimum(_uniform(flo, fhi, d[:, 3]) * width / 2.0,
-                               cx), width - cx)
-    hh = np.minimum(np.minimum(_uniform(flo, fhi, d[:, 4]) * height / 2.0,
-                               cy), height - cy)
-    boxes = np.stack([cx - hw, cy - hh, cx + hw, cy + hh], axis=1)
+    # One block, empty, for no layouts.
+    k, boxes, cls, noisy = map(np.concatenate, zip(*(
+        _read_block(spec, range(start, min(start + _BLOCK_LAYOUTS, n_layouts)))
+        for start in range(0, max(n_layouts, 1), _BLOCK_LAYOUTS))))
     w, h = spec.canvas
     layouts = (tuple(f"synth-{li:05d}" for li in range(n_layouts)),
                np.full(n_layouts, w), np.full(n_layouts, h),
                np.repeat(np.arange(n_layouts), k.sum(axis=1)))
-    score, scored = np.ones(n_boxes), np.zeros(n_boxes, dtype=bool)
+    score, scored = np.ones(len(cls)), np.zeros(len(cls), dtype=bool)
     # Clean and noisy share every array but the class ids.
     return tuple(Corpus(spec.vocabulary, *layouts, c, score, scored, boxes)
-                 for c in (cls, noisy_cls))
+                 for c in (cls, noisy))
 
 
 def recovery_score(planted, recovered: CoOccurrenceGraphSet) -> float:

@@ -393,6 +393,16 @@ class TestNodeFeatures:
         assert repr(nodes) == before == repr(fresh)
         assert [f.name for f in dataclasses.fields(nodes)] == ["matrix"]
 
+    def test_equality_on_matrix(self, rng):
+        W = rng.standard_normal((2, 3))
+        nodes = NodeFeatures(W)
+        nodes.project(np.ones((3, 4)))  # the memo is not compared
+        assert nodes == NodeFeatures(W.copy())
+        changed = W.copy()
+        changed[1, 2] += 1.0
+        assert nodes != NodeFeatures(changed)
+        assert nodes != NodeFeatures(W[:, :2])
+
 
 # Changes made to W and Z between conditionings through one NodeFeatures.
 MEMO_STEPS = ("mutate Z", "fresh equal Z", "flip a zero's sign", "insert NaN",
@@ -519,6 +529,19 @@ class TestProposalIO:
         assert np.array_equal(again.logits, batch.logits)
         assert np.array_equal(again.features, batch.features)
         assert again.layout_height == 200.0
+
+    def test_loaded_batch_equals_saved(self, tmp_path, rng):
+        batch = ProposalBatch((BBox(0, 0, 10, 10), BBox(5, 5, 20, 30)),
+                              rng.standard_normal((2, 4)), 200.0,
+                              rng.standard_normal((2, 8)))
+        save_proposals(batch, tmp_path / "props.json")
+        assert load_proposals(tmp_path / "props.json") == batch
+        logits, features = batch.logits.copy(), batch.features.copy()
+        logits[0, 1] += 1.0
+        features[1, 7] += 1.0
+        for changed in (dict(logits=logits), dict(features=features),
+                        dict(features=None), dict(layout_height=100.0)):
+            assert dataclasses.replace(batch, **changed) != batch
 
     def test_obj_round_trip_without_features(self):
         batch = ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), 10.0)
