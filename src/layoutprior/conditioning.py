@@ -147,9 +147,7 @@ def soft_mapping(logits: np.ndarray, policy: MappingPolicy) -> np.ndarray:
                          f"column, got shape {logits.shape}")
     if policy is MappingPolicy.SOFT:
         return row_softmax(logits)
-    S = np.zeros_like(logits)
-    S[np.arange(logits.shape[0]), np.argmax(logits, axis=1)] = 1.0
-    return S
+    return _nearest(-logits)
 
 def proposal_node_features(features: np.ndarray, S: np.ndarray) -> NodeFeatures:
     """Class embeddings as the S-weighted average of proposal features."""

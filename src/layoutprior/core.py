@@ -132,8 +132,10 @@ def read_json(path, parse):
         try:
             obj = json.load(f)
         # JSONDecodeError and UnicodeDecodeError are ValueErrors; a bad
-        # .gz raises EOFError, zlib.error or BadGzipFile.
-        except (ValueError, EOFError, zlib.error, gzip.BadGzipFile) as e:
+        # .gz raises EOFError, zlib.error or BadGzipFile, and nesting too
+        # deep for the decoder RecursionError.
+        except (ValueError, EOFError, zlib.error, gzip.BadGzipFile,
+                RecursionError) as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from None
     try:
         return parse(obj)
@@ -146,6 +148,8 @@ class ClassVocabulary:
     names: tuple
 
     def __post_init__(self):
+        if not isinstance(self.names, (list, tuple)):  # a file's "classes"
+            raise ParseError(f"classes must be a list, got {self.names!r}")
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
         if len(names) < 1:

@@ -165,7 +165,7 @@ def _corpus_from_obj(obj) -> Corpus:
     if not (isinstance(obj, dict) and isinstance(obj.get("classes"), list)
             and isinstance(obj.get("layouts"), list)):
         raise ParseError("needs a 'classes' and a 'layouts' list")
-    vocab = ClassVocabulary(tuple(obj["classes"]))
+    vocab = ClassVocabulary(obj["classes"])
     try:
         return _columns(obj["layouts"], vocab)
     except PARSE_ERRORS as error:  # named by the first record failing alone

@@ -203,7 +203,7 @@ def graphs_from_obj(obj: dict) -> CoOccurrenceGraphSet:
         raise ParseError(
             f"graph file version {version} != supported {GRAPH_SCHEMA_VERSION}"
         )
-    vocab = ClassVocabulary(tuple(obj["classes"]))
+    vocab = ClassVocabulary(obj["classes"])
     config = BandConfig(
         json_int(obj["n_bands"], "n_bands"),
         json_number(obj["band_width_frac"], "band_width_frac"))

@@ -88,9 +88,10 @@ class GeneratorSpec:
         if not (0.0 <= self.noise < 1.0):
             raise ParseError("noise must lie in [0, 1)")
         lo, hi = _pair(self, "boxes_per_band", numbers.Integral, int)
-        # rng.integers draws below hi + 1, which must fit in an int64.
-        if not 0 <= lo <= hi < 2 ** 63:
-            raise ParseError("boxes_per_band must satisfy 0 <= lo <= hi")
+        # hi + 1 must fit in an int64; a box count is one 32-bit draw.
+        if not (0 <= lo <= hi < 2 ** 63 and hi - lo < 2 ** 32):
+            raise ParseError("boxes_per_band must satisfy 0 <= lo <= hi "
+                             "< 2**63 and hi - lo < 2**32")
         lo, hi = _pair(self, "box_size_frac", numbers.Real, _real)
         if not 0.0 <= lo <= hi <= 1.0:
             raise ParseError("box_size_frac must satisfy 0 <= lo <= hi <= 1")
@@ -113,7 +114,7 @@ class GeneratorSpec:
 # numpy's Generator reads a double in [0, 1) as a raw 64-bit word's top
 # 53 bits times 2**-53.
 _DOUBLE = 1.0 / 9007199254740992.0
-_U32, _U64 = 0xFFFFFFFF, 0xFFFFFFFFFFFFFFFF
+_U32 = 0xFFFFFFFF
 # Doubles a box reads: the class draw's, then cy, cx and the width and
 # height fractions. With noise > 0 it reads a sixth, for the flip test.
 _BOX_WORDS = 5
@@ -130,47 +131,47 @@ class _Streams:
     reads it.
 
     Row i of `words` holds the raw 64-bit words of the i-th bit generator.
-    A step reads from a set of distinct rows at once. `take(rows, n)`
-    hands out each row's next n words. `bounded(rows, r)` is, per row,
-    what `integers(lo, lo + r + 1) - lo` returns: nothing is read when
-    r == 0; below 2**32 it is Lemire's method on 32-bit draws, a 32-bit
-    draw being the low half of a fresh word, with the high half kept for
-    the row's next 32-bit draw; above that it is Lemire's method on whole
-    words, which leaves the kept half alone. (numpy special-cases
-    r == 2**32 - 1 as one 32-bit draw, which is what Lemire's method
-    gives there.) Rows whose draw is rejected draw again, by themselves.
+    A step reads from a set of distinct rows at once. `doubles(rows, n)`
+    hands out each row's next n doubles. `bounded(rows, r)`, r < 2**32,
+    is per row what `integers(lo, lo + r + 1) - lo` returns: nothing is
+    read when r == 0, else Lemire's method on 32-bit draws, a 32-bit draw
+    being the low half of a fresh word, with the high half kept for the
+    row's next one. Rows whose draw is rejected draw again, by themselves.
     A row that runs past its words reads its bit generator's next ones.
     """
 
     def __init__(self, bit_generators, width: int):
         self._bgs = list(bit_generators)
-        self.words = np.empty((len(self._bgs), width), dtype=np.uint64)
-        for row, bg in zip(self.words, self._bgs):
-            row[:] = bg.random_raw(width)
+        self.words = np.empty((len(self._bgs), 0), dtype=np.uint64)
+        self._grow(width)
         self._pos = np.zeros(len(self._bgs), dtype=np.int64)
         self._half = np.zeros(len(self._bgs), dtype=np.uint64)
         self._has_half = np.zeros(len(self._bgs), dtype=bool)
+
+    def _grow(self, width: int):
+        """Extend every row to `width` words, so that each row's words
+        stay one prefix of its stream."""
+        have = self.words.shape[1]
+        words = np.empty((len(self._bgs), width), dtype=np.uint64)
+        words[:, :have] = self.words
+        for row, bg in zip(words, self._bgs):
+            row[have:] = bg.random_raw(width - have)
+        self.words = words
 
     def take(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Consume the next n words of each row; return the index of each
         row's first."""
         start = self._pos[rows]
         self._pos[rows] = end = start + n
-        have = self.words.shape[1]
-        if end.size and end.max() > have:
-            # Every row grows, so each row's words stay one prefix of its
-            # stream.
-            width = max(int(end.max()), 2 * have)
-            words = np.empty((len(self._bgs), width), dtype=np.uint64)
-            words[:, :have] = self.words
-            for row, bg in zip(words, self._bgs):
-                row[have:] = bg.random_raw(width - have)
-            self.words = words
+        if end.size and end.max() > self.words.shape[1]:
+            self._grow(max(int(end.max()), 2 * self.words.shape[1]))
         return start
 
-    def _word(self, rows):
-        at = self.take(rows, 1)  # which may grow `words`
-        return self.words[rows, at].astype(object)
+    def doubles(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Each row's next n doubles, one row of the result per row."""
+        at = self.take(rows, n)  # which may grow `words`
+        return (self.words[rows[:, None], at[:, None] + np.arange(n)]
+                >> 11) * _DOUBLE
 
     def _uint32(self, rows):
         has = self._has_half[rows]
@@ -187,16 +188,13 @@ class _Streams:
         out = np.zeros(len(rows), dtype=np.uint64)
         if r == 0:
             return out
-        # Above 2**32 the products take 128 bits, so they are Python ints.
-        draw, bits, mask = ((self._uint32, 32, _U32) if r <= _U32
-                            else (self._word, 64, _U64))
         excl = r + 1
-        threshold = (mask - r) % excl  # 2**bits mod excl
+        threshold = (_U32 - r) % excl  # 2**32 mod excl
         todo = np.arange(len(rows))
         while todo.size:
-            m = draw(rows[todo]) * excl
-            kept = m & mask >= threshold
-            out[todo[kept]] = m[kept] >> bits
+            m = self._uint32(rows[todo]) * excl
+            kept = m & _U32 >= threshold
+            out[todo[kept]] = m[kept] >> 32
             todo = todo[~kept]
         return out
 
@@ -252,9 +250,7 @@ def _read_block(spec: GeneratorSpec, layouts: range):
         low, high = side * [[0.0, upper], [1.0, lower]]
         for t in range(int(k[:, j].max(initial=0))):
             rows = np.flatnonzero(k[:, j] > t)
-            at = streams.take(rows, box_words)
-            d = (streams.words[rows[:, None], at[:, None]
-                               + np.arange(_BOX_WORDS)] >> 11) * _DOUBLE
+            d = streams.doubles(rows, box_words)
             u = d[:, 0]
             cls = marginal.searchsorted(u, side="right")
             if t > 0:
@@ -266,14 +262,13 @@ def _read_block(spec: GeneratorSpec, layouts: range):
             last[rows] = cls
             noisy = cls.copy()
             if noise:
-                flip = (streams.words[rows, at + _BOX_WORDS] >> 11) \
-                    * _DOUBLE < noise
+                flip = d[:, _BOX_WORDS] < noise
                 noisy[flip] = streams.bounded(rows[flip], C - 1)
             c = _uniform(low, high, d[:, [2, 1]])
             # Half-extents are shrunk so the box stays on canvas with its
             # center fixed, keeping band membership exact.
             half = np.minimum(np.minimum(
-                _uniform(flo, fhi, d[:, 3:]) * side / 2.0, c), side - c)
+                _uniform(flo, fhi, d[:, 3:5]) * side / 2.0, c), side - c)
             steps.append((rows, j, t, np.concatenate([c - half, c + half], 1),
                           cls, noisy))
     # Index of each layout's first box in band j is first[:, j].
@@ -366,7 +361,7 @@ def spec_from_obj(obj: dict) -> GeneratorSpec:
         noise = given.get("noise", 0.0)
         if isinstance(noise, bool) or not isinstance(noise, (int, float)):
             raise TypeError(f"noise must be a number, got {noise!r}")
-        return GeneratorSpec(ClassVocabulary(tuple(obj["classes"])),
+        return GeneratorSpec(ClassVocabulary(obj["classes"]),
                              obj["planted_graphs"], obj["class_marginals"],
                              **given)
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -13,7 +13,7 @@ from layoutprior.cli import main
 from layoutprior.conditioning import (MappingPolicy, NodeFeatures,
                                       soft_mapping)
 from layoutprior.core import (LayoutDocument, load_matrix, open_text,
-                              save_matrix)
+                              save_matrix, write_text)
 from layoutprior.prior import load_graphs
 from layoutprior.ingest import corpus_to_obj
 from layoutprior.render import render_layout_svg
@@ -619,6 +619,10 @@ class TestSynthCmd:
         pytest.param("planted_graphs", [
             np.eye(6).tolist(), np.diag([1.0] * 5 + [float("nan")]).tolist()],
             id="nan-weight"),
+        # Each spells the spec's class names, but is no list.
+        pytest.param("classes", "ABCDEF", id="classes-string"),
+        pytest.param("classes", dict.fromkeys("ABCDEF", 0),
+                     id="classes-object"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, field, value):
         obj = spec_to_obj(block_spec())
@@ -630,6 +634,18 @@ class TestSynthCmd:
                      "--out-noisy", str(tmp_path / "n.json")]) == 2
         err = capsys.readouterr().err
         assert field in err or "generator spec" in err
+        assert not (tmp_path / "c.json").exists()
+
+    def test_box_range_past_32_bits_exit_2(self, tmp_path, capsys):
+        # With --n 1 the old reader drew 2**31 boxes per band on average.
+        obj = spec_to_obj(block_spec())
+        obj["boxes_per_band"] = [0, 2 ** 32]
+        sp = tmp_path / "spec.json"
+        sp.write_text(json.dumps(obj))
+        assert main(["synth", str(sp), "--n", "0",
+                     "--out-clean", str(tmp_path / "c.json"),
+                     "--out-noisy", str(tmp_path / "n.json")]) == 2
+        assert "hi - lo < 2**32" in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
     def test_negative_seed_override_exit_2(self, tmp_path):
@@ -873,6 +889,36 @@ class TestGzipOutput:
         err = capsys.readouterr().err
         assert f"error: {plain}: invalid JSON" in err
         assert not out.exists()
+
+
+# A JSON array nested past the decoder's recursion limit.
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("suffix", ["", ".gz"])
+@pytest.mark.parametrize("kind, command", [
+    ("corpus", ["build-prior", "{deep}", "--out", "{out}"]),
+    ("graphs", ["rescore", "{corpus}", "{deep}", "--out", "{out}"]),
+    ("proposals", ["condition", "{deep}", "{graphs}", "--nodes", "{W}",
+                   "--embed", "{Z}", "--out", "{out}"]),
+    ("matrix", ["condition", "{props}", "{graphs}", "--nodes", "{deep}",
+                "--embed", "{Z}", "--out", "{out}"]),
+    ("spec", ["synth", "{deep}", "--n", "1", "--out-clean", "{out}",
+              "--out-noisy", "{out}"]),
+])
+def test_deeply_nested_json_exit_2(tmp_path, corpus_path, graphs_path, rng,
+                                   capsys, kind, command, suffix):
+    pp, wp, zp, *_ = TestCondition().write_inputs(tmp_path, graphs_path, rng)
+    deep = tmp_path / f"deep-{kind}.json{suffix}"
+    write_text(deep, [DEEP])
+    out = tmp_path / "out.json"
+    argv = [a.format(deep=deep, corpus=corpus_path, graphs=graphs_path,
+                     props=pp, W=wp, Z=zp, out=out) for a in command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {deep}: invalid JSON" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_version(capsys):

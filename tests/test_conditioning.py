@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from layoutprior import ClassVocabulary, ProposalBatch
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
@@ -195,6 +196,20 @@ class TestSoftMapping:
         assert np.allclose(soft.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(np.sort(hard, axis=1)[:, :-1] == 0)
         assert np.all(hard.sum(axis=1) == 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(arrays(np.float64, st.tuples(st.integers(0, 4), st.integers(1, 4)),
+                  elements=st.one_of(st.floats(), st.sampled_from(
+                      [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                       -2.5e-310, 1.7e308, -1.7e308]))))
+    def test_hard_matches_argmax_scatter(self, logits):
+        """HARD is the one-hot scatter at each row's argmax, to the byte,
+        with signed zeros, infinities, NaN and subnormals in the rows."""
+        want = np.zeros_like(logits)
+        want[np.arange(logits.shape[0]), np.argmax(logits, axis=1)] = 1.0
+        got = soft_mapping(logits, MappingPolicy.HARD)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 class TestProposalNodeFeatures:

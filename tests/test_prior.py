@@ -455,6 +455,11 @@ class TestPersistence:
          "raw counts must be integers"),
         (lambda o: o["raw_counts"][0]["data"].__setitem__(0, 1e300),
          "raw counts must be integers"),
+        # Each spells the file's class names, but is no list.
+        (lambda o: o.update(classes="".join(o["classes"])),
+         "classes must be a list"),
+        (lambda o: o.update(classes=dict.fromkeys(o["classes"], 0)),
+         "classes must be a list"),
     ])
     def test_malformed_file_names_it(self, tmp_path, three_box_corpus,
                                      change, message):
