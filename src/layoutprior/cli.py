@@ -1,6 +1,7 @@
 """Command-line pipelines: build-prior, condition, rescore, eval, synth, render.
 
-Exit codes: 0 success, 2 input/validation error, 3 shape/contract error.
+Exit codes: 0 success, 2 input/validation error (an input that asks for
+more memory than the host has is one), 3 shape/contract error.
 Each command but synth checks its options before it reads a file.
 Summaries go to stderr; data goes to files or stdout.
 """
@@ -38,6 +39,8 @@ def _association(args) -> AssociationPolicy:
 
 def cmd_build_prior(args) -> int:
     config = BandConfig(args.bands, args.band_width)
+    if np.isnan(args.dot_threshold):
+        raise ParseError("dot threshold must be a number, got nan")
     corpus = load_native(args.corpus)
     graphs = build_prior(corpus, config, keep_raw=args.keep_raw)
     save_graphs(graphs, args.out)
@@ -205,6 +208,8 @@ def main(argv=None) -> int:
         return _err(str(e), 3)
     except (LayoutPriorError, OSError) as e:
         return _err(str(e), 2)
+    except MemoryError as e:
+        return _err(str(e) or "out of memory", 2)
 
 
 if __name__ == "__main__":

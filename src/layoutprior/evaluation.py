@@ -160,89 +160,60 @@ def _outside(areas: np.ndarray, config: EvalConfig) -> np.ndarray:
     return (areas < lo) | (areas >= hi)
 
 
-def _greedy(ious: np.ndarray, n_dt: np.ndarray, gt_ig: np.ndarray,
-            gt_pad: np.ndarray, iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy matching of U units' score-ordered detections at one area
-    range and every threshold at once.
-
-    ious is U x D x G; units are ordered by detection count n_dt, most
-    first, so step d touches only the units that have a detection d.
-    Each unit's ground truths lie in reverse input order along G.
-    gt_ig (U x G) flags ground truths outside the area range and gt_pad
-    (U x G) the padding. Each detection claims the unmatched ground
-    truth of highest IoU (the later one in input order on ties, argmax's
-    first) that reaches the threshold, preferring non-ignored ground
-    truths. Returns (matched, matched_ignored), both T x U x D: whether
-    the detection matched, and whether its match is an ignored ground
-    truth.
-    """
-    U, D, G = ious.shape
-    thr = np.minimum(np.asarray(iou_thrs, dtype=np.float64),
-                     1.0 - 1e-10).reshape(-1, 1, 1)
-    taken = np.repeat(gt_pad[None], len(thr), axis=0)
-    matched = np.zeros(taken.shape[:2] + (D,), dtype=bool)
-    matched_ig = np.zeros_like(matched)
-    slots = np.arange(G)
-    for d in range(D):
-        u = int(np.count_nonzero(n_dt > d))
-        row = ious[:u, d]
-        cand = ~taken[:, :u] & (row >= thr)
-        real = cand & ~gt_ig[:u]
-        has_real = real.any(axis=-1)
-        cand = np.where(has_real[..., None], real, cand)
-        hit = cand.any(axis=-1)
-        best = np.argmax(np.where(cand, row, -np.inf), axis=-1)
-        taken[:, :u] |= hit[..., None] & (slots == best[..., None])
-        matched[:, :u, d] = hit
-        matched_ig[:, :u, d] = hit & ~has_real
-    return matched, matched_ig
-
-
 def _match(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
            iou_thrs) -> Tuple[np.ndarray, np.ndarray]:
     """Match every unit's detections, sorted by unit key and then rank,
     to its ground truths, sorted by unit key and then input order.
 
-    dt_out (A x K) and g_out (A x G_total) flag boxes outside each area
-    range. Returns (tp, fp), both A x T x K: whether each detection is a
-    true or a false positive. An ignored detection is neither: its match
-    is an ignored ground truth or, unmatched, it lies outside the range.
+    dt_out (A x K) and g_out (A x G) flag boxes outside each area range.
+    Greedy in rank order, each detection claims the untaken ground truth
+    of highest IoU (the later one in input order on ties) that reaches
+    the threshold, preferring ground truths inside the area range; one
+    sweep over the candidate pairs does every area range and threshold
+    at once. Returns (tp, fp), both A x T x K: whether each detection is
+    a true or a false positive. An ignored detection is neither: its
+    match is an ignored ground truth or, unmatched, it lies outside the
+    range.
     """
-    A, T = len(g_out), len(iou_thrs)
-    if not len(key):
-        return np.zeros((2, A, T, 0), dtype=bool)
-    starts = np.flatnonzero(rank == 0)
-    unit_keys = key[starts]
-    n_dt = np.diff(starts, append=len(key))
-    # Scatter the units into padded rows, most detections first.
-    by_count = np.argsort(-n_dt, kind="stable")
-    row_of = np.empty_like(by_count)
-    row_of[by_count] = np.arange(len(by_count))
-    u = row_of[np.cumsum(rank == 0) - 1]
-    U, D = len(starts), int(n_dt.max())
-    dt_box = np.zeros((U, D, 4))
-    dt_box[u, rank] = boxes
-    # Ground truths of units without detections match nothing.
-    gu = np.searchsorted(unit_keys, g_key)
-    found = unit_keys[np.minimum(gu, U - 1)] == g_key
-    gu, gr = row_of[gu[found]], g_rank[found]
-    G = int(gr.max(initial=0)) + 1
-    gr = G - 1 - gr
-    gt_box = np.zeros((U, G, 4))
-    gt_box[gu, gr] = g_boxes[found]
-    gt_pad = np.ones((U, G), dtype=bool)
-    gt_pad[gu, gr] = False
-    ious = iou_matrix(dt_box, gt_box)
-    tp = np.empty((A, T, len(key)), dtype=bool)
-    fp = np.empty_like(tp)
-    for a in range(A):
-        gt_ig = np.zeros((U, G), dtype=bool)
-        gt_ig[gu, gr] = g_out[a, found]
-        matched, matched_ig = _greedy(ious, n_dt[by_count], gt_ig, gt_pad,
-                                      iou_thrs)
-        m, mig = matched[:, u, rank], matched_ig[:, u, rank]
-        tp[a], fp[a] = m & ~mig, ~m & ~dt_out[a]
-    return tp, fp
+    A, T, K = len(g_out), len(iou_thrs), len(key)
+    thr = np.minimum(np.asarray(iou_thrs, dtype=np.float64),
+                     1.0 - 1e-10).reshape(-1, 1)
+    # Every (detection, ground truth) pair of a unit that reaches some
+    # threshold, by detection rank, then detection, then preference.
+    lo = np.searchsorted(g_key, key)
+    n = np.searchsorted(g_key, key, side="right") - lo
+    det = np.repeat(np.arange(K), n)
+    gt = np.arange(len(det)) + np.repeat(lo - np.cumsum(n) + n, n)
+    iou = iou_matrix(boxes[det, None], g_boxes[gt, None])[:, 0, 0]
+    keep = (iou >= thr).any(axis=0)
+    det, gt, iou = det[keep], gt[keep], iou[keep]
+    order = np.lexsort((-g_rank[gt], -iou, det, rank[det]))
+    det, gt, iou = det[order], gt[order], iou[order]
+    # Where each detection's pairs start; each step is one rank, where a
+    # unit has at most one detection, so a step's ground truths are
+    # distinct.
+    starts = np.append(np.flatnonzero(np.diff(det, prepend=-1)), len(det))
+    steps = np.append(np.flatnonzero(np.diff(rank[det[starts[:-1]]],
+                                             prepend=-1)), len(starts) - 1)
+    taken = np.zeros((A, T, len(g_key)), dtype=bool)
+    tp = np.zeros((A, T, K), dtype=bool)
+    matched = np.zeros_like(tp)
+    for s0, s1 in zip(steps[:-1], steps[1:]):
+        p0, p1 = starts[s0], starts[s1]
+        g, pos = gt[p0:p1], np.arange(p0, p1)
+        cand = ~taken[:, :, g] & (iou[p0:p1] >= thr)
+        # Each detection's first candidate pair, in-range ones first (p1
+        # where it has none); a match in range is a true positive.
+        inside, first = (np.minimum.reduceat(np.where(c, pos, p1),
+                                             starts[s0:s1] - p0, axis=-1)
+                         for c in (cand & ~g_out[:, None, g], cand))
+        first = np.where(inside < p1, inside, first)
+        taken[:, :, g] |= pos == np.repeat(first, np.diff(starts[s0:s1 + 1]),
+                                           axis=-1)
+        d = det[starts[s0:s1]]
+        tp[:, :, d] = inside < p1
+        matched[:, :, d] = first < p1
+    return tp, ~matched & ~dt_out[:, None]
 
 
 def evaluate(dets: Corpus, gts: Corpus,

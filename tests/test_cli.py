@@ -110,6 +110,32 @@ class TestBuildPrior:
                      "--dot", str(dot)]) == 0
         assert dot.read_text().startswith("graph cooccurrence")
 
+    def test_nan_dot_threshold_exit_2(self, tmp_path, corpus_path, capsys):
+        # E > nan holds nowhere: the graph would have no edges.
+        out, dot = tmp_path / "g.json", tmp_path / "g.dot"
+        assert main(["build-prior", str(corpus_path), "--out", str(out),
+                     "--dot", str(dot), "--dot-threshold", "nan"]) == 2
+        assert capsys.readouterr().err == \
+            "error: dot threshold must be a number, got nan\n"
+        assert not out.exists() and not dot.exists()
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 8.75 GiB for an array"),
+         "Unable to allocate 8.75 GiB for an array"),
+        (MemoryError(), "out of memory")])
+    def test_memory_error_exit_2(self, tmp_path, corpus_path, capsys,
+                                 monkeypatch, exc, message):
+        # An input that asks for more memory than the host holds, such as
+        # --bands 100000000, is an input error, not a traceback.
+        def build_prior(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "build_prior", build_prior)
+        out = tmp_path / "g.json"
+        assert main(["build-prior", str(corpus_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["build-prior", "--help"])
@@ -472,6 +498,8 @@ class TestRescoreCmd:
 @pytest.mark.parametrize("argv, rule", [
     (["build-prior", "{f}", "--bands", "0"], "n_bands must be >= 1"),
     (["build-prior", "{f}", "--band-width", "2"], "band_width_frac must be"),
+    (["build-prior", "{f}", "--dot-threshold", "nan"],
+     "dot threshold must be a number, got nan"),
     (["condition", "{f}", "{f}", "--nodes", "{f}", "--embed", "{f}",
       "--sigma", "nan"], "association needs a finite mu"),
     (["rescore", "{f}", "{f}", "--confidence", "nan"],
