@@ -498,12 +498,12 @@ class TestRescoreCmd:
 @pytest.mark.parametrize("argv, rule", [
     (["build-prior", "{f}", "--bands", "0"], "n_bands must be >= 1"),
     (["build-prior", "{f}", "--band-width", "2"], "band_width_frac must be"),
-    (["build-prior", "{f}", "--dot-threshold", "nan"],
-     "dot threshold must be a number, got nan"),
     (["condition", "{f}", "{f}", "--nodes", "{f}", "--embed", "{f}",
       "--sigma", "nan"], "association needs a finite mu"),
     (["rescore", "{f}", "{f}", "--confidence", "nan"],
      "label confidence must be finite, got nan"),
+    (["build-prior", "{f}", "--dot-threshold", "nan"],
+     "dot threshold must be a number, got nan"),
 ])
 def test_options_checked_before_files(tmp_path, capsys, argv, rule):
     missing, out = tmp_path / "none.json", tmp_path / "o.json"
