@@ -7,6 +7,7 @@ MTX-JSON: ``{"rows": R, "cols": C, "data": [...]}`` in row-major order.
 
 from __future__ import annotations
 
+import gc
 import gzip
 import io
 import json
@@ -127,20 +128,37 @@ def read_json(path, parse):
     Content that does not decode, or that `parse` rejects with one of
     PARSE_ERRORS, raises a ParseError naming the file. Any other OSError
     passes through.
+
+    The decode and the parse run with the cyclic garbage collector
+    paused. A decoded document holds one container per JSON object and
+    array, tens of thousands for a corpus, and no reference cycle, so
+    the collections that allocating them would start free nothing. On
+    the way out the decoded document is released first; only then is the
+    collector re-enabled, and only if it was enabled on entry. Were the
+    document released after, an allocation in between would find the
+    youngest generation tens of thousands of objects over its threshold
+    and start a pass over the whole document.
     """
-    with open_text(path) as f:
-        try:
-            obj = json.load(f)
-        # JSONDecodeError and UnicodeDecodeError are ValueErrors; a bad
-        # .gz raises EOFError, zlib.error or BadGzipFile, and nesting too
-        # deep for the decoder RecursionError.
-        except (ValueError, EOFError, zlib.error, gzip.BadGzipFile,
-                RecursionError) as e:
-            raise ParseError(f"{path}: invalid JSON: {e}") from None
+    enabled, obj = gc.isenabled(), None
+    gc.disable()
     try:
-        return parse(obj)
-    except PARSE_ERRORS as e:
-        raise parse_error(path, e) from None
+        with open_text(path) as f:
+            try:
+                obj = json.load(f)
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors; a bad
+            # .gz raises EOFError, zlib.error or BadGzipFile, and nesting
+            # too deep for the decoder RecursionError.
+            except (ValueError, EOFError, zlib.error, gzip.BadGzipFile,
+                    RecursionError) as e:
+                raise ParseError(f"{path}: invalid JSON: {e}") from None
+        try:
+            return parse(obj)
+        except PARSE_ERRORS as e:
+            raise parse_error(path, e) from None
+    finally:
+        obj = None  # the document goes before the collector resumes
+        if enabled:
+            gc.enable()
 
 
 @dataclass(frozen=True)
@@ -164,6 +182,13 @@ class ClassVocabulary:
     @property
     def size(self) -> int:
         return len(self.names)
+
+    @property
+    def id_of(self):
+        """The id of a class name, looked up in C: unchecked, it raises
+        KeyError for an unknown name and TypeError for an unhashable one,
+        where `index` raises a ParseError."""
+        return self._index.__getitem__
 
     def index(self, name: str) -> int:
         try:

@@ -10,12 +10,13 @@ are not supported.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import LayoutPriorError, box_areas, iou_matrix
+from .core import LayoutPriorError, ParseError, box_areas, iou_matrix
 from .ingest import Corpus
 
 SENTINEL = -1.0
@@ -51,6 +52,21 @@ class EvalConfig:
         ("large", 96.0 ** 2, float("inf")),
     )
     max_dets: tuple = (1, 10, 100)
+
+    def __post_init__(self):
+        # A partial config, without a threshold, area range or cap that the
+        # summary reads, is legal: that summary field reads SENTINEL.
+        for name in ("iou_thresholds", "recall_points"):
+            for v in getattr(self, name):
+                if isinstance(v, bool) or not (
+                        isinstance(v, numbers.Real) and 0.0 <= v <= 1.0):
+                    raise ParseError(
+                        f"{name} must be numbers in [0, 1], got {v!r}")
+        for v in self.max_dets:
+            if isinstance(v, bool) or not (
+                    isinstance(v, numbers.Integral) and v >= 1):
+                raise ParseError(
+                    f"max_dets must be positive integers, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -216,18 +232,23 @@ def _match(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
     return tp, ~matched & ~dt_out[:, None]
 
 
+def _some(ids: set, shown: int = 5) -> str:
+    """The list of the first `shown` of `ids` in sorted order, and how
+    many more there are."""
+    more = f" and {len(ids) - shown} more" if len(ids) > shown else ""
+    return f"{sorted(ids)[:shown]}{more}"
+
+
 def evaluate(dets: Corpus, gts: Corpus,
              config: EvalConfig = EvalConfig()) -> EvalReport:
     if dets.vocabulary.names != gts.vocabulary.names:
         raise LayoutPriorError("detection and ground-truth vocabularies differ")
     det_ids, gt_ids = set(dets.ids), set(gts.ids)
     if det_ids != gt_ids:
-        missing = sorted(gt_ids - det_ids)
-        extra = sorted(det_ids - gt_ids)
         raise LayoutPriorError(
-            f"layout id sets differ; missing from detections: {missing}, "
-            f"unknown in detections: {extra}"
-        )
+            "layout id sets differ; missing from detections: "
+            f"{_some(gt_ids - det_ids)}, unknown in detections: "
+            f"{_some(det_ids - gt_ids)}")
 
     C, I, A = gts.vocabulary.size, len(dets.ids), len(config.area_ranges)
     iou_thrs = config.iou_thresholds

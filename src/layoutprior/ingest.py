@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -137,7 +138,12 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     layout = np.repeat(np.arange(L), np.fromiter(map(len, comps), np.int64, L))
     flat = list(itertools.chain.from_iterable(comps))
     N = len(flat)
-    cls = np.fromiter((vocab.index(c["class"]) for c in flat), np.int64, N)
+    names = map(operator.itemgetter("class"), flat)
+    try:
+        cls = np.fromiter(map(vocab.id_of, names), np.int64, N)
+    except (KeyError, TypeError):
+        # Read again one at a time, so that the first fault raises its text.
+        cls = np.fromiter((vocab.index(c["class"]) for c in flat), np.int64, N)
     boxes = json_numbers([c["bbox"] for c in flat], "bbox coordinate", 4)
     scores = [c.get("score") for c in flat]
     scored = np.fromiter((s is not None for s in scores), bool, N)

@@ -24,6 +24,9 @@ from .ingest import Corpus
 
 GRAPH_SCHEMA_VERSION = 1
 
+# The most (upper, lower) float64 rows a numpy array can address.
+_MAX_BANDS = np.iinfo(np.intp).max // 16
+
 
 @dataclass(frozen=True)
 class BandConfig:
@@ -37,6 +40,9 @@ class BandConfig:
             raise ParseError(f"n_bands must be an integer, got {n!r}")
         if n < 1:
             raise ParseError("n_bands must be >= 1")
+        if n > _MAX_BANDS:  # numpy would fail or, near 2**63, give no rows
+            raise ParseError(f"n_bands must be at most {_MAX_BANDS}, the "
+                             "most band bounds an array can hold")
         if width is None:
             width = 1.0 / n
         elif not isinstance(width, numbers.Real) or isinstance(width, bool):

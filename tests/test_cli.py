@@ -136,6 +136,19 @@ class TestBuildPrior:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # Counts numpy's size check refuses without allocating; near 2**63
+    # np.arange gives no rows at all.
+    @pytest.mark.parametrize("bands", [2**62, 2**63 - 1, 2**63])
+    def test_band_count_past_array_limit_exit_2(self, tmp_path, corpus_path,
+                                                capsys, bands):
+        out = tmp_path / "g.json"
+        assert main(["build-prior", str(corpus_path), "--bands", str(bands),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: n_bands must be at most 576460752303423487, the most "
+            "band bounds an array can hold\n")
+        assert not out.exists()
+
     def test_help_documents_defaults(self, capsys):
         with pytest.raises(SystemExit):
             main(["build-prior", "--help"])
@@ -584,6 +597,22 @@ class TestEvalCmd:
         op.write_text(json.dumps(other))
         assert main(["eval", str(op), str(corpus_path)]) == 2
 
+    def test_id_mismatch_lists_five_ids_a_side(self, tmp_path, capsys):
+        def corpus(name, ids):
+            p = tmp_path / name
+            p.write_text(json.dumps({"classes": ["A"], "layouts": [
+                {"id": i, "width": 10, "height": 10} for i in ids]}))
+            return str(p)
+
+        # Nine ground-truth ids, eight missing; five unknown, none more.
+        dets = corpus("dets.json", ["g0", "x5", "x4", "x3", "x2", "x1"])
+        gts = corpus("gts.json", [f"g{i}" for i in range(9)])
+        assert main(["eval", dets, gts]) == 2
+        assert capsys.readouterr().err == (
+            "error: layout id sets differ; missing from detections: "
+            "['g1', 'g2', 'g3', 'g4', 'g5'] and 3 more, unknown in "
+            "detections: ['x1', 'x2', 'x3', 'x4', 'x5']\n")
+
     def test_vocabulary_mismatch_exit_2(self, tmp_path, corpus_path, capsys):
         other = json.loads(json.dumps(CORPUS))
         other["classes"].append("D")
@@ -955,6 +984,25 @@ def test_version(capsys):
     assert e.value.code == 0
     out = capsys.readouterr().out
     assert "layoutprior" in out and "schema v1" in out
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    built = []
+
+    def build_parser():
+        built.append(1)
+        return real()
+
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            assert main(["render", str(tmp_path / "none.json"), "l1",
+                         "--out", str(tmp_path / "o.svg")]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
 
 
 def _scaled(corpus, factor):

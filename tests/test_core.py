@@ -1,4 +1,5 @@
 import ast
+import gc
 import gzip
 import json
 import math
@@ -294,6 +295,10 @@ def test_matrix_rewrite_keeps_bytes(m):
     assert_rewrite_stable(save_matrix, load_matrix, m)
 
 
+def _raise(error):
+    raise error
+
+
 class TestReadJson:
     def test_gzip_matrix(self, tmp_path):
         p = tmp_path / "m.json.gz"
@@ -354,6 +359,38 @@ class TestReadJson:
     def test_os_error_passes_through(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_json(tmp_path / "missing.json", lambda obj: obj)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text, parse, raised", [
+        ("[1, [2]]", lambda obj: obj, None),
+        ("[1, [2", lambda obj: obj, ParseError),
+        ("[1, [2]]", lambda obj: obj["rows"], ParseError),
+        ("[1, [2]]", lambda obj: _raise(MemoryError()), MemoryError),
+    ], ids=["parsed", "invalid-json", "parse-error", "memory-error"])
+    def test_leaves_gc_as_found(self, tmp_path, enabled, text, parse,
+                                raised):
+        """The collector is paused while `parse` runs, and afterwards is
+        enabled or disabled as it was before the call."""
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        paused = []
+
+        def parse_paused(obj):
+            paused.append(not gc.isenabled())
+            return parse(obj)
+
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if raised is None:
+                assert read_json(p, parse_paused) == [1, [2]]
+            else:
+                with pytest.raises(raised):
+                    read_json(p, parse_paused)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert paused in ([], [True])
 
 
 class TestWriteText:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from layoutprior import (BBox, ClassVocabulary, Component, LayoutDocument,
                          load_native)
-from layoutprior.core import LayoutPriorError, box_areas, iou_matrix
+from layoutprior.core import (LayoutPriorError, ParseError, box_areas,
+                              iou_matrix)
 from layoutprior.evaluation import (SENTINEL, EvalConfig, EvalReport,
                                     evaluate, precision_recall)
 from layoutprior.ingest import corpus_to_obj
@@ -120,6 +122,42 @@ class TestPrecisionRecall:
             want = np.append(pr, 0.0)[np.searchsorted(tp / n, points)]
             got, ap = precision_recall(flags, n, points)
             assert np.array_equal(got, want) and ap == float(want.mean())
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"iou_thresholds": (0.5, float("nan"))},
+         "iou_thresholds must be numbers in [0, 1], got nan"),
+        ({"iou_thresholds": (1.5,)},
+         "iou_thresholds must be numbers in [0, 1], got 1.5"),
+        ({"iou_thresholds": (float("inf"),)},
+         "iou_thresholds must be numbers in [0, 1], got inf"),
+        ({"iou_thresholds": ("0.5",)},
+         "iou_thresholds must be numbers in [0, 1], got '0.5'"),
+        ({"recall_points": (0.0, -0.1)},
+         "recall_points must be numbers in [0, 1], got -0.1"),
+        ({"recall_points": (True,)},
+         "recall_points must be numbers in [0, 1], got True"),
+        ({"max_dets": (1, 0)}, "max_dets must be positive integers, got 0"),
+        ({"max_dets": (-5,)}, "max_dets must be positive integers, got -5"),
+        ({"max_dets": (10.0,)},
+         "max_dets must be positive integers, got 10.0"),
+        ({"max_dets": (True,)},
+         "max_dets must be positive integers, got True"),
+    ])
+    def test_invalid(self, kwargs, message):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            EvalConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"iou_thresholds": (0.0, 0.3, 1.0)},
+        {"iou_thresholds": (np.float64(0.6),)},
+        {"recall_points": (0, 1)}, {"max_dets": (5,)},
+        {"max_dets": (np.int64(3), 200)},
+        {"area_ranges": (("small", 0.0, 32.0 ** 2),)},
+    ])
+    def test_partial_configs_legal(self, kwargs):
+        EvalConfig(**kwargs)
 
 
 class TestEvaluate:

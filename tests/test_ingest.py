@@ -1,3 +1,4 @@
+import gc
 import gzip
 import json
 import re
@@ -182,11 +183,45 @@ def test_contract_fault_in_last_layout_names_it(tmp_path, field, value,
      "malformed box (5.0,0.0,1.0,1.0): coordinates must be finite with "
      "x1 <= x2 and y1 <= y2"),
     ({"width": 0}, "layout 'b': canvas size must be positive and finite"),
+    ({"components": [{"bbox": [0, 0, 1, 1], "class": ["Text"]},
+                     {"bbox": [0, 0, 1, 1]}]},
+     "unknown class name: ['Text']"),
 ])
 def test_first_fault_in_reading_order(tmp_path, layout, reason):
     bad = json.loads(json.dumps(NATIVE))
     bad["layouts"].append({**bad["layouts"][0], "id": "b", **layout})
     assert_rejected(tmp_path, bad, f"layout 1: id 'b': {reason}")
+
+
+def test_load_starts_no_collection(tmp_path):
+    """load_native decodes and parses with the cyclic GC paused, and
+    releases the decoded document before it resumes: no collection starts,
+    and the youngest generation's count ends where it began."""
+    corpus = generate(workload_spec(7), 200)[0]
+    assert corpus.index.size >= 2000
+    p = tmp_path / "corpus.json"
+    save_native(corpus, p)
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    enabled = gc.isenabled()
+    gc.enable()
+    gc.collect()
+    before = gc.get_count()[0]
+    gc.callbacks.append(note)
+    try:
+        loaded = load_native(p)
+        after = gc.get_count()[0]
+    finally:
+        gc.callbacks.remove(note)
+        if not enabled:
+            gc.disable()
+    assert loaded == corpus
+    assert starts == []
+    assert abs(after - before) < 300
 
 
 def test_class_id_out_of_range_rejected():

@@ -96,6 +96,16 @@ class TestBands:
         with pytest.raises(ParseError):
             BandConfig(n, w)
 
+    def test_count_an_array_can_hold(self):
+        # The largest count whose N x 2 float64 bounds numpy can address is
+        # accepted, as the table is only built on first use; one more is
+        # refused.
+        assert BandConfig(2**59 - 1).n_bands == 2**59 - 1
+        for n in (2**59, 2**63 - 1, 2**63):
+            with pytest.raises(ParseError, match=f"^n_bands must be at most "
+                                                 f"{2**59 - 1}, "):
+                BandConfig(n)
+
 
 def centres(corpus) -> np.ndarray:
     """Each box's centre y as a fraction of its canvas height."""

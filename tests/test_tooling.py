@@ -63,3 +63,27 @@ def test_property_tests_are_deterministic():
             if not REQUIRED.items() <= keywords.items():
                 loose.append(f"{path.name}:{node.lineno} {node.name}")
     assert loose == []
+
+
+def _decodes(node):
+    """Whether `node` calls json.load or json.loads, by either name."""
+    return isinstance(node, ast.Call) and (
+        ast.unparse(node.func) in ("json.load", "json.loads")
+        or getattr(node.func, "id", None) in ("load", "loads"))
+
+
+def test_json_decoded_only_in_read_json():
+    """Every JSON decode in src/ is core.read_json's, so every reader
+    decodes with the cyclic GC paused, as read_json does."""
+    calls = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "core.py":
+            (read_json,) = [n for n in tree.body if isinstance(
+                n, ast.FunctionDef) and n.name == "read_json"]
+            allowed = {id(n) for n in ast.walk(read_json)}
+        calls += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if _decodes(n) and id(n) not in allowed]
+    assert calls == []
+    assert any(_decodes(n) for n in ast.walk(read_json))
