@@ -18,9 +18,9 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (BBox, ParseError, ProposalBatch, ShapeError,
-                   fields_equal, finite, json_number, json_numbers, matmul,
-                   matrix_from_json, matrix_to_json, midpoint, read_json,
+from .core import (ParseError, ProposalBatch, ShapeError, fields_equal,
+                   finite, json_number, json_numbers, matmul,
+                   matrix_from_json, matrix_to_json, midpoints, read_json,
                    row_softmax, write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
@@ -85,8 +85,9 @@ class NodeFeatures:
 def band_association(proposals: ProposalBatch, bands: BandConfig,
                      policy: AssociationPolicy) -> np.ndarray:
     """N_r x N_g association weights of a proposal batch (`association`)."""
-    yc = np.array([midpoint(b.y1, b.y2) for b in proposals.boxes])
-    return association(yc / proposals.layout_height, bands, policy)
+    c = proposals.coords
+    return association(midpoints(c[:, 1], c[:, 3]) / proposals.layout_height,
+                       bands, policy)
 
 def _nearest(dist: np.ndarray) -> np.ndarray:
     """One-hot rows at each row's least entry, the lowest index on ties."""
@@ -204,8 +205,7 @@ def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
 def proposals_to_obj(batch: ProposalBatch) -> dict:
     obj = {
         "height": float(batch.layout_height),
-        "boxes": [list(map(float, (b.x1, b.y1, b.x2, b.y2)))
-                  for b in batch.boxes],
+        "boxes": batch.coords.tolist(),
         "logits": matrix_to_json(batch.logits),
     }
     if batch.features is not None:
@@ -222,10 +222,14 @@ def proposals_from_obj(obj: dict) -> ProposalBatch:
     features = obj.get("features")
     if features is not None:
         features = matrix_from_json(features)
-    return ProposalBatch(tuple(map(BBox, *boxes.T.tolist())), logits, height,
-                         features)
+    return ProposalBatch(boxes, logits, height, features)
 
 def save_proposals(batch: ProposalBatch, path) -> None:
+    """Write `batch` as JSON; non-finite entries raise as in `save_matrix`."""
+    if not all(np.isfinite(m).all() for m in (batch.logits, batch.features)
+               if m is not None):
+        raise ParseError(f"{path}: not written: MTX-JSON entries must be "
+                         "finite")
     write_text(path, [json.dumps(proposals_to_obj(batch))])
 
 def load_proposals(path) -> ProposalBatch:

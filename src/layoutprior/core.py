@@ -14,6 +14,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -241,9 +242,10 @@ class LayoutDocument:
 
 @dataclass(frozen=True, eq=False)
 class ProposalBatch:
-    """N_r candidate boxes with class logits and optional features."""
+    """N_r candidate boxes, as read-only (N_r, 4) float64 `coords` rows of
+    x1, y1, x2, y2, with class logits and optional features."""
 
-    boxes: tuple
+    coords: np.ndarray
     logits: np.ndarray
     layout_height: float
     features: Optional[np.ndarray] = None
@@ -251,34 +253,33 @@ class ProposalBatch:
     __eq__ = fields_equal  # and no hash, as the arrays have none
 
     def __post_init__(self):
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        logits = np.asarray(self.logits, dtype=np.float64)
-        object.__setattr__(self, "logits", logits)
-        if logits.ndim != 2 or logits.shape[0] != len(self.boxes):
-            raise ShapeError(
-                f"logits shape {logits.shape} does not match {len(self.boxes)} boxes"
-            )
-        if self.features is not None:
-            feats = np.asarray(self.features, dtype=np.float64)
-            if feats.ndim != 2 or feats.shape[0] != len(self.boxes):
+        # A private copy, so that the `boxes` view cannot go stale.
+        c = read_only(np.array(self.coords, dtype=np.float64))
+        object.__setattr__(self, "coords", c)
+        if c.ndim != 2 or c.shape[1] != 4:
+            raise ShapeError(f"coords shape {c.shape} is not (N, 4)")
+        if not (np.isfinite(c).all() and (c[:, :2] <= c[:, 2:]).all()):
+            for row in c.tolist():  # the first bad row raises BBox's error
+                BBox(*row)
+        for name in ("logits",) + ("features",) * (self.features is not None):
+            m = np.asarray(getattr(self, name), dtype=np.float64)
+            if m.ndim != 2 or m.shape[0] != len(c):
                 raise ShapeError(
-                    f"features shape {feats.shape} does not match "
-                    f"{len(self.boxes)} boxes"
-                )
-            object.__setattr__(self, "features", feats)
+                    f"{name} shape {m.shape} does not match {len(c)} boxes")
+            object.__setattr__(self, name, m)
         if not (finite(self.layout_height) and self.layout_height > 0):
             raise ParseError("layout_height must be positive and finite")
 
-
-def midpoint(lo: float, hi: float) -> float:
-    """(lo + hi) / 2 of two finite floats; where the sum passes the float
-    range, lo / 2 + hi / 2, which does not."""
-    mid = (lo + hi) / 2.0
-    return lo / 2.0 + hi / 2.0 if math.isinf(mid) else mid
+    @cached_property
+    def boxes(self) -> tuple:
+        """The boxes as BBox objects, built on first use: a read-only view
+        kept for callers outside the library."""
+        return tuple(map(BBox, *self.coords.T.tolist()))
 
 
 def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """`midpoint` of each pair of entries of two float arrays."""
+    """(lo + hi) / 2 of each pair of entries of two finite float arrays;
+    where the sum passes the float range, lo / 2 + hi / 2, which does not."""
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
     return np.where(np.isinf(mid), lo / 2.0 + hi / 2.0, mid)

@@ -10,6 +10,8 @@ with the propagated prior.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import attrgetter
 from typing import ClassVar
 
 import numpy as np
@@ -53,7 +55,7 @@ def rescore(detections: ProposalBatch, graphs: CoOccurrenceGraphSet,
     s = row_softmax(detections.logits)  # n x C
     alpha = band_association(detections, graphs.band_config,
                              config.association)
-    return ProposalBatch(detections.boxes,
+    return ProposalBatch(detections.coords,
                          _rescore(s, alpha, graphs.edges, config),
                          detections.layout_height, detections.features)
 
@@ -103,7 +105,9 @@ def labels_to_logits(layout: LayoutDocument, n_classes: int,
     """Soft logits from labeled components: mass `confidence` on the
     label (scaled by the component score when present), remainder uniform."""
     comps = layout.components
-    return ProposalBatch(tuple(c.bbox for c in comps), _label_logits(
+    corners = map(attrgetter("x1", "y1", "x2", "y2"), [c.bbox for c in comps])
+    coords = np.fromiter(chain.from_iterable(corners), float, 4 * len(comps))
+    return ProposalBatch(coords.reshape(-1, 4), _label_logits(
         [c.class_id for c in comps],
         np.array([1.0 if c.score is None else c.score for c in comps]),
         n_classes,

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tempfile
 from pathlib import Path
 
@@ -95,6 +96,22 @@ def assert_rewrite_stable(save, load, value):
             written = p.read_bytes()
             save(load(p), p)
             assert p.read_bytes() == written, name
+
+
+LAYOUT_OBJECTS = ("BBox", "Component", "LayoutDocument")
+
+
+def refuse_layout_objects(monkeypatch):
+    """Make BBox, Component and LayoutDocument raise when called, under
+    each name that a layoutprior module binds them to, core's included."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a layout object was built")
+
+    for module in [m for n, m in sys.modules.items()
+                   if n.split(".")[0] == "layoutprior"]:
+        for name in LAYOUT_OBJECTS:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
 
 
 @pytest.fixture

@@ -103,7 +103,8 @@ def test_criterion_04_association_contracts():
         n = int(rng.integers(1, 30))
         boxes = tuple(BBox(0, y - 1, 10, y + 1)
                       for y in rng.uniform(1, 99, size=n))
-        batch = ProposalBatch(boxes, np.zeros((n, 2)), 100.0)
+        batch = ProposalBatch([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
+                              np.zeros((n, 2)), 100.0)
         for kind in AssociationKind:
             alpha = band_association(batch, bands5,
                                      AssociationPolicy(kind, sigma=0.3))
@@ -118,7 +119,7 @@ def test_criterion_04_association_contracts():
             if np.sum(d == d.min()) == 1:  # unique nearest band
                 assert np.argmax(tiny[i]) == np.argmax(single[i])
     two = BandConfig(2)
-    mid = ProposalBatch((BBox(0, 45, 10, 55),), np.zeros((1, 2)), 100.0)
+    mid = ProposalBatch([(0, 45, 10, 55)], np.zeros((1, 2)), 100.0)
     alpha = band_association(mid, two, AssociationPolicy())
     assert np.allclose(alpha, [[0.5, 0.5]], atol=1e-12)
     report(4, "row-stochastic alpha for all policies; sigma->0 matches "

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import gzip
 import json
@@ -8,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from layoutprior import cli, ingest, load_native, save_native
-from layoutprior.cli import main
+from layoutprior import (ProposalBatch, cli, ingest, load_native,
+                         save_native)
+from layoutprior.cli import build_parser, main
 from layoutprior.conditioning import (MappingPolicy, NodeFeatures,
-                                      soft_mapping)
+                                      save_proposals, soft_mapping)
 from layoutprior.core import (LayoutDocument, load_matrix, open_text,
                               save_matrix, write_text)
 from layoutprior.prior import load_graphs
@@ -19,6 +21,7 @@ from layoutprior.ingest import corpus_to_obj
 from layoutprior.render import render_layout_svg
 from layoutprior.synth import generate, spec_to_obj
 
+from conftest import refuse_layout_objects
 from reference_eval import reference_evaluate
 from test_synth import block_spec
 
@@ -262,6 +265,25 @@ class TestCondition:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith(f"error: {pp}: ") and reason in err
+
+    @pytest.mark.parametrize("bad", [[10, 45, 0, 55],
+                                     [0, 45, float("nan"), 55]])
+    def test_bad_box_exit_2_names_first(self, tmp_path, graphs_path, rng,
+                                        capsys, bad):
+        pp, wp, zp, props, _, _ = self.write_inputs(tmp_path, graphs_path,
+                                                    rng)
+        props["boxes"] = [[0, 5, 10, 15], bad, [0, 60, 10, 50]]
+        props["logits"] = {"rows": 3, "cols": 3, "data": [0.0] * 9}
+        pp.write_text(json.dumps(props))
+        out = tmp_path / "o.json"
+        assert main(["condition", str(pp), str(graphs_path),
+                     "--nodes", str(wp), "--embed", str(zp),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        x1, y1, x2, y2 = map(float, bad)
+        assert capsys.readouterr().err == (
+            f"error: {pp}: malformed box ({x1},{y1},{x2},{y2}): coordinates "
+            "must be finite with x1 <= x2 and y1 <= y2\n")
 
     def test_numeric_string_in_matrix_exit_2(self, tmp_path, graphs_path,
                                              rng, capsys):
@@ -828,16 +850,27 @@ class TestRenderCmd:
         assert out.read_text() == want
 
 
-def test_commands_build_no_layout_objects(tmp_path, monkeypatch, capsys):
-    """synth, build-prior, rescore, eval and render write the same bytes
-    when ingest's layout object classes refuse to be built."""
+def test_commands_build_no_layout_objects(tmp_path, monkeypatch, capsys,
+                                          rng):
+    """synth, build-prior, rescore, condition, eval and render write the
+    same bytes when the layout object classes refuse to be built."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(spec_to_obj(block_spec(noise=0.3, seed=3))))
+    props = tmp_path / "props.json"
+    props.write_text(json.dumps({
+        "height": 640.0, "boxes": [[0, 5, 10, 15], [0, 400, 10, 500]],
+        "logits": {"rows": 2, "cols": 6,
+                   "data": list(rng.standard_normal(12))},
+        "features": {"rows": 2, "cols": 3,
+                     "data": list(rng.standard_normal(6))}}))
+    W, Z = tmp_path / "W.json", tmp_path / "Z.json"
+    save_matrix(rng.standard_normal((6, 4)), W)
+    save_matrix(rng.standard_normal((4, 5)), Z)
 
     def run(d):
         d.mkdir()
         p = {n: str(d / n) for n in ("clean.json", "noisy.json", "g.json",
-                                     "r.json", "l.svg")}
+                                     "r.json", "f.json", "l.svg")}
         assert main(["synth", str(spec), "--n", "6",
                      "--out-clean", p["clean.json"],
                      "--out-noisy", p["noisy.json"]]) == 0
@@ -845,6 +878,9 @@ def test_commands_build_no_layout_objects(tmp_path, monkeypatch, capsys):
                      "--keep-raw", "--out", p["g.json"]]) == 0
         assert main(["rescore", p["noisy.json"], p["g.json"],
                      "--out", p["r.json"]]) == 0
+        assert main(["condition", str(props), p["g.json"], "--nodes", str(W),
+                     "--embed", str(Z), "--concat",
+                     "--out", p["f.json"]]) == 0
         assert main(["render", p["clean.json"], "synth-00002",
                      "--out", p["l.svg"]]) == 0
         capsys.readouterr()
@@ -854,12 +890,7 @@ def test_commands_build_no_layout_objects(tmp_path, monkeypatch, capsys):
                                          for v in p.values()]
 
     want = run(tmp_path / "objects")
-
-    def refuse(*args):
-        raise AssertionError("a layout object was built")
-
-    for name in ("LayoutDocument", "Component", "BBox"):
-        monkeypatch.setattr(ingest, name, refuse)
+    refuse_layout_objects(monkeypatch)
     assert run(tmp_path / "arrays") == want
 
 
@@ -1191,3 +1222,83 @@ def test_mutation_fuzz_exits_cleanly(tmp_path, capsys):
                       target: b"\xff\xfe{not json"}
             assert run("bytes", name, target, inputs) == 2, (name, target)
     capsys.readouterr()
+
+
+# Every value the option fuzz gives each int or float option, as text.
+OPTION_VALUES = ("nan", "inf", "-inf", "0.0", "-0.0", "5e-324", "1e308", "-1",
+                 str(2 ** 31), str(2 ** 62), str(2 ** 63))
+
+# Option values the fuzz does not run, as the ints n with lo < n <= hi
+# (no hi: every n past lo), and why: each would allocate or loop at scale.
+AT_SCALE = {
+    ("synth", "--n"): (64, None, "generates n layouts, block by block"),
+    ("build-prior", "--bands"): (64, 2 ** 59 - 1,
+                                 "allocates an n-row band table and n "
+                                 "C x C graphs; past 2**59 - 1 it is "
+                                 "refused before any work"),
+}
+
+# A run of each subcommand that succeeds, with "{out}" its output folder.
+OPTION_BASE = {
+    "build-prior": ["{noisy}", "--dot", "{out}/g.dot", "--out",
+                    "{out}/g.json"],
+    "condition": ["{props}", "{graphs}", "--nodes", "{W}", "--embed", "{Z}",
+                  "--concat", "--out", "{out}/f.json"],
+    "rescore": ["{noisy}", "{graphs}", "--out", "{out}/r.json"],
+    "eval": ["{noisy}", "{clean}", "--format", "json"],
+    "synth": ["{spec}", "--n", "3", "--out-clean", "{out}/c.json",
+              "--out-noisy", "{out}/n.json"],
+    "render": ["{clean}", "synth-00000", "--out", "{out}/l.svg"],
+}
+
+
+def numeric_options():
+    """(subcommand, option) of every int or float option of build_parser()."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(OPTION_BASE)
+    return [(name, a.option_strings[0]) for name, p in sub.choices.items()
+            for a in p._actions if a.option_strings and a.type in (int, float)]
+
+
+@pytest.mark.parametrize("command, option", numeric_options())
+def test_numeric_option_fuzz(tmp_path, capsys, rng, command, option):
+    """Each value of OPTION_VALUES, save those AT_SCALE skips, exits 0, 2
+    or 3 without a traceback, and no file written holds NaN or Infinity."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(spec_to_obj(block_spec(noise=0.3, seed=3))))
+    clean, noisy = generate(block_spec(noise=0.3, seed=3), 4)
+    files = {"spec": spec, "clean": tmp_path / "clean.json",
+             "noisy": tmp_path / "noisy.json", "graphs": tmp_path / "g.json",
+             "props": tmp_path / "props.json", "W": tmp_path / "W.json",
+             "Z": tmp_path / "Z.json"}
+    save_native(clean, files["clean"])
+    save_native(noisy, files["noisy"])
+    assert main(["build-prior", str(files["noisy"]), "--bands", "3",
+                 "--out", str(files["graphs"])]) == 0
+    C = clean.vocabulary.size
+    save_proposals(ProposalBatch(noisy.boxes[:3], rng.standard_normal((3, C)),
+                                 640.0, rng.standard_normal((3, 2))),
+                   files["props"])
+    save_matrix(rng.standard_normal((C, 4)), files["W"])
+    save_matrix(rng.standard_normal((4, 5)), files["Z"])
+    lo, hi, _ = AT_SCALE.get((command, option), (None, None, None))
+    for k, value in enumerate(OPTION_VALUES):
+        if lo is not None and re.fullmatch(r"-?\d+", value) \
+                and int(value) > lo and (hi is None or int(value) <= hi):
+            continue
+        out = tmp_path / f"out{k}"
+        out.mkdir()
+        argv = [command] + [a.format(out=out, **files)
+                            for a in OPTION_BASE[command]]
+        try:
+            code = main(argv + [f"{option}={value}"])
+        except SystemExit as e:  # argparse refuses the value
+            code = e.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and "Traceback" not in err, (value, err)
+        for written in out.iterdir():
+            text = written.read_text()
+            assert "NaN" not in text and "Infinity" not in text, (value,
+                                                                   written)

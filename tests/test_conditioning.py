@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,11 +27,18 @@ from conftest import (assert_rewrite_stable, finite_matrices, random_embed,
                       random_node_features)
 
 
+# Any finite float, with the float range's ends, subnormals and both
+# zeros drawn often.
+EDGE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from([1.7e308, -1.7e308, 1.5e308, -1.2e308,
+                                  5e-324, -5e-324, 2.5e-308, 0.0, -0.0]))
+
+
 def batch_at(y_centers, n_classes=3, height=100.0, logits=None):
-    boxes = tuple(BBox(0, y - 5, 10, y + 5) for y in y_centers)
+    coords = np.reshape([(0, y - 5, 10, y + 5) for y in y_centers], (-1, 4))
     if logits is None:
-        logits = np.zeros((len(boxes), n_classes))
-    return ProposalBatch(boxes, logits, height)
+        logits = np.zeros((len(coords), n_classes))
+    return ProposalBatch(coords, logits, height)
 
 
 def gauss(x, sigma=0.3):
@@ -88,6 +96,34 @@ class TestBandAssociation:
                                   AssociationPolicy(AssociationKind.SINGLE))
         assert np.array_equal(np.argmax(tiny, axis=1),
                               np.argmax(single, axis=1))
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(EDGE_FLOATS, EDGE_FLOATS), max_size=8),
+           st.floats(1.0, 1e6), st.integers(1, 6),
+           st.sampled_from(AssociationKind))
+    def test_centres_match_scalar_formula(self, pairs, height, n_bands,
+                                          kind):
+        """The centres that band_association hands to `association` are
+        (y1 + y2) / 2 of Python floats, or y1 / 2 + y2 / 2 where the sum
+        overflows, over the height, bit for bit; so are the weights."""
+        ys = [sorted(p) for p in pairs]
+        mids = [(lo + hi) / 2.0 for lo, hi in ys]
+        mids = [m if math.isfinite(m) else lo / 2.0 + hi / 2.0
+                for m, (lo, hi) in zip(mids, ys)]
+        t = np.array(mids, dtype=np.float64) / height
+        coords = np.reshape([(0.0, lo, 0.0, hi) for lo, hi in ys], (-1, 4))
+        batch = ProposalBatch(coords, np.zeros((len(ys), 1)), height)
+        bands, policy = BandConfig(n_bands), AssociationPolicy(kind)
+        seen = []
+
+        def spy(t, *args):
+            seen.append(t)
+            return association(t, *args)
+
+        with mock.patch("layoutprior.conditioning.association", spy):
+            got = band_association(batch, bands, policy)
+        assert len(seen) == 1 and seen[0].tobytes() == t.tobytes()
+        assert got.tobytes() == association(t, bands, policy).tobytes()
 
 
 def unguarded_gaussian(t, bands, mu, sigma):
@@ -513,9 +549,9 @@ def proposal_batches(draw):
     as floats or ints, with features or without."""
     n = draw(st.integers(0, 5))
     coord = st.floats(-1e6, 1e6) | st.integers(-10 ** 6, 10 ** 6)
-    boxes = [BBox(min(x), min(y), max(x), max(y)) for x, y in draw(
+    boxes = np.reshape([(min(x), min(y), max(x), max(y)) for x, y in draw(
         st.lists(st.tuples(st.tuples(coord, coord), st.tuples(coord, coord)),
-                 min_size=n, max_size=n))]
+                 min_size=n, max_size=n))], (-1, 4))
     rows = st.just(n)
     features = draw(st.none() | finite_matrices(rows))
     return ProposalBatch(boxes, draw(finite_matrices(rows)),
@@ -532,7 +568,7 @@ def test_proposal_rewrite_keeps_bytes(batch):
 class TestProposalIO:
     def test_round_trip(self, tmp_path, rng):
         batch = ProposalBatch(
-            (BBox(0, 0, 10, 10), BBox(5, 5, 20, 30)),
+            [(0, 0, 10, 10), (5, 5, 20, 30)],
             rng.standard_normal((2, 4)),
             200.0,
             rng.standard_normal((2, 8)),
@@ -546,7 +582,7 @@ class TestProposalIO:
         assert again.layout_height == 200.0
 
     def test_loaded_batch_equals_saved(self, tmp_path, rng):
-        batch = ProposalBatch((BBox(0, 0, 10, 10), BBox(5, 5, 20, 30)),
+        batch = ProposalBatch([(0, 0, 10, 10), (5, 5, 20, 30)],
                               rng.standard_normal((2, 4)), 200.0,
                               rng.standard_normal((2, 8)))
         save_proposals(batch, tmp_path / "props.json")
@@ -558,8 +594,22 @@ class TestProposalIO:
                         dict(features=None), dict(layout_height=100.0)):
             assert dataclasses.replace(batch, **changed) != batch
 
+    @pytest.mark.parametrize("logits, features", [
+        ([[math.nan, 1.0]], None), ([[1.0, -math.inf]], None),
+        ([[0.0]], [[math.inf]]), ([[0.0]], [[0.0, math.nan]])])
+    def test_non_finite_not_written(self, tmp_path, logits, features):
+        """Logits or features that load_proposals would reject are refused
+        before the file is opened."""
+        batch = ProposalBatch([(0, 0, 1, 1)], logits, 10.0, features)
+        p = tmp_path / "props.json"
+        with pytest.raises(ParseError) as e:
+            save_proposals(batch, p)
+        assert str(e.value) == (f"{p}: not written: MTX-JSON entries must "
+                                "be finite")
+        assert not p.exists()
+
     def test_obj_round_trip_without_features(self):
-        batch = ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), 10.0)
+        batch = ProposalBatch([(0, 0, 1, 1)], np.zeros((1, 2)), 10.0)
         again = proposals_from_obj(proposals_to_obj(batch))
         assert again.features is None
 
@@ -576,7 +626,7 @@ class TestProposalIO:
          "bad MTX-JSON data: entry must be a JSON number, got '2'"),
     ])
     def test_numeric_strings_rejected(self, change, message):
-        obj = proposals_to_obj(ProposalBatch((BBox(0, 0, 1, 1),),
+        obj = proposals_to_obj(ProposalBatch([(0, 0, 1, 1)],
                                              np.zeros((1, 2)), 10.0))
         with pytest.raises(ParseError) as e:
             proposals_from_obj({**obj, **change})

@@ -18,8 +18,8 @@ from layoutprior.conditioning import AssociationPolicy, band_association
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError,
                               box_areas, iou_matrix, load_matrix, matmul,
-                              matrix_from_json, matrix_to_json, midpoint,
-                              midpoints, read_json, row_softmax, save_matrix,
+                              matrix_from_json, matrix_to_json, midpoints,
+                              read_json, row_softmax, save_matrix,
                               write_text)
 from layoutprior.prior import BandConfig
 from layoutprior.rescore import RescoreConfig
@@ -54,7 +54,7 @@ class TestBBox:
         b = BBox(0, 0, 10, 20)
         # The association reads the centre y = 10, 0.25 of a height of 40:
         # band 0's centroid, 0.5 above band 1's.
-        alpha = band_association(ProposalBatch((b,), np.zeros((1, 1)), 40.0),
+        alpha = band_association(ProposalBatch(rows(b), np.zeros((1, 1)), 40.0),
                                  BandConfig(2), AssociationPolicy(sigma=0.3))
         far = np.exp(-0.5 * (0.5 / 0.3) ** 2)
         assert alpha[0] == pytest.approx([1 / (1 + far), far / (1 + far)])
@@ -74,6 +74,37 @@ class TestBBox:
             BBox(*box)
 
 
+class TestProposalBatch:
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 4, 1), (0,)])
+    def test_coords_not_n_by_4(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"coords shape {shape} is not (N, 4)")):
+            ProposalBatch(np.zeros(shape), np.zeros((2, 1)), 10.0)
+
+    @pytest.mark.parametrize("after", [[], [(1, 0, 0, 1), (0, 0, INF, 1)]])
+    @pytest.mark.parametrize("bad", [(5, 0, 1, 1), (0, 2, 1, 1),
+                                     (0, NAN, 1, 1), (-INF, 0, 1, 1)])
+    def test_first_bad_row_raises_its_bbox_text(self, bad, after):
+        coords = [(0, 0, 1, 1), bad] + after
+        with pytest.raises(ParseError) as want:
+            BBox(*map(float, bad))
+        with pytest.raises(ParseError) as got:
+            ProposalBatch(coords, np.zeros((len(coords), 1)), 10.0)
+        assert str(got.value) == str(want.value)
+
+    def test_coords_read_only_copy_and_boxes_view(self):
+        given = np.array([[0.0, 1.0, 2.0, 3.0], [-0.0, 5e-324, 0.0, 1e308]])
+        batch = ProposalBatch(given, np.zeros((2, 1)), 10.0)
+        given[0, 0] = 1.0
+        coords = batch.coords
+        assert coords.dtype == np.float64 and coords[0, 0] == 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            coords[0, 0] = 1.0
+        assert batch.boxes == tuple(map(BBox, *coords.T.tolist()))
+        assert batch.boxes is batch.boxes  # built once
+        assert math.copysign(1.0, batch.boxes[1].x1) == -1.0
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("score", [NAN, INF, -INF])
     def test_score(self, score):
@@ -88,14 +119,14 @@ class TestNonFinite:
     @pytest.mark.parametrize("height", [NAN, INF, -1.0])
     def test_layout_height(self, height):
         with pytest.raises(ParseError, match="finite"):
-            ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), height)
+            ProposalBatch([(0, 0, 1, 1)], np.zeros((1, 2)), height)
 
     @pytest.mark.parametrize("build", [
         lambda: BBox(0, 0, BIG, 1), lambda: BBox(-BIG, 0, 1, 1),
         lambda: Component(BBox(0, 0, 1, 1), 0, BIG),
         lambda: LayoutDocument("l", BIG, 1.0),
         lambda: LayoutDocument("l", 1, BIG),
-        lambda: ProposalBatch((BBox(0, 0, 1, 1),), np.zeros((1, 2)), BIG),
+        lambda: ProposalBatch([(0, 0, 1, 1)], np.zeros((1, 2)), BIG),
         lambda: AssociationPolicy(mu=-BIG),
         lambda: AssociationPolicy(sigma=BIG),
         lambda: RescoreConfig(confidence=BIG),
@@ -256,7 +287,7 @@ class TestMidpoints:
             # such large values.
             want = (a + b) / 2.0
             want = want if math.isfinite(want) else a / 2.0 + b / 2.0
-            assert m == midpoint(a, b) == want
+            assert m == want
             assert math.isfinite(m) and min(a, b) <= m <= max(a, b)
 
     def test_past_float_range(self):

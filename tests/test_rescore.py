@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from layoutprior import (ClassVocabulary, Corpus, LayoutDocument,
-                         ProposalBatch, build_prior)
+                         ProposalBatch, accumulate, build_prior)
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
-                                      band_association)
+                                      MappingPolicy, band_association,
+                                      condition_features, soft_mapping)
 from layoutprior.core import BBox, Component, ParseError, row_softmax
+from layoutprior.evaluation import EvalConfig, evaluate, report_to_json
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 from layoutprior.rescore import (_LOG_FLOOR, RescoreConfig, labels_to_logits,
                                  rescore, rescore_corpus)
 from layoutprior.synth import generate
 
-from conftest import corpus_from_layouts, random_corpus
+from conftest import (corpus_from_layouts, random_corpus, random_embed,
+                      random_node_features, refuse_layout_objects)
 from test_synth import block_spec
 
 def graphs_from(edges, n_classes):
@@ -23,8 +26,8 @@ def graphs_from(edges, n_classes):
     return CoOccurrenceGraphSet(vocab, BandConfig(len(edges)), tuple(edges))
 
 def batch(y_centers, logits, height=100.0):
-    boxes = tuple(BBox(0, y - 5, 10, y + 5) for y in y_centers)
-    return ProposalBatch(boxes, np.asarray(logits, dtype=float), height)
+    coords = np.reshape([(0, y - 5, 10, y + 5) for y in y_centers], (-1, 4))
+    return ProposalBatch(coords, np.asarray(logits, dtype=float), height)
 
 @pytest.fixture
 def pair_graph():
@@ -387,6 +390,39 @@ def test_rescore_corpus_builds_no_objects(monkeypatch):
     built.clear()
     out = rescore_corpus(noisy, graphs, RescoreConfig())
     assert built == [] and out.index.size == noisy.index.size > 0
+
+
+def test_library_builds_no_layout_objects(monkeypatch, rng):
+    """band_association, rescore, condition_features, accumulate,
+    rescore_corpus and evaluate give the same bytes when the layout
+    object classes refuse to be built."""
+    spec = block_spec(noise=0.3, seed=4)
+    clean, noisy = generate(spec, 8)
+    graphs = build_prior(clean, spec.band_config())
+    config = RescoreConfig()
+    C, (a, b) = spec.vocabulary.size, noisy.offsets[:2]
+    batch = ProposalBatch(noisy.boxes[a:b], rng.standard_normal((b - a, C)),
+                          noisy.heights[0])
+    nodes = random_node_features(C, 3, seed=5)
+
+    def run():
+        alpha = band_association(batch, graphs.band_config,
+                                 config.association)
+        S = soft_mapping(batch.logits, MappingPolicy.SOFT)
+        out = rescore_corpus(noisy, graphs, config)
+        return [alpha, rescore(batch, graphs, config).logits,
+                condition_features(S, alpha, graphs, nodes,
+                                   random_embed(3, 4, seed=6)),
+                accumulate(noisy, spec.band_config()), out.class_id,
+                out.score, report_to_json(evaluate(out, clean, EvalConfig()))]
+
+    want = run()
+    refuse_layout_objects(monkeypatch)
+    got = run()
+    assert got[-1] == want[-1]
+    for x, y in zip(got[:-1], want[:-1]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
 
 
 def test_submodule_not_shadowed():

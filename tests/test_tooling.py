@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import LAYOUT_OBJECTS
+
 ROOT = Path(__file__).resolve().parent.parent
 
 FAILING = '''
@@ -87,3 +89,37 @@ def test_json_decoded_only_in_read_json():
                   if _decodes(n) and id(n) not in allowed]
     assert calls == []
     assert any(_decodes(n) for n in ast.walk(read_json))
+
+
+# Where src/ may name BBox, Component or LayoutDocument other than in an
+# annotation: the two read-only views and the fault-only check of
+# ProposalBatch's constructor, as (file, class, method).
+OBJECT_VIEWS = {("ingest.py", "Corpus", "layouts"),
+                ("core.py", "ProposalBatch", "boxes"),
+                ("core.py", "ProposalBatch", "__post_init__")}
+
+
+def test_layout_objects_built_only_in_views():
+    """No src/ code builds a layout object outside the views that keep
+    them for callers outside the library, nor hands the classes to a
+    call such as map(); annotations may name them."""
+    found, allowed = [], set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        skip = set()
+        for node in ast.walk(tree):
+            notes = [getattr(node, "returns", None),
+                     getattr(node, "annotation", None)]
+            skip |= {id(n) for a in notes if a for n in ast.walk(a)}
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for f in cls.body:
+                if (path.name, cls.name, getattr(f, "name", None)) \
+                        in OBJECT_VIEWS:
+                    allowed.add((path.name, cls.name, f.name))
+                    skip |= {id(n) for n in ast.walk(f)}
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if id(n) not in skip
+                  and (getattr(n, "id", None) in LAYOUT_OBJECTS
+                       or getattr(n, "attr", None) in LAYOUT_OBJECTS)]
+    assert found == []
+    assert allowed == OBJECT_VIEWS
