@@ -12,7 +12,7 @@ Run:  PYTHONPATH=src python3 demos/rescore_noisy_detections.py
 import numpy as np
 
 from layoutprior import ClassVocabulary
-from layoutprior.evaluation import EvalConfig, evaluate
+from layoutprior.evaluation import evaluate
 from layoutprior.prior import build_prior
 from layoutprior.rescore import RescoreConfig, rescore_corpus
 from layoutprior.synth import GeneratorSpec, generate
@@ -37,8 +37,7 @@ def block_spec(seed, noise=0.0):
 
 
 def ap50(dets, gts):
-    report = evaluate(dets, gts, EvalConfig())
-    return report.to_dict()["ap50"]
+    return evaluate(dets, gts).ap50
 
 
 def main():

@@ -16,6 +16,6 @@ from .conditioning import (AssociationKind, AssociationPolicy, MappingPolicy,
 # `rescore` the function is not imported here: it would shadow the
 # `layoutprior.rescore` submodule.
 from .rescore import RescoreConfig, labels_to_logits, rescore_corpus
-from .evaluation import EvalConfig, EvalReport, evaluate, precision_recall
+from .evaluation import EvalReport, evaluate, precision_recall
 from .synth import GeneratorSpec, generate, recovery_score
 from .render import render_layout_svg

@@ -20,7 +20,7 @@ from .conditioning import (AssociationKind, AssociationPolicy, MappingPolicy,
                            condition_features, load_proposals, soft_mapping)
 from .core import (LayoutPriorError, ParseError, ShapeError, load_matrix,
                    save_matrix, write_text)
-from .evaluation import EvalConfig, evaluate, report_to_json
+from .evaluation import evaluate, report_to_json
 from .ingest import load_native, save_native, save_native_labelings
 from .prior import (GRAPH_SCHEMA_VERSION, BandConfig, build_prior,
                     graphs_to_dot, load_graphs, save_graphs)
@@ -87,7 +87,7 @@ def cmd_rescore(args) -> int:
 def cmd_eval(args) -> int:
     dets = load_native(args.detections)
     gts = load_native(args.ground_truth)
-    report = evaluate(dets, gts, EvalConfig())
+    report = evaluate(dets, gts)
     if args.format == "json":
         print(report_to_json(report))
     else:

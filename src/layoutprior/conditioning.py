@@ -84,10 +84,12 @@ class NodeFeatures:
 
 def band_association(proposals: ProposalBatch, bands: BandConfig,
                      policy: AssociationPolicy) -> np.ndarray:
-    """N_r x N_g association weights of a proposal batch (`association`)."""
+    """N_r x N_g association weights of a proposal batch (`association`);
+    a centre past the float range of the height is at t = +-inf."""
     c = proposals.coords
-    return association(midpoints(c[:, 1], c[:, 3]) / proposals.layout_height,
-                       bands, policy)
+    with np.errstate(over="ignore"):
+        t = midpoints(c[:, 1], c[:, 3]) / proposals.layout_height
+    return association(t, bands, policy)
 
 def _nearest(dist: np.ndarray) -> np.ndarray:
     """One-hot rows at each row's least entry, the lowest index on ties."""
@@ -103,10 +105,11 @@ def association(t: np.ndarray, bands: BandConfig,
     if policy.kind is AssociationKind.EQUAL:
         return np.full((len(t), n_g), 1.0 / n_g)
 
-    delta = t[:, None] - bands.centroids[None, :]
+    c = bands.centroids
     if policy.kind is AssociationKind.SINGLE:
-        return _nearest(np.abs(delta))
-    return _gaussian(delta, policy.mu, policy.sigma)
+        # Clipped, so that a far centre's distances cannot round to a tie.
+        return _nearest(np.abs(np.clip(t, c[0], c[-1])[:, None] - c))
+    return _gaussian(t[:, None] - c, policy.mu, policy.sigma)
 
 # Overflow to inf is a limit of the density, taken on purpose; an invalid
 # operation can only be -inf - -inf, in a row that is all -inf.
@@ -129,15 +132,15 @@ def _gaussian(delta: np.ndarray, mu: float, sigma: float) -> np.ndarray:
         # A row whose every exponent overflows to -inf takes the weights'
         # limit, a one-hot at the band of least |delta - mu|. Where mu
         # lies below (above) a row's every delta, |delta - mu| may round
-        # to one value in all its bands; that band is its least (greatest)
-        # delta's.
+        # to one value in all its bands; that band is the last (first),
+        # the one of greatest (least) centroid.
         lost = ~np.isfinite(top[:, 0])
         alpha = np.exp(log_alpha - np.where(lost[:, None], 0.0, top))
-        d = delta[lost]
+        d, band = delta[lost], np.arange(delta.shape[1])
         below = (mu < d).all(axis=1, keepdims=True)
         above = (mu > d).all(axis=1, keepdims=True)
-        alpha[lost] = _nearest(np.where(below, d, np.where(above, -d,
-                                                           np.abs(d - mu))))
+        alpha[lost] = _nearest(np.where(below, -band, np.where(
+            above, band, np.abs(d - mu))))
     return alpha / alpha.sum(axis=1, keepdims=True)
 
 def soft_mapping(logits: np.ndarray, policy: MappingPolicy) -> np.ndarray:

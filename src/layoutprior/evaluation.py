@@ -3,16 +3,15 @@
 Produces the standard 12-metric block: AP averaged over IoU thresholds
 0.50:0.95, AP50, AP75, AP by object scale, and AR at detection caps
 1/10/100 plus AR by scale. Precision is 101-point interpolated;
-matching is greedy in descending score order. Crowd/ignore annotations
-are not supported.
+matching is greedy in descending score order. The parameters are COCO's
+and fixed. Crowd/ignore annotations are not supported.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -20,6 +19,16 @@ from .core import LayoutPriorError, ParseError, box_areas, iou_matrix
 from .ingest import Corpus
 
 SENTINEL = -1.0
+
+IOU_THRESHOLDS = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
+RECALL_POINTS = tuple(np.round(np.linspace(0.0, 1.0, 101), 2))
+AREA_RANGES = (
+    ("all", 0.0, float("inf")),
+    ("small", 0.0, 32.0 ** 2),
+    ("medium", 32.0 ** 2, 96.0 ** 2),
+    ("large", 96.0 ** 2, float("inf")),
+)
+MAX_DETS = (1, 10, 100)
 
 # The summary fields: each is the mean of the non-sentinel cells of one
 # (area range, cap) slice of precision or recall, over every IoU
@@ -38,35 +47,6 @@ _SUMMARY = (  # field, precision (or recall), area range, cap, threshold
     ("ar_medium", False, "medium", 100, None),
     ("ar_large", False, "large", 100, None),
 )
-_AP_CAPS = {cap for _, is_ap, _, cap, _ in _SUMMARY if is_ap}
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    iou_thresholds: tuple = tuple(np.round(np.arange(0.5, 1.0, 0.05), 2))
-    recall_points: tuple = tuple(np.round(np.linspace(0.0, 1.0, 101), 2))
-    area_ranges: tuple = (
-        ("all", 0.0, float("inf")),
-        ("small", 0.0, 32.0 ** 2),
-        ("medium", 32.0 ** 2, 96.0 ** 2),
-        ("large", 96.0 ** 2, float("inf")),
-    )
-    max_dets: tuple = (1, 10, 100)
-
-    def __post_init__(self):
-        # A partial config, without a threshold, area range or cap that the
-        # summary reads, is legal: that summary field reads SENTINEL.
-        for name in ("iou_thresholds", "recall_points"):
-            for v in getattr(self, name):
-                if isinstance(v, bool) or not (
-                        isinstance(v, numbers.Real) and 0.0 <= v <= 1.0):
-                    raise ParseError(
-                        f"{name} must be numbers in [0, 1], got {v!r}")
-        for v in self.max_dets:
-            if isinstance(v, bool) or not (
-                    isinstance(v, numbers.Integral) and v >= 1):
-                raise ParseError(
-                    f"max_dets must be positive integers, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -148,14 +128,12 @@ def _sample(tp_flags: np.ndarray, fp_flags: np.ndarray, n_pos: np.ndarray,
 
 
 def precision_recall(flags, n_gt: int,
-                     recall_points: Optional[tuple] = None) -> Tuple[np.ndarray, float]:
+                     recall_points=RECALL_POINTS) -> Tuple[np.ndarray, float]:
     """101-point interpolated precision samples and their mean (AP).
 
     Flags must be in descending-score order. Returns (samples, ap);
     ap is the sentinel when n_gt == 0.
     """
-    if recall_points is None:
-        recall_points = EvalConfig().recall_points
     if n_gt == 0:
         return np.zeros(len(recall_points)), SENTINEL
     flags = np.asarray(flags, dtype=bool).reshape(1, 1, -1)
@@ -169,10 +147,10 @@ def _rank(keys: np.ndarray) -> np.ndarray:
     return np.arange(len(keys)) - np.searchsorted(keys, keys)
 
 
-def _outside(areas: np.ndarray, config: EvalConfig) -> np.ndarray:
-    """A x ... flags: whether each area lies outside each area range."""
-    lo, hi = (np.array([r[i] for r in config.area_ranges], dtype=np.float64)
-              .reshape((-1,) + (1,) * areas.ndim) for i in (1, 2))
+def _outside(areas: np.ndarray) -> np.ndarray:
+    """A x N flags: whether each area lies outside each area range."""
+    lo, hi = (np.array([r[i] for r in AREA_RANGES]).reshape(-1, 1)
+              for i in (1, 2))
     return (areas < lo) | (areas >= hi)
 
 
@@ -239,8 +217,7 @@ def _some(ids: set, shown: int = 5) -> str:
     return f"{sorted(ids)[:shown]}{more}"
 
 
-def evaluate(dets: Corpus, gts: Corpus,
-             config: EvalConfig = EvalConfig()) -> EvalReport:
+def evaluate(dets: Corpus, gts: Corpus) -> EvalReport:
     if dets.vocabulary.names != gts.vocabulary.names:
         raise LayoutPriorError("detection and ground-truth vocabularies differ")
     det_ids, gt_ids = set(dets.ids), set(gts.ids)
@@ -250,8 +227,7 @@ def evaluate(dets: Corpus, gts: Corpus,
             f"{_some(gt_ids - det_ids)}, unknown in detections: "
             f"{_some(det_ids - gt_ids)}")
 
-    C, I, A = gts.vocabulary.size, len(dets.ids), len(config.area_ranges)
-    iou_thrs = config.iou_thresholds
+    C, I, A = gts.vocabulary.size, len(dets.ids), len(AREA_RANGES)
 
     # A unit is one (class, image), keyed class * I + image. Each unit's
     # detections are sorted by descending score (ties keep input order)
@@ -261,10 +237,10 @@ def evaluate(dets: Corpus, gts: Corpus,
     key = cls * I + img
     order = np.lexsort((-score, key))
     rank = _rank(key[order])
-    keep = rank < max(config.max_dets)
+    keep = rank < max(MAX_DETS)
     order, rank = order[keep], rank[keep]
     key, cls, score, boxes = key[order], cls[order], score[order], boxes[order]
-    dt_out = _outside(box_areas(boxes), config)
+    dt_out = _outside(box_areas(boxes))
 
     # A ground truth's image is the position of its layout's id among
     # the detection layouts.
@@ -276,7 +252,7 @@ def evaluate(dets: Corpus, gts: Corpus,
     order = np.argsort(g_key, kind="stable")
     g_key, g_cls, g_boxes = g_key[order], g_cls[order], g_boxes[order]
     g_rank = _rank(g_key)
-    g_out = _outside(box_areas(g_boxes), config)
+    g_out = _outside(box_areas(g_boxes))
     # Positives per (area range, class); only slices with some are scored.
     n_pos = np.bincount((np.arange(A)[:, None] * C + g_cls)[~g_out],
                         minlength=A * C).reshape(A, C)
@@ -284,7 +260,7 @@ def evaluate(dets: Corpus, gts: Corpus,
     n_live = n_pos[live_a, live_c]
 
     tp, fp = _match(key, rank, boxes, dt_out, g_key, g_rank, g_boxes, g_out,
-                    iou_thrs)
+                    IOU_THRESHOLDS)
     # Pool each class's detections in one stable score order (ties in
     # image order, then input order), padded to the longest class:
     # padding is neither a true nor a false positive.
@@ -299,39 +275,28 @@ def evaluate(dets: Corpus, gts: Corpus,
         return out
 
     tp, fp, rank = pad(tp), pad(fp), pad(rank)
-    # Each live (area range, class) row's recall at every cap, L x M x T:
-    # its in-cap true positives over its positives (entries past a cap
-    # count as neither a true nor a false positive) ...
-    caps = np.array(config.max_dets).reshape(-1, 1, 1, 1, 1)
-    hits = (tp & (rank < caps)).sum(axis=-1)[:, live_a, :, live_c]
-    recall = hits / n_live[:, None, None]
-    # ... and its precision samples, L x T x R, kept only at the caps the
-    # AP fields read.
-    recall_points = np.asarray(config.recall_points, dtype=np.float64)
-    precision = {}
-    for cap in _AP_CAPS.intersection(config.max_dets):
-        in_cap = (rank < cap)[live_c, None]
-        precision[cap] = _sample(tp[live_a, :, live_c] & in_cap,
-                                 fp[live_a, :, live_c] & in_cap, n_live,
-                                 recall_points)
+    # Each live (area range, class) row's recall at each cap, L x T: its
+    # in-cap true positives over its positives (entries past a cap count
+    # as neither a true nor a false positive) ...
+    recall = {cap: (tp & (rank < cap)).sum(axis=-1)[live_a, :, live_c]
+              / n_live[:, None] for cap in MAX_DETS}
+    # ... and its precision samples, L x T x R, at the largest cap, which
+    # every detection kept is within.
+    precision = _sample(tp[live_a, :, live_c], fp[live_a, :, live_c],
+                        n_live, np.asarray(RECALL_POINTS, dtype=np.float64))
 
     # Each summary field averages the cells of its area range's live rows
-    # at its cap, over every threshold or just one; a field whose area
-    # range, cap or threshold the config lacks, or with no live row,
-    # stays at the sentinel.
-    area_names = [name for name, _, _ in config.area_ranges]
-    thrs = list(iou_thrs)
+    # at its cap, over every threshold or just one; a field with no live
+    # row stays at the sentinel.
+    area_names = [name for name, _, _ in AREA_RANGES]
     overall = dict.fromkeys(EvalReport.FIELDS, SENTINEL)
     by_class = np.full((C, len(_SUMMARY)), SENTINEL)
     for f, (name, is_ap, area, cap, thr) in enumerate(_SUMMARY):
-        if not (area in area_names and cap in config.max_dets
-                and (thr is None or thr in thrs)):
-            continue
         rows = live_a == area_names.index(area)
-        v = (precision[cap][rows] if is_ap
-             else recall[rows, config.max_dets.index(cap)])
+        v = precision[rows] if is_ap else recall[cap][rows]
         if thr is not None:
-            v = v[:, thrs.index(thr):thrs.index(thr) + 1]
+            t = IOU_THRESHOLDS.index(thr)
+            v = v[:, t:t + 1]
         if v.size:
             # The overall mean reads the cells in (threshold, recall
             # point, class) order, and each class's mean its own

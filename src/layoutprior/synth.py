@@ -61,7 +61,11 @@ class GeneratorSpec:
     def __post_init__(self):
         for name in ("planted_graphs", "class_marginals"):
             try:  # a copy, so that the caller's array stays writeable
-                a = np.array(getattr(self, name), dtype=np.float64)
+                a = np.asarray(getattr(self, name))
+                if a.dtype.kind in "OSU" and any(
+                        isinstance(v, (str, bytes)) for v in a.flat):
+                    raise TypeError("entries must be numbers, not strings")
+                a = np.array(a, dtype=np.float64)
             except (TypeError, ValueError) as e:  # such as a ragged list
                 raise ParseError(f"{name}: {e}") from None
             object.__setattr__(self, name, read_only(a))

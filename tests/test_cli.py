@@ -13,7 +13,8 @@ from layoutprior import (ProposalBatch, cli, ingest, load_native,
                          save_native)
 from layoutprior.cli import build_parser, main
 from layoutprior.conditioning import (MappingPolicy, NodeFeatures,
-                                      save_proposals, soft_mapping)
+                                      condition_features, save_proposals,
+                                      soft_mapping)
 from layoutprior.core import (LayoutDocument, load_matrix, open_text,
                               save_matrix, write_text)
 from layoutprior.prior import load_graphs
@@ -210,6 +211,27 @@ class TestCondition:
         S = soft_mapping(batch.logits, MappingPolicy.SOFT)
         expected = condition_features(S, alpha, graphs, NodeFeatures(W), Z)
         assert np.allclose(load_matrix(out), expected, atol=1e-12)
+
+    def test_centre_past_height_range_quiet(self, tmp_path, graphs_path, rng,
+                                            capsys):
+        """A centre over a height so small that the quotient overflows is
+        at t = +inf, below the page: the last band, with no warning."""
+        pp, wp, zp, props, W, Z = self.write_inputs(tmp_path, graphs_path, rng)
+        props.update(height=5e-324, boxes=[[0, 600, 10, 700]],
+                     logits={"rows": 1, "cols": 3, "data": [0.5, 0.0, 1.0]})
+        pp.write_text(json.dumps(props))
+        out = tmp_path / "fprime.json"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["condition", str(pp), str(graphs_path),
+                         "--nodes", str(wp), "--embed", str(zp),
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "conditioned features: 1x5\n"
+        S = soft_mapping(np.array([[0.5, 0.0, 1.0]]), MappingPolicy.SOFT)
+        want = condition_features(S, np.array([[0.0, 1.0]]),
+                                  load_graphs(graphs_path), NodeFeatures(W), Z)
+        assert np.array_equal(load_matrix(out), want)
 
     def test_shape_mismatch_exit_3(self, tmp_path, graphs_path, rng):
         pp, wp, zp, _, _, _ = self.write_inputs(tmp_path, graphs_path, rng)
@@ -702,6 +724,12 @@ class TestSynthCmd:
         pytest.param("classes", "ABCDEF", id="classes-string"),
         pytest.param("classes", dict.fromkeys("ABCDEF", 0),
                      id="classes-object"),
+        # Numbers spelt as strings, which numpy would read.
+        pytest.param("planted_graphs", [[["1"] * 6] * 6] * 2,
+                     id="graphs-numeric-string"),
+        pytest.param("class_marginals", [["0.5", "0.5"] + [0] * 4,
+                                         [0] * 4 + ["0.5", "0.5"]],
+                     id="marginals-numeric-string"),
     ])
     def test_invalid_spec_exit_2(self, tmp_path, capsys, field, value):
         obj = spec_to_obj(block_spec())

@@ -67,6 +67,19 @@ class TestBandAssociation:
         assert np.allclose(alpha, [expected], atol=1e-12)
         assert np.allclose(alpha, [[0.8004, 0.1996]], atol=5e-5)
 
+    @pytest.mark.parametrize("kind", list(AssociationKind))
+    def test_centre_past_height_range_quiet(self, kind):
+        """A centre over a height so small that the quotient overflows is
+        at t = +inf, with no warning: below every band."""
+        batch = ProposalBatch(np.array([[0.0, 600.0, 10.0, 700.0]]),
+                              np.zeros((1, 2)), 5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha = band_association(batch, BandConfig(3),
+                                     AssociationPolicy(kind))
+        want = [1 / 3] * 3 if kind is AssociationKind.EQUAL else [0, 0, 1]
+        assert alpha.tolist() == [want]
+
     def test_equal(self):
         alpha = band_association(batch_at([10.0, 90.0]), self.two_bands,
                                  AssociationPolicy(AssociationKind.EQUAL))
@@ -148,7 +161,8 @@ def log_uniform(lo, hi):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.integers(1, 6), st.floats(0.05, 1.0),
        st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from(
-           [0.0, 0.25, 0.5, 1.0, 1e300, -1e300, math.inf])), max_size=12),
+           [0.0, 0.25, 0.5, 1.0, 1e300, -1e300, math.inf, -math.inf])),
+           max_size=12),
        st.one_of(st.floats(-1e300, 1e300), st.floats(-2.0, 2.0),
                  st.tuples(st.sampled_from([-1.0, 1.0]),
                            log_uniform(1e-300, 1e300)).map(math.prod)),
@@ -160,8 +174,8 @@ def test_gaussian_finite_for_every_accepted_policy(n_bands, width, t, mu,
     wherever that is finite, and where every exponent overflows it is a
     one-hot at the band of least |delta - mu|, lowest index on ties. Where
     mu lies below or above every delta of a row, that distance is taken
-    in exact arithmetic: in float64 it may round to one value in all
-    bands."""
+    in exact arithmetic from t, the centroid and mu, as delta itself may
+    round to one value in all bands; t = +-inf takes the end band."""
     bands = BandConfig(n_bands, width)
     t = np.array(t, dtype=np.float64)
     with warnings.catch_warnings():
@@ -180,11 +194,33 @@ def test_gaussian_finite_for_every_accepted_policy(n_bands, width, t, mu,
         lost = np.isinf(((delta - mu) / sigma) ** 2).all(axis=1)
         nearest = np.argmin(np.abs(delta - mu), axis=1)
     for i in np.flatnonzero(lost):
-        if (mu < delta[i]).all() or (mu > delta[i]).all():
-            exact = [abs(Fraction(d) - Fraction(mu)) if math.isfinite(d)
-                     else math.inf for d in delta[i]]
+        if not ((mu < delta[i]).all() or (mu > delta[i]).all()):
+            continue
+        if math.isinf(t[i]):
+            nearest[i] = n_bands - 1 if t[i] > 0 else 0
+        else:
+            exact = [abs(Fraction(t[i]) - Fraction(c) - Fraction(mu))
+                     for c in bands.centroids]
             nearest[i] = exact.index(min(exact))
     assert np.array_equal(alpha[lost], np.eye(n_bands)[nearest[lost]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.integers(1, 8), st.floats(0.05, 1.0),
+       st.lists(st.floats(allow_nan=False) | st.sampled_from(
+           [1e16, -1e16, 1e300, math.inf, -math.inf, 0.5, 1.0]),
+           max_size=12))
+@example(3, 1 / 3, [10.0, 1e8, 1e16, 1e300, math.inf])
+def test_single_monotone_in_t(n_bands, width, t):
+    """Single assignment never moves a centre up the bands as it moves
+    down the page, out to t = +-inf: past the last centroid it takes the
+    last band, before the first the first."""
+    bands, t = BandConfig(n_bands, width), np.sort(np.array(t, float))
+    band = association(t, bands, AssociationPolicy(
+        AssociationKind.SINGLE)).argmax(axis=1)
+    assert (np.diff(band) >= 0).all()
+    assert (band[t >= bands.centroids[-1]] == n_bands - 1).all()
+    assert (band[t <= bands.centroids[0]] == 0).all()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)

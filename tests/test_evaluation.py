@@ -11,8 +11,9 @@ from layoutprior import (BBox, ClassVocabulary, Component, LayoutDocument,
                          load_native)
 from layoutprior.core import (LayoutPriorError, ParseError, box_areas,
                               iou_matrix)
-from layoutprior.evaluation import (SENTINEL, EvalConfig, EvalReport,
-                                    evaluate, precision_recall)
+from layoutprior.evaluation import (AREA_RANGES, IOU_THRESHOLDS, MAX_DETS,
+                                    RECALL_POINTS, SENTINEL, EvalReport,
+                                    _match, evaluate, precision_recall)
 from layoutprior.ingest import corpus_to_obj
 from layoutprior.prior import BandConfig, build_prior
 from layoutprior.rescore import RescoreConfig, rescore_corpus
@@ -40,44 +41,39 @@ def corpus_of(vocab_names, images):
 class TestMatch:
     """Greedy matching, seen through evaluate on one image and class."""
 
-    AT_50 = EvalConfig(iou_thresholds=(0.5,))
-
-    def run(self, gts, dets, config=EvalConfig()):
+    def run(self, gts, dets):
         return evaluate(corpus_of(["a"], {"i": [(d, 0, s) for d, s in dets]}),
-                        corpus_of(["a"], {"i": [(g, 0) for g in gts]}),
-                        config)
+                        corpus_of(["a"], {"i": [(g, 0) for g in gts]}))
 
     def test_exact_match(self):
-        rep = self.run([(0, 0, 10, 10)], [((0, 0, 10, 10), 0.9)],
-                       EvalConfig(iou_thresholds=(1.0,)))
+        rep = self.run([(0, 0, 10, 10)], [((0, 0, 10, 10), 0.9)])
         assert rep.ap == 1.0 and rep.ar100 == 1.0
 
     def test_score_order_beats_iou(self):
         gt = [(0, 0, 100, 100)]
         dets = [((0, 0, 100, 90), 0.5),   # IoU 0.9
                 ((0, 0, 100, 80), 0.9)]   # IoU 0.8
-        rep = self.run(gt, dets, self.AT_50)
-        # the 0.9-scored detection is matched first and claims the GT,
-        # so the ranking is TP, FP and the top-1 recall is full
-        assert rep.ap == 1.0 and rep.ar1 == 1.0
-        # at 0.85 only the 0.5-scored detection can match: FP, TP
-        rep = self.run(gt, dets, EvalConfig(iou_thresholds=(0.85,)))
-        assert rep.ap == pytest.approx(0.5) and rep.ar1 == 0.0
+        rep = self.run(gt, dets)
+        # At the seven thresholds 0.5-0.8 the 0.9-scored detection is
+        # matched first and claims the GT: TP, FP, and the top-1 recall
+        # is full. At 0.85 and 0.9 only the 0.5-scored one can match: FP,
+        # TP, precision 0.5. At 0.95 neither does.
+        assert rep.ap50 == 1.0 and rep.ar1 == pytest.approx(0.7)
+        assert rep.ap == pytest.approx((7 * 1.0 + 2 * 0.5) / 10)
 
     def test_below_threshold(self):
-        rep = self.run([(0, 0, 100, 100)], [((0, 0, 49, 100), 0.9)],  # IoU 0.49
-                       self.AT_50)
+        rep = self.run([(0, 0, 100, 100)], [((0, 0, 49, 100), 0.9)])  # IoU 0.49
         assert rep.ap == 0.0 and rep.ar100 == 0.0
 
     def test_max_dets_truncation(self):
         gts = [(0, 0, 10, 10), (50, 50, 60, 60)]
         # listed lowest score first: truncation keeps the top scores
         dets = [((50, 50, 60, 60), 0.8), ((0, 0, 10, 10), 0.9)]
-        rep = self.run(gts, dets, self.AT_50)
+        rep = self.run(gts, dets)
         assert rep.ar1 == 0.5 and rep.ar10 == 1.0
         # ten higher-scored misses push the only hit past the 10 cap
         misses = [((500, 500, 510, 510), 0.95)] * 10
-        rep = self.run(gts[:1], misses + dets[1:], self.AT_50)
+        rep = self.run(gts[:1], misses + dets[1:])
         assert rep.ar10 == 0.0 and rep.ar100 == 1.0
 
     def test_prefers_in_range_ground_truth(self):
@@ -122,42 +118,6 @@ class TestPrecisionRecall:
             want = np.append(pr, 0.0)[np.searchsorted(tp / n, points)]
             got, ap = precision_recall(flags, n, points)
             assert np.array_equal(got, want) and ap == float(want.mean())
-
-
-class TestConfig:
-    @pytest.mark.parametrize("kwargs, message", [
-        ({"iou_thresholds": (0.5, float("nan"))},
-         "iou_thresholds must be numbers in [0, 1], got nan"),
-        ({"iou_thresholds": (1.5,)},
-         "iou_thresholds must be numbers in [0, 1], got 1.5"),
-        ({"iou_thresholds": (float("inf"),)},
-         "iou_thresholds must be numbers in [0, 1], got inf"),
-        ({"iou_thresholds": ("0.5",)},
-         "iou_thresholds must be numbers in [0, 1], got '0.5'"),
-        ({"recall_points": (0.0, -0.1)},
-         "recall_points must be numbers in [0, 1], got -0.1"),
-        ({"recall_points": (True,)},
-         "recall_points must be numbers in [0, 1], got True"),
-        ({"max_dets": (1, 0)}, "max_dets must be positive integers, got 0"),
-        ({"max_dets": (-5,)}, "max_dets must be positive integers, got -5"),
-        ({"max_dets": (10.0,)},
-         "max_dets must be positive integers, got 10.0"),
-        ({"max_dets": (True,)},
-         "max_dets must be positive integers, got True"),
-    ])
-    def test_invalid(self, kwargs, message):
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            EvalConfig(**kwargs)
-
-    @pytest.mark.parametrize("kwargs", [
-        {}, {"iou_thresholds": (0.0, 0.3, 1.0)},
-        {"iou_thresholds": (np.float64(0.6),)},
-        {"recall_points": (0, 1)}, {"max_dets": (5,)},
-        {"max_dets": (np.int64(3), 200)},
-        {"area_ranges": (("small", 0.0, 32.0 ** 2),)},
-    ])
-    def test_partial_configs_legal(self, kwargs):
-        EvalConfig(**kwargs)
 
 
 class TestEvaluate:
@@ -263,9 +223,8 @@ class TestEvaluate:
         dets = load_native(os.path.join(FIXTURES, "eval_dets.json"))
         gts = load_native(os.path.join(FIXTURES, "eval_gts.json"))
         # IoU is scale-free, so the all-areas metrics must not move
-        cfg = EvalConfig(area_ranges=(("all", 0.0, float("inf")),))
-        rep1 = evaluate(dets, gts, cfg)
-        rep2 = evaluate(scaled(dets, 2.0), scaled(gts, 2.0), cfg)
+        rep1 = evaluate(dets, gts)
+        rep2 = evaluate(scaled(dets, 2.0), scaled(gts, 2.0))
         for k in ("ap", "ap50", "ap75", "ar1", "ar10", "ar100"):
             assert getattr(rep1, k) == pytest.approx(getattr(rep2, k),
                                                      abs=1e-12), k
@@ -346,96 +305,152 @@ def test_matches_reference_on_random_corpora():
     assert seen == {"ar_small", "ar_medium", "ar_large"}
 
 
-def loop_evaluate(dets, gts, config=EvalConfig()):
+def _loop_boxes(comps):
+    return np.array([(c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
+                     for c in comps], dtype=np.float64).reshape(-1, 4)
+
+
+def _loop_outside(b):
+    """A x N flags: whether each box's area lies outside each area range."""
+    a = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return np.array([(a < lo) | (a >= hi) for _, lo, hi in AREA_RANGES])
+
+
+def _loop_ious(a, b):
+    out = np.zeros((len(a), len(b)))
+    for i, p in enumerate(a):
+        for j, q in enumerate(b):
+            ix = max(0.0, min(p[2], q[2]) - max(p[0], q[0]))
+            iy = max(0.0, min(p[3], q[3]) - max(p[1], q[1]))
+            inter = ix * iy
+            union = (p[2] - p[0]) * (p[3] - p[1]) \
+                + (q[2] - q[0]) * (q[3] - q[1]) - inter
+            out[i, j] = inter / union if union > 0.0 else 0.0
+    return out.tolist()
+
+
+def loop_greedy(rows, gt_ig, thresholds):
+    """One unit's greedy match at each threshold, a Python loop: each
+    detection row of IoUs, in rank order, takes the untaken ground truth
+    of highest IoU (the later one on ties) that reaches the threshold,
+    in-range ones first. Returns (matched, ignored), T x D: whether each
+    detection matched, and whether its match is an ignored one."""
+    T, D, G = len(thresholds), len(rows), len(gt_ig)
+    gt_order = sorted(range(G), key=lambda i: gt_ig[i])
+    matched = np.zeros((T, D), dtype=bool)
+    ignored = np.zeros((T, D), dtype=bool)
+    for ti, t in enumerate(thresholds):
+        taken = [False] * G
+        for di, row in enumerate(rows):
+            best, best_iou = -1, min(t, 1.0 - 1e-10)
+            for gi in gt_order:
+                if taken[gi]:
+                    continue
+                if best > -1 and not gt_ig[best] and gt_ig[gi]:
+                    break
+                if row[gi] < best_iou:
+                    continue
+                best, best_iou = gi, row[gi]
+            if best > -1:
+                taken[best] = True
+                matched[ti, di] = True
+                ignored[ti, di] = gt_ig[best]
+    return matched, ignored
+
+
+def loop_match(dts, gt, thresholds):
+    """One unit's top-100 detections in stable score order, matched to
+    its ground truths for each area range: (scores, matched, ignored,
+    n_pos), matched and ignored A x T x D. An ignored detection matched
+    an ignored ground truth or, unmatched, lies outside the range."""
+    scores = np.array([1.0 if d.score is None else d.score for d in dts])
+    order = np.argsort(-scores, kind="stable")[:max(MAX_DETS)]
+    dt_boxes, gt_boxes = _loop_boxes([dts[i] for i in order]), _loop_boxes(gt)
+    rows = _loop_ious(dt_boxes, gt_boxes)
+    matched, ignored = [], []
+    for gt_ig, dt_out in zip(_loop_outside(gt_boxes), _loop_outside(dt_boxes)):
+        m, ig = loop_greedy(rows, gt_ig.tolist(), thresholds)
+        matched.append(m)
+        ignored.append(ig | (~m & dt_out))
+    n_pos = (~_loop_outside(gt_boxes)).sum(axis=1)
+    return scores[order], np.array(matched), np.array(ignored), n_pos
+
+
+def _loop_group(corpus):
+    """Each (layout id, class) unit's components, in input order."""
+    out = {}
+    for lay in corpus.layouts:
+        for comp in lay.components:
+            out.setdefault((lay.id, comp.class_id), []).append(comp)
+    return out
+
+
+def loop_units(dets, gts, thresholds):
+    """`loop_match` on every unit with detections: {(layout id, class):
+    (tp, fp)}, each A x T x D in the unit's score order."""
+    gt_groups = _loop_group(gts)
+    out = {}
+    for unit, dts in _loop_group(dets).items():
+        _, m, ig, _ = loop_match(dts, gt_groups.get(unit, []), thresholds)
+        out[unit] = (m & ~ig, ~m & ~ig)
+    return out
+
+
+def kernel_units(dets, gts, thresholds):
+    """`_match` at `thresholds` on the inputs `evaluate` gives it, its
+    flags split by unit as `loop_units` returns them."""
+    I = len(dets.ids)
+    key = dets.class_id * I + dets.index
+    order = np.lexsort((-dets.score, key))
+    rank = np.arange(len(order)) - np.searchsorted(key[order], key[order])
+    order, rank = order[rank < max(MAX_DETS)], rank[rank < max(MAX_DETS)]
+    key, boxes = key[order], dets.boxes[order]
+    index = {lid: i for i, lid in enumerate(dets.ids)}
+    g_key = gts.class_id * I + np.array([index[lid] for lid in gts.ids],
+                                        dtype=np.int64)[gts.index]
+    g_order = np.argsort(g_key, kind="stable")
+    g_key, g_boxes = g_key[g_order], gts.boxes[g_order]
+    g_rank = np.arange(len(g_key)) - np.searchsorted(g_key, g_key)
+    tp, fp = _match(key, rank, boxes, _loop_outside(boxes), g_key, g_rank,
+                    g_boxes, _loop_outside(g_boxes), thresholds)
+    return {(dets.ids[k % I], k // I): (tp[..., key == k], fp[..., key == k])
+            for k in np.unique(key).tolist()}
+
+
+def check_kernel(dets, gts, thresholds):
+    want, got = loop_units(dets, gts, thresholds), kernel_units(
+        dets, gts, thresholds)
+    assert got.keys() == want.keys()
+    for unit, (tp, fp) in want.items():
+        assert np.array_equal(got[unit][0], tp), unit
+        assert np.array_equal(got[unit][1], fp), unit
+
+
+def loop_evaluate(dets, gts):
     """The per-image loop `evaluate` replaced, kept as its oracle: one
     Python greedy loop per (image, class, area range, threshold), the
     images' top-md detections pooled in one stable score order, and the
     envelope on the non-ignored flags. Returns `to_dict()`'s layout."""
-    def group(corpus):
-        out = {}
-        for lay in corpus.layouts:
-            for comp in lay.components:
-                out.setdefault((lay.id, comp.class_id), []).append(comp)
-        return out
-
-    def boxes(comps):
-        return np.array([(c.bbox.x1, c.bbox.y1, c.bbox.x2, c.bbox.y2)
-                         for c in comps], dtype=np.float64).reshape(-1, 4)
-
-    def areas(b):
-        return (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-
-    def ious(a, b):
-        out = np.zeros((len(a), len(b)))
-        for i, p in enumerate(a):
-            for j, q in enumerate(b):
-                ix = max(0.0, min(p[2], q[2]) - max(p[0], q[0]))
-                iy = max(0.0, min(p[3], q[3]) - max(p[1], q[1]))
-                inter = ix * iy
-                union = (p[2] - p[0]) * (p[3] - p[1]) \
-                    + (q[2] - q[0]) * (q[3] - q[1]) - inter
-                out[i, j] = inter / union if union > 0.0 else 0.0
-        return out.tolist()
-
-    def greedy(rows, gt_ig):
-        T, D, G = len(config.iou_thresholds), len(rows), len(gt_ig)
-        gt_order = sorted(range(G), key=lambda i: gt_ig[i])
-        matched = np.zeros((T, D), dtype=bool)
-        ignored = np.zeros((T, D), dtype=bool)
-        for ti, t in enumerate(config.iou_thresholds):
-            taken = [False] * G
-            for di, row in enumerate(rows):
-                best, best_iou = -1, min(t, 1.0 - 1e-10)
-                for gi in gt_order:
-                    if taken[gi]:
-                        continue
-                    if best > -1 and not gt_ig[best] and gt_ig[gi]:
-                        break
-                    if row[gi] < best_iou:
-                        continue
-                    best, best_iou = gi, row[gi]
-                if best > -1:
-                    taken[best] = True
-                    matched[ti, di] = True
-                    ignored[ti, di] = gt_ig[best]
-        return matched, ignored
-
-    def match_image(dts, gt):
-        scores = np.array([1.0 if d.score is None else d.score for d in dts])
-        order = np.argsort(-scores, kind="stable")[:max(config.max_dets)]
-        dt_boxes, gt_boxes = boxes([dts[i] for i in order]), boxes(gt)
-        rows = ious(dt_boxes, gt_boxes)
-        matched, ignored, n_pos = [], [], []
-        for _, lo, hi in config.area_ranges:
-            gt_ig = (areas(gt_boxes) < lo) | (areas(gt_boxes) >= hi)
-            m, ig = greedy(rows, gt_ig.tolist())
-            dt_out = (areas(dt_boxes) < lo) | (areas(dt_boxes) >= hi)
-            matched.append(m)
-            ignored.append(ig | (~m & dt_out))
-            n_pos.append(int((~gt_ig).sum()))
-        return (scores[order], np.array(matched), np.array(ignored),
-                np.array(n_pos))
-
     def envelope(flags, n):
         tp, fp = np.cumsum(flags), np.cumsum(~flags)
         rc, pr = tp / n, tp / np.maximum(tp + fp, 1)
         pr = np.maximum.accumulate(pr[::-1])[::-1]
-        return np.append(pr, 0.0)[np.searchsorted(rc, config.recall_points)]
+        return np.append(pr, 0.0)[np.searchsorted(rc, RECALL_POINTS)]
 
-    C, T = gts.vocabulary.size, len(config.iou_thresholds)
-    A, M = len(config.area_ranges), len(config.max_dets)
-    precision = np.full((T, len(config.recall_points), C, A, M), SENTINEL)
+    C, T = gts.vocabulary.size, len(IOU_THRESHOLDS)
+    A, M = len(AREA_RANGES), len(MAX_DETS)
+    precision = np.full((T, len(RECALL_POINTS), C, A, M), SENTINEL)
     recall = np.full((T, C, A, M), SENTINEL)
-    det_groups, gt_groups = group(dets), group(gts)
+    det_groups, gt_groups = _loop_group(dets), _loop_group(gts)
     for ci in range(C):
-        units = [match_image(det_groups.get((l.id, ci), []),
-                             gt_groups.get((l.id, ci), []))
+        units = [loop_match(det_groups.get((l.id, ci), []),
+                            gt_groups.get((l.id, ci), []), IOU_THRESHOLDS)
                  for l in dets.layouts
                  if (l.id, ci) in det_groups or (l.id, ci) in gt_groups]
         if not units:
             continue
         n_pos = sum(u[3] for u in units)
-        for mi, md in enumerate(config.max_dets):
+        for mi, md in enumerate(MAX_DETS):
             order = np.argsort(-np.concatenate([u[0][:md] for u in units]),
                                kind="stable")
             matched = np.concatenate([u[1][..., :md] for u in units], 2)[..., order]
@@ -446,14 +461,11 @@ def loop_evaluate(dets, gts, config=EvalConfig()):
                     precision[ti, :, ci, ai, mi] = envelope(flags, n_pos[ai])
                     recall[ti, ci, ai, mi] = flags.sum() / int(n_pos[ai])
 
-    names = [a[0] for a in config.area_ranges]
-    thrs = list(config.iou_thresholds)
+    names = [a[0] for a in AREA_RANGES]
+    thrs = list(IOU_THRESHOLDS)
 
     def mean(values, area, md, cls, thr=None):
-        if area not in names or md not in config.max_dets \
-                or (thr is not None and thr not in thrs):
-            return SENTINEL
-        v = values[..., names.index(area), config.max_dets.index(md)]
+        v = values[..., names.index(area), MAX_DETS.index(md)]
         if thr is not None:
             v = v[thrs.index(thr):thrs.index(thr) + 1]
         if cls is not None:
@@ -476,14 +488,16 @@ def loop_evaluate(dets, gts, config=EvalConfig()):
                                     for ci in range(C)})
 
 
+# Thresholds at which the matcher is checked besides COCO's: 0.0 makes
+# every pair in a unit a candidate, and 1.0 is clamped to 1 - 1e-10.
+KERNEL_THRESHOLDS = (0.0, 0.3, 0.5, 1.0)
+
+
 class TestEvaluateOracle:
     """`evaluate` must equal the per-image loop exactly, per-class
     blocks included: the reference test above allows 1e-9 and never
-    looks at them."""
-
-    CONFIGS = (EvalConfig(),
-               EvalConfig(iou_thresholds=(0.0, 0.3, 0.5, 1.0)),
-               EvalConfig(max_dets=(1, 3, 100)))
+    looks at them. Its matcher must equal the loop's at other
+    thresholds too."""
 
     @staticmethod
     def degenerate(corpus, rng):
@@ -502,9 +516,9 @@ class TestEvaluateOracle:
                                           tuple(comps)))
         return corpus_from_layouts(corpus.vocabulary, tuple(layouts))
 
-    def check(self, dets, gts, config=EvalConfig()):
-        assert evaluate(dets, gts, config).to_dict() == \
-            loop_evaluate(dets, gts, config)
+    def check(self, dets, gts):
+        assert evaluate(dets, gts).to_dict() == loop_evaluate(dets, gts)
+        check_kernel(dets, gts, KERNEL_THRESHOLDS)
 
     def test_random_corpora(self):
         rng = np.random.Generator(np.random.PCG64(5))
@@ -513,7 +527,7 @@ class TestEvaluateOracle:
             if k % 2:
                 dets = self.degenerate(dets, rng)
                 gts = self.degenerate(gts, rng)
-            self.check(dets, gts, self.CONFIGS[k % 3])
+            self.check(dets, gts)
 
     def test_edge_cases(self):
         dets, gts = random_eval_pair(np.random.Generator(np.random.PCG64(8)),
@@ -526,12 +540,12 @@ class TestEvaluateOracle:
                      (dets, corpus_from_layouts(gts.vocabulary, empty)),
                      (dets, corpus_from_layouts(gts.vocabulary,
                                                 gts.layouts[::-1]))):
-            for config in self.CONFIGS:
-                self.check(d, g, config)
+            self.check(d, g)
         # Zero-area boxes; an IoU of 1 - 1e-12, which matches at the 1.0
         # threshold; and a detection at IoU 1/3 to two ground truths,
         # which must take the later one and leave the earlier one to the
-        # next detection at the 0.3 threshold.
+        # next detection at the 0.3 threshold: every detection of the
+        # last three cases is a true positive there.
         tied = [(0, 0, 10, 10), (10, 0, 20, 10)]
         cases = [([((5, 5, 5, 9), 0, 0.5), ((1, 1, 4, 4), 0, 0.4)],
                   [(5, 5, 5, 9), (1, 1, 4, 4)]),
@@ -539,11 +553,14 @@ class TestEvaluateOracle:
                  ([((5, 0, 15, 10), 0, 0.9), ((0, 0, 10, 10), 0, 0.8)], tied),
                  ([((5, 0, 15, 10), 0, 0.9), ((10, 0, 20, 10), 0, 0.8)],
                   tied[::-1])]
-        for d, g in cases:
-            for config in self.CONFIGS:
-                self.check(corpus_of(names, {"i": d}),
-                           corpus_of(names, {"i": [(b, 0) for b in g]}),
-                           config)
+        for k, (d, g) in enumerate(cases):
+            d, g = (corpus_of(names, {"i": d}),
+                    corpus_of(names, {"i": [(b, 0) for b in g]}))
+            self.check(d, g)
+            if k:
+                tp, _ = kernel_units(d, g, KERNEL_THRESHOLDS)["i", 0]
+                assert tp[0, KERNEL_THRESHOLDS.index(1.0 if k == 1 else 0.3)
+                          ].all()
 
 
 def test_ground_truth_layouts_in_another_order():
@@ -643,13 +660,9 @@ def test_contested_matching_equals_loop():
     rng = np.random.Generator(np.random.PCG64(2525))
     cases += [contested_pair(rng) for _ in range(30)]
     for dets, gts in cases:
-        for config in TestEvaluateOracle.CONFIGS:
-            assert evaluate(dets, gts, config).to_dict() == \
-                loop_evaluate(dets, gts, config)
+        assert evaluate(dets, gts).to_dict() == loop_evaluate(dets, gts)
+        check_kernel(dets, gts, KERNEL_THRESHOLDS)
     assert (sum(contests(*pair) for pair in cases) > 0).all()
-
-
-_DEFAULT = EvalConfig()
 
 
 @st.composite
@@ -690,28 +703,19 @@ def _eval_pairs(draw):
     return corpus_of(names, dets), corpus_of(names, gts)
 
 
-# Configs that leave out cap 100 (every AP field stays at the sentinel
-# and only recall is scored), put it below a larger cap, drop area
-# ranges, or drop the 0.5 and 0.75 thresholds.
-_eval_configs = st.builds(
-    EvalConfig,
-    iou_thresholds=st.sampled_from([_DEFAULT.iou_thresholds,
-                                    (0.3, 0.6, 0.95), (0.0, 1.0), (0.75,)]),
-    recall_points=st.sampled_from([_DEFAULT.recall_points,
-                                   (0.0, 0.25, 1 / 3, 1.0)]),
-    area_ranges=st.sets(st.sampled_from(range(4)), min_size=1).map(
-        lambda keep: tuple(r for i, r in enumerate(_DEFAULT.area_ranges)
-                           if i in keep)),
-    max_dets=st.sampled_from([(1, 10, 100), (1, 10), (2, 100, 200),
-                              (1, 3, 100), (100,), (3,)]))
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_eval_pairs())
+def test_evaluate_equals_loop_on_any_corpus(pair):
+    dets, gts = pair
+    assert evaluate(dets, gts).to_dict() == loop_evaluate(dets, gts)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(_eval_pairs(), _eval_configs)
-def test_evaluate_equals_loop_on_any_corpus_and_config(pair, config):
-    dets, gts = pair
-    assert evaluate(dets, gts, config).to_dict() == \
-        loop_evaluate(dets, gts, config)
+@given(_eval_pairs(), st.sampled_from([IOU_THRESHOLDS, KERNEL_THRESHOLDS,
+                                       (0.3, 0.6, 0.95), (0.0, 1.0),
+                                       (0.75,)]))
+def test_match_equals_loop_on_any_corpus_and_thresholds(pair, thresholds):
+    check_kernel(*pair, thresholds)
 
 
 def _eval_workload(seed):

@@ -11,7 +11,7 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       MappingPolicy, band_association,
                                       condition_features, soft_mapping)
 from layoutprior.core import BBox, Component, ParseError, row_softmax
-from layoutprior.evaluation import EvalConfig, evaluate, report_to_json
+from layoutprior.evaluation import evaluate, report_to_json
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 from layoutprior.rescore import (_LOG_FLOOR, RescoreConfig, labels_to_logits,
                                  rescore, rescore_corpus)
@@ -414,7 +414,7 @@ def test_library_builds_no_layout_objects(monkeypatch, rng):
                 condition_features(S, alpha, graphs, nodes,
                                    random_embed(3, 4, seed=6)),
                 accumulate(noisy, spec.band_config()), out.class_id,
-                out.score, report_to_json(evaluate(out, clean, EvalConfig()))]
+                out.score, report_to_json(evaluate(out, clean))]
 
     want = run()
     refuse_layout_objects(monkeypatch)

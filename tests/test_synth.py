@@ -480,6 +480,32 @@ class TestGenerate:
             GeneratorSpec(spec.vocabulary, spec.planted_graphs,
                           (np.array(marginal), spec.class_marginals[1]))
 
+    @pytest.mark.parametrize("field", ["planted_graphs", "class_marginals"])
+    @pytest.mark.parametrize("entry", ["1", "0.5", b"1", "abc"])
+    def test_string_entry_names_field(self, field, entry):
+        """A numeric string is refused as an MTX-JSON entry is, though
+        numpy would read it; in a row of numbers too."""
+        spec = block_spec()
+        stacks = {"planted_graphs": spec.planted_graphs.tolist(),
+                  "class_marginals": spec.class_marginals.tolist()}
+        row = stacks[field][0]
+        (row if field == "class_marginals" else row[0])[0] = entry
+        with pytest.raises(ParseError, match=f"^{field}: entries must be "
+                                             "numbers, not strings$"):
+            GeneratorSpec(spec.vocabulary, **stacks)
+        stacks[field] = np.array(stacks[field], dtype=object)
+        with pytest.raises(ParseError, match=f"^{field}: entries"):
+            GeneratorSpec(spec.vocabulary, **stacks)
+
+    def test_bool_entries_accepted(self):
+        spec = block_spec()
+        graphs = spec.planted_graphs.astype(bool).tolist()
+        marginals = [[True] + [False] * 5, [False] * 5 + [True]]
+        got = GeneratorSpec(spec.vocabulary, graphs, marginals)
+        assert np.array_equal(got.planted_graphs, spec.planted_graphs != 0)
+        assert got.class_marginals.tolist() == np.array(marginals,
+                                                        float).tolist()
+
 
 class TestRecoveryScore:
     def test_identical_graphs(self):
