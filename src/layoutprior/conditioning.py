@@ -48,7 +48,8 @@ class MappingPolicy(Enum):
 def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes and float64 bit patterns: -0.0 is not 0.0, and NaNs
     compare by payload."""
-    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    return a.shape == b.shape and not np.not_equal(
+        a.view(np.uint64), b.view(np.uint64)).any()
 
 @dataclass(frozen=True, eq=False)
 class NodeFeatures:
@@ -191,10 +192,13 @@ def condition_features(S: np.ndarray, alpha: np.ndarray,
             f"{graphs.n_graphs} graphs"
         )
     # W Z is shared by every band, so the class mixes S E_j are pooled
-    # first. The running sum adds the bands in ascending order, as a loop
+    # first, adding the bands in place in ascending order, as a loop
     # would; .sum(axis=0) adds pairwise for one proposal and one class.
-    pooled = np.add.accumulate(alpha.T[:, :, None] * (S @ graphs.edges))[-1]
-    return matmul(pooled, nodes.project(embed))
+    terms = S @ graphs.edges
+    np.multiply(alpha.T[:, :, None], terms, out=terms)
+    for term in terms[1:]:
+        terms[0] += term
+    return matmul(terms[0], nodes.project(embed))
 
 def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=np.float64)

@@ -282,7 +282,10 @@ def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     where the sum passes the float range, lo / 2 + hi / 2, which does not."""
     with np.errstate(over="ignore"):
         mid = (lo + hi) / 2.0
-    return np.where(np.isinf(mid), lo / 2.0 + hi / 2.0, mid)
+    past = np.isinf(mid)
+    if past.any():
+        mid[past] = lo[past] / 2.0 + hi[past] / 2.0
+    return mid
 
 
 @np.errstate(over="ignore")  # an area past the float range is inf

@@ -70,22 +70,25 @@ def _rescore(s: np.ndarray, alpha: np.ndarray, edges: np.ndarray,
     ctx = band_totals[None] - alpha[:, :, None] * s[:, None, :]
     total = ctx.sum(axis=2, keepdims=True)
     empty = total <= config.epsilon  # a NaN total is divided by, not replaced
-    ctx = np.where(empty, uniform, ctx / np.where(empty, 1.0, total))
+    ctx /= np.where(empty, 1.0, total)
+    np.copyto(ctx, uniform, where=empty)
 
     # One stacked matrix-vector product per (detection, band); it rounds
     # as `edges[j] @ ctx[i, j]` does, which a gemm or einsum does not.
     prop = np.matmul(edges[None], ctx[..., None])[..., 0]
     # Summed over the bands in ascending order, as a loop would add them;
     # with one class numpy adds pairwise, but q then normalizes to 1.
-    q = (alpha[:, :, None] * prop).sum(axis=1)
+    np.multiply(alpha[:, :, None], prop, out=prop)
+    q = prop.sum(axis=1)
     q_sums = q.sum(axis=1, keepdims=True)
-    q = np.where(q_sums > 0, q / np.where(q_sums > 0, q_sums, 1.0),
-                 uniform[None, :])
+    lost = ~(q_sums > 0)  # a NaN row too
+    q /= np.where(lost, 1.0, q_sums)
+    np.copyto(q, uniform, where=lost)
 
     lam = config.blend
     blended = s ** (1.0 - lam) * q ** lam
     blended /= blended.sum(axis=1, keepdims=True)
-    return np.log(np.maximum(blended, _LOG_FLOOR))
+    return np.log(np.maximum(blended, _LOG_FLOOR, out=blended), out=blended)
 
 
 def _label_logits(class_id, score: np.ndarray, n_classes: int,

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 
 from layoutprior import ClassVocabulary, ProposalBatch
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
-                                      MappingPolicy, NodeFeatures,
+                                      MappingPolicy, NodeFeatures, _same_bytes,
                                       association, band_association,
                                       concat_features,
                                       condition_features, load_proposals,
@@ -499,6 +499,27 @@ MEMO_STEPS = ("mutate Z", "fresh equal Z", "flip a zero's sign", "insert NaN",
 def _flip_bits(a, i, mask):
     """XOR the float64 at flat index i of a C-contiguous array with mask."""
     a.reshape(-1).view(np.uint64)[i] ^= np.uint64(mask)
+
+
+def test_memo_refuses_broadcastable_shapes(rng):
+    """An equal-valued Z whose shape broadcasts against the kept one does
+    not hold the same bytes, and `project` recomputes W Z for it."""
+    W = rng.standard_normal((3, 4))
+    Z = np.full((4, 6), 0.5)
+    column, row = np.full((4, 1), 0.5), np.full((1, 6), 0.5)
+    for other in (column, row):
+        assert not _same_bytes(Z, other) and not _same_bytes(other, Z)
+    # A column fits W: the second call's W Z is its own, in either order.
+    for first, second in ((Z, column), (column, Z)):
+        nodes = NodeFeatures(W)
+        kept = nodes.project(first)
+        WZ = nodes.project(second)
+        assert WZ is not kept and WZ.tobytes() == (W @ second).tobytes()
+    # A row does not fit W: it is refused, not served the kept W Z.
+    nodes = NodeFeatures(W)
+    nodes.project(Z)
+    with pytest.raises(ShapeError, match="cannot multiply"):
+        nodes.project(row)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -296,6 +296,23 @@ class TestMidpoints:
                         np.array([1.5 * top, -1.5 * top, 2.0]))
         assert got.tolist() == [1.25 * top, -1.5 * top, 1.5]
 
+    def test_halves_only_where_the_sum_overflows(self):
+        # Subnormal halves round to 0, so an entry that took lo / 2 + hi / 2
+        # without need would read 0.0 where the sum gives 5e-324.
+        top, tiny = 2.0 ** 1023, 5e-324
+        coords = np.array([[0.0, top, 1.0, 1.5 * top],
+                           [0.0, tiny, 1.0, tiny],
+                           [0.0, -1.5 * top, 1.0, -top],
+                           [0.0, 3.0, 1.0, 0.5]])
+        before = coords.copy()
+        lo, hi = coords[:, 1], coords[:, 3]  # strided, as band_association
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = midpoints(lo, hi)
+        assert got.tolist() == [1.25 * top, tiny, -1.25 * top, 1.75]
+        assert coords.tobytes() == before.tobytes()
+        assert not np.shares_memory(got, coords)
+
 
 class TestMtxJson:
     def test_round_trip(self, rng):

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from layoutprior import (ClassVocabulary, Corpus, LayoutDocument,
                          ProposalBatch, accumulate, build_prior)
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
-                                      MappingPolicy, band_association,
-                                      condition_features, soft_mapping)
+                                      MappingPolicy, NodeFeatures,
+                                      band_association, condition_features,
+                                      soft_mapping)
 from layoutprior.core import BBox, Component, ParseError, row_softmax
 from layoutprior.evaluation import evaluate, report_to_json
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
@@ -19,7 +20,8 @@ from layoutprior.synth import generate
 
 from conftest import (corpus_from_layouts, random_corpus, random_embed,
                       random_node_features, refuse_layout_objects)
-from test_synth import block_spec
+from test_conditioning import pooled_loop_oracle
+from test_synth import block_spec, workload_spec
 
 def graphs_from(edges, n_classes):
     vocab = ClassVocabulary(tuple(f"c{i}" for i in range(n_classes)))
@@ -216,6 +218,24 @@ class TestRescoreOracle:
         assert fallbacks == 2 + 2 + 3
         assert np.array_equal(rescore(b, graphs, cfg).logits, want)
 
+    @pytest.mark.parametrize("kind", list(AssociationKind))
+    def test_nan_logit_row(self, kind):
+        # The NaN row's context spreads NaN into every q, and each other
+        # row's q then falls back to uniform, so only that row is NaN.
+        rng = np.random.Generator(np.random.PCG64(29))
+        graphs, b = self.random_case(rng, 6, 4, 5)
+        logits = b.logits.copy()
+        logits[2, 3] = np.nan
+        b = ProposalBatch(b.coords, logits, b.layout_height)
+        cfg = RescoreConfig(association=AssociationPolicy(kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rescore(b, graphs, cfg).logits
+            want, _ = loop_rescore(b, graphs, cfg)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.isnan(got[2]).all()
+        assert np.isfinite(np.delete(got, 2, axis=0)).all()
+
 
 @settings(derandomize=True, deadline=None, max_examples=120)
 @given(st.data(), st.integers(1, 12), st.integers(1, 8),
@@ -234,6 +254,27 @@ def test_rescore_matches_loop_on_drawn_cases(data, n_g, C, kind, blend, sigma,
                         association=AssociationPolicy(kind, sigma=sigma))
     want, _ = loop_rescore(b, graphs, cfg)
     assert np.array_equal(rescore(b, graphs, cfg).logits, want)
+
+
+def test_benchmark_screens_bit_identical():
+    """Screens of the benchmark's shape (25 classes, 10 bands, 1-3 boxes
+    per band, W 25 x 256, Z 256 x 512): conditioned features and rescored
+    logits equal their loop oracles bit for bit."""
+    graphs = build_prior(generate(workload_spec(29), 200)[0], BandConfig(10))
+    _, noisy = generate(workload_spec(30), 50)
+    rng = np.random.Generator(np.random.PCG64(29))
+    nodes = NodeFeatures(rng.standard_normal((25, 256)))
+    Z = rng.standard_normal((256, 512)) / 16.0
+    cfg = RescoreConfig()
+    for layout in noisy.layouts:
+        b = labels_to_logits(layout, 25)
+        alpha = band_association(b, graphs.band_config, cfg.association)
+        S = soft_mapping(b.logits, MappingPolicy.SOFT)
+        got = condition_features(S, alpha, graphs, nodes, Z)
+        want = pooled_loop_oracle(S, alpha, graphs.edges, nodes.matrix, Z)
+        assert got.tobytes() == want.tobytes()
+        want, _ = loop_rescore(b, graphs, cfg)
+        assert rescore(b, graphs, cfg).logits.tobytes() == want.tobytes()
 
 
 class TestLabelsToLogits:
