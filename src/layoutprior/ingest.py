@@ -211,6 +211,7 @@ _BOX = ("    {\n     \"bbox\": [\n      %r,\n      %r,\n      %r,\n"
 _SCORE = ",\n     \"score\": %r"
 _LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %r,\n"
            "   \"id\": %s,\n   \"width\": %r\n  }")
+_WRITE_LAYOUTS = 8  # layouts per writer step, whose texts it holds at once
 
 
 def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
@@ -229,28 +230,33 @@ def _same_file(a, b) -> bool:
         return os.path.realpath(a) == os.path.realpath(b)
 
 
-def _layout_texts(corpora: tuple, encoded: tuple):
-    """Each layout's entry as json.dump writes it inside each corpus's
-    document, one layout at a time: a list of one text per corpus.
-    `encoded[k]` holds the JSON strings of corpus k's class names. The
-    corpora share their boxes, whose text is formatted once."""
+def _write_layouts(corpora: tuple, encoded: tuple, files: list):
+    """Write the layouts' entries as json.dump writes them inside each
+    corpus's document to that corpus's file, _WRITE_LAYOUTS layouts per
+    step. `encoded[k]` holds the JSON strings of corpus k's class names.
+    A step's shared boxes are formatted once, in one `%` over _BOX."""
     first = corpora[0]
     cuts = first.offsets
-    for lid, w, h, a, b in zip(first.ids, first.widths.tolist(),
-                               first.heights.tolist(), cuts, cuts[1:]):
-        boxes = [_BOX % tuple(box) for box in first.boxes[a:b].tolist()]
-        lid = _str(lid)
-        texts = []
-        for corpus, names in zip(corpora, encoded):
-            comps = ",\n".join([
-                f"{box}{names[c]}{_SCORE % s if has else ''}\n    }}"
-                for box, c, s, has in zip(
-                    boxes, corpus.class_id[a:b].tolist(),
-                    corpus.score[a:b].tolist(),
-                    corpus.scored[a:b].tolist())])
-            texts.append(_LAYOUT % (f"[\n{comps}\n   ]" if comps else "[]",
-                                    h, lid, w))
-        yield texts
+    counts = np.diff(cuts).tolist()
+    for at in range(0, len(first.ids), _WRITE_LAYOUTS):
+        rows = slice(at, at + _WRITE_LAYOUTS)
+        a, b = cuts[at], cuts[min(at + _WRITE_LAYOUTS, len(first.ids))]
+        boxes = ((_BOX + "\0") * (b - a)
+                 % tuple(first.boxes[a:b].ravel().tolist())).split("\0")
+        layouts = list(zip(map(_str, first.ids[rows]), counts[rows],
+                           first.widths[rows].tolist(),
+                           first.heights[rows].tolist()))
+        for corpus, names, f in zip(corpora, encoded, files):
+            tails = [names[c] for c in corpus.class_id[a:b].tolist()]
+            scored = np.flatnonzero(corpus.scored[a:b])
+            for k, s in zip(scored.tolist(), corpus.score[a + scored].tolist()):
+                tails[k] += _SCORE % s
+            comps = map(operator.add, boxes, tails)
+            f.write(",\n" if at else "\n")
+            f.write(",\n".join([_LAYOUT % (
+                "[\n%s\n    }\n   ]" % "\n    },\n".join(
+                    itertools.islice(comps, n)) if n else "[]", h, lid, w)
+                for lid, n, w, h in layouts]))
 
 
 def save_native_labelings(corpora, paths) -> None:
@@ -284,9 +290,7 @@ def save_native_labelings(corpora, paths) -> None:
         for f, names in zip(files, encoded):
             classes = ",\n".join("  " + n for n in names)
             f.write(f"{{\n \"classes\": [\n{classes}\n ],\n \"layouts\": [")
-        for i, texts in enumerate(_layout_texts(corpora, encoded)):
-            for f, text in zip(files, texts):
-                f.write((",\n" if i else "\n") + text)
+        _write_layouts(corpora, encoded, files)
         for f in files:
             f.write("\n ]\n}\n" if first.ids else "]\n}\n")
 

@@ -7,17 +7,17 @@ proportionally to its planted edge weights against the classes already
 placed. All randomness comes from numpy's PCG64 generator, which is a
 published, portable algorithm; results are reproducible across
 platforms for a fixed seed. Each layout reads its own stream, and
-`generate` reads a block of such streams in lockstep, decoding the raw
-words as numpy's Generator does; each box is drawn whole, class, noisy
-class and coordinates, at the step that reads its words.
+`generate` reads a block of such streams at once; see its docstring.
 """
 
 from __future__ import annotations
 
+import itertools
 import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .core import (ClassVocabulary, ParseError, fields_equal, finite,
                    read_json, read_only)
@@ -203,6 +203,52 @@ class _Streams:
         return out
 
 
+# numpy's SeedSequence constants, fixed by NEP 19, as uint32 scalars.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B, _MIX_L, _MIX_R, _SHIFT = np.array(
+    [0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded, 0xca01f9dd,
+     0x4973f715, 16], dtype=np.uint32)
+
+
+def _seed_states(seed: int, layouts: range) -> np.ndarray:
+    """Row i, C-ordered as PCG64 reads it, is `SeedSequence([seed,
+    layouts[i]]).generate_state(4, np.uint64)`: SeedSequence's hash, on
+    uint32 arrays and scalars only, with an entry per layout."""
+    li = np.arange(layouts.start, layouts.stop, dtype=np.uint64)
+    s = max(1, -(-seed.bit_length() // 32))  # 0 is one word
+    # The entropy: the seed's words, lowest first, then li's low and high
+    # words, the high one absent below 2**32. Zeros pad the pool of four.
+    entropy = np.zeros((max(s + 2, 4), len(li)), dtype=np.uint32)
+    entropy[:s] = [[seed >> 32 * i & _U32] for i in range(s)]
+    entropy[s], entropy[s + 1] = li & _U32, li >> 32
+    size = max(s + 1, 4) + (li > _U32)  # the pool and the words past it
+    const = _INIT_A
+
+    def hashmix(v, mult=_MULT_A):
+        nonlocal const
+        v = (v ^ const) * (const := const * mult)
+        return v ^ v >> _SHIFT
+    with np.errstate(over="ignore"):
+        pool = [hashmix(e) for e in entropy[:4]]
+        for src, dst in itertools.product(range(len(entropy)), range(4)):
+            if src != dst:  # each other pool word, then the words past it
+                r = _MIX_L * pool[dst] - _MIX_R * hashmix(
+                    pool[src] if src < 4 else entropy[src])
+                pool[dst] = np.where(src < size, r ^ r >> _SHIFT, pool[dst])
+        const = _INIT_B
+        state = np.array([hashmix(pool[i % 4], _MULT_B) for i in range(8)],
+                         dtype=np.uint64)
+    return np.ascontiguousarray((state[::2] | state[1::2] << np.uint64(32)).T)
+
+
+@dataclass
+class _State(ISeedSequence):
+    """The seed sequence that hands a bit generator the state `words`."""
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def _cdf(p: np.ndarray) -> np.ndarray:
     """Row-wise normalized cumulative sums; a draw `u` from a row picks
     `(cdf <= u).sum()`, which is `cdf.searchsorted(u, side="right")`."""
@@ -234,8 +280,8 @@ def _read_block(spec: GeneratorSpec, layouts: range):
     bounds = spec.band_config().bounds
     # What a layout reads when no draw is rejected, or a little more.
     width = min(len(bounds) * (1 + hi * (box_words + 1)), _MAX_WIDTH)
-    streams = _Streams((np.random.PCG64([spec.seed, li]) for li in layouts),
-                       width)
+    streams = _Streams(map(np.random.PCG64, map(
+        _State, _seed_states(spec.seed, layouts))), width)
     side = np.array([float(v) for v in spec.canvas])  # width, height
     flo, fhi = (float(v) for v in spec.box_size_frac)
     k = np.empty((len(layouts), len(bounds)), dtype=np.int64)
@@ -300,8 +346,8 @@ def generate(spec: GeneratorSpec, n_layouts: int):
     classes already placed in the band. This order is part of the output
     contract: the words are decoded as numpy decodes them, so the result
     equals that of one Generator call per draw. The streams are read in
-    lockstep, a block of layouts at a time, and each box is drawn whole
-    as its words are read.
+    lockstep, a block of layouts at a time, seeded by one hash pass over
+    the block, and each box is drawn whole as its words are read.
     """
     if n_layouts < 0:
         raise ParseError(f"layout count must be >= 0, got {n_layouts}")

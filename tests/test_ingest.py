@@ -16,8 +16,8 @@ from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
                          Corpus, LayoutDocument, build_prior, evaluate,
                          load_native, save_native)
 from layoutprior.core import PARSE_ERRORS, ParseError, ShapeError, parse_error
-from layoutprior.ingest import (_corpus_from_obj, corpus_to_obj,
-                                save_native_labelings)
+from layoutprior.ingest import (_WRITE_LAYOUTS, _corpus_from_obj,
+                                corpus_to_obj, save_native_labelings)
 from layoutprior.synth import generate
 
 from conftest import FIXTURES, corpus_from_layouts
@@ -763,6 +763,53 @@ def test_labelings_writer_matches_dump(pair):
         assert [_read(p) for p in paths] == [dumped(c) for c in pair[::-1]]
 
 
+def _edge_pair(n, empty=()):
+    """Two labelings of n layouts on int canvas sides, with 1-3 boxes in
+    each layout but those at `empty`, and -0.0 among the coordinates. The
+    second has classes of its own and scores on some boxes, -0.0 one."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    counts = rng.integers(1, 4, n)
+    counts[list(empty)] = 0
+    N = int(counts.sum())
+    corners = np.sort(rng.random((N, 2, 2)) * 300, axis=1)  # x1 <= x2 ...
+    boxes = corners.reshape(N, 4)
+    boxes[::4, :2] = -0.0
+    clean = Corpus(ClassVocabulary(("A", 'q"t', "C")), [f"l{i}" for i in
+                   range(n)], np.full(n, 360), 600 + np.arange(n),
+                   np.repeat(np.arange(n), counts), rng.integers(0, 3, N),
+                   np.ones(N), np.zeros(N, dtype=bool), boxes)
+    scored = rng.random(N) < 0.5
+    score = np.where(scored, rng.random(N), 1.0)
+    score[np.flatnonzero(scored)[:1]] = -0.0
+    noisy = replace(clean, vocabulary=ClassVocabulary(("x", "y")),
+                    class_id=rng.integers(0, 2, N), score=score,
+                    scored=scored)
+    return clean, noisy
+
+
+B = _WRITE_LAYOUTS
+WRITER_EDGES = {
+    **{f"n{n}": (n, ()) for n in (B - 1, B, B + 1, 2 * B + 1)},
+    # Layouts with no boxes first and last in a step of the writer.
+    "empty-at-edges": (2 * B + 1, (0, B - 1, B, 2 * B - 1, 2 * B)),
+    "no-boxes": (B + 1, range(B + 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITER_EDGES))
+def test_labelings_writer_at_step_edges(tmp_path, name):
+    pair = _edge_pair(*WRITER_EDGES[name])
+    paths = (tmp_path / "clean.json", tmp_path / "noisy.json")
+    save_native_labelings(pair, paths)
+    assert [p.read_text() for p in paths] == [dumped(c) for c in pair]
+    # The cases hold what they are meant to.
+    text = paths[1].read_text()
+    assert '"width": 360\n' in text
+    if pair[1].index.size:
+        assert "-0.0," in text and '"score": -0.0' in text
+        assert 0 < pair[1].scored.sum() < pair[1].index.size
+
+
 def test_labelings_writer_needs_shared_layouts(tmp_path):
     spec = replace(block_spec(noise=0.3, seed=5), canvas=(360, 640))
     clean, noisy = generate(spec, 4)
@@ -802,6 +849,8 @@ def test_labelings_writer_same_file_holds_last(tmp_path):
 # each box's text was still formatted for the whole corpus before the
 # first layout was written: 3.08 MB. Writing one layout at a time, as
 # two save_native calls did, peaked at 0.067 MB (Python 3.11, numpy 2.4).
+# Formatting 8 layouts per step, each corpus's text written before the
+# next corpus's is made, peaks at 0.119 MB (118,863 bytes; same versions).
 PEAK_BOUND = 250_000
 
 

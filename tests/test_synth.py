@@ -17,8 +17,9 @@ from layoutprior.core import (BBox, Component, LayoutDocument, ParseError,
 from layoutprior.ingest import corpus_to_obj, load_native, save_native
 from layoutprior.prior import BandConfig, band_membership, build_prior
 from layoutprior.synth import (_BLOCK_LAYOUTS, _DOUBLE, GeneratorSpec,
-                               _Streams, generate, load_spec, recovery_score,
-                               spec_from_obj, spec_to_obj)
+                               _seed_states, _State, _Streams, generate,
+                               load_spec, recovery_score, spec_from_obj,
+                               spec_to_obj)
 
 from conftest import assert_rewrite_stable, corpus_from_layouts
 
@@ -187,6 +188,10 @@ ORACLE_CASES = {
     # More layouts than the reader reads at once.
     "two-blocks": (block_spec(noise=0.3, seed=8, boxes=(0, 2)),
                    _BLOCK_LAYOUTS + 37),
+    # A seed of three words, whose entropy runs past SeedSequence's pool,
+    # and a second block of one layout.
+    "two-blocks-wide-seed": (block_spec(noise=0.3, seed=2 ** 64 + 5,
+                                        boxes=(0, 2)), _BLOCK_LAYOUTS + 1),
 }
 
 
@@ -310,6 +315,56 @@ class TestStream:
             want = np.random.PCG64(seed).random_raw(603)
             assert np.array_equal(streams.words[row, :603], want)
         assert streams.take(np.array([1]), 2).tolist() == [3]
+
+
+def numpy_states(seed, layouts):
+    """numpy's own seed states of the layouts' streams, one row each."""
+    return np.array([np.random.SeedSequence([seed, li]).generate_state(
+        4, np.uint64) for li in layouts], dtype=np.uint64).reshape(-1, 4)
+
+
+class TestSeedStates:
+    """`_seed_states` hashes a block's seeds at once; each row must be
+    what numpy's SeedSequence gives PCG64 for that layout."""
+
+    # One word, the largest one word, two, three and four words.
+    SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5, 2 ** 100]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_edges(self, seed):
+        # The first and last layouts of a block, and the first of the next.
+        first = _seed_states(seed, range(_BLOCK_LAYOUTS))
+        second = _seed_states(seed, range(_BLOCK_LAYOUTS, 2 * _BLOCK_LAYOUTS))
+        assert first.dtype == np.uint64 and first.shape == (_BLOCK_LAYOUTS, 4)
+        assert np.array_equal(first[[0, -1]],
+                              numpy_states(seed, [0, _BLOCK_LAYOUTS - 1]))
+        assert np.array_equal(second[:1], numpy_states(seed, [_BLOCK_LAYOUTS]))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_layout_index_across_32_bits(self, seed):
+        # From 2**32 on, a layout index is two entropy words, not one.
+        layouts = range(2 ** 32 - 2, 2 ** 32 + 2)
+        assert np.array_equal(_seed_states(seed, layouts),
+                              numpy_states(seed, layouts))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_streams_equal_numpy(self, seed):
+        layouts = range(_BLOCK_LAYOUTS - 1, _BLOCK_LAYOUTS + 1)
+        for li, row in zip(layouts, _seed_states(seed, layouts)):
+            assert np.array_equal(np.random.PCG64(_State(row)).random_raw(16),
+                                  np.random.PCG64([seed, li]).random_raw(16))
+
+    def test_no_layouts(self):
+        assert _seed_states(7, range(3, 3)).shape == (0, 4)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.integers(0, 2 ** 32 + 1) | st.integers(0, 2 ** 160),
+           st.integers(0, 600) | st.integers(2 ** 32 - 8, 2 ** 32 + 8)
+           | st.integers(0, 2 ** 64 - 8), st.integers(0, 8))
+    def test_drawn_seeds(self, seed, start, n):
+        layouts = range(start, start + n)
+        assert np.array_equal(_seed_states(seed, layouts),
+                              numpy_states(seed, layouts))
 
 
 # generate's traced peak for the workload spec at seed 1 and 2000
