@@ -11,8 +11,7 @@ from .prior import (BandConfig, CoOccurrenceGraphSet, accumulate,
                     save_graphs)
 from .conditioning import (AssociationKind, AssociationPolicy, MappingPolicy,
                            NodeFeatures, band_association, concat_features,
-                           condition_features, proposal_node_features,
-                           soft_mapping)
+                           condition_features, soft_mapping)
 # `rescore` the function is not imported here: it would shadow the
 # `layoutprior.rescore` submodule.
 from .rescore import RescoreConfig, labels_to_logits, rescore_corpus

@@ -21,7 +21,7 @@ import numpy as np
 from .core import (ParseError, ProposalBatch, ShapeError, fields_equal,
                    finite, json_number, json_numbers, matmul,
                    matrix_from_json, matrix_to_json, midpoints, read_json,
-                   row_softmax, write_text)
+                   read_only, row_softmax, same_bits, write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -45,12 +45,6 @@ class MappingPolicy(Enum):
     SOFT = "soft"
     HARD = "hard"
 
-def _same_bytes(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes and float64 bit patterns: -0.0 is not 0.0, and NaNs
-    compare by payload."""
-    return a.shape == b.shape and not np.not_equal(
-        a.view(np.uint64), b.view(np.uint64)).any()
-
 @dataclass(frozen=True, eq=False)
 class NodeFeatures:
     matrix: np.ndarray  # C x K
@@ -58,7 +52,9 @@ class NodeFeatures:
     __eq__ = fields_equal  # and no hash, as the array has none
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        # A private read-only copy, so that an edit to the caller's array
+        # cannot make the kept W Z stale.
+        matrix = read_only(np.array(self.matrix, dtype=np.float64))
         if matrix.ndim != 2:
             raise ShapeError(
                 f"node features must be a 2-D matrix, got shape {matrix.shape}")
@@ -67,20 +63,15 @@ class NodeFeatures:
         object.__setattr__(self, "_projection", None)
 
     def project(self, embed: np.ndarray) -> np.ndarray:
-        """W Z, read-only. The last product is kept with private copies of
-        the W and Z it came from and reused while both keep their shapes
-        and bytes; `matrix` may share the caller's buffer, so W is compared
-        too."""
-        W = self.matrix
+        """W Z, read-only. The last product is kept with a private copy of
+        the Z it came from and reused while Z keeps its shape and bits."""
         embed = np.asarray(embed, dtype=np.float64)
         memo = self._projection  # one read: a concurrent update is whole
-        if memo is not None and _same_bytes(memo[0], W) \
-                and _same_bytes(memo[1], embed):
-            return memo[2]
-        W, embed = W.copy(), embed.copy()
-        WZ = matmul(W, embed)
-        WZ.flags.writeable = False
-        object.__setattr__(self, "_projection", (W, embed, WZ))
+        if memo is not None and same_bits(memo[0], embed):
+            return memo[1]
+        embed = embed.copy()
+        WZ = read_only(matmul(self.matrix, embed))
+        object.__setattr__(self, "_projection", (embed, WZ))
         return WZ
 
 def band_association(proposals: ProposalBatch, bands: BandConfig,
@@ -110,12 +101,13 @@ def association(t: np.ndarray, bands: BandConfig,
     if policy.kind is AssociationKind.SINGLE:
         # Clipped, so that a far centre's distances cannot round to a tie.
         return _nearest(np.abs(np.clip(t, c[0], c[-1])[:, None] - c))
-    return _gaussian(t[:, None] - c, policy.mu, policy.sigma)
+    return _gaussian(t, c, policy.mu, policy.sigma)
 
 # Overflow to inf is a limit of the density, taken on purpose; an invalid
 # operation can only be -inf - -inf, in a row that is all -inf.
 @np.errstate(over="ignore", invalid="raise")
-def _gaussian(delta: np.ndarray, mu: float, sigma: float) -> np.ndarray:
+def _gaussian(t: np.ndarray, c: np.ndarray, mu: float,
+              sigma: float) -> np.ndarray:
     # Density evaluated in log space; subtracting each row's max
     # exponent keeps tiny sigmas from underflowing to all-zero rows and
     # cancels in the normalization, as does the density prefactor, which
@@ -125,7 +117,9 @@ def _gaussian(delta: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     except OverflowError:
         var = 0.0
     log_pref = -0.5 * math.log(var) if finite(var) and var > 0 else 0.0
-    log_alpha = log_pref - 0.5 * ((delta - mu) / sigma) ** 2
+    delta = t[:, None] - c
+    dist = delta - mu
+    log_alpha = log_pref - 0.5 * (dist / sigma) ** 2
     top = log_alpha.max(axis=1, keepdims=True)
     try:
         alpha = np.exp(log_alpha - top)
@@ -141,7 +135,27 @@ def _gaussian(delta: np.ndarray, mu: float, sigma: float) -> np.ndarray:
         below = (mu < d).all(axis=1, keepdims=True)
         above = (mu > d).all(axis=1, keepdims=True)
         alpha[lost] = _nearest(np.where(below, -band, np.where(
-            above, band, np.abs(d - mu))))
+            above, band, np.abs(dist[lost]))))
+    flat = log_alpha.ravel()  # compared across row ends too, which is cheap
+    if np.count_nonzero(flat[1:] == flat[:-1]):
+        # Exponents that round to one float in two adjacent bands on one
+        # side of t - mu, which the exact ones never do, would split the
+        # weight. Such a row, unless lost, takes its exponents against the
+        # band r nearest t - mu in closed form, exact in the scale of u:
+        # with u = t - mu - c_r and e_j = c_j - c_r, log alpha_j - log
+        # alpha_r = (2 u e_j - e_j^2) / (2 sigma^2). A +inf, which only
+        # rounding between two bands about as near can give, is cut to
+        # the float max.
+        neg = dist < 0
+        tied = ((log_alpha[:, 1:] == log_alpha[:, :-1])
+                & (neg[:, 1:] == neg[:, :-1])).any(axis=1) \
+            & np.isfinite(top[:, 0])
+        near = t[tied, None] - mu - c
+        r = np.abs(near).argmin(axis=1)
+        u, e = near[np.arange(len(r)), r, None], c - c[r, None]
+        x = (u - e / 2) * e / sigma / sigma
+        np.minimum(x, np.finfo(np.float64).max, out=x)
+        alpha[tied] = np.exp(x - x.max(axis=1, keepdims=True))
     return alpha / alpha.sum(axis=1, keepdims=True)
 
 def soft_mapping(logits: np.ndarray, policy: MappingPolicy) -> np.ndarray:
@@ -153,21 +167,6 @@ def soft_mapping(logits: np.ndarray, policy: MappingPolicy) -> np.ndarray:
     if policy is MappingPolicy.SOFT:
         return row_softmax(logits)
     return _nearest(-logits)
-
-def proposal_node_features(features: np.ndarray, S: np.ndarray) -> NodeFeatures:
-    """Class embeddings as the S-weighted average of proposal features."""
-    features = np.asarray(features, dtype=np.float64)
-    S = np.asarray(S, dtype=np.float64)
-    if features.shape[0] != S.shape[0]:
-        raise ShapeError(
-            f"features rows {features.shape[0]} != mapping rows {S.shape[0]}"
-        )
-    P = matmul(S.T, features)
-    weight = S.sum(axis=0)
-    nz = weight > 0
-    P[nz] /= weight[nz, None]
-    P[~nz] = 0.0
-    return NodeFeatures(P)
 
 def condition_features(S: np.ndarray, alpha: np.ndarray,
                        graphs: CoOccurrenceGraphSet, nodes: NodeFeatures,

@@ -97,6 +97,17 @@ def read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether `a` and `b` have one dtype, not object, one shape and the
+    same bit patterns, compared as unsigned words without a copy: -0.0
+    is not 0.0, NaNs compare by payload and 300 is not 300.0."""
+    if a.dtype != b.dtype or a.dtype.hasobject or a.shape != b.shape:
+        return False
+    n = a.dtype.itemsize
+    word = np.dtype(f"u{n}" if n in (1, 2, 4, 8) else (np.uint8, n))
+    return not np.not_equal(a.view(word), b.view(word)).any()
+
+
 def fields_equal(a, b):
     """An __eq__ for dataclasses with array fields: equal when `b` is of
     `a`'s class and every field is equal, compared by np.array_equal

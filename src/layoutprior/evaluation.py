@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .core import LayoutPriorError, ParseError, box_areas, iou_matrix
+from .core import LayoutPriorError, box_areas, iou_matrix
 from .ingest import Corpus
 
 SENTINEL = -1.0

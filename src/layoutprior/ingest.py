@@ -42,7 +42,7 @@ import numpy as np
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
                    LayoutDocument, ParseError, ShapeError, fields_equal,
                    json_numbers, open_text, parse_error, read_json,
-                   read_only)
+                   read_only, same_bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,14 +214,6 @@ _LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %r,\n"
 _WRITE_LAYOUTS = 8  # layouts per writer step, whose texts it holds at once
 
 
-def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether `a` and `b` hold values written as the same text: they are
-    one array, or arrays of one dtype and shape, not object, with the
-    same bytes, which tells -0.0 from 0.0 and 300 from 300.0."""
-    return a is b or (a.dtype == b.dtype != object and a.shape == b.shape
-                      and a.tobytes() == b.tobytes())
-
-
 def _same_file(a, b) -> bool:
     """Whether the paths `a` and `b` name one file, existing or not."""
     try:
@@ -276,9 +268,12 @@ def save_native_labelings(corpora, paths) -> None:
         raise ShapeError(f"{len(corpora)} corpora for {len(paths)} paths")
     first = corpora[0]
     for corpus in corpora[1:]:
+        # Columns written as the same text: one array, or the same bits,
+        # which an object column (ints past int64) never has.
+        pairs = ((getattr(corpus, n), getattr(first, n))
+                 for n in ("widths", "heights", "index", "boxes"))
         if corpus.ids != first.ids or not all(
-                _same_array(getattr(corpus, n), getattr(first, n))
-                for n in ("widths", "heights", "index", "boxes")):
+                a is b or same_bits(a, b) for a, b in pairs):
             raise ShapeError("corpora written together must share their "
                              "ids, canvas sides, index and boxes")
     keep = [k for k, p in enumerate(paths)

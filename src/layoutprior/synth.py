@@ -83,7 +83,7 @@ class GeneratorSpec:
                 or not np.all(abs(marginals.sum(axis=1) - 1.0) <= 1e-9)):
             raise ParseError("class_marginals rows must be non-negative and "
                              "sum to 1")
-        # Scalars are stored as the Python numbers spec_to_obj writes:
+        # Scalars are stored as the Python numbers a spec's JSON holds:
         # numpy ones are converted, and compare in double precision.
         if (isinstance(self.noise, bool)
                 or not isinstance(self.noise, numbers.Real)):
@@ -387,19 +387,6 @@ def recovery_score(planted, recovered: CoOccurrenceGraphSet) -> float:
     if not sims:
         return -1.0
     return float(np.mean(sims))
-
-
-def spec_to_obj(spec: GeneratorSpec) -> dict:
-    return {
-        "classes": list(spec.vocabulary.names),
-        "planted_graphs": spec.planted_graphs.tolist(),
-        "class_marginals": spec.class_marginals.tolist(),
-        "boxes_per_band": list(spec.boxes_per_band),
-        "canvas": list(spec.canvas),
-        "box_size_frac": list(spec.box_size_frac),
-        "noise": spec.noise,
-        "seed": spec.seed,
-    }
 
 
 def spec_from_obj(obj: dict) -> GeneratorSpec:

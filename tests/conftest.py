@@ -8,7 +8,7 @@ import pytest
 from hypothesis import strategies as st
 
 from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
-                         LayoutDocument, NodeFeatures)
+                         GeneratorSpec, LayoutDocument, NodeFeatures)
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -37,6 +37,19 @@ def corpus_from_layouts(vocabulary: ClassVocabulary, layouts) -> Corpus:
                   _sides([lay.height for lay in layouts]),
                   cols[:, 0].astype(np.int64), cols[:, 1].astype(np.int64),
                   cols[:, 2], cols[:, 3].astype(bool), cols[:, 4:])
+
+
+def spec_to_obj(spec: GeneratorSpec) -> dict:
+    return {
+        "classes": list(spec.vocabulary.names),
+        "planted_graphs": spec.planted_graphs.tolist(),
+        "class_marginals": spec.class_marginals.tolist(),
+        "boxes_per_band": list(spec.boxes_per_band),
+        "canvas": list(spec.canvas),
+        "box_size_frac": list(spec.box_size_frac),
+        "noise": spec.noise,
+        "seed": spec.seed,
+    }
 
 
 def make_layout(lid, boxes, class_ids, height=100.0, width=100.0, scores=None):

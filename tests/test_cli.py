@@ -20,9 +20,9 @@ from layoutprior.core import (LayoutDocument, load_matrix, open_text,
 from layoutprior.prior import load_graphs
 from layoutprior.ingest import corpus_to_obj
 from layoutprior.render import render_layout_svg
-from layoutprior.synth import generate, spec_to_obj
+from layoutprior.synth import generate
 
-from conftest import refuse_layout_objects
+from conftest import refuse_layout_objects, spec_to_obj
 from reference_eval import reference_evaluate
 from test_synth import block_spec
 
@@ -490,6 +490,29 @@ class TestRescoreCmd:
                         ["--assoc", limit])
         assert got == want
         assert len({score for _, score in got}) > 1
+
+    def test_far_mu_rescores_as_band_zero(self, tmp_path, capsys):
+        """mu = 1e15 or 1e16 lies so far below every box that the float
+        distances round to ties between bands; the rows still take band 0,
+        as mu = 1e300 does, not equal weights."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_to_obj(block_spec(noise=0.3, seed=3))))
+        noisy, gp = tmp_path / "noisy.json", tmp_path / "g.json"
+        assert main(["synth", str(spec), "--n", "20", "--out-clean",
+                     str(tmp_path / "clean.json"), "--out-noisy",
+                     str(noisy)]) == 0
+        assert main(["build-prior", str(noisy), "--bands", "10",
+                     "--out", str(gp)]) == 0
+
+        def rescored(*options):
+            out = tmp_path / "r.json"
+            assert main(["rescore", str(noisy), str(gp), *options,
+                         "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        want = rescored("--mu", "1e300")
+        assert rescored("--mu", "1e15") == rescored("--mu", "1e16") == want
+        assert want != rescored("--assoc", "equal")
 
     @pytest.mark.parametrize("change", [
         lambda g: g.pop("edges"), lambda g: g.update(n_bands=3),

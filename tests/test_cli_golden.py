@@ -18,9 +18,8 @@ import numpy as np
 
 from layoutprior.cli import main
 from layoutprior.core import save_matrix
-from layoutprior.synth import spec_to_obj
 
-from conftest import FIXTURES
+from conftest import FIXTURES, spec_to_obj
 from test_synth import block_spec
 
 ODD = {

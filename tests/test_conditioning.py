@@ -13,14 +13,13 @@ from hypothesis.extra.numpy import arrays
 
 from layoutprior import ClassVocabulary, ProposalBatch
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
-                                      MappingPolicy, NodeFeatures, _same_bytes,
+                                      MappingPolicy, NodeFeatures,
                                       association, band_association,
                                       concat_features,
                                       condition_features, load_proposals,
-                                      proposal_node_features,
                                       proposals_from_obj, proposals_to_obj,
                                       save_proposals, soft_mapping)
-from layoutprior.core import BBox, ParseError, ShapeError
+from layoutprior.core import BBox, ParseError, ShapeError, same_bits
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 
 from conftest import (assert_rewrite_stable, finite_matrices, random_embed,
@@ -141,7 +140,8 @@ class TestBandAssociation:
 
 def unguarded_gaussian(t, bands, mu, sigma):
     """The Gaussian weights as the plain formula gives them, warnings
-    silenced; None where its prefactor raises."""
+    silenced, and the rows where two adjacent exponents on one side of
+    t - mu round to one float; None where its prefactor raises."""
     try:
         log_pref = -0.5 * math.log(2.0 * math.pi * sigma ** 2)
     except (OverflowError, ValueError):
@@ -150,7 +150,21 @@ def unguarded_gaussian(t, bands, mu, sigma):
         delta = t[:, None] - bands.centroids[None, :]
         log_alpha = log_pref - 0.5 * ((delta - mu) / sigma) ** 2
         alpha = np.exp(log_alpha - log_alpha.max(axis=1, keepdims=True))
-        return alpha / alpha.sum(axis=1, keepdims=True)
+        below = delta - mu < 0
+        tied = ((log_alpha[:, 1:] == log_alpha[:, :-1])
+                & (below[:, 1:] == below[:, :-1])).any(axis=1)
+        return alpha / alpha.sum(axis=1, keepdims=True), tied
+
+
+def exact_gaussian(t, bands, mu, sigma):
+    """The Gaussian weights of one finite centre `t`, from exponents
+    computed in exact arithmetic."""
+    t, mu, sigma = Fraction(t), Fraction(mu), Fraction(sigma)
+    x = [-(t - Fraction(c) - mu) ** 2 / (2 * sigma ** 2)
+         for c in bands.centroids]
+    top = max(x)
+    w = np.array([math.exp(v - top) if v - top > -1000 else 0.0 for v in x])
+    return w / w.sum()
 
 
 def log_uniform(lo, hi):
@@ -161,17 +175,20 @@ def log_uniform(lo, hi):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.integers(1, 6), st.floats(0.05, 1.0),
        st.lists(st.one_of(st.floats(-2.0, 3.0), st.sampled_from(
-           [0.0, 0.25, 0.5, 1.0, 1e300, -1e300, math.inf, -math.inf])),
-           max_size=12),
+           [0.0, 0.25, 0.5, 1.0, 1e16, -1e16, 1e300, -1e300, math.inf,
+            -math.inf])), max_size=12),
        st.one_of(st.floats(-1e300, 1e300), st.floats(-2.0, 2.0),
                  st.tuples(st.sampled_from([-1.0, 1.0]),
                            log_uniform(1e-300, 1e300)).map(math.prod)),
        st.one_of(st.floats(1e-300, 1e300), log_uniform(1e-300, 1e300)))
+@example(3, 1 / 3, [1.0, 1e15, 1e16, -1e16], 0.0, 0.3)
 def test_gaussian_finite_for_every_accepted_policy(n_bands, width, t, mu,
                                                    sigma):
     """Any finite mu and sigma in [1e-300, 1e300]: every row is finite,
-    non-negative and sums to 1, quietly; it equals the plain formula
-    wherever that is finite, and where every exponent overflows it is a
+    non-negative and sums to 1, quietly. It equals the plain formula
+    wherever that is finite and no two adjacent exponents on one side of
+    t - mu round to one float; where they do, it is within 1e-9 of the
+    weights in exact arithmetic. Where every exponent overflows it is a
     one-hot at the band of least |delta - mu|, lowest index on ties. Where
     mu lies below or above every delta of a row, that distance is taken
     in exact arithmetic from t, the centroid and mu, as delta itself may
@@ -184,11 +201,16 @@ def test_gaussian_finite_for_every_accepted_policy(n_bands, width, t, mu,
     assert alpha.shape == (len(t), n_bands)
     assert np.isfinite(alpha).all() and (alpha >= 0).all()
     assert np.allclose(alpha.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    want = unguarded_gaussian(t, bands, mu, sigma)
-    if want is not None:
-        same = np.isfinite(want).all(axis=1)
+    plain = unguarded_gaussian(t, bands, mu, sigma)
+    if plain is not None:
+        want, tied = plain
+        finite = np.isfinite(want).all(axis=1)
+        same = finite & ~tied
         assert np.array_equal(alpha[same].view(np.uint64),
                               want[same].view(np.uint64))
+        for i in np.flatnonzero(finite & tied):
+            assert np.allclose(alpha[i], exact_gaussian(t[i], bands, mu, sigma),
+                               rtol=0, atol=1e-9)
     with np.errstate(all="ignore"):
         delta = t[:, None] - bands.centroids[None, :]
         lost = np.isinf(((delta - mu) / sigma) ** 2).all(axis=1)
@@ -221,6 +243,28 @@ def test_single_monotone_in_t(n_bands, width, t):
     assert (np.diff(band) >= 0).all()
     assert (band[t >= bands.centroids[-1]] == n_bands - 1).all()
     assert (band[t <= bands.centroids[0]] == 0).all()
+
+
+# t = 1, 10, ..., 1e300 and +inf.
+POWERS_OF_TEN = np.array([10.0 ** k for k in range(301)] + [math.inf])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.sampled_from(AssociationKind), st.integers(1, 12),
+       st.floats(0.05, 1.0),
+       st.tuples(st.sampled_from([-1.0, 0.0, 1.0]),
+                 log_uniform(1e-300, 1e300)).map(math.prod),
+       log_uniform(1e-300, 1e300))
+@example(AssociationKind.GAUSSIAN, 3, 1 / 3, 0.0, 0.3)
+def test_argmax_band_monotone_in_t(kind, n_bands, width, mu, sigma):
+    """The band of greatest weight never moves up the bands as a centre
+    moves down the page, t = 1, 10, ..., 1e300, +inf, whatever mu and
+    sigma; at the defaults, t = 1e16 is where the distances round to one
+    float in every band and the plain formula's weights turn uniform."""
+    policy = AssociationPolicy(kind, mu, sigma)
+    band = association(POWERS_OF_TEN, BandConfig(n_bands, width),
+                       policy).argmax(axis=1)
+    assert (np.diff(band) >= 0).all()
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -282,42 +326,6 @@ class TestSoftMapping:
         got = soft_mapping(logits, MappingPolicy.HARD)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
-
-
-class TestProposalNodeFeatures:
-    def test_one_hot_selector(self):
-        F = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        S = np.eye(3)
-        P = proposal_node_features(F, S)
-        assert np.array_equal(P.matrix, F)
-
-    def test_uniform_is_mean(self):
-        F = np.array([[2.0, 0.0], [4.0, 6.0]])
-        S = np.full((2, 3), 1 / 3)
-        P = proposal_node_features(F, S)
-        assert np.allclose(P.matrix, np.tile(F.mean(axis=0), (3, 1)))
-
-    def test_empty_class_zero_row(self):
-        F = np.array([[1.0, 1.0]])
-        S = np.array([[1.0, 0.0]])
-        P = proposal_node_features(F, S)
-        assert np.array_equal(P.matrix[1], [0.0, 0.0])
-
-    def test_row_mismatch(self):
-        with pytest.raises(ShapeError,
-                           match="features rows 3 != mapping rows 2"):
-            proposal_node_features(np.zeros((3, 4)), np.zeros((2, 3)))
-
-    def test_matches_loop_oracle(self, rng):
-        F = rng.standard_normal((5, 4))
-        S = rng.uniform(0, 1, size=(5, 3))
-        P = proposal_node_features(F, S).matrix
-        expected = np.zeros((3, 4))
-        for c in range(3):
-            w = S[:, c].sum()
-            for d in range(4):
-                expected[c, d] = sum(S[i, c] * F[i, d] for i in range(5)) / w
-        assert np.allclose(P, expected, atol=1e-9)
 
 
 def make_graphs(edges, n_classes):
@@ -472,6 +480,20 @@ class TestNodeFeatures:
         with pytest.raises(ValueError, match="read-only"):
             WZ[0, 0] = 1.0
 
+    def test_matrix_is_private_copy(self, rng):
+        """W is copied and read-only; the caller's array stays writeable,
+        and an edit to it leaves the kept W Z in use."""
+        W, Z = rng.standard_normal((3, 4)), rng.standard_normal((4, 5))
+        nodes = NodeFeatures(W)
+        assert not np.shares_memory(nodes.matrix, W)
+        assert not nodes.matrix.flags.writeable and W.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            nodes.matrix[0, 0] = 1.0
+        WZ = nodes.project(Z)
+        want = WZ.tobytes()
+        W[0, 0] += 1.0
+        assert nodes.project(Z) is WZ and WZ.tobytes() == want
+
     def test_memo_outside_equality_and_repr(self, rng):
         W = rng.standard_normal((2, 3))
         nodes, fresh = NodeFeatures(W), NodeFeatures(W)
@@ -508,7 +530,7 @@ def test_memo_refuses_broadcastable_shapes(rng):
     Z = np.full((4, 6), 0.5)
     column, row = np.full((4, 1), 0.5), np.full((1, 6), 0.5)
     for other in (column, row):
-        assert not _same_bytes(Z, other) and not _same_bytes(other, Z)
+        assert not same_bits(Z, other) and not same_bits(other, Z)
     # A column fits W: the second call's W Z is its own, in either order.
     for first, second in ((Z, column), (column, Z)):
         nodes = NodeFeatures(W)
@@ -526,8 +548,9 @@ def test_memo_refuses_broadcastable_shapes(rng):
 @given(st.data())
 def test_projection_memo_matches_pooled_oracle(data):
     """A run of conditionings through one NodeFeatures: every output equals
-    the oracle, and the kept W Z is reused exactly when W and Z hold the
-    bytes of the previous call."""
+    the oracle, and the kept W Z is reused exactly when Z holds the bytes
+    of the previous call. W is a private copy: edits to the array it was
+    built from leave it, and the kept W Z, as they were."""
     C, K, Dp = (data.draw(st.integers(1, hi)) for hi in (6, 8, 8))
     rng = np.random.Generator(np.random.PCG64(
         data.draw(st.integers(0, 2**32 - 1))))
@@ -536,9 +559,10 @@ def test_projection_memo_matches_pooled_oracle(data):
     graphs = make_graphs(edges, C)
     source = rng.standard_normal((C, K))
     nodes = NodeFeatures(source)
-    assert np.shares_memory(nodes.matrix, source)
+    assert not np.shares_memory(nodes.matrix, source)
+    kept_W = source.tobytes()
     Z = rng.standard_normal((K, Dp))
-    last = None  # the bytes of W and Z at the previous call, and its W Z
+    last = None  # the shape and bytes of Z at the previous call, and its W Z
 
     def call():
         nonlocal last
@@ -551,7 +575,8 @@ def test_projection_memo_matches_pooled_oracle(data):
         WZ = nodes.project(Z)
         # Bit for bit, so signed zeros and NaN payloads count.
         assert WZ.tobytes() == (nodes.matrix @ Z).tobytes()
-        key = (Z.shape, nodes.matrix.tobytes(), Z.tobytes())
+        assert nodes.matrix.tobytes() == kept_W
+        key = (Z.shape, Z.tobytes())
         if last is not None:
             assert (WZ is last[1]) == (key == last[0])
         last = key, WZ
@@ -575,7 +600,7 @@ def test_projection_memo_matches_pooled_oracle(data):
         elif step == "reshape Z":
             wider = np.hstack([Z, rng.standard_normal((K, 8))])
             Z = np.ascontiguousarray(wider[:, :data.draw(st.integers(1, 8))])
-        else:
+        else:  # Z is unchanged, so the next call hits the memo
             _flip_bits(source, data.draw(st.integers(0, source.size - 1)),
                        data.draw(st.integers(1, 2**52 - 1)))
         call()

@@ -19,8 +19,8 @@ from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError,
                               box_areas, iou_matrix, load_matrix, matmul,
                               matrix_from_json, matrix_to_json, midpoints,
-                              read_json, row_softmax, save_matrix,
-                              write_text)
+                              read_json, row_softmax, same_bits,
+                              save_matrix, write_text)
 from layoutprior.prior import BandConfig
 from layoutprior.rescore import RescoreConfig
 
@@ -206,6 +206,38 @@ class TestIou:
         for i, a in enumerate(xs):
             for j, b in enumerate(ys):
                 assert m[i, j] == scalar(a, b)
+
+
+def nans(*payloads):
+    return np.array([0x7FF8 << 48 | p for p in payloads],
+                    np.uint64).view(np.float64)
+
+
+class TestSameBits:
+    @pytest.mark.parametrize("a, b", [
+        (np.array([0.0]), np.array([-0.0])),
+        (nans(1), nans(2)),
+        (np.array([300], np.int64), np.array([300.0])),
+        (np.array([2**70], object), np.array([2**70], object)),
+        (np.zeros((2, 3)), np.zeros((1, 3))),
+        (np.zeros((2, 3)), np.zeros(3)),
+    ], ids=["signed zeros", "NaN payloads", "int and float", "objects",
+            "broadcast rows", "broadcast vector"])
+    def test_refuses(self, a, b):
+        assert not same_bits(a, b) and not same_bits(b, a)
+
+    def test_accepts_equal_views(self):
+        """Equal bits, NaN payloads included, in views of any strides."""
+        a = np.arange(48.0).reshape(6, 8)
+        a[0, 1] = nans(5)[0]
+        b = a.copy()
+        for view in (lambda m: m[::2, 1::3], lambda m: m.T):
+            assert not view(a).flags.c_contiguous
+            assert same_bits(view(a), view(b))
+            assert same_bits(view(a), np.ascontiguousarray(view(b)))
+        assert same_bits(a[:, ::2] > 9, b[:, ::2] > 9)
+        wide = a[:, ::2] + 1j  # 16-byte words
+        assert same_bits(wide, wide.copy()) and not same_bits(wide, wide + 1)
 
 
 class TestMatmul:

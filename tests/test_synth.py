@@ -18,10 +18,9 @@ from layoutprior.ingest import corpus_to_obj, load_native, save_native
 from layoutprior.prior import BandConfig, band_membership, build_prior
 from layoutprior.synth import (_BLOCK_LAYOUTS, _DOUBLE, GeneratorSpec,
                                _seed_states, _State, _Streams, generate,
-                               load_spec, recovery_score, spec_from_obj,
-                               spec_to_obj)
+                               load_spec, recovery_score, spec_from_obj)
 
-from conftest import assert_rewrite_stable, corpus_from_layouts
+from conftest import assert_rewrite_stable, corpus_from_layouts, spec_to_obj
 
 
 def block_spec(noise=0.0, seed=42, boxes=(2, 5)):

@@ -123,3 +123,23 @@ def test_layout_objects_built_only_in_views():
                        or getattr(n, "attr", None) in LAYOUT_OBJECTS)]
     assert found == []
     assert allowed == OBJECT_VIEWS
+
+
+def test_src_imports_are_used():
+    """Every name that a src/layoutprior module imports is read in that
+    module; __init__.py is exempt, as it re-exports what it imports."""
+    unused = []
+    for path in sorted((ROOT / "src" / "layoutprior").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{path.name}:{node.lineno} {name}" for name in (
+                    a.asname or a.name.split(".")[0] for a in node.names)
+                    if name not in read]
+    assert unused == []
