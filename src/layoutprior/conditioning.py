@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,9 @@ class AssociationPolicy:
         if not (finite(self.mu) and finite(self.sigma) and self.sigma > 0.0):
             raise ParseError("association needs a finite mu and a finite "
                              f"sigma > 0, got {self.mu} and {self.sigma}")
+        # Floats, so that equal policies compute the same bits.
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "sigma", float(self.sigma))
 
 class MappingPolicy(Enum):
     SOFT = "soft"
@@ -74,14 +78,30 @@ class NodeFeatures:
         object.__setattr__(self, "_projection", (embed, WZ))
         return WZ
 
+# The last batch's association: (weak reference to the batch, bands,
+# policy, read-only weights). One entry, so that `rescore` of the batch
+# just associated reuses its weights and nothing else is kept.
+_last_association = None
+
 def band_association(proposals: ProposalBatch, bands: BandConfig,
                      policy: AssociationPolicy) -> np.ndarray:
     """N_r x N_g association weights of a proposal batch (`association`);
-    a centre past the float range of the height is at t = +-inf."""
+    a centre past the float range of the height is at t = +-inf. Each
+    call returns a new array; the weights of the last batch are kept, for
+    a batch is immutable, and reused for that batch and equal bands and
+    policy."""
+    global _last_association
+    last = _last_association  # one read: a concurrent update is whole
+    if (last is not None and last[0]() is proposals and last[1] == bands
+            and last[2] == policy):
+        return last[3].copy()
     c = proposals.coords
     with np.errstate(over="ignore"):
         t = midpoints(c[:, 1], c[:, 3]) / proposals.layout_height
-    return association(t, bands, policy)
+    alpha = association(t, bands, policy)
+    _last_association = (weakref.ref(proposals), bands, policy,
+                         read_only(alpha.copy()))
+    return alpha
 
 def _nearest(dist: np.ndarray) -> np.ndarray:
     """One-hot rows at each row's least entry, the lowest index on ties."""

@@ -280,6 +280,8 @@ class ProposalBatch:
             object.__setattr__(self, name, m)
         if not (finite(self.layout_height) and self.layout_height > 0):
             raise ParseError("layout_height must be positive and finite")
+        # A float, so that a 0-d array is not shared with the caller.
+        object.__setattr__(self, "layout_height", float(self.layout_height))
 
     @cached_property
     def boxes(self) -> tuple:
@@ -346,9 +348,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"MTX-JSON stores 2-D matrices only, got shape {m.shape}")
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": [float(v) if abs(v) <= 2**53 else v
-                     for v in m.ravel().tolist()]}
+    data = m.ravel().tolist()
+    if not (m.dtype.kind == "f" and m.dtype.itemsize <= 8):  # Python floats
+        data = [float(v) if abs(v) <= 2**53 else v for v in data]
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "data": data}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

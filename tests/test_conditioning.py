@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import itertools
 import math
 import re
 import warnings
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from layoutprior import ClassVocabulary, ProposalBatch
+from layoutprior import conditioning
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       MappingPolicy, NodeFeatures,
                                       association, band_association,
@@ -19,8 +22,10 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       condition_features, load_proposals,
                                       proposals_from_obj, proposals_to_obj,
                                       save_proposals, soft_mapping)
-from layoutprior.core import BBox, ParseError, ShapeError, same_bits
+from layoutprior.core import (BBox, ParseError, ShapeError, midpoints,
+                              same_bits)
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
+from layoutprior.rescore import RescoreConfig, rescore
 
 from conftest import (assert_rewrite_stable, finite_matrices, random_embed,
                       random_node_features)
@@ -278,6 +283,198 @@ def test_gaussian_limit_matches_large_finite_mu(n_bands, t, sign):
     limit = association(t, bands, AssociationPolicy(mu=sign * 1e300))
     finite = association(t, bands, AssociationPolicy(mu=sign * 1e10))
     assert np.array_equal(limit.argmax(axis=1), finite.argmax(axis=1))
+
+
+def direct_association(batch, bands, policy):
+    """`association` of a batch's centres, computed without the memo."""
+    c = batch.coords
+    with np.errstate(over="ignore"):
+        t = midpoints(c[:, 1], c[:, 3]) / batch.layout_height
+    return association(t, bands, policy)
+
+
+def counting_association():
+    """A patch of the `association` that band_association calls, counting
+    its calls: a call that reads the memo makes none."""
+    return mock.patch("layoutprior.conditioning.association",
+                      wraps=association)
+
+
+def kept_weights():
+    return conditioning._last_association[3]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.data())
+def test_association_memo_matches_direct(data):
+    """Interleaved band_association and rescore calls over a few batches,
+    two band configurations and all three association kinds: every result
+    has the bits of `association` computed directly, is a new writeable
+    array, and is read from the memo exactly when the previous association
+    was of the same batch object with equal bands and policy."""
+    C = data.draw(st.integers(1, 4))
+    coord = st.floats(-50.0, 250.0)
+    batches = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        ys = data.draw(st.lists(st.tuples(coord, coord), max_size=6))
+        coords = np.reshape([(0.0, min(y), 1.0, max(y)) for y in ys], (-1, 4))
+        logits = data.draw(arrays(np.float64, (len(ys), C),
+                                  elements=st.floats(-20.0, 20.0)))
+        batches.append(ProposalBatch(coords, logits,
+                                     data.draw(st.floats(1.0, 400.0))))
+    band_sets = [BandConfig(data.draw(st.integers(1, 6))),
+                 BandConfig(data.draw(st.integers(1, 6)),
+                            data.draw(st.floats(0.05, 1.0)))]
+    mu, sigma = data.draw(st.floats(-1.0, 1.0)), data.draw(st.floats(0.01, 2.0))
+    policies = [AssociationPolicy(), AssociationPolicy(mu=-0.0),
+                AssociationPolicy(mu=mu, sigma=sigma),
+                AssociationPolicy(AssociationKind.SINGLE),
+                AssociationPolicy(AssociationKind.EQUAL)]
+    vocab = ClassVocabulary(tuple(f"c{i}" for i in range(C)))
+    rng = np.random.Generator(np.random.PCG64(data.draw(st.integers(0, 99))))
+    graph_sets = [CoOccurrenceGraphSet(vocab, bands, rng.uniform(
+        0, 1, (bands.n_bands, C, C))) for bands in band_sets]
+
+    def copy(batch):  # equal fields, another identity
+        return ProposalBatch(batch.coords, batch.logits, batch.layout_height)
+
+    # Computed first, on copies, which the memo cannot serve and keeps
+    # only while they live.
+    wanted = {(b, g, p): (
+        direct_association(batch, band_sets[g], policies[p]).tobytes(),
+        rescore(copy(batch), graph_sets[g], RescoreConfig(
+            association=policies[p])).logits.tobytes())
+        for b, batch in enumerate(batches) for g in range(2)
+        for p in range(len(policies))}
+    last = None  # the batch, bands and policy of the last association
+    # Each step calls with the last step's arguments, or with one of them
+    # drawn anew, or with the batch replaced by an equal copy.
+    key = [0, 0, 0]  # indices of the batch, bands and policy
+    sizes = len(batches), 2, len(policies)
+    steps = data.draw(st.lists(st.tuples(
+        st.sampled_from(["associate", "rescore"]),
+        st.sampled_from(["same", "batch", "bands", "policy", "fresh copy"])),
+        min_size=1, max_size=16))
+    for step, move in steps:
+        if move == "fresh copy":
+            batches[key[0]] = copy(batches[key[0]])
+        elif move != "same":
+            i = ["batch", "bands", "policy"].index(move)
+            key[i] = data.draw(st.integers(0, sizes[i] - 1))
+        b, g, p = key
+        batch, bands, policy = batches[b], band_sets[g], policies[p]
+        want_alpha, want_logits = wanted[b, g, p]
+        hit = (last is not None and last[0] is batch and last[1] == bands
+               and last[2] == policy)
+        with counting_association() as spy:
+            if step == "associate":
+                alpha = band_association(batch, bands, policy)
+                assert alpha.tobytes() == want_alpha
+                assert alpha.flags.writeable
+                assert not np.shares_memory(alpha, kept_weights())
+                alpha[...] = np.nan  # an edit the next call must not see
+            else:
+                got = rescore(batch, graph_sets[g],
+                              RescoreConfig(association=policy))
+                assert got.logits.tobytes() == want_logits
+        assert spy.call_count == (not hit)
+        assert kept_weights().tobytes() == want_alpha
+        last = batch, bands, policy
+
+
+class TestAssociationMemo:
+    bands, policy = BandConfig(4), AssociationPolicy()
+
+    def test_results_are_new_arrays(self):
+        """Successive results for one batch are writeable and share no
+        memory with each other or the memo; an edit to one leaves the
+        next call's result as it was."""
+        batch = batch_at([10.0, 60.0, 90.0])
+        first = band_association(batch, self.bands, self.policy)
+        want = first.tobytes()
+        with counting_association() as spy:
+            second = band_association(batch, self.bands, self.policy)
+            first[...] = -1.0
+            third = band_association(batch, self.bands, self.policy)
+        assert spy.call_count == 0
+        kept = kept_weights()
+        assert not kept.flags.writeable
+        for a, b in itertools.combinations([first, second, third, kept], 2):
+            assert not np.shares_memory(a, b)
+        assert second.tobytes() == third.tobytes() == want
+        assert first.flags.writeable and second.flags.writeable
+
+    @pytest.mark.parametrize("change", [
+        lambda batch, bands, policy: (
+            ProposalBatch(batch.coords.copy(), batch.logits,
+                          batch.layout_height), bands, policy),
+        lambda batch, bands, policy: (
+            batch, bands, dataclasses.replace(policy, sigma=0.2)),
+        lambda batch, bands, policy: (
+            batch, bands, dataclasses.replace(policy, mu=0.1)),
+        lambda batch, bands, policy: (
+            batch, bands, AssociationPolicy(AssociationKind.SINGLE)),
+        lambda batch, bands, policy: (batch, BandConfig(5), policy),
+    ], ids=["equal coords, other batch", "sigma", "mu", "kind", "band count"])
+    def test_recomputed(self, change):
+        batch = batch_at([10.0, 35.0, 60.0, 90.0])
+        band_association(batch, self.bands, self.policy)
+        args = change(batch, self.bands, self.policy)
+        with counting_association() as spy:
+            alpha = band_association(*args)
+        assert spy.call_count == 1
+        assert alpha.tobytes() == direct_association(*args).tobytes()
+
+    def test_height_is_a_private_float(self):
+        """An edit to the caller's 0-d height array changes neither the
+        batch nor its weights, read from the memo or recomputed."""
+        height = np.array(100.0)
+        batch = ProposalBatch([[0, 10, 5, 20]], np.zeros((1, 3)), height)
+        assert type(batch.layout_height) is float
+        want = band_association(batch, self.bands, self.policy).tobytes()
+        height[...] = 20.0
+        assert batch.layout_height == 100.0
+        assert band_association(batch, self.bands,
+                                self.policy).tobytes() == want
+        assert direct_association(batch, self.bands,
+                                  self.policy).tobytes() == want
+
+    @pytest.mark.parametrize("mu, sigma", [
+        (np.longdouble(0.5), 0.3), (0, 1), (np.float32(0.25), np.int64(2))])
+    def test_policy_holds_floats(self, mu, sigma):
+        """A policy equal to one of floats, whose weights the memo may
+        serve for it, computes that policy's bits."""
+        policy = AssociationPolicy(mu=mu, sigma=sigma)
+        floats = AssociationPolicy(mu=float(mu), sigma=float(sigma))
+        assert policy == floats
+        assert type(policy.mu) is float and type(policy.sigma) is float
+        t = np.linspace(-0.5, 1.5, 9)
+        alpha = association(t, self.bands, policy)
+        assert alpha.dtype == np.float64
+        assert alpha.tobytes() == association(t, self.bands, floats).tobytes()
+
+    def test_keeps_no_batch_alive(self):
+        batch = batch_at([10.0, 60.0])
+        band_association(batch, self.bands, self.policy)
+        ref = weakref.ref(batch)
+        del batch
+        gc.collect()
+        assert ref() is None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(1, 8), st.lists(EDGE_FLOATS | st.floats(-1.0, 2.0),
+                                   max_size=8),
+       st.floats(1e-3, 10.0), st.sampled_from(AssociationKind))
+def test_signed_zero_mu_same_bits(n_bands, t, sigma, kind):
+    """mu = 0.0 and mu = -0.0 are equal policies and give the same bits,
+    centroids and signed zeros among the centres included."""
+    bands = BandConfig(n_bands)
+    t = np.array(t + bands.centroids.tolist() + [0.0, -0.0])
+    zero, negative = (AssociationPolicy(kind, mu, sigma) for mu in (0.0, -0.0))
+    assert zero == negative
+    assert association(t, bands, zero).tobytes() == association(
+        t, bands, negative).tobytes()
 
 
 class TestSoftMapping:

@@ -368,6 +368,20 @@ class TestMtxJson:
         with pytest.raises(ShapeError, match=r"shape \(1, 1, 1\)"):
             matrix_to_json(np.zeros((1, 1, 1)))
 
+    @pytest.mark.parametrize("m", [
+        np.array([[2.0 ** 60, -0.0, NAN, 1e300, 0.1]]),
+        np.array([[2.0 ** 60, -0.0, 0.1]], dtype=np.float32),
+        np.array([[2 ** 60, -2 ** 53 - 1, 3, 0]]),
+        np.array([[True, False]]),
+    ], ids=["float64", "float32", "int64", "bool"])
+    def test_entries_as_json_numbers(self, m):
+        """Floats as they are, ints as floats up to 2**53 and past it as
+        the ints they are, which floats would round."""
+        want = [float(v) if abs(v) <= 2**53 else v for v in m[0].tolist()]
+        data = matrix_to_json(m)["data"]
+        assert list(map(type, data)) == list(map(type, want))
+        assert json.dumps(data) == json.dumps(want)
+
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(finite_matrices())

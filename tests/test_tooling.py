@@ -143,3 +143,21 @@ def test_src_imports_are_used():
                     a.asname or a.name.split(".")[0] for a in node.names)
                     if name not in read]
     assert unused == []
+
+
+def test_module_state_is_one_memo():
+    """The only `global` statement under src/layoutprior is the one by
+    which band_association keeps the last batch's association, so that
+    shared mutable state cannot spread unnoticed."""
+    found = []
+    for path in sorted((ROOT / "src" / "layoutprior").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        # The innermost function of each statement: ast.walk visits the
+        # outer functions first.
+        owner = {id(g): f.name for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for g in ast.walk(f) if isinstance(g, ast.Global)}
+        found += [(path.name, owner.get(id(n)), n.names)
+                  for n in ast.walk(tree) if isinstance(n, ast.Global)]
+    assert found == [("conditioning.py", "band_association",
+                      ["_last_association"])]
