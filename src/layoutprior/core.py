@@ -121,11 +121,13 @@ def fields_equal(a, b):
 
 
 def open_text(path, mode: str = "rt"):
-    """Open a text file, gzip-compressed with a zero timestamp when the
-    path ends in .gz. No other code in the library opens a file."""
+    """Open a UTF-8 text file, whatever the locale, gzip-compressed with a
+    zero timestamp when the path ends in .gz. No other code in the
+    library opens a file."""
     if str(path).endswith(".gz"):
-        return io.TextIOWrapper(gzip.GzipFile(path, mode[0] + "b", mtime=0))
-    return open(path, mode)
+        return io.TextIOWrapper(gzip.GzipFile(path, mode[0] + "b", mtime=0),
+                                encoding="utf-8")
+    return open(path, mode, encoding="utf-8")
 
 
 def write_text(path, parts) -> None:
@@ -134,29 +136,37 @@ def write_text(path, parts) -> None:
         f.writelines(parts)
 
 
-def read_json(path, parse):
-    """parse(obj) of the JSON document in the file at `path`.
+def read_json(path, parse, stream=None):
+    """parse(obj) of the JSON document in the file at `path`, whose text
+    is read once. Where `stream` is given, stream(text) is tried first,
+    and a result other than None is returned as it is. A `stream` returns
+    None for any text that it would not read exactly as parse of the
+    whole decoded document does, so that the whole-document read raises
+    every error.
 
     Content that does not decode, or that `parse` rejects with one of
     PARSE_ERRORS, raises a ParseError naming the file. Any other OSError
     passes through.
 
-    The decode and the parse run with the cyclic garbage collector
-    paused. A decoded document holds one container per JSON object and
-    array, tens of thousands for a corpus, and no reference cycle, so
-    the collections that allocating them would start free nothing. On
-    the way out the decoded document is released first; only then is the
-    collector re-enabled, and only if it was enabled on entry. Were the
-    document released after, an allocation in between would find the
-    youngest generation tens of thousands of objects over its threshold
-    and start a pass over the whole document.
+    The stream, the decode and the parse run with the cyclic garbage
+    collector paused. A decoded document holds one container per JSON
+    object and array, tens of thousands for a corpus, and no reference
+    cycle, so the collections that allocating them would start free
+    nothing. On the way out the decoded document is released first;
+    only then is the collector re-enabled, and only if it was enabled on
+    entry. Were the document released after, an allocation in between
+    would find the youngest generation tens of thousands of objects over
+    its threshold and start a pass over the whole document.
     """
     enabled, obj = gc.isenabled(), None
     gc.disable()
     try:
         with open_text(path) as f:
             try:
-                obj = json.load(f)
+                text = f.read()
+                result = stream(text) if stream else None
+                if result is None:  # the text goes before the parse
+                    obj, text = json.loads(text), None
             # JSONDecodeError and UnicodeDecodeError are ValueErrors; a bad
             # .gz raises EOFError, zlib.error or BadGzipFile, and nesting
             # too deep for the decoder RecursionError.
@@ -164,7 +174,7 @@ def read_json(path, parse):
                     RecursionError) as e:
                 raise ParseError(f"{path}: invalid JSON: {e}") from None
         try:
-            return parse(obj)
+            return parse(obj) if result is None else result
         except PARSE_ERRORS as e:
             raise parse_error(path, e) from None
     finally:
@@ -348,6 +358,9 @@ def matrix_to_json(m: np.ndarray) -> dict:
     m = np.asarray(m)
     if m.ndim != 2:
         raise ShapeError(f"MTX-JSON stores 2-D matrices only, got shape {m.shape}")
+    if m.dtype.kind in "biu" and (
+            not m.size or -2**53 <= m.min() and m.max() <= 2**53):
+        m = m.astype(np.float64)  # which holds each of these ints exactly
     data = m.ravel().tolist()
     if not (m.dtype.kind == "f" and m.dtype.itemsize <= 8):  # Python floats
         data = [float(v) if abs(v) <= 2**53 else v for v in data]

@@ -19,11 +19,19 @@ objects, kept for callers outside the library.
 `save_native_labelings` writes corpora that label the same layouts, as
 `synth`'s clean and noisy corpora do, in one pass that formats each
 shared box once; `save_native` is its one-corpus case.
-`load_native` builds the arrays from the decoded JSON in one pass. A
-side, coordinate or score must be a JSON number (an int, float or bool,
-not a string such as "1.5") and `components`, when present, a list. On
-a fault the pass is run on one record at a time, and the error names the
-first failing record: ``layout {i}: id {id!r}: reason``.
+`load_native` reads the file's text once. Where "classes" precedes
+"layouts" in the top-level object, as in every file the library writes,
+it decodes the layout records a block at a time with the stdlib
+decoder's own scanner and makes each block's arrays before it decodes
+the next, so the decoded document never exists whole. Any other
+document, and any fault (a syntax error, trailing data, a repeated
+top-level key, a bad vocabulary or record), takes the whole-document
+read of the same text: json.loads, then the arrays in one pass, which
+raises every error. A side, coordinate or score must be a JSON number
+(an int, float or bool, not a string such as "1.5") and `components`,
+when present, a list. On a fault the pass is run on one record at a
+time, and the error names the first failing record: ``layout {i}: id
+{id!r}: reason``.
 """
 
 from __future__ import annotations
@@ -121,10 +129,11 @@ class Corpus:
                             self.heights.tolist(), cuts, cuts[1:]))
 
 
-def _columns(records, vocab: ClassVocabulary) -> Corpus:
-    """The corpus of the native layout `records`, as arrays. It reads each
-    field for every record or component before the next: id, width,
-    height, components, class, bbox and score. Then, if a check fails, the
+def _columns(records, vocab: ClassVocabulary) -> tuple:
+    """The columns of the corpus of the native layout `records`, in the
+    order of Corpus's fields after the vocabulary. It reads each field
+    for every record or component before the next: id, width, height,
+    components, class, bbox and score. Then, if a check fails, the
     layouts are built as objects, which raise the first failing one's
     error: boxes and scores component by component, then the canvases."""
     ids = [str(lay["id"]) for lay in records]
@@ -163,8 +172,7 @@ def _columns(records, vocab: ClassVocabulary) -> Corpus:
     side = np.stack([widths, heights], axis=1)[layout][:, None, :]
     np.copyto(corners, 0.0, where=corners < 0.0)
     np.copyto(corners, side, where=corners > side)
-    return Corpus(vocab, ids, widths, heights, layout, cls, score, scored,
-                  boxes)
+    return ids, widths, heights, layout, cls, score, scored, boxes
 
 
 def _corpus_from_obj(obj) -> Corpus:
@@ -173,7 +181,7 @@ def _corpus_from_obj(obj) -> Corpus:
         raise ParseError("needs a 'classes' and a 'layouts' list")
     vocab = ClassVocabulary(obj["classes"])
     try:
-        return _columns(obj["layouts"], vocab)
+        return Corpus(vocab, *_columns(obj["layouts"], vocab))
     except PARSE_ERRORS as error:  # named by the first record failing alone
         for i, lay in enumerate(obj["layouts"]):
             try:
@@ -185,8 +193,75 @@ def _corpus_from_obj(obj) -> Corpus:
         raise error from None
 
 
+# The stdlib decoder's own parts, so that each value decodes as
+# json.loads decodes it.
+_scan = json.JSONDecoder().scan_once
+_space = json.decoder.WHITESPACE.match
+_READ_LAYOUTS = 64  # layout records decoded per block, held at once
+
+
+def _token(text: str, at: int):
+    """The character at the first non-whitespace position from `at`, ""
+    at the end of `text`, and the position past it."""
+    at = _space(text, at).end()
+    return text[at:at + 1], at + 1
+
+
+def _streamed(text: str):
+    """The corpus of the native document `text`, whose layout records are
+    decoded _READ_LAYOUTS at a time, each block dropped once `_columns`
+    has made its arrays; None for a document that the whole-document
+    read must take: one with a fault anywhere, a repeated top-level key,
+    "layouts" before "classes", or a top level that is no object."""
+    try:
+        sep, at = _token(text, 0)
+        vocab, blocks, keys = None, [], set()
+        while sep == ("," if keys else "{"):
+            quote, at = _token(text, at)
+            if quote != '"':
+                return None
+            key, at = json.decoder.scanstring(text, at)
+            colon, at = _token(text, at)
+            if colon != ":" or key in keys:
+                return None
+            keys.add(key)
+            if key != "layouts":
+                value, at = _scan(text, _space(text, at).end())
+                if key == "classes":
+                    vocab = ClassVocabulary(value)
+            elif vocab is None:
+                return None
+            else:
+                bracket, at = _token(text, at)
+                if bracket != "[":
+                    return None
+                records, sep = [], ","
+                if text.startswith("]", _space(text, at).end()):
+                    sep, at = _token(text, at)
+                while sep == ",":
+                    record, at = _scan(text, _space(text, at).end())
+                    records.append(record)
+                    if len(records) == _READ_LAYOUTS:
+                        blocks.append(_columns(records, vocab))
+                        records = []
+                    sep, at = _token(text, at)
+                if sep != "]":
+                    return None
+                blocks.append(_columns(records, vocab))
+            sep, at = _token(text, at)
+        if sep != "}" or not blocks or _space(text, at).end() != len(text):
+            return None
+        cols = list(zip(*blocks))  # each field's parts, block by block
+        starts = itertools.accumulate(map(len, cols[0]), initial=0)
+        cols[3] = [part + s for part, s in zip(cols[3], starts)]  # index
+        return Corpus(vocab, itertools.chain.from_iterable(cols[0]),
+                      *map(np.concatenate, cols[1:]))
+    except (StopIteration, RecursionError, *PARSE_ERRORS):
+        return None
+
+
 def load_native(path) -> Corpus:
-    return read_json(path, _corpus_from_obj)
+    return read_json(path, _corpus_from_obj, _streamed)
 
 
 def corpus_to_obj(corpus: Corpus) -> dict:

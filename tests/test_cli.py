@@ -1,8 +1,12 @@
 import argparse
+import codecs
 import copy
 import gzip
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1058,6 +1062,54 @@ def test_deeply_nested_json_exit_2(tmp_path, corpus_path, graphs_path, rng,
     assert f"error: {deep}: invalid JSON" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+# Runs the CLI once per JSON-encoded argv given, and writes the locale's
+# preferred encoding and the exit codes as JSON to the file named first.
+LOCALE_CHILD = """
+import json, locale, sys
+from layoutprior.cli import main
+codes = [main(json.loads(argv)) for argv in sys.argv[2:]]
+with open(sys.argv[1], "w") as f:
+    json.dump([locale.getpreferredencoding(False), codes], f)
+"""
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under an ASCII locale, the CLI reads a corpus whose class name is
+    UTF-8 text and writes DOT and SVG files of a non-ASCII class name,
+    with the bytes that a UTF-8 run writes."""
+    escaped = json.dumps(CORPUS).replace('"A"', '"bot\\u00f3n"')
+    (tmp_path / "escaped.json").write_text(escaped)  # ASCII
+    (tmp_path / "raw.json").write_bytes(json.dumps(
+        json.loads(escaped), ensure_ascii=False).encode("utf-8"))
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    ascii_env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C",
+                 "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    utf8_env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "1"}
+    argvs = [["build-prior", "../raw.json", "--bands", "2", "--out",
+              "raw-g.json"],
+             ["build-prior", "../escaped.json", "--bands", "2", "--out",
+              "g.json", "--dot", "g.dot"],
+             ["render", "../escaped.json", "l1", "--out", "x.svg"]]
+    outputs = {}
+    for name, env in (("ascii", ascii_env), ("utf8", utf8_env)):
+        d = tmp_path / name
+        d.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-c", LOCALE_CHILD, "result.json",
+             *map(json.dumps, argvs)],
+            cwd=d, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        encoding, codes = json.loads((d / "result.json").read_text())
+        assert codes == [0, 0, 0], result.stderr
+        outputs[name] = encoding, {f: (d / f).read_bytes() for f in (
+            "raw-g.json", "g.json", "g.dot", "x.svg")}
+    (ascii_encoding, ascii_files), (_, utf8_files) = outputs.values()
+    assert codecs.lookup(ascii_encoding).name != "utf-8"
+    assert ascii_files == utf8_files
+    assert "bot\u00f3n".encode("utf-8") in utf8_files["g.dot"]
+    assert "bot\u00f3n".encode("utf-8") in utf8_files["x.svg"]
 
 
 def test_version(capsys):

@@ -373,7 +373,15 @@ class TestMtxJson:
         np.array([[2.0 ** 60, -0.0, 0.1]], dtype=np.float32),
         np.array([[2 ** 60, -2 ** 53 - 1, 3, 0]]),
         np.array([[True, False]]),
-    ], ids=["float64", "float32", "int64", "bool"])
+        np.array([[-2 ** 63, 2 ** 53, -2 ** 53, 7]]),
+        np.array([[2 ** 53 + 1, -2 ** 53, 0]]),
+        np.array([[-2 ** 53 - 1, 2 ** 53, 0]]),
+        np.array([[2 ** 64 - 1, 2 ** 53, 0]], dtype=np.uint64),
+        np.array([[2 ** 53, 5, 0]], dtype=np.uint64),
+        np.array([[False, False, True]]),
+    ], ids=["float64", "float32", "int64", "bool", "int64-min",
+            "past-2**53", "past-minus-2**53", "uint64-max", "uint64",
+            "bools"])
     def test_entries_as_json_numbers(self, m):
         """Floats as they are, ints as floats up to 2**53 and past it as
         the ints they are, which floats would round."""

@@ -15,9 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
                          Corpus, LayoutDocument, build_prior, evaluate,
                          load_native, save_native)
-from layoutprior.core import PARSE_ERRORS, ParseError, ShapeError, parse_error
-from layoutprior.ingest import (_WRITE_LAYOUTS, _corpus_from_obj,
-                                corpus_to_obj, save_native_labelings)
+from layoutprior.core import (PARSE_ERRORS, ParseError, ShapeError,
+                              parse_error, read_json)
+from layoutprior.ingest import (_READ_LAYOUTS, _WRITE_LAYOUTS,
+                                _corpus_from_obj, _streamed, corpus_to_obj,
+                                save_native_labelings)
 from layoutprior.synth import generate
 
 from conftest import FIXTURES, corpus_from_layouts
@@ -555,7 +557,7 @@ def _faulty_records(draw):
 
 # Records of any kind: odd values in every field, repeated ids, missing
 # ids and records that are not objects.
-_any_records = st.lists(st.one_of(
+_any_record = st.one_of(
     _layouts(st.one_of(_plain, _big),
              boxes=st.one_of(st.lists(st.one_of(_plain, _odd), min_size=4,
                                       max_size=4),
@@ -566,7 +568,8 @@ _any_records = st.lists(st.one_of(
              ids=st.sampled_from(["a", "b", 1, "1", 2.5]),
              components=st.sampled_from(["", {}, None, "ab", {"k": 1}])),
     st.fixed_dictionaries({"width": _sides, "height": _sides}),
-    st.sampled_from([["a"], "a", None, 3])), max_size=3)
+    st.sampled_from([["a"], "a", None, 3]))
+_any_records = st.lists(_any_record, max_size=3)
 
 
 def _load(records, vocab):
@@ -865,3 +868,141 @@ def test_labelings_writer_peak_memory_on_synth_workload(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= PEAK_BOUND
+
+
+def _whole(path):
+    """The whole-document read of a native file: json.loads, then
+    _corpus_from_obj."""
+    return read_json(path, _corpus_from_obj)
+
+
+# Traced peaks of load_native on a 1000-layout corpus of the benchmark's
+# spec (Python 3.11, numpy 2.4): the whole-document read, 12.3 MB, of
+# which the decoded document is 8.6 MB; the streamed read in blocks of
+# 16 to 64 records, 6.5 MB, the peak of reading the file's text, when
+# its bytes and their string are both held.
+def test_streamed_read_peak_memory_on_prior_workload(tmp_path):
+    p = tmp_path / "corpus.json"
+    save_native(generate(workload_spec(1001), 1000)[0], p)
+    peaks = []
+    for load in (load_native, _whole):
+        load(p)  # first-call allocations
+        tracemalloc.start()
+        try:
+            load(p)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    streamed, whole = peaks
+    assert streamed < whole * 2 / 3
+
+
+# The streamed read against the whole-document read, json.loads and then
+# _corpus_from_obj, on documents about the block size: their records
+# repeat a few drawn layouts, 0, 1, B - 1, B, B + 1 or 2B + 1 of them.
+_B = _READ_LAYOUTS
+_SEPARATORS = [(",", ":"), (", ", ": "), (" ,\n", " :\t"), ("\r\n,", ":\r\n")]
+
+
+@st.composite
+def _documents(draw):
+    """A native document's text, and whether it is regular: an object
+    that repeats no key and whose "classes" precede its "layouts". It
+    may hold an odd record, a bad vocabulary, extra or repeated keys,
+    keys in any order, any JSON whitespace, a top level that is an array,
+    a cut or trailing data."""
+    pool = draw(st.lists(_layouts(st.one_of(_plain, _big)), min_size=1,
+                         max_size=3))
+    n = draw(st.sampled_from([2 * _B + 1, _B + 1, _B, _B - 1, 1, 0]))
+    records = [{**pool[k % len(pool)], "id": f"{k}"} for k in range(n)]
+    if draw(st.integers(0, 3)) == 0:
+        records.insert(draw(st.integers(0, n)), draw(_any_record))
+    vocabularies = [["A", "B", "C"], ["C", "B", "A"], ["A", "B", "C", "D"]]
+    classes = draw(st.one_of(st.sampled_from(vocabularies), st.sampled_from(
+        vocabularies + [["A", "A"], [], "ABC", None])))
+    members = [("classes", classes), ("layouts", records)] + draw(st.lists(
+        st.tuples(st.sampled_from(["extra", "id", "classes", "layouts"]),
+                  st.sampled_from([None, 3, ["A"], {"layouts": []}])),
+        max_size=2))
+    if draw(st.integers(0, 2)) == 0:
+        members = draw(st.permutations(members))
+    keys = [k for k, _ in members]
+    regular = len(set(keys)) == len(keys) and (
+        keys.index("classes") < keys.index("layouts"))
+    item, key = draw(st.sampled_from(_SEPARATORS))
+    indent = draw(st.sampled_from([None, 0, 1, "\t"]))
+    body = item.join(json.dumps(k) + key + json.dumps(
+        v, indent=indent, separators=(item, key)) for k, v in members)
+    space = st.sampled_from(["", " ", "\n", "\t\r\n "])
+    text = draw(space) + "{" + draw(space) + body + draw(space) + "}"
+    if draw(st.integers(0, 3)) == 0:
+        regular = False
+        k = draw(st.integers(0, len(text) - 1))
+        text = draw(st.sampled_from([
+            json.dumps(records), text + draw(st.sampled_from(
+                ["x", "{}", "]", "}", ","])), text[:k],
+            text[:k] + draw(st.sampled_from("{}[],:")) + text[k + 1:]]))
+    return text + draw(space), regular
+
+
+def _loaded(load, path):
+    """Each field of the corpus that load(path) returns, with its dtype,
+    or the text of the ParseError it raises."""
+    try:
+        corpus = load(path)
+    except ParseError as e:
+        return "error", str(e)
+    return ("corpus", corpus.vocabulary, corpus.ids,
+            [(a.dtype, a.shape, a.tobytes()) for a in _arrays(corpus)])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_documents())
+@example(('{"classes": ["A"], "layouts": [{"id": "a", "width": 1, '
+          '"height": 1}}}', False))
+def test_streamed_read_matches_whole_document_read(document):
+    """load_native gives the whole-document read's corpus or error text,
+    on documents json.dumps writes and on save_native's rewrite of
+    those that load. The streamed read takes every regular document that
+    loads, and no other."""
+    text, regular = document
+    with tempfile.TemporaryDirectory() as d:
+        p = Path(d, "c.json")
+        p.write_text(text)
+        whole = _loaded(_whole, p)
+        assert _loaded(load_native, p) == whole
+        assert (_streamed(text) is not None) == (
+            regular and whole[0] == "corpus")
+        if whole[0] == "corpus":
+            save_native(_whole(p), p)
+            assert _loaded(load_native, p) == _loaded(_whole, p) == whole
+            assert _streamed(p.read_text()) is not None
+
+
+def _two_blocks():
+    """A library-written corpus of two blocks and some, as an object."""
+    return corpus_to_obj(generate(block_spec(seed=5), 2 * _B + 9)[0])
+
+
+def test_streamed_fault_in_second_block_named_by_global_index(tmp_path):
+    obj = _two_blocks()
+    bad = obj["layouts"][_B + 4]
+    bad["width"] = "10"
+    assert_rejected(tmp_path, obj, f"layout {_B + 4}: id {bad['id']!r}: "
+                                   "width must be a JSON number, got '10'")
+
+
+@pytest.mark.parametrize("where", ["record", "end"])
+def test_syntax_error_after_bad_record_is_invalid_json(tmp_path, where):
+    """A syntax error anywhere in the file is reported, not a bad record
+    that comes before it."""
+    obj = _two_blocks()
+    obj["layouts"][1]["width"] = "10"
+    obj["layouts"][_B + 3]["id"] = "mark"
+    text = json.dumps(obj)
+    p = tmp_path / "c.json"
+    p.write_text(text.replace('"mark"', '"mark" x') if where == "record"
+                 else text[:-1])
+    with pytest.raises(ParseError, match=f"^{re.escape(str(p))}: invalid "
+                                         "JSON: "):
+        load_native(p)

@@ -161,3 +161,31 @@ def test_module_state_is_one_memo():
                   for n in ast.walk(tree) if isinstance(n, ast.Global)]
     assert found == [("conditioning.py", "band_association",
                       ["_last_association"])]
+
+
+# Calls that open a file, by the names src/ could call them.
+OPENERS = {"open", "io.open", "gzip.open", "gzip.GzipFile", "GzipFile",
+           "io.TextIOWrapper", "TextIOWrapper"}
+
+
+def test_files_opened_only_in_open_text():
+    """Every file src/layoutprior opens, it opens through core.open_text,
+    so every file is read and written as UTF-8 text whatever the locale,
+    and gzip-compressed where its path ends in .gz."""
+    calls, allowed = [], set()
+    for path in sorted((ROOT / "src" / "layoutprior").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        if path.name == "core.py":
+            (open_text,) = [n for n in tree.body if isinstance(
+                n, ast.FunctionDef) and n.name == "open_text"]
+            allowed = {id(n) for n in ast.walk(open_text)}
+        calls += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and id(n) not in allowed
+                  and ast.unparse(n.func) in OPENERS]
+    assert calls == []
+    inside = {ast.unparse(n.func): n for n in ast.walk(open_text)
+              if isinstance(n, ast.Call)}
+    assert inside.keys() >= {"open", "io.TextIOWrapper", "gzip.GzipFile"}
+    for name in ("open", "io.TextIOWrapper"):  # the two text layers
+        keywords = {k.arg: ast.unparse(k.value) for k in inside[name].keywords}
+        assert keywords.get("encoding") == "'utf-8'", name
