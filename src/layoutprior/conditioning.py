@@ -19,10 +19,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (ParseError, ProposalBatch, ShapeError, fields_equal,
-                   finite, json_number, json_numbers, matmul,
-                   matrix_from_json, matrix_to_json, midpoints, read_json,
-                   read_only, row_softmax, same_bits, write_text)
+from .core import (ParseError, ProposalBatch, ShapeError, centres,
+                   fields_equal, finite, json_number, json_numbers, matmul,
+                   matrix_from_json, matrix_to_json, read_json, read_only,
+                   row_softmax, same_bits, write_text)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -95,10 +95,8 @@ def band_association(proposals: ProposalBatch, bands: BandConfig,
     if (last is not None and last[0]() is proposals and last[1] == bands
             and last[2] == policy):
         return last[3].copy()
-    c = proposals.coords
-    with np.errstate(over="ignore"):
-        t = midpoints(c[:, 1], c[:, 3]) / proposals.layout_height
-    alpha = association(t, bands, policy)
+    alpha = association(centres(proposals.coords, proposals.layout_height),
+                        bands, policy)
     _last_association = (weakref.ref(proposals), bands, policy,
                          read_only(alpha.copy()))
     return alpha
@@ -243,7 +241,7 @@ def proposals_from_obj(obj: dict) -> ProposalBatch:
         boxes = json_numbers(obj["boxes"], "box coordinate", 4)
         logits = matrix_from_json(obj["logits"])
         height = json_number(obj["height"], "height")
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad proposal batch object: {e}") from None
     features = obj.get("features")
     if features is not None:

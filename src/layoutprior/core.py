@@ -300,15 +300,18 @@ class ProposalBatch:
         return tuple(map(BBox, *self.coords.T.tolist()))
 
 
-def midpoints(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(lo + hi) / 2 of each pair of entries of two finite float arrays;
-    where the sum passes the float range, lo / 2 + hi / 2, which does not."""
-    with np.errstate(over="ignore"):
-        mid = (lo + hi) / 2.0
+@np.errstate(over="ignore")  # a sum or quotient past the float range is inf
+def centres(boxes: np.ndarray, heights) -> np.ndarray:
+    """t = ((y1 + y2) / 2) / H of each x1, y1, x2, y2 row of finite
+    `boxes`, the vertical centre as a fraction of the canvas height H:
+    `heights`, one for every row or one per row, read as float64. Where
+    y1 + y2 passes the float range, the centre is y1 / 2 + y2 / 2."""
+    lo, hi = boxes[:, 1], boxes[:, 3]
+    mid = (lo + hi) / 2.0
     past = np.isinf(mid)
     if past.any():
         mid[past] = lo[past] / 2.0 + hi[past] / 2.0
-    return mid
+    return mid / np.asarray(heights, dtype=np.float64)
 
 
 @np.errstate(over="ignore")  # an area past the float range is inf
@@ -372,7 +375,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         rows = json_int(obj["rows"], "rows")
         cols = json_int(obj["cols"], "cols")
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"bad MTX-JSON object: {e}") from None
     if len(data) != rows * cols:
         raise ParseError(

@@ -49,7 +49,7 @@ import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
                    LayoutDocument, ParseError, ShapeError, fields_equal,
-                   json_numbers, open_text, parse_error, read_json,
+                   finite, json_numbers, open_text, parse_error, read_json,
                    read_only, same_bits)
 
 
@@ -289,6 +289,14 @@ _LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %r,\n"
 _WRITE_LAYOUTS = 8  # layouts per writer step, whose texts it holds at once
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite; an object column's, such as
+    an int past int64, as core.finite judges it."""
+    if a.dtype.hasobject:
+        return all(map(finite, a.ravel().tolist()))
+    return bool(np.isfinite(a).all())
+
+
 def _same_file(a, b) -> bool:
     """Whether the paths `a` and `b` name one file, existing or not."""
     try:
@@ -336,7 +344,9 @@ def save_native_labelings(corpora, paths) -> None:
     equal values of one dtype, and each box's text is formatted once for
     all of them; a ShapeError is raised otherwise. A file named by more
     than one path ends up holding the last of its corpora, as writing
-    them one after another would leave it.
+    them one after another would leave it. A side, box coordinate or
+    present score that is not finite, which JSON cannot hold, raises a
+    ParseError naming the first path before any file is opened.
     """
     corpora, paths = tuple(corpora), tuple(paths)
     if not corpora or len(corpora) != len(paths):
@@ -354,6 +364,10 @@ def save_native_labelings(corpora, paths) -> None:
     keep = [k for k, p in enumerate(paths)
             if not any(_same_file(p, q) for q in paths[k + 1:])]
     corpora = tuple(corpora[k] for k in keep)
+    if not (all(map(_all_finite, (first.widths, first.heights, first.boxes)))
+            and all(_all_finite(c.score[c.scored]) for c in corpora)):
+        raise ParseError(f"{paths[0]}: not written: canvas sides, boxes "
+                         "and scores must be finite")
     encoded = [tuple(map(_str, c.vocabulary.names)) for c in corpora]
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open_text(paths[k], "wt")) for k in keep]

@@ -17,8 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (ClassVocabulary, ParseError, fields_equal, json_int,
-                   json_number, matrix_from_json, matrix_to_json, midpoints,
+from .core import (ClassVocabulary, ParseError, centres, fields_equal,
+                   json_int, json_number, matrix_from_json, matrix_to_json,
                    read_json, read_only, write_text)
 from .ingest import Corpus
 
@@ -136,8 +136,7 @@ def accumulate(corpus: Corpus, config: BandConfig) -> np.ndarray:
     """
     C, L = corpus.vocabulary.size, len(corpus.ids)
     layout, cls, boxes = corpus.index, corpus.class_id, corpus.boxes
-    member = band_membership(midpoints(boxes[:, 1], boxes[:, 3])
-                             / corpus.heights[layout], config)
+    member = band_membership(centres(boxes, corpus.heights[layout]), config)
     # Band by band: an N_b x L x C histogram would raise the peak memory.
     counts = np.empty((config.n_bands, C, C), dtype=np.int64)
     for j in range(config.n_bands):

@@ -16,8 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import (LayoutDocument, ParseError, ProposalBatch, finite,
-                   midpoints, row_softmax)
+from .core import (LayoutDocument, ParseError, ProposalBatch, centres,
+                   finite, row_softmax)
 from .conditioning import AssociationPolicy, association, band_association
 from .ingest import Corpus
 from .prior import CoOccurrenceGraphSet
@@ -128,10 +128,8 @@ def rescore_corpus(corpus: Corpus, graphs: CoOccurrenceGraphSet,
     C = graphs.vocabulary.size
     s = row_softmax(_label_logits(corpus.class_id, corpus.score, C,
                                   config.confidence))
-    # float64 first: an int side past int64 is held as a Python int.
-    heights = corpus.heights.astype(np.float64)[corpus.index]
-    alpha = association(midpoints(corpus.boxes[:, 1], corpus.boxes[:, 3])
-                        / heights, graphs.band_config, config.association)
+    alpha = association(centres(corpus.boxes, corpus.heights[corpus.index]),
+                        graphs.band_config, config.association)
     cuts = corpus.offsets
     logits = [_rescore(s[a:b], alpha[a:b], graphs.edges, config)
               for a, b in zip(cuts, cuts[1:])]

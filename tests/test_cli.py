@@ -1064,6 +1064,42 @@ def test_deeply_nested_json_exit_2(tmp_path, corpus_path, graphs_path, rng,
     assert not out.exists()
 
 
+HUGE = "1" + "0" * 400  # a JSON int past the float range
+
+
+@pytest.mark.parametrize("kind, text, reason", [
+    pytest.param("proposals", '{"height": %s, "boxes": [], "logits": '
+                 '{"rows": 0, "cols": 3, "data": []}}' % HUGE,
+                 "bad proposal batch object: int too large to convert to "
+                 "float", id="height"),
+    pytest.param("proposals", '{"height": 1, "boxes": [[0, 0, 1, %s]], '
+                 '"logits": {"rows": 1, "cols": 3, "data": [0, 0, 0]}}'
+                 % HUGE, "bad proposal batch object: int too large to "
+                 "convert to float", id="box"),
+    pytest.param("matrix", '{"rows": Infinity, "cols": 1, "data": [1]}',
+                 "bad MTX-JSON object: cannot convert float infinity to "
+                 "integer", id="rows"),
+    pytest.param("matrix", '{"rows": 1, "cols": -Infinity, "data": [1]}',
+                 "bad MTX-JSON object: cannot convert float infinity to "
+                 "integer", id="cols"),
+])
+def test_overflow_keeps_reader_prefix(tmp_path, graphs_path, rng, capsys,
+                                      kind, text, reason):
+    """A number that overflows on conversion is named by its reader's
+    prefix, as any other malformed field is, and exits 2."""
+    pp, wp, zp, *_ = TestCondition().write_inputs(tmp_path, graphs_path, rng)
+    bad = tmp_path / f"bad-{kind}.json"
+    bad.write_text(text)
+    out = tmp_path / "out.json"
+    props, nodes = (bad, wp) if kind == "proposals" else (pp, bad)
+    assert main(["condition", str(props), str(graphs_path), "--nodes",
+                 str(nodes), "--embed", str(zp), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {bad}: {reason}\n" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # Runs the CLI once per JSON-encoded argv given, and writes the locale's
 # preferred encoding and the exit codes as JSON to the file named first.
 LOCALE_CHILD = """

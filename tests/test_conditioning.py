@@ -22,7 +22,7 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       condition_features, load_proposals,
                                       proposals_from_obj, proposals_to_obj,
                                       save_proposals, soft_mapping)
-from layoutprior.core import (BBox, ParseError, ShapeError, midpoints,
+from layoutprior.core import (BBox, ParseError, ShapeError, centres,
                               same_bits)
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 from layoutprior.rescore import RescoreConfig, rescore
@@ -287,10 +287,8 @@ def test_gaussian_limit_matches_large_finite_mu(n_bands, t, sign):
 
 def direct_association(batch, bands, policy):
     """`association` of a batch's centres, computed without the memo."""
-    c = batch.coords
-    with np.errstate(over="ignore"):
-        t = midpoints(c[:, 1], c[:, 3]) / batch.layout_height
-    return association(t, bands, policy)
+    return association(centres(batch.coords, batch.layout_height), bands,
+                       policy)
 
 
 def counting_association():

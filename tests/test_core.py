@@ -17,8 +17,8 @@ import layoutprior
 from layoutprior.conditioning import AssociationPolicy, band_association
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError,
-                              box_areas, iou_matrix, load_matrix, matmul,
-                              matrix_from_json, matrix_to_json, midpoints,
+                              box_areas, centres, iou_matrix, load_matrix,
+                              matmul, matrix_from_json, matrix_to_json,
                               read_json, row_softmax, same_bits,
                               save_matrix, write_text)
 from layoutprior.prior import BandConfig
@@ -305,7 +305,16 @@ class TestRowSoftmax:
             row_softmax(np.zeros(shape))
 
 
+def ys_as_boxes(lo, hi):
+    """(N, 4) rows with y1 = lo and y2 = hi; x1 = x2 = 0."""
+    zero = np.zeros(len(lo))
+    return np.stack([zero, lo, zero, hi], axis=1)
+
+
 class TestMidpoints:
+    """The box centres of `centres`, over a height of 1.0, which divides
+    exactly."""
+
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(st.lists(st.tuples(st.floats(-1e308, 1.7e308),
                               st.floats(-1e308, 1.7e308))))
@@ -313,7 +322,7 @@ class TestMidpoints:
         lo, hi = np.array(pairs, dtype=np.float64).reshape(-1, 2).T
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = midpoints(lo, hi)
+            got = centres(ys_as_boxes(lo, hi), 1.0)
         for m, a, b in zip(got.tolist(), lo.tolist(), hi.tolist()):
             # Python floats overflow quietly; the halves are exact for
             # such large values.
@@ -324,8 +333,8 @@ class TestMidpoints:
 
     def test_past_float_range(self):
         top = 2.0 ** 1023
-        got = midpoints(np.array([top, -1.5 * top, 1.0]),
-                        np.array([1.5 * top, -1.5 * top, 2.0]))
+        got = centres(ys_as_boxes(np.array([top, -1.5 * top, 1.0]),
+                                  np.array([1.5 * top, -1.5 * top, 2.0])), 1.0)
         assert got.tolist() == [1.25 * top, -1.5 * top, 1.5]
 
     def test_halves_only_where_the_sum_overflows(self):
@@ -337,13 +346,29 @@ class TestMidpoints:
                            [0.0, -1.5 * top, 1.0, -top],
                            [0.0, 3.0, 1.0, 0.5]])
         before = coords.copy()
-        lo, hi = coords[:, 1], coords[:, 3]  # strided, as band_association
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = midpoints(lo, hi)
+            got = centres(coords, 1.0)  # whose y columns are strided
         assert got.tolist() == [1.25 * top, tiny, -1.25 * top, 1.75]
         assert coords.tobytes() == before.tobytes()
         assert not np.shares_memory(got, coords)
+
+    @pytest.mark.parametrize("heights", [
+        np.array([4, 2**62 + 1, 3]),  # int64, which rounds as a float
+        np.array([4, 2**64 + 1, 3], dtype=object),  # an int past int64
+        [4.0, 1e-300, 3.0]])
+    def test_heights_read_as_float64(self, heights):
+        """One height per row, of any dtype, divides as Python's float /
+        int or float / float does; a quotient past the float range is
+        +inf, with no warning."""
+        boxes = ys_as_boxes(np.array([1.0, 5e9, 0.0]),
+                            np.array([2.0, 5e9, 3.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = centres(boxes, heights)
+        want = [m / h for m, h in zip([1.5, 5e9, 1.5],
+                                      np.asarray(heights).tolist())]
+        assert got.dtype == np.float64 and got.tolist() == want
 
 
 class TestMtxJson:

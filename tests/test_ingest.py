@@ -848,6 +848,43 @@ def test_labelings_writer_same_file_holds_last(tmp_path):
     assert p.read_text() == dumped(clean)
 
 
+def one_box_corpus(width=10.0, height=10.0, score=0.5, scored=True,
+                   box=(0.0, 0.0, 1.0, 1.0)):
+    return Corpus(ClassVocabulary(["a"]), ["x"], [width], [height], [0], [0],
+                  [score], [scored], [box])
+
+
+@pytest.mark.parametrize("field", [
+    {"box": (0.0, 0.0, inf, 1.0)}, {"box": (nan, 0.0, 1.0, 1.0)},
+    {"score": nan}, {"score": -inf}, {"width": inf}, {"height": nan},
+    {"height": 10 ** 400}], ids=["box-inf", "box-nan", "score-nan",
+                                 "score-inf", "width-inf", "height-nan",
+                                 "height-past-float"])
+def test_labelings_writer_refuses_non_finite(tmp_path, field):
+    """%r would write a bare inf or nan, which is not JSON: the writer
+    refuses such a number before it opens any file, naming the first
+    path."""
+    bad = one_box_corpus(**field)
+    clean = replace(bad, score=np.array([0.5]))  # only its score differs
+    paths = (tmp_path / "clean.json", tmp_path / "noisy.json")
+    for corpora, names in (((clean, bad), paths), ((bad,), paths[1:])):
+        with pytest.raises(ParseError, match=re.escape(
+                f"{names[0]}: not written: canvas sides, boxes and "
+                "scores must be finite")):
+            save_native_labelings(corpora, names)
+        assert not any(p.exists() for p in paths)
+
+
+def test_native_writer_skips_absent_score(tmp_path):
+    """An absent score is not written, so a NaN held in its place is no
+    fault."""
+    corpus = one_box_corpus(score=nan, scored=False)
+    p = tmp_path / "c.json"
+    save_native(corpus, p)
+    assert p.read_text() == dumped(corpus)
+    assert not load_native(p).scored.any()
+
+
 # The traced peak of writing the `synth` workload's two corpora while
 # each box's text was still formatted for the whole corpus before the
 # first layout was written: 3.08 MB. Writing one layout at a time, as

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from layoutprior import (ClassVocabulary, Corpus, LayoutDocument,
                          ProposalBatch, accumulate, build_prior)
 from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       MappingPolicy, NodeFeatures,
-                                      band_association, condition_features,
-                                      soft_mapping)
+                                      association, band_association,
+                                      condition_features, soft_mapping)
 from layoutprior.core import BBox, Component, ParseError, row_softmax
 from layoutprior.evaluation import evaluate, report_to_json
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
@@ -356,6 +357,33 @@ class TestRescoreCorpus:
         assert out == corpus_from_layouts(noisy.vocabulary, [
             rescore_layout(lay, graphs, RescoreConfig())
             for lay in noisy.layouts[:8]])
+
+    def test_centre_past_height_range_quiet(self):
+        """Boxes centred at 5e9 on a canvas of height 1e-300 are at t =
+        +inf, with no warning, in the prior, rescoring and conditioning
+        alike: the prior counts them in no band, and rescore_corpus and
+        band_association of the layout's batch give them the last band."""
+        graphs = self.make_graphs()
+        bands = graphs.band_config
+        lay = LayoutDocument("far", 100.0, 1e-300, (
+            Component(BBox(0, 0, 10, 1e10), 0),
+            Component(BBox(5, 0, 15, 1e10), 1)))
+        corpus = corpus_from_layouts(graphs.vocabulary, (lay,))
+        seen = []
+
+        def spy(*args):
+            seen.append(association(*args))
+            return seen[-1]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prior = build_prior(corpus, bands, keep_raw=True)
+            with mock.patch("layoutprior.rescore.association", spy):
+                rescore_corpus(corpus, graphs, RescoreConfig())
+            alpha = band_association(labels_to_logits(lay, 3), bands,
+                                     AssociationPolicy())
+        assert not prior.raw_counts.any()
+        assert seen[0].tolist() == alpha.tolist() == [[0.0, 1.0]] * 2
 
     def test_vocab_mismatch(self, rng):
         graphs = self.make_graphs()
