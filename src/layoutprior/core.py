@@ -219,6 +219,24 @@ class ClassVocabulary:
             raise ParseError(f"unknown class name: {name!r}") from None
 
 
+def malformed_box(*box) -> ParseError:
+    """The error of a box x1, y1, x2, y2 that BBox refuses."""
+    return ParseError("malformed box ({},{},{},{}): coordinates must be "
+                      "finite with x1 <= x2 and y1 <= y2".format(*box))
+
+
+def check_boxes(boxes: np.ndarray) -> None:
+    """Raise BBox's error for the first x1, y1, x2, y2 row of the float
+    (N, 4) `boxes` that is not finite or has x1 > x2 or y1 > y2."""
+    # In column order: in row order numpy's loop runs over each row's two
+    # pairs, several times slower on a corpus.
+    real = np.isfinite(boxes)
+    ordered = np.less_equal(boxes[:, :2], boxes[:, 2:], order="F")
+    if not (real.all() and ordered.all()):
+        ok = real.all(axis=1) & ordered.all(axis=1)
+        raise malformed_box(*boxes[np.argmin(ok)].tolist())
+
+
 @dataclass(frozen=True)
 class BBox:
     x1: float
@@ -229,10 +247,7 @@ class BBox:
     def __post_init__(self):
         if not (all(map(finite, (self.x1, self.y1, self.x2, self.y2)))
                 and self.x1 <= self.x2 and self.y1 <= self.y2):
-            raise ParseError(
-                f"malformed box ({self.x1},{self.y1},{self.x2},{self.y2}): "
-                "coordinates must be finite with x1 <= x2 and y1 <= y2"
-            )
+            raise malformed_box(self.x1, self.y1, self.x2, self.y2)
 
 
 @dataclass(frozen=True)
@@ -279,9 +294,7 @@ class ProposalBatch:
         object.__setattr__(self, "coords", c)
         if c.ndim != 2 or c.shape[1] != 4:
             raise ShapeError(f"coords shape {c.shape} is not (N, 4)")
-        if not (np.isfinite(c).all() and (c[:, :2] <= c[:, 2:]).all()):
-            for row in c.tolist():  # the first bad row raises BBox's error
-                BBox(*row)
+        check_boxes(c)
         for name in ("logits",) + ("features",) * (self.features is not None):
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.ndim != 2 or m.shape[0] != len(c):

@@ -13,7 +13,9 @@ Native corpus format::
 A `Corpus` is its arrays, each one field: the layout ids and canvas sides,
 and one row per component in layout order; corpora compare field by field.
 Their shapes are checked: one row per component in every component
-array, and an `index` of layout positions in non-decreasing order.
+array, and an `index` of layout positions in non-decreasing order. Then
+their values are checked, with the texts of the objects below, so that
+no `Corpus` holds a box, score or side that the native format refuses.
 `Corpus.layouts` is a read-only view of them as `LayoutDocument`
 objects, kept for callers outside the library.
 `save_native_labelings` writes corpora that label the same layouts, as
@@ -48,9 +50,9 @@ from functools import cached_property
 import numpy as np
 
 from .core import (PARSE_ERRORS, BBox, ClassVocabulary, Component,
-                   LayoutDocument, ParseError, ShapeError, fields_equal,
-                   finite, json_numbers, open_text, parse_error, read_json,
-                   read_only, same_bits)
+                   LayoutDocument, ParseError, ShapeError, check_boxes,
+                   fields_equal, finite, json_numbers, open_text,
+                   parse_error, read_json, read_only, same_bits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +62,8 @@ class Corpus:
     Per layout, in layout order: `ids` and the canvas `widths` and
     `heights`. Per component, in layout order: `index`, its layout's
     position; `class_id`; `score`, 1.0 where absent, and `scored`, which
-    flags the scores present; and `boxes`, (N, 4) rows of x1, y1, x2,
-    y2. Every array is read-only, and corpora compare field by field.
+    flags the scores present; and `boxes`, float64 (N, 4) rows of x1, y1,
+    x2, y2. Every array is read-only, and corpora compare field by field.
     """
 
     vocabulary: ClassVocabulary
@@ -82,8 +84,9 @@ class Corpus:
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
         for f in fields(self)[2:]:
-            object.__setattr__(self, f.name,
-                               read_only(np.asarray(getattr(self, f.name))))
+            a = np.asarray(getattr(self, f.name),
+                           np.float64 if f.name == "boxes" else None)
+            object.__setattr__(self, f.name, read_only(a))
         L, N, index = len(self.ids), self.index.size, self.index
         for name, shape in (("widths", (L,)), ("heights", (L,)),
                             ("index", (N,)), ("class_id", (N,)),
@@ -107,6 +110,8 @@ class Corpus:
             raise ParseError(f"layout {self.ids[self.index[k]]!r}: class "
                              f"id {self.class_id[k]} out of range for {C} "
                              "classes")
+        _check_values(self.ids, self.widths, self.heights, self.score,
+                      self.scored, self.boxes)
 
     @cached_property
     def offsets(self) -> list:
@@ -129,13 +134,33 @@ class Corpus:
                             self.heights.tolist(), cuts, cuts[1:]))
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """np.isfinite(`a`), with core.finite judging an object column's
+    entries, such as ints past int64."""
+    return (np.fromiter(map(finite, a.tolist()), bool, a.size)
+            if a.dtype.hasobject else np.isfinite(a))
+
+
+def _check_values(ids, widths, heights, score, scored, boxes) -> None:
+    """Raise the first value fault of a corpus's columns, in reading
+    order: each component's box, then its present score; then each
+    layout's canvas, which must be finite and positive."""
+    bad = np.flatnonzero(np.logical_and(scored, ~_finite(score)))
+    check_boxes(boxes[:bad[0] + 1] if len(bad) else boxes)
+    if len(bad):
+        raise ParseError(f"non-finite score: {score.item(bad[0])}")
+    ok = _finite(widths) & _finite(heights) & (widths > 0) & (heights > 0)
+    if not ok.all():
+        raise ParseError(f"layout {ids[np.argmin(ok)]!r}: canvas size must "
+                         "be positive and finite")
+
+
 def _columns(records, vocab: ClassVocabulary) -> tuple:
     """The columns of the corpus of the native layout `records`, in the
     order of Corpus's fields after the vocabulary. It reads each field
     for every record or component before the next: id, width, height,
-    components, class, bbox and score. Then, if a check fails, the
-    layouts are built as objects, which raise the first failing one's
-    error: boxes and scores component by component, then the canvases."""
+    components, class, bbox and score. Then _check_values raises the
+    first value fault, before the boxes are clamped to their canvas."""
     ids = [str(lay["id"]) for lay in records]
     L = len(ids)
     widths = json_numbers([lay["width"] for lay in records], "width")
@@ -159,13 +184,7 @@ def _columns(records, vocab: ClassVocabulary) -> tuple:
     score = np.ones(N)
     score[scored] = json_numbers([s for s in scores if s is not None],
                                  "score")
-    x1, y1, x2, y2 = boxes.T
-    sides = np.concatenate([widths, heights])
-    if not (np.isfinite(boxes).all() and (x1 <= x2).all() and (y1 <= y2).all()
-            and np.isfinite(score).all() and np.isfinite(sides).all()
-            and (sides > 0.0).all()):  # the objects raise the check's error
-        Corpus(vocab, ids, widths, heights, layout, cls, score, scored,
-               boxes).layouts
+    _check_values(ids, widths, heights, score, scored, boxes)
     # The clamp to the canvas, in place: max(v, 0.0) keeps v, -0.0
     # included, unless 0.0 > v, and min(v, side) keeps v unless side < v.
     corners = boxes.reshape(N, 2, 2)  # (x1, y1) and (x2, y2)
@@ -289,14 +308,6 @@ _LAYOUT = ("  {\n   \"components\": %s,\n   \"height\": %r,\n"
 _WRITE_LAYOUTS = 8  # layouts per writer step, whose texts it holds at once
 
 
-def _all_finite(a: np.ndarray) -> bool:
-    """Whether every entry of `a` is finite; an object column's, such as
-    an int past int64, as core.finite judges it."""
-    if a.dtype.hasobject:
-        return all(map(finite, a.ravel().tolist()))
-    return bool(np.isfinite(a).all())
-
-
 def _same_file(a, b) -> bool:
     """Whether the paths `a` and `b` name one file, existing or not."""
     try:
@@ -344,9 +355,7 @@ def save_native_labelings(corpora, paths) -> None:
     equal values of one dtype, and each box's text is formatted once for
     all of them; a ShapeError is raised otherwise. A file named by more
     than one path ends up holding the last of its corpora, as writing
-    them one after another would leave it. A side, box coordinate or
-    present score that is not finite, which JSON cannot hold, raises a
-    ParseError naming the first path before any file is opened.
+    them one after another would leave it.
     """
     corpora, paths = tuple(corpora), tuple(paths)
     if not corpora or len(corpora) != len(paths):
@@ -364,10 +373,6 @@ def save_native_labelings(corpora, paths) -> None:
     keep = [k for k, p in enumerate(paths)
             if not any(_same_file(p, q) for q in paths[k + 1:])]
     corpora = tuple(corpora[k] for k in keep)
-    if not (all(map(_all_finite, (first.widths, first.heights, first.boxes)))
-            and all(_all_finite(c.score[c.scored]) for c in corpora)):
-        raise ParseError(f"{paths[0]}: not written: canvas sides, boxes "
-                         "and scores must be finite")
     encoded = [tuple(map(_str, c.vocabulary.names)) for c in corpora]
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open_text(paths[k], "wt")) for k in keep]

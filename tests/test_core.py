@@ -17,10 +17,10 @@ import layoutprior
 from layoutprior.conditioning import AssociationPolicy, band_association
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
                               ParseError, ProposalBatch, ShapeError,
-                              box_areas, centres, iou_matrix, load_matrix,
-                              matmul, matrix_from_json, matrix_to_json,
-                              read_json, row_softmax, same_bits,
-                              save_matrix, write_text)
+                              box_areas, centres, check_boxes, iou_matrix,
+                              load_matrix, matmul, matrix_from_json,
+                              matrix_to_json, read_json, row_softmax,
+                              same_bits, save_matrix, write_text)
 from layoutprior.prior import BandConfig
 from layoutprior.rescore import RescoreConfig
 
@@ -103,6 +103,30 @@ class TestProposalBatch:
         assert batch.boxes == tuple(map(BBox, *coords.T.tolist()))
         assert batch.boxes is batch.boxes  # built once
         assert math.copysign(1.0, batch.boxes[1].x1) == -1.0
+
+
+_coordinate = st.one_of(st.sampled_from([NAN, INF, -INF, 0.0, -0.0, 1.0]),
+                        st.floats(-10.0, 10.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(st.tuples(*[_coordinate] * 4), max_size=6))
+def test_check_boxes_raises_first_bbox_error(rows):
+    """check_boxes raises what BBox raises for the first row it refuses,
+    and nothing where BBox refuses none."""
+    boxes = np.array(rows, dtype=np.float64).reshape(-1, 4)
+    want = got = None
+    for row in boxes.tolist():
+        try:
+            BBox(*row)
+        except ParseError as e:
+            want = str(e)
+            break
+    try:
+        check_boxes(boxes)
+    except ParseError as e:
+        got = str(e)
+    assert got == want
 
 
 class TestNonFinite:

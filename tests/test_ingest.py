@@ -13,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
-                         Corpus, LayoutDocument, build_prior, evaluate,
-                         load_native, save_native)
-from layoutprior.core import (PARSE_ERRORS, ParseError, ShapeError,
+                         Corpus, LayoutDocument, accumulate, build_prior,
+                         evaluate, load_native, save_native)
+from layoutprior.core import (PARSE_ERRORS, ParseError, ShapeError, centres,
                               parse_error, read_json)
 from layoutprior.ingest import (_READ_LAYOUTS, _WRITE_LAYOUTS,
                                 _corpus_from_obj, _streamed, corpus_to_obj,
@@ -415,6 +415,107 @@ def test_corpus_rejects_misshapen_arrays(arrays, match):
     with pytest.raises(ShapeError, match=match):
         Corpus(vocab, **_two_components(**arrays))
     Corpus(vocab, **_two_components())
+
+
+BOX_TEXT = "coordinates must be finite with x1 <= x2 and y1 <= y2"
+CANVAS_TEXT = "layout 'x': canvas size must be positive and finite"
+
+
+def test_corpus_holds_boxes_as_float64():
+    """Boxes are read as float64, so a y1 + y2 that int64 would wrap
+    keeps its centre: 0.625 of a canvas of height 2**63 - 1, in band 6
+    of ten."""
+    box = [0, 2**62, 1, 2**62 + 2**61]
+    corpus = Corpus(ClassVocabulary(("A",)), ("x",), [1], [2**63 - 1],
+                    [0, 0], [0, 0], [1.0, 1.0], [False, False],
+                    np.array([box, box], dtype=np.int64))
+    assert corpus.boxes.dtype == np.float64
+    assert corpus.heights.dtype == np.int64
+    assert centres(corpus.boxes, corpus.heights[corpus.index]).tolist() \
+        == [0.625, 0.625]
+    counts = accumulate(corpus, BandConfig(10))
+    assert counts[6].tolist() == [[4]] and counts.sum() == 4
+
+
+@pytest.mark.parametrize("box, text", [
+    ([0, nan, 1, 2], "(0.0,nan,1.0,2.0)"), ([5, 0, 1, 1], "(5.0,0.0,1.0,1.0)")])
+def test_corpus_refuses_malformed_box(box, text):
+    """A box beside a finite one that the prior would count in no band,
+    or that is unordered, is refused when the corpus is built."""
+    arrays = _two_components(boxes=[[0.0, 0.0, 1.0, 1.0], box])
+    with pytest.raises(ParseError) as e:
+        Corpus(ClassVocabulary(("A",)), **arrays)
+    assert str(e.value) == f"malformed box {text}: {BOX_TEXT}"
+
+
+# What a value fault may put in a column; 2**63, an int past int64 that a
+# float holds, is none.
+_fault = st.sampled_from([nan, inf, -inf, 0.0, -0.0, -1.0, 2**63, 10**400])
+
+
+@st.composite
+def _value_faults(draw):
+    """The arrays of a well-formed corpus of up to three layouts, into
+    which one to three faults are put: a _fault value in place of a side, a
+    score or a box coordinate (an infinity for an int there), or a box
+    whose corners are swapped. A column holding an int is an object
+    column, as numpy holds ints past int64."""
+    sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    L, N = len(sizes), sum(sizes)
+    cols = {name: draw(st.lists(st.floats(0.5, 10.0), min_size=n, max_size=n))
+            for name, n in (("widths", L), ("heights", L), ("score", N))}
+    boxes = list(map(_ordered, draw(st.lists(st.tuples(
+        *[st.floats(0.0, 10.0)] * 4), min_size=N, max_size=N))))
+    for where, k, value in draw(st.lists(st.tuples(st.sampled_from(
+            ["widths", "heights", "score", "box", "swap"]),
+            st.integers(0, 11), _fault), min_size=1, max_size=3)):
+        if where == "box" and N:
+            boxes[k % N][k % 4] = value if type(value) is float else inf
+        elif where == "swap" and N:
+            box = boxes[k % N]
+            box[k % 2], box[k % 2 + 2] = box[k % 2 + 2], box[k % 2]
+        elif where in cols and cols[where]:
+            cols[where][k % len(cols[where])] = value
+    cols = {name: np.array(col, dtype=object if int in map(type, col)
+                           else np.float64) for name, col in cols.items()}
+    scored = draw(st.lists(st.booleans(), min_size=N, max_size=N))
+    return dict(ids=tuple(f"l{i}" for i in range(L)),
+                index=np.repeat(np.arange(L), sizes),
+                class_id=np.zeros(N, dtype=np.int64),
+                scored=np.array(scored, dtype=bool),
+                boxes=np.array(boxes, dtype=np.float64).reshape(N, 4), **cols)
+
+
+def _object_error(ids, widths, heights, index, class_id, score, scored,
+                  boxes):
+    """The text of what the layout objects raise, built as Corpus.layouts
+    builds them: every component in order, then every canvas; None where
+    they raise nothing."""
+    try:
+        [Component(BBox(*b), c, s if has else None) for b, c, s, has in zip(
+            boxes.tolist(), class_id.tolist(), score.tolist(),
+            scored.tolist())]
+        for lid, w, h in zip(ids, widths.tolist(), heights.tolist()):
+            LayoutDocument(lid, w, h)
+    except ParseError as e:
+        return str(e)
+    return None
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_value_faults())
+def test_corpus_refuses_what_layout_objects_refuse(arrays):
+    """A Corpus refuses the first value that its layout objects would
+    refuse, with their text, and builds them where they refuse none."""
+    want = _object_error(**arrays)
+    try:
+        corpus = Corpus(ClassVocabulary(("A",)), **arrays)
+    except ParseError as e:
+        assert str(e) == want
+    else:
+        assert want is None
+        assert len(corpus.layouts) == len(arrays["ids"])
+
 
 def clamped(box: BBox, width: float, height: float) -> BBox:
     """`box` clamped to a width x height canvas."""
@@ -854,25 +955,24 @@ def one_box_corpus(width=10.0, height=10.0, score=0.5, scored=True,
                   [score], [scored], [box])
 
 
-@pytest.mark.parametrize("field", [
-    {"box": (0.0, 0.0, inf, 1.0)}, {"box": (nan, 0.0, 1.0, 1.0)},
-    {"score": nan}, {"score": -inf}, {"width": inf}, {"height": nan},
-    {"height": 10 ** 400}], ids=["box-inf", "box-nan", "score-nan",
-                                 "score-inf", "width-inf", "height-nan",
-                                 "height-past-float"])
-def test_labelings_writer_refuses_non_finite(tmp_path, field):
-    """%r would write a bare inf or nan, which is not JSON: the writer
-    refuses such a number before it opens any file, naming the first
-    path."""
-    bad = one_box_corpus(**field)
-    clean = replace(bad, score=np.array([0.5]))  # only its score differs
-    paths = (tmp_path / "clean.json", tmp_path / "noisy.json")
-    for corpora, names in (((clean, bad), paths), ((bad,), paths[1:])):
-        with pytest.raises(ParseError, match=re.escape(
-                f"{names[0]}: not written: canvas sides, boxes and "
-                "scores must be finite")):
-            save_native_labelings(corpora, names)
-        assert not any(p.exists() for p in paths)
+@pytest.mark.parametrize("field, reason", [
+    ({"box": (0.0, 0.0, inf, 1.0)}, f"malformed box (0.0,0.0,inf,1.0): "
+                                    f"{BOX_TEXT}"),
+    ({"box": (nan, 0.0, 1.0, 1.0)}, f"malformed box (nan,0.0,1.0,1.0): "
+                                    f"{BOX_TEXT}"),
+    ({"score": nan}, "non-finite score: nan"),
+    ({"score": -inf}, "non-finite score: -inf"),
+    ({"width": inf}, CANVAS_TEXT), ({"height": nan}, CANVAS_TEXT),
+    ({"height": 10 ** 400}, CANVAS_TEXT)],
+    ids=["box-inf", "box-nan", "score-nan", "score-inf", "width-inf",
+         "height-nan", "height-past-float"])
+def test_labelings_writer_refuses_non_finite(field, reason):
+    """%r would write a bare inf or nan, which is not JSON, so the writer
+    is never handed one: a Corpus refuses such a number when it is
+    built, with the text the loader gives for it."""
+    with pytest.raises(ParseError) as e:
+        one_box_corpus(**field)
+    assert str(e.value) == reason
 
 
 def test_native_writer_skips_absent_score(tmp_path):

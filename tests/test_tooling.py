@@ -92,11 +92,11 @@ def test_json_decoded_only_in_read_json():
 
 
 # Where src/ may name BBox, Component or LayoutDocument other than in an
-# annotation: the two read-only views and the fault-only check of
-# ProposalBatch's constructor, as (file, class, method).
+# annotation, as (file, class, method): the two read-only views. Every
+# fault check reads arrays, so these are the only places that would have
+# to change for the classes to leave src/.
 OBJECT_VIEWS = {("ingest.py", "Corpus", "layouts"),
-                ("core.py", "ProposalBatch", "boxes"),
-                ("core.py", "ProposalBatch", "__post_init__")}
+                ("core.py", "ProposalBatch", "boxes")}
 
 
 def test_layout_objects_built_only_in_views():
