@@ -11,7 +11,6 @@ association weights:
 
 from __future__ import annotations
 
-import json
 import math
 import weakref
 from dataclasses import dataclass
@@ -21,8 +20,8 @@ import numpy as np
 
 from .core import (ParseError, ProposalBatch, ShapeError, centres,
                    fields_equal, finite, json_number, json_numbers, matmul,
-                   matrix_from_json, matrix_to_json, read_json, read_only,
-                   row_softmax, same_bits, write_text)
+                   matrix_from_json, read_json, read_only, row_softmax,
+                   same_bits)
 from .prior import BandConfig, CoOccurrenceGraphSet
 
 class AssociationKind(Enum):
@@ -226,16 +225,6 @@ def concat_features(f: np.ndarray, f_prime: np.ndarray) -> np.ndarray:
         )
     return np.hstack([f, f_prime])
 
-def proposals_to_obj(batch: ProposalBatch) -> dict:
-    obj = {
-        "height": float(batch.layout_height),
-        "boxes": batch.coords.tolist(),
-        "logits": matrix_to_json(batch.logits),
-    }
-    if batch.features is not None:
-        obj["features"] = matrix_to_json(batch.features)
-    return obj
-
 def proposals_from_obj(obj: dict) -> ProposalBatch:
     try:
         boxes = json_numbers(obj["boxes"], "box coordinate", 4)
@@ -247,14 +236,6 @@ def proposals_from_obj(obj: dict) -> ProposalBatch:
     if features is not None:
         features = matrix_from_json(features)
     return ProposalBatch(boxes, logits, height, features)
-
-def save_proposals(batch: ProposalBatch, path) -> None:
-    """Write `batch` as JSON; non-finite entries raise as in `save_matrix`."""
-    if not all(np.isfinite(m).all() for m in (batch.logits, batch.features)
-               if m is not None):
-        raise ParseError(f"{path}: not written: MTX-JSON entries must be "
-                         "finite")
-    write_text(path, [json.dumps(proposals_to_obj(batch))])
 
 def load_proposals(path) -> ProposalBatch:
     return read_json(path, proposals_from_obj)

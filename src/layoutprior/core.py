@@ -149,14 +149,16 @@ def read_json(path, parse, stream=None):
     passes through.
 
     The stream, the decode and the parse run with the cyclic garbage
-    collector paused. A decoded document holds one container per JSON
-    object and array, tens of thousands for a corpus, and no reference
-    cycle, so the collections that allocating them would start free
-    nothing. On the way out the decoded document is released first;
-    only then is the collector re-enabled, and only if it was enabled on
-    entry. Were the document released after, an allocation in between
-    would find the youngest generation tens of thousands of objects over
-    its threshold and start a pass over the whole document.
+    collector paused. The decoder makes one container per JSON object
+    and array, none in a reference cycle: 2,688 for a block of 64
+    streamed layout records of 20 boxes each, and tens of thousands for
+    a whole decoded corpus. So the collections that allocating them
+    would start, one per 700 allocations, free nothing. On the way out
+    the decoded document is released first; only then is the collector
+    re-enabled, and only if it was enabled on entry. Were the document
+    released after, an allocation in between would find the youngest
+    generation tens of thousands of objects over its threshold and
+    start a pass over the whole document.
     """
     enabled, obj = gc.isenabled(), None
     gc.disable()

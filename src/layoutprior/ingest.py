@@ -21,19 +21,18 @@ objects, kept for callers outside the library.
 `save_native_labelings` writes corpora that label the same layouts, as
 `synth`'s clean and noisy corpora do, in one pass that formats each
 shared box once; `save_native` is its one-corpus case.
-`load_native` reads the file's text once. Where "classes" precedes
-"layouts" in the top-level object, as in every file the library writes,
-it decodes the layout records a block at a time with the stdlib
-decoder's own scanner and makes each block's arrays before it decodes
-the next, so the decoded document never exists whole. Any other
-document, and any fault (a syntax error, trailing data, a repeated
-top-level key, a bad vocabulary or record), takes the whole-document
-read of the same text: json.loads, then the arrays in one pass, which
-raises every error. A side, coordinate or score must be a JSON number
-(an int, float or bool, not a string such as "1.5") and `components`,
-when present, a list. On a fault the pass is run on one record at a
-time, and the error names the first failing record: ``layout {i}: id
-{id!r}: reason``.
+`load_native` reads the file's text once. Where the top-level object
+holds "classes" and then "layouts" alone, as every file the library
+writes does, it decodes the layout records a block at a time with the
+stdlib decoder's own scanner and makes each block's arrays before it
+decodes the next, so the decoded document never exists whole. Any
+other document, and any fault (a syntax error, trailing data, a bad
+vocabulary or record), takes the whole-document read of the same text:
+json.loads, then the arrays in one pass, which raises every error. A
+side, coordinate or score must be a JSON number (an int, float or bool,
+not a string such as "1.5") and `components`, when present, a list. On
+a fault the pass is run on one record at a time, and the error names
+the first failing record: ``layout {i}: id {id!r}: reason``.
 """
 
 from __future__ import annotations
@@ -63,7 +62,8 @@ class Corpus:
     `heights`. Per component, in layout order: `index`, its layout's
     position; `class_id`; `score`, 1.0 where absent, and `scored`, which
     flags the scores present; and `boxes`, float64 (N, 4) rows of x1, y1,
-    x2, y2. Every array is read-only, and corpora compare field by field.
+    x2, y2. Every array is read-only and owns its data, as a view given
+    is copied; corpora compare field by field.
     """
 
     vocabulary: ClassVocabulary
@@ -86,6 +86,8 @@ class Corpus:
         for f in fields(self)[2:]:
             a = np.asarray(getattr(self, f.name),
                            np.float64 if f.name == "boxes" else None)
+            if a.base is not None:  # a view, which its base could change
+                a = a.copy()
             object.__setattr__(self, f.name, read_only(a))
         L, N, index = len(self.ids), self.index.size, self.index
         for name, shape in (("widths", (L,)), ("heights", (L,)),
@@ -219,56 +221,43 @@ _space = json.decoder.WHITESPACE.match
 _READ_LAYOUTS = 64  # layout records decoded per block, held at once
 
 
-def _token(text: str, at: int):
-    """The character at the first non-whitespace position from `at`, ""
-    at the end of `text`, and the position past it."""
+def _past(text: str, at: int, *tokens: str) -> int:
+    """The first non-whitespace position in `text` past `tokens`, which
+    must follow `at` in order, each after any JSON whitespace; a missing
+    one raises StopIteration, as the scanner does on a bad value."""
     at = _space(text, at).end()
-    return text[at:at + 1], at + 1
+    for token in tokens:
+        if not text.startswith(token, at):
+            raise StopIteration
+        at = _space(text, at + len(token)).end()
+    return at
 
 
 def _streamed(text: str):
     """The corpus of the native document `text`, whose layout records are
     decoded _READ_LAYOUTS at a time, each block dropped once `_columns`
     has made its arrays; None for a document that the whole-document
-    read must take: one with a fault anywhere, a repeated top-level key,
-    "layouts" before "classes", or a top level that is no object."""
+    read must take: one with a fault anywhere, or whose top level is not
+    the library's shape, "classes" and then "layouts" alone."""
     try:
-        sep, at = _token(text, 0)
-        vocab, blocks, keys = None, [], set()
-        while sep == ("," if keys else "{"):
-            quote, at = _token(text, at)
-            if quote != '"':
-                return None
-            key, at = json.decoder.scanstring(text, at)
-            colon, at = _token(text, at)
-            if colon != ":" or key in keys:
-                return None
-            keys.add(key)
-            if key != "layouts":
-                value, at = _scan(text, _space(text, at).end())
-                if key == "classes":
-                    vocab = ClassVocabulary(value)
-            elif vocab is None:
-                return None
-            else:
-                bracket, at = _token(text, at)
-                if bracket != "[":
-                    return None
-                records, sep = [], ","
-                if text.startswith("]", _space(text, at).end()):
-                    sep, at = _token(text, at)
-                while sep == ",":
-                    record, at = _scan(text, _space(text, at).end())
-                    records.append(record)
-                    if len(records) == _READ_LAYOUTS:
-                        blocks.append(_columns(records, vocab))
-                        records = []
-                    sep, at = _token(text, at)
-                if sep != "]":
-                    return None
+        classes, at = _scan(text, _past(text, 0, "{", '"classes"', ":"))
+        vocab = ClassVocabulary(classes)
+        at = _past(text, at, ",", '"layouts"', ":", "[")
+        blocks, records, more = [], [], not text.startswith("]", at)
+        while more:
+            record, at = _scan(text, at)
+            records.append(record)
+            if len(records) == _READ_LAYOUTS:
                 blocks.append(_columns(records, vocab))
-            sep, at = _token(text, at)
-        if sep != "}" or not blocks or _space(text, at).end() != len(text):
+                records = []
+            # The comma is matched inline: a _past call per record cost
+            # about 2 ms on a 1000-layout load.
+            at = _space(text, at).end()
+            more = text.startswith(",", at)
+            if more:
+                at = _space(text, at + 1).end()
+        blocks.append(_columns(records, vocab))
+        if _past(text, at, "]", "}") != len(text):
             return None
         cols = list(zip(*blocks))  # each field's parts, block by block
         starts = itertools.accumulate(map(len, cols[0]), initial=0)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -8,7 +9,9 @@ import pytest
 from hypothesis import strategies as st
 
 from layoutprior import (BBox, ClassVocabulary, Component, Corpus,
-                         GeneratorSpec, LayoutDocument, NodeFeatures)
+                         GeneratorSpec, LayoutDocument, NodeFeatures,
+                         ParseError, ProposalBatch)
+from layoutprior.core import matrix_to_json, write_text
 
 FIXTURES = __file__.rsplit("/", 1)[0] + "/fixtures"
 
@@ -50,6 +53,27 @@ def spec_to_obj(spec: GeneratorSpec) -> dict:
         "noise": spec.noise,
         "seed": spec.seed,
     }
+
+
+def proposals_to_obj(batch: ProposalBatch) -> dict:
+    obj = {
+        "height": float(batch.layout_height),
+        "boxes": batch.coords.tolist(),
+        "logits": matrix_to_json(batch.logits),
+    }
+    if batch.features is not None:
+        obj["features"] = matrix_to_json(batch.features)
+    return obj
+
+
+def save_proposals(batch: ProposalBatch, path) -> None:
+    """Write `batch` as the JSON that load_proposals reads; non-finite
+    entries raise as in `save_matrix`."""
+    if not all(np.isfinite(m).all() for m in (batch.logits, batch.features)
+               if m is not None):
+        raise ParseError(f"{path}: not written: MTX-JSON entries must be "
+                         "finite")
+    write_text(path, [json.dumps(proposals_to_obj(batch))])
 
 
 def make_layout(lid, boxes, class_ids, height=100.0, width=100.0, scores=None):

@@ -17,8 +17,7 @@ from layoutprior import (ProposalBatch, cli, ingest, load_native,
                          save_native)
 from layoutprior.cli import build_parser, main
 from layoutprior.conditioning import (MappingPolicy, NodeFeatures,
-                                      condition_features, save_proposals,
-                                      soft_mapping)
+                                      condition_features, soft_mapping)
 from layoutprior.core import (LayoutDocument, load_matrix, open_text,
                               save_matrix, write_text)
 from layoutprior.prior import load_graphs
@@ -26,7 +25,7 @@ from layoutprior.ingest import corpus_to_obj
 from layoutprior.render import render_layout_svg
 from layoutprior.synth import generate
 
-from conftest import refuse_layout_objects, spec_to_obj
+from conftest import refuse_layout_objects, save_proposals, spec_to_obj
 from reference_eval import reference_evaluate
 from test_synth import block_spec
 

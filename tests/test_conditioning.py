@@ -20,15 +20,15 @@ from layoutprior.conditioning import (AssociationKind, AssociationPolicy,
                                       association, band_association,
                                       concat_features,
                                       condition_features, load_proposals,
-                                      proposals_from_obj, proposals_to_obj,
-                                      save_proposals, soft_mapping)
+                                      proposals_from_obj, soft_mapping)
 from layoutprior.core import (BBox, ParseError, ShapeError, centres,
                               same_bits)
 from layoutprior.prior import BandConfig, CoOccurrenceGraphSet
 from layoutprior.rescore import RescoreConfig, rescore
 
-from conftest import (assert_rewrite_stable, finite_matrices, random_embed,
-                      random_node_features)
+from conftest import (assert_rewrite_stable, finite_matrices,
+                      proposals_to_obj, random_embed, random_node_features,
+                      save_proposals)
 
 
 # Any finite float, with the float range's ends, subnormals and both

@@ -14,13 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import layoutprior
-from layoutprior.conditioning import AssociationPolicy, band_association
+from layoutprior.conditioning import (AssociationPolicy, NodeFeatures,
+                                      band_association)
 from layoutprior.core import (BBox, ClassVocabulary, Component, LayoutDocument,
-                              ParseError, ProposalBatch, ShapeError,
+                              LayoutPriorError, ParseError, ProposalBatch,
+                              ShapeError,
                               box_areas, centres, check_boxes, iou_matrix,
                               load_matrix, matmul, matrix_from_json,
                               matrix_to_json, read_json, row_softmax,
                               same_bits, save_matrix, write_text)
+from layoutprior.ingest import Corpus
 from layoutprior.prior import BandConfig
 from layoutprior.rescore import RescoreConfig
 
@@ -159,6 +162,56 @@ class TestNonFinite:
     def test_int_past_float_range(self, build):
         with pytest.raises(ParseError, match="finite"):
             build()
+
+
+def _corpus(**arrays) -> Corpus:
+    """A one-box corpus, with `arrays` in place of any of its arrays."""
+    base = dict(ids=("a",), widths=[10.0], heights=[10.0], index=[0],
+                class_id=[0], score=[1.0], scored=[False],
+                boxes=[[0.0, 0.0, 1.0, 1.0]])
+    return Corpus(ClassVocabulary(("A",)), **{**base, **arrays})
+
+
+HUGE = 10 ** 400  # an int past the float range
+
+
+# The public constructors check values, not types (README, Concepts): a
+# value that numpy's or Python's float read cannot take raises that
+# read's own error, not a LayoutPriorError, and numpy reads a numeric
+# string in a coordinate array as its number. Only the file readers
+# enforce JSON numbers.
+@pytest.mark.parametrize("build, error", [
+    pytest.param(lambda: _corpus(boxes=[[0, 0, HUGE, 1]]), OverflowError,
+                 id="Corpus huge box"),
+    pytest.param(lambda: ProposalBatch([(0, 0, HUGE, 1)], np.zeros((1, 2)),
+                                       10.0), OverflowError,
+                 id="ProposalBatch huge coordinate"),
+    pytest.param(lambda: NodeFeatures([[HUGE]]), OverflowError,
+                 id="NodeFeatures huge entry"),
+    pytest.param(lambda: ProposalBatch([(0, 0, 1, 1)], np.zeros((1, 2)),
+                                       "10"), TypeError,
+                 id="ProposalBatch string height"),
+    pytest.param(lambda: AssociationPolicy(sigma="0.3"), TypeError,
+                 id="AssociationPolicy string sigma"),
+    pytest.param(lambda: RescoreConfig(blend="0.5"), TypeError,
+                 id="RescoreConfig string lambda"),
+    pytest.param(lambda: _corpus(widths=["10"]), TypeError,
+                 id="Corpus string width"),
+    pytest.param(lambda: _corpus(heights=["10"]), TypeError,
+                 id="Corpus string height"),
+    pytest.param(lambda: NodeFeatures([[0.0, "x"]]), ValueError,
+                 id="NodeFeatures non-numeric string"),
+    pytest.param(lambda: ProposalBatch([(0, 0, "1", 1)], np.zeros((1, 2)),
+                                       10.0), None,
+                 id="ProposalBatch numeric string coordinate"),
+])
+def test_constructors_check_values_not_types(build, error):
+    if error is None:
+        assert build().coords.tolist() == [[0.0, 0.0, 1.0, 1.0]]
+        return
+    with pytest.raises(error) as e:
+        build()
+    assert not isinstance(e.value, LayoutPriorError)
 
 
 class TestVocabulary:

@@ -16,7 +16,7 @@ from layoutprior import (BandConfig, BBox, ClassVocabulary, Component,
                          Corpus, LayoutDocument, accumulate, build_prior,
                          evaluate, load_native, save_native)
 from layoutprior.core import (PARSE_ERRORS, ParseError, ShapeError, centres,
-                              parse_error, read_json)
+                              open_text, parse_error, read_json, write_text)
 from layoutprior.ingest import (_READ_LAYOUTS, _WRITE_LAYOUTS,
                                 _corpus_from_obj, _streamed, corpus_to_obj,
                                 save_native_labelings)
@@ -446,6 +446,24 @@ def test_corpus_refuses_malformed_box(box, text):
     with pytest.raises(ParseError) as e:
         Corpus(ClassVocabulary(("A",)), **arrays)
     assert str(e.value) == f"malformed box {text}: {BOX_TEXT}"
+
+
+def test_corpus_keeps_no_view(tmp_path):
+    """An array given as a view is copied, so a later write through its
+    base cannot put a box the check refuses into the corpus, nor into
+    the file that save_native writes of it. An array that owns its data
+    is kept."""
+    base = np.array([[0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 2.0, 2.0]])
+    arrays = _two_components(boxes=base[:])
+    corpus = Corpus(ClassVocabulary(("A",)), **arrays)
+    base[1] = [5, 0, 1, 1]
+    assert corpus.boxes.tolist() == [[0.0, 0.0, 1.0, 1.0],
+                                     [0.0, 0.0, 2.0, 2.0]]
+    save_native(corpus, tmp_path / "c.json")
+    assert load_native(tmp_path / "c.json") == corpus
+    owned = np.zeros(2)
+    assert Corpus(ClassVocabulary(("A",)),
+                  **_two_components(score=owned)).score is owned
 
 
 # What a value fault may put in a column; 2**63, an int past int64 that a
@@ -1043,8 +1061,8 @@ _SEPARATORS = [(",", ":"), (", ", ": "), (" ,\n", " :\t"), ("\r\n,", ":\r\n")]
 
 @st.composite
 def _documents(draw):
-    """A native document's text, and whether it is regular: an object
-    that repeats no key and whose "classes" precede its "layouts". It
+    """A native document's text, and whether it is regular: of the
+    library's shape, an object of "classes" and then "layouts" alone. It
     may hold an odd record, a bad vocabulary, extra or repeated keys,
     keys in any order, any JSON whitespace, a top level that is an array,
     a cut or trailing data."""
@@ -1064,8 +1082,7 @@ def _documents(draw):
     if draw(st.integers(0, 2)) == 0:
         members = draw(st.permutations(members))
     keys = [k for k, _ in members]
-    regular = len(set(keys)) == len(keys) and (
-        keys.index("classes") < keys.index("layouts"))
+    regular = keys == ["classes", "layouts"]
     item, key = draw(st.sampled_from(_SEPARATORS))
     indent = draw(st.sampled_from([None, 0, 1, "\t"]))
     body = item.join(json.dumps(k) + key + json.dumps(
@@ -1100,8 +1117,8 @@ def _loaded(load, path):
 def test_streamed_read_matches_whole_document_read(document):
     """load_native gives the whole-document read's corpus or error text,
     on documents json.dumps writes and on save_native's rewrite of
-    those that load. The streamed read takes every regular document that
-    loads, and no other."""
+    those that load. The streamed read takes every document of the
+    library's shape that loads, and no other."""
     text, regular = document
     with tempfile.TemporaryDirectory() as d:
         p = Path(d, "c.json")
@@ -1114,6 +1131,39 @@ def test_streamed_read_matches_whole_document_read(document):
             save_native(_whole(p), p)
             assert _loaded(load_native, p) == _loaded(_whole, p) == whole
             assert _streamed(p.read_text()) is not None
+
+
+@pytest.mark.parametrize("n, form", [
+    (0, ".json"), (0, ".json.gz"), (_B + 1, ".json"), (_B + 1, ".json.gz"),
+    (_B + 1, "json.dumps")])
+@pytest.mark.parametrize("change", [
+    None, "extra key", "layouts first", "escaped key"])
+def test_streamed_read_takes_the_library_shape_alone(tmp_path, n, form,
+                                                     change):
+    """_streamed reads what save_native writes, plain and .gz, and a
+    one-line json.dumps of it: "classes" and then "layouts" alone. It
+    returns None for any other top level, which load_native then reads
+    whole to the same corpus."""
+    corpus = generate(block_spec(seed=7), n)[0]
+    p = tmp_path / ("c.json" if form == "json.dumps" else "c" + form)
+    if form == "json.dumps":
+        text = json.dumps(corpus_to_obj(corpus))
+    else:
+        save_native(corpus, p)
+        with open_text(p) as f:
+            text = f.read()
+    if change == "extra key":
+        text = text.rstrip()[:-1] + ', "extra": 1}'
+    elif change == "layouts first":
+        obj = json.loads(text)
+        text = json.dumps({"layouts": obj["layouts"],
+                           "classes": obj["classes"]})
+    elif change == "escaped key":
+        text = text.replace('"classes"', '"cl\\u0061sses"', 1)
+    assert (_streamed(text) == corpus) if change is None \
+        else (_streamed(text) is None)
+    write_text(p, [text])
+    assert load_native(p) == corpus
 
 
 def _two_blocks():
